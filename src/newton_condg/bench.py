@@ -16,6 +16,10 @@ plus two synthetic problems with known roots for property tests:
 - synthetic_linear: F(x) = A (x - xbar) for a fixed well-conditioned
   tridiagonal A and interior xbar, box [-5, 5]^n.
 
+The banded and diagonal problems (pb2, pb3 and both synthetic ones) declare
+scipy.sparse patterns and return sparse analytic Jacobians, so the solver
+keeps their model matrices in CSR form and building them at any n allocates
+no n-by-n array; pb1 (no pattern) and pb4 (a full dense pattern) stay dense.
 All builders are pure and the produced Problems immutable. The starting-point
 rule is x0(gamma) = l + 0.25 gamma (u - l) for finite boxes and
 10**gamma * (1, ..., 1) (clipped to the capped box) when an upper bound is
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .core import Problem
 from .feasible_set import Box
@@ -40,13 +45,27 @@ class BenchEntry:
     description: str
 
 
-def _tridiagonal_mask(n):
-    mask = np.zeros((n, n), dtype=bool)
+def _tridiagonal(diagonal, off_diagonal):
+    """CSR matrix with the given main diagonal and a constant off-diagonal value.
+
+    Every one of the 3n - 2 band entries is stored, whatever its value.
+    """
+    n = diagonal.size
     idx = np.arange(n)
-    mask[idx, idx] = True
-    mask[idx[:-1], idx[:-1] + 1] = True
-    mask[idx[1:], idx[1:] - 1] = True
-    return mask
+    off = np.full(n, off_diagonal, dtype=diagonal.dtype)
+    data = np.column_stack((off, diagonal, off)).ravel()[1:-1]
+    indices = np.column_stack((idx - 1, idx, idx + 1)).ravel()[1:-1]
+    indptr = np.concatenate(([0], np.arange(2, 3 * n - 1, 3), [3 * n - 2]))
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _tridiagonal_mask(n):
+    return _tridiagonal(np.ones(n, dtype=bool), True)
+
+
+def _diagonal(values):
+    n = values.size
+    return sparse.csr_array((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
 def _h_equation(n, c=0.99):
@@ -77,12 +96,7 @@ def _discrete_boundary(n):
         return 2.0 * x - xm - xp + h * h * (x + t + 1.0) ** 3 / 2.0
 
     def jac(x):
-        jj = np.zeros((n, n))
-        idx = np.arange(n)
-        jj[idx, idx] = 2.0 + 1.5 * h * h * (x + t + 1.0) ** 2
-        jj[idx[:-1], idx[:-1] + 1] = -1.0
-        jj[idx[1:], idx[1:] - 1] = -1.0
-        return jj
+        return _tridiagonal(2.0 + 1.5 * h * h * (x + t + 1.0) ** 2, -1.0)
 
     return Problem(
         name="pb2_discrete_boundary", n=n, fun=fun, jac=jac,
@@ -100,12 +114,7 @@ def _troesch(n, lam=10.0):
         return 2.0 * x - xm - xp + lam * h * h * np.sinh(lam * x)
 
     def jac(x):
-        jj = np.zeros((n, n))
-        idx = np.arange(n)
-        jj[idx, idx] = 2.0 + lam * lam * h * h * np.cosh(lam * x)
-        jj[idx[:-1], idx[:-1] + 1] = -1.0
-        jj[idx[1:], idx[1:] - 1] = -1.0
-        return jj
+        return _tridiagonal(2.0 + lam * lam * h * h * np.cosh(lam * x), -1.0)
 
     return Problem(
         name="pb3_troesch", n=n, fun=fun, jac=jac,
@@ -145,23 +154,19 @@ def _synthetic_quadratic(n):
         return x * x - 1.0
 
     def jac(x):
-        return np.diag(2.0 * x)
+        return _diagonal(2.0 * x)
 
     return Problem(
         name="synthetic_quadratic", n=n, fun=fun, jac=jac,
-        pattern=np.eye(n, dtype=bool),
+        pattern=_diagonal(np.ones(n, dtype=bool)),
         feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         known_root=np.ones(n),
     )
 
 
 def _synthetic_linear(n):
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = 4.0
-    A[idx[:-1], idx[:-1] + 1] = -1.0
-    A[idx[1:], idx[1:] - 1] = -1.0
-    xbar = 0.5 * np.cos(2.0 * np.pi * idx / n)
+    A = _tridiagonal(np.full(n, 4.0), -1.0)
+    xbar = 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
     def fun(x):
         return A @ (x - xbar)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from .feasible_set import FeasibleSet
 
@@ -62,8 +63,12 @@ class Problem:
         n: dimension (F maps n-vectors to n-vectors).
         fun: residual callback x -> F(x), pure.
         feasible_set: the constraint set (provides the LMO).
-        jac: optional analytic Jacobian callback x -> (n, n) array.
-        pattern: optional boolean (n, n) Jacobian sparsity mask.
+        jac: optional analytic Jacobian callback x -> (n, n) array or
+            scipy.sparse matrix.
+        pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
+            scipy.sparse (stored as a boolean CSR array). A sparse pattern,
+            or a sparse analytic Jacobian, keeps the solver's model matrices
+            sparse.
         known_root: optional root, used by diagnostics and tests only.
         domain_radius: radius kappa of the largest ball around the root known
             to lie inside the domain of F (+inf when unrestricted).
@@ -74,7 +79,7 @@ class Problem:
     fun: Callable[[np.ndarray], np.ndarray]
     feasible_set: FeasibleSet
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    pattern: Optional[np.ndarray] = None
+    pattern: Optional[object] = None
     known_root: Optional[np.ndarray] = None
     domain_radius: float = np.inf
 
@@ -82,7 +87,12 @@ class Problem:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.pattern is not None:
-            patt = np.asarray(self.pattern, dtype=bool)
+            if sparse.issparse(self.pattern):
+                patt = sparse.csr_array(self.pattern, dtype=bool)
+                patt.eliminate_zeros()
+                patt.sum_duplicates()
+            else:
+                patt = np.asarray(self.pattern, dtype=bool)
             if patt.shape != (self.n, self.n):
                 raise ValueError("pattern must be a boolean (n, n) mask")
             object.__setattr__(self, "pattern", patt)
@@ -209,8 +219,9 @@ def check_problem(problem, rng=None, samples=8):
     """Assert the Problem invariants on sampled feasible points.
 
     Checks the residual shape, that Jacobian entries outside the declared
-    pattern vanish (relative tolerance 1e-12), and that the known root has
-    max-norm residual <= 1e-10.
+    pattern vanish (relative tolerance 1e-12; the Jacobian is the analytic
+    one, or column-by-column finite differences, dense or sparse alike), and
+    that the known root has max-norm residual <= 1e-10.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     for _ in range(samples):
@@ -220,13 +231,12 @@ def check_problem(problem, rng=None, samples=8):
             raise AssertionError(f"{problem.name}: fun(x) has shape {fx.shape}")
         if problem.pattern is not None:
             if problem.jac is not None:
-                jac = np.asarray(problem.jac(x))
+                jac = problem.jac(x)
             else:
                 from .jacobian import fd_jacobian
 
-                jac = fd_jacobian(problem.fun, x)
-            scale = max(np.abs(jac).max(), 1e-300)
-            off = np.abs(jac[~problem.pattern]).max() if (~problem.pattern).any() else 0.0
+                jac = fd_jacobian(problem.fun, x, fx)
+            off, scale = _off_pattern_max(jac, problem.pattern)
             if off > 1e-12 * scale:
                 raise AssertionError(
                     f"{problem.name}: Jacobian entry outside pattern ({off:.3e})"
@@ -235,3 +245,14 @@ def check_problem(problem, rng=None, samples=8):
         res = np.abs(problem.fun(problem.known_root)).max()
         if res > 1e-10:
             raise AssertionError(f"{problem.name}: known_root residual {res:.3e}")
+
+
+def _off_pattern_max(jac, pattern):
+    """(largest |entry| of jac outside pattern, max(largest |entry|, 1e-300))."""
+    if sparse.issparse(jac) or sparse.issparse(pattern):
+        mag = abs(sparse.csr_array(jac, dtype=float))
+        off = mag - mag.multiply(sparse.csr_array(pattern, dtype=bool))
+        return off.max(), max(mag.max(), 1e-300)
+    mag = np.abs(np.asarray(jac, dtype=float))
+    outside = ~pattern
+    return (mag[outside].max() if outside.any() else 0.0), max(mag.max(), 1e-300)

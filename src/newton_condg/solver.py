@@ -10,14 +10,13 @@ globalization.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy import sparse
 
-from . import core
+from . import core, linsolve
 from .condg import condg
 from .core import RunReport, SolverConfig, validate_config
 from .jacobian import JacobianError, initial_state, next_jacobian
 from .linsolve import (
-    PIVOT_RTOL,
     ConstantEta,
     LinearSolveFailure,
     forcing_eta,
@@ -91,7 +90,7 @@ def solve(problem, x0, config=None, theory=None):
 
         try:
             jac_state = next_jacobian(
-                jac_state, k, problem, x, config.refresh_period, prev_step
+                jac_state, k, problem, x, config.refresh_period, prev_step, fx
             )
         except JacobianError:
             status = core.LINEAR_SOLVE_FAILURE
@@ -158,18 +157,11 @@ def verify_mk_conditions(M, fprime, theory):
 
     Computes ||M^{-1} F'|| and ||M^{-1} F' - I|| (spectral norms by power
     iteration, tolerance 1e-8) and flags them against omega1 and omega2.
-    Diagnostic only; never gates the iteration. Raises LinearSolveFailure for
-    singular M.
+    Diagnostic only; never gates the iteration. M and fprime may be dense or
+    scipy.sparse. Raises LinearSolveFailure for singular M.
     """
-    M = np.asarray(M, dtype=float)
-    fprime = np.asarray(fprime, dtype=float)
-    scale = np.abs(M).max()
-    if scale == 0.0:
-        raise LinearSolveFailure("model matrix is zero")
-    lu, piv = lu_factor(M, check_finite=False)
-    if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
-        raise LinearSolveFailure("model matrix is singular to working precision")
-    B = lu_solve((lu, piv), fprime, check_finite=False)
+    fprime = fprime.toarray() if sparse.issparse(fprime) else np.asarray(fprime, dtype=float)
+    B = linsolve.lu_factor(M).solve(fprime)
     norm_b = spectral_norm(B, tol=1e-8)
     norm_bi = spectral_norm(B - np.eye(B.shape[0]), tol=1e-8)
     return MkConditionCheck(

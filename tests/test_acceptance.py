@@ -69,7 +69,7 @@ def test_criterion_1_fd_iteration_budgets(pid, n, gamma, max_iters):
     "pid, gamma, max_iters",
     [
         ("pb2_discrete_boundary", 1, 18),  # typically 12
-        ("pb3_troesch", 1, 18),            # typically 13
+        ("pb3_troesch", 1, 18),            # typically 8
     ],
 )
 def test_criterion_2_schubert(pid, gamma, max_iters):

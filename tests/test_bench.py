@@ -129,7 +129,7 @@ def test_fd_jacobian_is_tridiagonal(pid):
     p = make_problem(pid, 60)
     x = starting_point(p, 1)
     fd = fd_jacobian(p.fun, x)
-    off = np.abs(fd[~p.pattern]).max()
+    off = np.abs(fd[~p.pattern.toarray()]).max()
     assert off <= 1e-10 * np.abs(fd).max()
 
 

@@ -1,0 +1,303 @@
+"""The sparse model path: grouped finite differences, CSR secant updates,
+SuperLU factorizations, and the registry problems that declare sparse
+patterns."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+import newton_condg.jacobian
+import newton_condg.linsolve
+import newton_condg.solver
+from newton_condg import (
+    Box,
+    LinearSolveFailure,
+    Problem,
+    SolverConfig,
+    TheoryParams,
+    check_problem,
+    condition_estimate,
+    fd_jacobian,
+    make_problem,
+    schubert_update,
+    solve,
+    solve_direct,
+    solve_inexact,
+    starting_point,
+    verify_mk_conditions,
+)
+from newton_condg.jacobian import CSRModel, JacobianError, as_model, column_colouring
+
+SPARSE_IDS = (
+    "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
+)
+
+
+def _tridiagonal(lower, diag, upper):
+    n = len(diag)
+    return sparse.diags_array(
+        [np.full(n - 1, lower), diag, np.full(n - 1, upper)], offsets=[-1, 0, 1],
+        format="csr",
+    )
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestGroupedFD:
+    @pytest.mark.parametrize("pid", SPARSE_IDS)
+    def test_bit_identical_to_column_by_column(self, pid):
+        p = make_problem(pid, 60)
+        assert sparse.issparse(p.pattern)
+        rng = np.random.default_rng(5)
+        points = [starting_point(p, g) for g in (1, 2, 3)]
+        points += [p.feasible_set.sample(rng) for _ in range(3)]
+        for x in points:
+            grouped = fd_jacobian(p.fun, x, pattern=p.pattern)
+            assert isinstance(grouped, CSRModel)
+            assert grouped.nnz == p.pattern.nnz
+            assert np.array_equal(grouped.toarray(), fd_jacobian(p.fun, x))
+
+    def test_one_residual_call_per_colour(self):
+        p = make_problem("pb2_discrete_boundary", 200)
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            return p.fun(x)
+
+        x = starting_point(p, 1)
+        fd_jacobian(fun, x, p.fun(x), pattern=p.pattern)
+        assert len(calls) == 3
+
+    def test_full_pattern_degenerates_to_the_column_loop(self):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((6, 6))
+        fun = lambda v: np.tanh(A @ v)
+        x = rng.standard_normal(6)
+        full = np.ones((6, 6), dtype=bool)
+        assert sorted(column_colouring(full)) == list(range(6))
+        assert np.array_equal(fd_jacobian(fun, x, pattern=full).toarray(), fd_jacobian(fun, x))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_residual_raises(self):
+        fun = lambda v: 1.0 / (v - 1.0)
+        with pytest.raises(JacobianError):
+            fd_jacobian(fun, np.array([1.0, 0.0]), pattern=sparse.eye_array(2))
+
+
+class TestColouring:
+    @staticmethod
+    def _assert_valid(pattern, colour):
+        P = sparse.csr_array(pattern, dtype=float)
+        assert colour.shape == (P.shape[1],)
+        for g in np.unique(colour):
+            # at most one column of a group in any row
+            assert P[:, np.flatnonzero(colour == g)].sum(axis=1).max() <= 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 500])
+    def test_tridiagonal_needs_at_most_three_colours(self, n):
+        pattern = make_problem("pb3_troesch", n).pattern
+        colour = column_colouring(pattern)
+        self._assert_valid(pattern, colour)
+        assert colour.max() + 1 <= 3
+
+    def test_random_patterns(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            pattern = rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.4)
+            colour = column_colouring(sparse.csr_array(pattern))
+            self._assert_valid(pattern, colour)
+
+    def test_computed_once_per_solve(self, monkeypatch):
+        calls = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+        p = make_problem("pb3_troesch", 100)
+        for strategy in ("finite_difference", "schubert"):
+            calls.clear()
+            report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+            assert report.status == "converged" and report.iterations > 1
+            assert len(calls) == 1
+
+
+class TestSparseSchubert:
+    def test_matches_dense_update_on_the_pattern(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            pattern = rng.uniform(size=(n, n)) < 0.5
+            pattern[np.arange(n), np.arange(n)] = True
+            M = np.where(pattern, rng.standard_normal((n, n)), 0.0)
+            s = rng.standard_normal(n)
+            yvec = rng.standard_normal(n)
+            dense = schubert_update(M, s, yvec, pattern)
+            updated = schubert_update(sparse.csr_array(M), s, yvec, sparse.csr_array(pattern))
+            assert isinstance(updated, CSRModel)
+            assert updated.nnz == pattern.sum()
+            out = updated.toarray()
+            assert np.all(out[~pattern] == 0.0)
+            assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_model_missing_pattern_entries_is_embedded(self):
+        pattern = np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool)
+        M = sparse.csr_array(np.diag([1.0, 2.0, 3.0]))  # super-diagonal not stored
+        s, yvec = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        updated = schubert_update(M, s, yvec, sparse.csr_array(pattern))
+        expected = schubert_update(M.toarray(), s, yvec, pattern)
+        assert updated.nnz == pattern.sum()
+        np.testing.assert_allclose(updated.toarray(), expected, rtol=1e-14, atol=0.0)
+
+    def test_pattern_violation_rejected(self):
+        with pytest.raises(JacobianError, match="pattern"):
+            schubert_update(
+                sparse.csr_array(np.ones((2, 2))), np.ones(2), np.ones(2), sparse.eye_array(2),
+            )
+
+
+class TestSparseLinsolve:
+    def test_sparse_and_dense_solves_agree(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), rng.uniform(-1.5, 1.5))
+            b = rng.standard_normal(n)
+            sparse_out = solve_direct(M, b)
+            dense_out = solve_direct(M.toarray(), b)
+            np.testing.assert_allclose(sparse_out.s, dense_out.s, rtol=1e-12, atol=1e-14)
+            assert sparse_out.eta_used <= 1e-13
+            inexact = solve_inexact(M, b, 0.1)
+            assert np.linalg.norm(M @ inexact.s - b) <= 0.1 * np.linalg.norm(b)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize(
+        "to_matrix", [lambda M: M, lambda M: M.toarray()], ids=["sparse", "dense"]
+    )
+    def test_zero_singular_and_non_finite_models_fail(self, to_matrix):
+        n = 6
+        diag = np.full(n, 2.0)
+        diag[[0, -1]] = 1.0  # Neumann Laplacian: the constant vector is a null vector
+        for M in (
+            sparse.csr_array((n, n)),
+            _tridiagonal(-1.0, diag, -1.0),
+            _tridiagonal(0.0, np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]), 0.0),
+            _tridiagonal(0.0, np.array([1.0, 1e-20, 1.0, 1.0, 1.0, 1.0]), 0.0),
+            _tridiagonal(-1.0, np.array([4.0, np.nan, 4.0, 4.0, 4.0, 4.0]), -1.0),
+        ):
+            with pytest.raises(LinearSolveFailure):
+                solve_direct(to_matrix(M), np.ones(n))
+
+    def test_diagnostics_accept_sparse_models(self):
+        M = _tridiagonal(-1.0, np.full(30, 4.0), -1.0)
+        assert condition_estimate(M) == pytest.approx(condition_estimate(M.toarray()), rel=1e-9)
+        check = verify_mk_conditions(M, M, TheoryParams(omega1=1.0))
+        assert check.norm_inv_jac == pytest.approx(1.0, abs=1e-7)
+        assert check.norm_inv_jac_minus_identity == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+    def test_sparse_solve_factorizes_through_lu_factor(self, monkeypatch, strategy):
+        calls = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
+        models = _counting(monkeypatch, newton_condg.solver, "solve_direct")
+        p = make_problem("pb2_discrete_boundary", 200)
+        report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+        assert report.status == "converged"
+        assert len(calls) == len(models) == report.iterations
+        for (M, _b) in models:
+            assert isinstance(M, CSRModel)
+            assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        assert all(sparse.issparse(args[0]) for args in calls)
+
+
+def test_fd_build_reuses_the_residual_at_the_iterate():
+    # one residual per iterate plus one per colour (3) per FD build
+    p = make_problem("pb2_discrete_boundary", 500)
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return p.fun(x)
+
+    counted = dataclasses.replace(p, fun=fun)
+    report = solve(counted, starting_point(p, 1), SolverConfig())
+    k = report.iterations
+    assert report.status == "converged"
+    assert len(calls) == (k + 1) + 3 * k
+
+
+class TestSparseProblems:
+    def test_pattern_stored_as_boolean_csr(self):
+        pattern = sparse.coo_array(
+            (np.array([2.0, 0.0, 1.0, 5.0]), (np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]))),
+            shape=(2, 2),
+        )
+        p = Problem(name="s", n=2, fun=lambda x: x, pattern=pattern, feasible_set=Box([0, 0], [1, 1]))
+        assert p.pattern.format == "csr" and p.pattern.dtype == bool
+        np.testing.assert_array_equal(p.pattern.toarray(), np.eye(2, dtype=bool))
+        with pytest.raises(ValueError):
+            Problem(name="s", n=3, fun=lambda x: x, pattern=sparse.eye_array(2),
+                    feasible_set=Box(np.zeros(3), np.ones(3)))
+
+    @pytest.mark.parametrize("sparse_pattern", [True, False])
+    @pytest.mark.parametrize("sparse_jac", [True, False])
+    def test_check_problem_flags_off_pattern_entries(self, sparse_pattern, sparse_jac):
+        n = 4
+        A = _tridiagonal(-1.0, np.full(n, 4.0), -1.0)
+        diagonal = sparse.eye_array(n, dtype=bool)
+        pattern = diagonal if sparse_pattern else diagonal.toarray()
+        jac = (lambda x: A) if sparse_jac else (lambda x: A.toarray())
+        box = Box(np.zeros(n), np.ones(n))
+        bad = Problem(name="bad", n=n, fun=lambda x: A @ x, jac=jac, pattern=pattern, feasible_set=box)
+        with pytest.raises(AssertionError, match="pattern"):
+            check_problem(bad)
+        nojac = Problem(name="bad", n=n, fun=lambda x: A @ x, pattern=pattern, feasible_set=box)
+        with pytest.raises(AssertionError, match="pattern"):
+            check_problem(nojac)
+        good = dataclasses.replace(bad, pattern=sparse.csr_array(A) if sparse_pattern else A.toarray() != 0)
+        check_problem(good)
+
+    @pytest.mark.parametrize("pid", SPARSE_IDS)
+    def test_large_instances_build_no_square_array(self, pid):
+        n = 10 ** 5
+        tracemalloc.start()
+        try:
+            p = make_problem(pid, n)
+            x = starting_point(p, 1)
+            jac = p.jac(x)
+            p.fun(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(p.pattern) and sparse.issparse(jac)
+        assert peak < 64 * n * 8  # far below one n-by-n float array (8 n^2 bytes)
+
+    @pytest.mark.parametrize("pid", ["pb2_discrete_boundary", "pb3_troesch"])
+    @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+    def test_converges_at_n_1e5(self, pid, strategy):
+        p = make_problem(pid, 10 ** 5)
+        report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+        assert report.status == "converged"
+        assert report.residual_norms[-1] <= 1e-6
+        assert p.feasible_set.contains(report.x, 1e-12)
+
+
+def test_dense_patterns_keep_dense_models(monkeypatch):
+    models = _counting(monkeypatch, newton_condg.solver, "solve_direct")
+    for pid in ("pb1_h_equation", "pb4_discrete_integral"):
+        p = make_problem(pid, 40)
+        for strategy in ("exact", "finite_difference", "schubert"):
+            models.clear()
+            report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+            assert report.status == "converged"
+            assert all(type(M) is np.ndarray for (M, _b) in models)
+    assert isinstance(as_model(np.eye(2)), np.ndarray)
