@@ -34,7 +34,6 @@ from .linsolve import (
     ConstantEta,
     LinearSolveFailure,
     LinSolveOutcome,
-    condition_estimate,
     forcing_eta,
     solve_direct,
     solve_inexact,
@@ -80,7 +79,6 @@ __all__ = [
     "check_problem",
     "condg",
     "condg_epsilon",
-    "condition_estimate",
     "fd_jacobian",
     "forcing_eta",
     "holder_majorant",

@@ -4,8 +4,9 @@ Exit codes: 0 on success/convergence, 1 when the solver reports a failure
 status, 2 on usage errors. Benchmark CSV columns are fixed as
 problem,n,gamma,method,iters,final_norm_inf,status,wall_ms with the residual
 in scientific notation (6 significant digits); row order is lexicographic in
-(problem, gamma, method) regardless of --jobs, so output bytes are stable
-apart from the wall_ms column.
+(problem, gamma, method), so output bytes are stable apart from the wall_ms
+column. A row whose solve raised has status "error"; `solve --format json`
+and `solve --trace` also carry the exception as "error": "<type>: <message>".
 """
 
 import argparse
@@ -13,8 +14,8 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
 from .core import CONVERGED, SolverConfig, TheoryParams
@@ -33,7 +34,7 @@ METHOD_TO_STRATEGY = {
 
 @dataclass
 class RunRow:
-    """One benchmark-table row."""
+    """One benchmark-table row; error is the exception of a raised solve."""
 
     problem: str
     n: int
@@ -43,6 +44,7 @@ class RunRow:
     final_norm_inf: float
     status: str
     wall_ms: float
+    error: Optional[str] = None
 
     def to_csv(self):
         return (
@@ -88,21 +90,34 @@ def _run_one(problem_id, n, gamma, method, args):
         status = report.status
         iters = report.iterations
         final = report.residual_norms[-1]
-    except Exception:
+        error = None
+    except Exception as exc:
         status, iters, final, report = "error", 0, math.nan, None
+        error = f"{type(exc).__name__}: {exc}"
     wall_ms = 1000.0 * (time.perf_counter() - start)
     row = RunRow(
         problem=problem_id, n=n, gamma=gamma, method=method,
         iters=iters, final_norm_inf=final, status=status, wall_ms=wall_ms,
+        error=error,
     )
     return row, report
 
 
 def _check_solver_flags(args, parser):
+    """Usage error for flags the eta-policy parser or SolverConfig rejects."""
     try:
         _parse_eta_policy(args.eta_policy)
+        _config_from_args(args, "fd")
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _parse_gammas(text):
+    """'1,2,3' -> [1, 2, 3]; every gamma must be one of 0, 1, 2, 3."""
+    gammas = [g.strip() for g in text.split(",") if g.strip()]
+    if not set(gammas) <= {"0", "1", "2", "3"}:
+        raise argparse.ArgumentTypeError(f"gammas must be among 0, 1, 2, 3: {text!r}")
+    return [int(g) for g in gammas]
 
 
 def cmd_solve(args, parser):
@@ -122,15 +137,16 @@ def cmd_solve(args, parser):
             fh.write(out_text if out_text.endswith("\n") else out_text + "\n")
     else:
         sys.stdout.write(out_text if out_text.endswith("\n") else out_text + "\n")
-    if args.trace and report is not None:
-        payload = {
-            "status": report.status,
-            "x0_projected": report.x0_projected,
-            "iterates": [list(map(float, it)) for it in report.iterates],
-            "residual_norms": list(map(float, report.residual_norms)),
-            "condg_iters": list(map(int, report.condg_iters)),
-            "newton_steps": list(map(float, report.newton_steps)),
-        }
+    if args.trace:
+        payload = {"status": row.status, "error": row.error}
+        if report is not None:
+            payload.update(
+                x0_projected=report.x0_projected,
+                iterates=[list(map(float, it)) for it in report.iterates],
+                residual_norms=list(map(float, report.residual_norms)),
+                condg_iters=list(map(int, report.condg_iters)),
+                newton_steps=list(map(float, report.newton_steps)),
+            )
         with open(args.trace, "w") as fh:
             json.dump(payload, fh)
     return 0 if row.status == CONVERGED else 1
@@ -161,24 +177,9 @@ def cmd_benchmark(args, parser):
     for m in methods:
         if m not in METHOD_TO_STRATEGY:
             parser.error(f"unknown method {m!r}")
-    gammas = [int(g) for g in args.gammas.split(",") if g.strip()]
     _check_solver_flags(args, parser)
-    try:
-        runs = suite_runs(args.suite, methods, gammas)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    def job(run):
-        pid, n, gamma, method = run
-        row, _ = _run_one(pid, n, gamma, method, args)
-        return row
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(job, runs))
-    else:
-        rows = [job(run) for run in runs]
-    rows.sort(key=lambda r: (r.problem, r.gamma, r.method))
+    runs = suite_runs(args.suite, methods, args.gammas)  # --suite choices: known suites
+    rows = [_run_one(pid, n, gamma, method, args)[0] for pid, n, gamma, method in runs]
 
     lines = [CSV_HEADER] + [row.to_csv() for row in rows]
     text = "\n".join(lines) + "\n"
@@ -253,10 +254,9 @@ def build_parser():
     p_bench.add_argument("--suite", choices=("paper-core", "all", "synthetic"),
                          default="paper-core")
     p_bench.add_argument("--methods", default="fd,schubert")
-    p_bench.add_argument("--gammas", default="1,2,3")
+    p_bench.add_argument("--gammas", type=_parse_gammas, default="1,2,3")
     _add_solver_flags(p_bench)
     p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--jobs", type=int, default=1)
 
     p_rad = subs.add_parser("radius", help="convergence-radius calculator")
     p_rad.add_argument("--kind", choices=("holder", "smale"), required=True)

@@ -66,9 +66,10 @@ class Problem:
         jac: optional analytic Jacobian callback x -> (n, n) array or
             scipy.sparse matrix.
         pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
-            scipy.sparse (stored as a boolean CSR array). A sparse pattern,
-            or a sparse analytic Jacobian, keeps the solver's model matrices
-            sparse.
+            scipy.sparse (stored as a boolean CSR array). A sparse pattern
+            keeps the solver's model matrices sparse under every Jacobian
+            strategy; a sparse analytic Jacobian alone does so only for the
+            exact strategy.
         known_root: optional root, used by diagnostics and tests only.
         domain_radius: radius kappa of the largest ball around the root known
             to lie inside the domain of F (+inf when unrestricted).

@@ -6,15 +6,15 @@ secant update (Schubert/Broyden) refreshed by finite differences every
 `refresh_period` iterations.
 
 The storage of M_k follows what the problem supplies. When problem.pattern
-is a scipy.sparse matrix, or problem.jac returns one, M_k is a CSRModel (a
-CSR matrix with the pattern's structure): finite differences perturb each
-group of structurally orthogonal columns in one residual call (Curtis,
-Powell and Reid 1974), with the greedy column colouring computed once per
-solve, and the secant update rewrites the CSR data array in O(nnz).
-Otherwise M_k is a dense ndarray built column by column.
+is a scipy.sparse matrix, M_k is a CSRModel (a CSR matrix with the pattern's
+structure): finite differences perturb each group of structurally orthogonal
+columns in one residual call (Curtis, Powell and Reid 1974), with the greedy
+column colouring computed once per solve, and the secant update rewrites the
+CSR data array in O(nnz). Otherwise M_k is a dense ndarray built column by
+column, except that the exact strategy keeps a sparse problem.jac sparse.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,16 +41,14 @@ class CSRModel(sparse.csr_array):
 
 @dataclass
 class JacobianState:
-    """Model matrix M plus the bookkeeping its strategy needs.
+    """Model matrix M plus what the next call of next_jacobian reuses.
 
     pattern is the sparsity mask the model keeps (schubert, and every
-    strategy of a problem with a sparse pattern); colouring is the column
-    colouring of a sparse pattern, computed once and carried along.
+    non-exact strategy of a problem with a sparse pattern); colouring is the
+    column colouring of a sparse pattern, computed once and carried along.
     """
 
     M: object
-    k_last_refresh: int
-    strategy: str
     pattern: Optional[object] = None
     colouring: Optional[np.ndarray] = None
 
@@ -223,10 +221,10 @@ def _entry_keys(A):
     return rows * A.shape[1] + A.indices
 
 
-def next_jacobian(state, k, problem, x, refresh_period=5, step=None, fx=None):
-    """Model matrix for outer iteration k.
+def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, fx=None):
+    """Model matrix for outer iteration k, given the state of iteration k - 1.
 
-    exact: analytic Jacobian every iteration (JacobianError if the problem
+    state is None on the first call. exact: analytic Jacobian every iteration (JacobianError if the problem
     has none). finite_difference: fd_jacobian every iteration. schubert:
     fd_jacobian masked to the pattern at k == 0 and whenever
     (k - 1) mod refresh_period == 0, otherwise the rowwise secant update of
@@ -234,48 +232,34 @@ def next_jacobian(state, k, problem, x, refresh_period=5, step=None, fx=None):
     The pattern comes from problem.pattern, or is detected from the first
     finite-difference Jacobian when the problem declares none. A sparse
     problem.pattern makes the finite differences column-grouped and the
-    model CSR. fx = F(x), when given, spares fd_jacobian one evaluation.
-    Finiteness of M is left to the linear solve, which checks it once.
+    model CSR; the first call colours it. fx = F(x), when given, spares
+    fd_jacobian one evaluation. Finiteness of M is left to the linear solve,
+    which checks it once.
     """
-    if state is None:
-        raise ValueError("state must carry the strategy; use a fresh JacobianState")
-    strategy = state.strategy
     x = np.asarray(x, dtype=float)
-
     if strategy == EXACT:
         if problem.jac is None:
             raise JacobianError("exact strategy needs an analytic Jacobian")
-        return JacobianState(M=as_model(problem.jac(x)), k_last_refresh=k, strategy=EXACT)
-
+        return JacobianState(M=as_model(problem.jac(x)))
     if strategy not in (FINITE_DIFFERENCE, SCHUBERT):
         raise ValueError(f"unknown jacobian strategy {strategy!r}")
-    pattern = state.pattern
-    if pattern is None and sparse.issparse(problem.pattern):
-        pattern = problem.pattern
-    grouped = pattern if sparse.issparse(pattern) else None
-    colouring = state.colouring
-    if grouped is not None and colouring is None:
-        colouring = column_colouring(grouped)
+
+    if state is None:
+        pattern = problem.pattern if sparse.issparse(problem.pattern) else None
+        colouring = None if pattern is None else column_colouring(pattern)
+        state = JacobianState(M=None, pattern=pattern, colouring=colouring)
+    grouped = state.pattern if sparse.issparse(state.pattern) else None
 
     refresh = k == 0 or (k >= 1 and (k - 1) % refresh_period == 0)
     if strategy == FINITE_DIFFERENCE or refresh or state.M is None:
-        M = fd_jacobian(problem.fun, x, fx, grouped, colouring)
+        M = fd_jacobian(problem.fun, x, fx, grouped, state.colouring)
+        pattern = state.pattern
         if strategy == SCHUBERT and grouped is None:
             if pattern is None:
                 pattern = problem.pattern if problem.pattern is not None else detect_pattern(M)
             M = np.where(pattern, M, 0.0)
-        return JacobianState(
-            M=M, k_last_refresh=k, strategy=strategy, pattern=pattern, colouring=colouring,
-        )
+        return replace(state, M=M, pattern=pattern)
     if step is None:
         raise ValueError("schubert update needs the previous step data")
     s, f_diff = step
-    return JacobianState(
-        M=schubert_update(state.M, s, f_diff, pattern), k_last_refresh=state.k_last_refresh,
-        strategy=SCHUBERT, pattern=pattern, colouring=colouring,
-    )
-
-
-def initial_state(strategy):
-    """Empty state carrying only the strategy tag."""
-    return JacobianState(M=None, k_last_refresh=-1, strategy=strategy)
+    return replace(state, M=schubert_update(state.M, s, f_diff, state.pattern))

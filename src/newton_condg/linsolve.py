@@ -6,8 +6,10 @@ with partial pivoting: LAPACK for a dense ndarray, SuperLU
 (scipy.sparse.linalg.splu) for a scipy.sparse matrix. solve_direct solves with
 that factorization; solve_inexact only promises ||M s - b|| <= eta * ||b|| in
 the Euclidean norm, produced by GMRES (dense or sparse M alike) with the
-contract re-verified by recomputation. Norm and conditioning estimates for
-diagnostics live here too and share lu_factor and one power iteration.
+contract re-verified by recomputation. That contract is all an inexact
+solve guarantees: the theory's vartheta bound on the preconditioned residual
+M^{-1}(M s - b), which eta * cond(M) <= vartheta would imply, is not checked.
+spectral_norm, for the solver's model diagnostics, lives here too.
 """
 
 from dataclasses import dataclass
@@ -25,10 +27,9 @@ class LinearSolveFailure(Exception):
 
 @dataclass
 class LinSolveOutcome:
-    """Step s, recomputed residual r = M s - b, and achieved ||r||/||b||."""
+    """Step s and its achieved relative residual ||M s - b|| / ||b||."""
 
     s: np.ndarray
-    r: np.ndarray
     eta_used: float
 
 
@@ -64,9 +65,9 @@ class _DenseLU:
         self.lu_piv = (lu, piv)
         self.pivots = np.diag(lu)
 
-    def solve(self, b, trans=0):
-        """x with M x = b (trans=0) or M^T x = b (trans=1)."""
-        return linalg.lu_solve(self.lu_piv, b, trans=trans, check_finite=False)
+    def solve(self, b):
+        """x with M x = b."""
+        return linalg.lu_solve(self.lu_piv, b, check_finite=False)
 
 
 class _SparseLU:
@@ -76,13 +77,13 @@ class _SparseLU:
         self.superlu = superlu
         self.pivots = superlu.U.diagonal()
 
-    def solve(self, b, trans=0):
-        """x with M x = b (trans=0) or M^T x = b (trans=1)."""
-        return self.superlu.solve(np.asarray(b, dtype=float), trans="NT"[trans])
+    def solve(self, b):
+        """x with M x = b."""
+        return self.superlu.solve(np.asarray(b, dtype=float))
 
 
 def lu_factor(M):
-    """LU factorization of M with partial pivoting; its .solve(b, trans=0) solves.
+    """LU factorization of M with partial pivoting; its .solve(b) solves M x = b.
 
     A scipy.sparse M is factorized by SuperLU, anything else as a dense
     float array by LAPACK. Raises LinearSolveFailure when M has a non-finite
@@ -115,7 +116,9 @@ def solve_direct(M, b):
     M = _as_matrix(M)
     b = np.asarray(b, dtype=float)
     s = lu_factor(M).solve(b)
-    return _outcome(M, b, s)
+    bnorm = np.linalg.norm(b)
+    eta_used = float(np.linalg.norm(M @ s - b) / bnorm) if bnorm > 0 else 0.0
+    return LinSolveOutcome(s=s, eta_used=eta_used)
 
 
 def solve_inexact(M, b, eta):
@@ -134,21 +137,17 @@ def solve_inexact(M, b, eta):
     _require_finite(M.data if sparse.issparse(M) else M)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return LinSolveOutcome(s=np.zeros_like(b), r=np.zeros_like(b), eta_used=0.0)
+        return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
     n = b.size
     s, _info = gmres(M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50)
-    if np.linalg.norm(M @ s - b) <= eta * bnorm:
-        return _outcome(M, b, s)
+    rnorm = np.linalg.norm(M @ s - b)
+    if rnorm <= eta * bnorm:
+        return LinSolveOutcome(s=s, eta_used=float(rnorm / bnorm))
     return solve_direct(M, b)
 
 
-def forcing_eta(k, resnorm, policy, cond_estimate=None, vartheta=None):
-    """Forcing term eta_k from a policy, optionally capped by vartheta/cond.
-
-    The conditioning cap eta_k * cond <= vartheta is applied only when a
-    condition estimate is supplied (diagnostic mode); it is never computed
-    implicitly.
-    """
+def forcing_eta(resnorm, policy):
+    """Forcing term eta_k of a policy at the residual norm ||F(x_k)||."""
     if resnorm < 0:
         raise ValueError("resnorm must be >= 0")
     if isinstance(policy, ConstantEta):
@@ -157,39 +156,23 @@ def forcing_eta(k, resnorm, policy, cond_estimate=None, vartheta=None):
         eta = min(policy.eta_max, policy.c * resnorm)
     else:
         raise TypeError(f"unknown forcing policy {policy!r}")
-    if cond_estimate is not None and vartheta is not None and cond_estimate > 0:
-        eta = min(eta, vartheta / cond_estimate)
     return float(eta)
 
 
 def spectral_norm(A, tol=1e-8, max_iter=2000):
     """Largest singular value by power iteration on A^T A."""
     A = _as_matrix(A)
-    return _power_norm(lambda v: A @ v, lambda w: A.T @ w, A.shape[1], tol, max_iter)
-
-
-def condition_estimate(M, tol=1e-8):
-    """cond_2(M) estimate: spectral norms of M and M^{-1} via power iteration."""
-    M = _as_matrix(M)
-    factors = lu_factor(M)
-    norm_inv = _power_norm(
-        factors.solve, lambda w: factors.solve(w, trans=1), M.shape[0], tol, 2000
-    )
-    return spectral_norm(M, tol=tol) * norm_inv
-
-
-def _power_norm(apply, apply_t, n, tol, max_iter):
-    """||A||_2 by power iteration on A^T A, given v -> A v and w -> A^T w."""
+    n = A.shape[1]
     v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(max_iter):
-        w = apply_t(apply(v))
+        w = A.T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        new_sigma = np.linalg.norm(apply(v))
+        new_sigma = np.linalg.norm(A @ v)
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
             return new_sigma
         sigma = new_sigma
@@ -213,10 +196,3 @@ def _checked_scale(values):
     if scale == 0.0:
         raise LinearSolveFailure("model matrix is zero")
     return scale
-
-
-def _outcome(M, b, s):
-    r = M @ s - b
-    bnorm = np.linalg.norm(b)
-    eta_used = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else 0.0
-    return LinSolveOutcome(s=s, r=r, eta_used=eta_used)

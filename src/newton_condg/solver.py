@@ -15,7 +15,7 @@ from scipy import sparse
 from . import core, linsolve
 from .condg import condg
 from .core import RunReport, SolverConfig, validate_config
-from .jacobian import JacobianError, initial_state, next_jacobian
+from .jacobian import JacobianError, next_jacobian
 from .linsolve import (
     ConstantEta,
     LinearSolveFailure,
@@ -71,7 +71,7 @@ def solve(problem, x0, config=None, theory=None):
     condg_iters = []
     newton_steps = []
     status = core.MAX_ITERATIONS
-    jac_state = initial_state(config.jacobian_strategy)
+    jac_state = None
     prev_step = None
 
     fx = np.asarray(problem.fun(x), dtype=float)
@@ -90,7 +90,8 @@ def solve(problem, x0, config=None, theory=None):
 
         try:
             jac_state = next_jacobian(
-                jac_state, k, problem, x, config.refresh_period, prev_step, fx
+                jac_state, k, problem, x, config.jacobian_strategy,
+                config.refresh_period, prev_step, fx,
             )
         except JacobianError:
             status = core.LINEAR_SOLVE_FAILURE
@@ -101,7 +102,7 @@ def solve(problem, x0, config=None, theory=None):
                 outcome = solve_direct(jac_state.M, -fx)
             else:
                 policy = config.eta_policy or ConstantEta()
-                eta = forcing_eta(k, float(np.linalg.norm(fx)), policy)
+                eta = forcing_eta(float(np.linalg.norm(fx)), policy)
                 outcome = solve_inexact(jac_state.M, -fx, eta)
         except LinearSolveFailure:
             status = core.LINEAR_SOLVE_FAILURE

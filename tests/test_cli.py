@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+import newton_condg.cli
+from newton_condg import Box, Problem
 from newton_condg.cli import CSV_HEADER, main, suite_runs
 
 
@@ -115,13 +118,10 @@ class TestBenchmark:
         keys = [(pid, gamma, method) for pid, _, gamma, method in runs]
         assert keys == sorted(keys)
 
-    def test_synthetic_suite_deterministic_across_jobs(self, tmp_path, capsys):
+    def test_synthetic_suite_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path, jobs in zip(paths, ("1", "4")):
-            assert main([
-                "benchmark", "--suite", "synthetic", "--out", str(path),
-                "--jobs", jobs,
-            ]) == 0
+        for path in paths:
+            assert main(["benchmark", "--suite", "synthetic", "--out", str(path)]) == 0
         a, b = (p.read_text() for p in paths)
         assert _strip_wall(a) == _strip_wall(b)  # wall_ms excluded by design
         lines = a.strip().splitlines()
@@ -150,6 +150,41 @@ class TestBenchmark:
             main(["solve", "--problem", "synthetic_quadratic",
                   "--linsolve", "inexact", "--eta-policy", "bogus:1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "synthetic_linear", "--refresh", "0"],
+    ["solve", "--problem", "synthetic_linear", "--tol", "-1"],
+    ["benchmark", "--suite", "synthetic", "--max-condg", "0"],
+    ["benchmark", "--suite", "synthetic", "--gammas", "5"],
+    ["benchmark", "--suite", "synthetic", "--gammas", "1,x"],
+], ids=["refresh", "tol", "max-condg", "gammas-range", "gammas-int"])
+def test_bad_solver_flag_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_error_row_names_the_exception(monkeypatch, tmp_path, capsys):
+    def fun(x):
+        raise RuntimeError("residual blew up")
+
+    broken = Problem(name="broken", n=3, fun=fun, feasible_set=Box(np.zeros(3), np.ones(3)))
+    monkeypatch.setattr(newton_condg.cli, "make_problem", lambda pid, n: broken)
+    argv = ["solve", "--problem", "synthetic_linear", "--n", "3"]
+    trace = tmp_path / "trace.json"
+    assert main(argv + ["--format", "json", "--trace", str(trace)]) == 1
+    row = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error"
+    assert row["error"] == "RuntimeError: residual blew up"
+    assert json.loads(trace.read_text()) == {
+        "status": "error", "error": "RuntimeError: residual blew up",
+    }
+    assert main(argv) == 1
+    header, line = capsys.readouterr().out.strip().splitlines()
+    assert header == CSV_HEADER
+    assert line.split(",")[:7] == ["synthetic_linear", "3", "1", "fd", "0", "nan", "error"]
 
 
 def test_list_problems(capsys):

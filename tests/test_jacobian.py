@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import newton_condg.jacobian
 from newton_condg import Box, Problem, fd_jacobian, next_jacobian, schubert_update
-from newton_condg.jacobian import JacobianError, detect_pattern, initial_state
+from newton_condg.jacobian import JacobianError, detect_pattern
 
 
 class TestFDJacobian:
@@ -104,34 +105,42 @@ class TestNextJacobian:
             name="1d", n=1, fun=lambda x: x * x - 1.0, jac=lambda x: np.diag(2.0 * x),
             feasible_set=Box([0.0], [2.0]),
         )
-        state = next_jacobian(initial_state("exact"), 0, p, np.array([1.5]))
+        state = next_jacobian(None, 0, p, np.array([1.5]), "exact")
         np.testing.assert_allclose(state.M, [[3.0]])
 
     def test_exact_needs_analytic_jacobian(self):
         p = Problem(name="nojac", n=1, fun=lambda x: x, feasible_set=Box([0.0], [1.0]))
         with pytest.raises(JacobianError):
-            next_jacobian(initial_state("exact"), 0, p, np.array([0.5]))
+            next_jacobian(None, 0, p, np.array([0.5]), "exact")
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            next_jacobian(None, 0, _problem(), np.ones(3), "bogus")
 
     def test_fd_strategy_carries_no_history(self):
         p = _problem()
         x = np.array([1.0, 1.5, 0.5])
-        s1 = next_jacobian(initial_state("finite_difference"), 0, p, x)
-        s2 = next_jacobian(s1, 7, p, x)
+        s1 = next_jacobian(None, 0, p, x, "finite_difference")
+        s2 = next_jacobian(s1, 7, p, x, "finite_difference")
         np.testing.assert_array_equal(s1.M, s2.M)
-        assert s2.k_last_refresh == 7
 
-    def test_schubert_refresh_schedule(self):
+    def test_schubert_refresh_schedule(self, monkeypatch):
         # refresh at k in {0, 1, 6, 11, ...} for refresh_period 5
+        builds = []
+        original = newton_condg.jacobian.fd_jacobian
+
+        def counted(*args, **kwargs):
+            builds.append(k)  # the iteration of the loop below
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(newton_condg.jacobian, "fd_jacobian", counted)
         p = _problem()
         x = np.array([1.0, 1.2, 0.8])
-        state = next_jacobian(initial_state("schubert"), 0, p, x, refresh_period=5)
-        assert state.k_last_refresh == 0
         step = (np.full(3, 1e-3), 2.0 * x * 1e-3)
-        refreshed = []
-        for k in range(1, 13):
-            state = next_jacobian(state, k, p, x, refresh_period=5, step=step)
-            refreshed.append(state.k_last_refresh == k)
-        assert refreshed == [k in (1, 6, 11) for k in range(1, 13)]
+        state = None
+        for k in range(13):
+            state = next_jacobian(state, k, p, x, "schubert", refresh_period=5, step=step)
+        assert builds == [0, 1, 6, 11]
 
     def test_schubert_detects_pattern_when_missing(self):
         n = 3
@@ -139,13 +148,13 @@ class TestNextJacobian:
             name="diag", n=n, fun=lambda x: x * x - 1.0,
             feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         )
-        state = next_jacobian(initial_state("schubert"), 0, p, np.full(n, 1.1))
+        state = next_jacobian(None, 0, p, np.full(n, 1.1), "schubert")
         np.testing.assert_array_equal(state.pattern, np.eye(n, dtype=bool))
         assert np.all(state.M[~state.pattern] == 0.0)
 
     def test_schubert_masks_refresh_to_pattern(self):
         p = _problem()
-        state = next_jacobian(initial_state("schubert"), 0, p, np.array([1.0, 1.5, 0.5]))
+        state = next_jacobian(None, 0, p, np.array([1.0, 1.5, 0.5]), "schubert")
         assert np.all(state.M[~p.pattern] == 0.0)
 
 

@@ -19,7 +19,6 @@ from newton_condg import (
     SolverConfig,
     TheoryParams,
     check_problem,
-    condition_estimate,
     fd_jacobian,
     make_problem,
     schubert_update,
@@ -200,7 +199,6 @@ class TestSparseLinsolve:
 
     def test_diagnostics_accept_sparse_models(self):
         M = _tridiagonal(-1.0, np.full(30, 4.0), -1.0)
-        assert condition_estimate(M) == pytest.approx(condition_estimate(M.toarray()), rel=1e-9)
         check = verify_mk_conditions(M, M, TheoryParams(omega1=1.0))
         assert check.norm_inv_jac == pytest.approx(1.0, abs=1e-7)
         assert check.norm_inv_jac_minus_identity == pytest.approx(0.0, abs=1e-7)
