@@ -7,6 +7,7 @@ in scientific notation (6 significant digits); row order is lexicographic in
 (problem, gamma, method), so output bytes are stable apart from the wall_ms
 column. A row whose solve raised has status "error"; `solve --format json`
 and `solve --trace` also carry the exception as "error": "<type>: <message>".
+Both write strict JSON: a nan or infinite residual becomes null.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
@@ -30,6 +31,8 @@ METHOD_TO_STRATEGY = {
     "fd": "finite_difference",
     "schubert": "schubert",
 }
+
+SUITES = {"paper-core": PAPER_CORE, "all": tuple(REGISTRY), "synthetic": SYNTHETIC}
 
 
 @dataclass
@@ -56,36 +59,62 @@ class RunRow:
 def _parse_eta_policy(text):
     """'constant:0.1' or 'adaptive:<c>,<eta_max>'."""
     kind, _, rest = text.partition(":")
-    if kind == "constant":
-        return ConstantEta(float(rest)) if rest else ConstantEta()
-    if kind == "adaptive":
-        if rest:
-            c, _, eta_max = rest.partition(",")
-            return AdaptiveEta(float(c), float(eta_max) if eta_max else 0.1)
-        return AdaptiveEta()
-    raise ValueError(f"unknown eta policy {text!r}")
+    try:
+        if kind == "constant":
+            return ConstantEta(float(rest)) if rest else ConstantEta()
+        if kind == "adaptive":
+            if rest:
+                c, _, eta_max = rest.partition(",")
+                return AdaptiveEta(float(c), float(eta_max) if eta_max else 0.1)
+            return AdaptiveEta()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad eta policy {text!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(f"unknown eta policy {text!r}")
 
 
-def _config_from_args(args, method):
-    return SolverConfig(
-        tol_inf=args.tol,
-        max_outer=args.max_iter,
-        theta=args.theta,
-        max_condg=args.max_condg,
-        jacobian_strategy=METHOD_TO_STRATEGY[method],
-        refresh_period=args.refresh,
-        linsolve=args.linsolve,
-        eta_policy=_parse_eta_policy(args.eta_policy) if args.linsolve == "inexact" else None,
-    )
+def _choice_list(text, allowed):
+    """Items of a comma-separated list, which must be non-empty and all allowed."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items or not set(items) <= set(allowed):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {', '.join(allowed)}: {text!r}"
+        )
+    return items
 
 
-def _run_one(problem_id, n, gamma, method, args):
+def _parse_methods(text):
+    """'fd,schubert' -> ['fd', 'schubert']; every method must be a known one."""
+    return _choice_list(text, tuple(METHOD_TO_STRATEGY))
+
+
+def _parse_gammas(text):
+    """'1,2,3' -> [1, 2, 3]; every gamma must be one of 0, 1, 2, 3."""
+    return [int(g) for g in _choice_list(text, ("0", "1", "2", "3"))]
+
+
+def _config_from_args(args, parser):
+    """The one SolverConfig of the solver flags; a value it rejects is a usage error."""
+    try:
+        return SolverConfig(
+            tol_inf=args.tol,
+            max_outer=args.max_iter,
+            theta=args.theta,
+            max_condg=args.max_condg,
+            refresh_period=args.refresh,
+            linsolve=args.linsolve,
+            eta_policy=args.eta_policy if args.linsolve == "inexact" else None,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_one(problem_id, n, gamma, method, config):
     n = n if n is not None else REGISTRY[problem_id].default_n
     start = time.perf_counter()
     try:  # never abort a sweep on one bad row
         problem = make_problem(problem_id, n)
         x0 = starting_point(problem, gamma)
-        config = _config_from_args(args, method)
+        config = replace(config, jacobian_strategy=METHOD_TO_STRATEGY[method])
         report = solve(problem, x0, config)
         status = report.status
         iters = report.iterations
@@ -103,21 +132,9 @@ def _run_one(problem_id, n, gamma, method, args):
     return row, report
 
 
-def _check_solver_flags(args, parser):
-    """Usage error for flags the eta-policy parser or SolverConfig rejects."""
-    try:
-        _parse_eta_policy(args.eta_policy)
-        _config_from_args(args, "fd")
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _parse_gammas(text):
-    """'1,2,3' -> [1, 2, 3]; every gamma must be one of 0, 1, 2, 3."""
-    gammas = [g.strip() for g in text.split(",") if g.strip()]
-    if not set(gammas) <= {"0", "1", "2", "3"}:
-        raise argparse.ArgumentTypeError(f"gammas must be among 0, 1, 2, 3: {text!r}")
-    return [int(g) for g in gammas]
+def _json_float(value):
+    """value, or None (JSON null) when it is nan or infinite."""
+    return value if math.isfinite(value) else None
 
 
 def cmd_solve(args, parser):
@@ -125,10 +142,11 @@ def cmd_solve(args, parser):
         parser.error(f"unknown problem {args.problem!r}")
     if args.n is not None and args.n < 2:
         parser.error("--n must be >= 2")
-    _check_solver_flags(args, parser)
-    row, report = _run_one(args.problem, args.n, args.gamma, args.method, args)
+    config = _config_from_args(args, parser)
+    row, report = _run_one(args.problem, args.n, args.gamma, args.method, config)
+    fields = {**asdict(row), "final_norm_inf": _json_float(row.final_norm_inf)}
     out_text = (
-        json.dumps(asdict(row), indent=2)
+        json.dumps(fields, indent=2, allow_nan=False)
         if args.format == "json"
         else CSV_HEADER + "\n" + row.to_csv() + "\n"
     )
@@ -143,28 +161,20 @@ def cmd_solve(args, parser):
             payload.update(
                 x0_projected=report.x0_projected,
                 iterates=[list(map(float, it)) for it in report.iterates],
-                residual_norms=list(map(float, report.residual_norms)),
+                residual_norms=[_json_float(r) for r in report.residual_norms],
                 condg_iters=list(map(int, report.condg_iters)),
                 newton_steps=list(map(float, report.newton_steps)),
             )
         with open(args.trace, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, allow_nan=False)
     return 0 if row.status == CONVERGED else 1
 
 
 def suite_runs(suite, methods, gammas):
-    """Deterministic (problem, n, gamma, method) grid of a named suite."""
-    if suite == "paper-core":
-        ids = PAPER_CORE
-    elif suite == "synthetic":
-        ids = SYNTHETIC
-    elif suite == "all":
-        ids = tuple(REGISTRY)
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
+    """Deterministic (problem, n, gamma, method) grid of a suite named in SUITES."""
     runs = [
         (pid, REGISTRY[pid].default_n, gamma, method)
-        for pid in ids
+        for pid in SUITES[suite]
         for gamma in gammas
         for method in methods
     ]
@@ -173,13 +183,9 @@ def suite_runs(suite, methods, gammas):
 
 
 def cmd_benchmark(args, parser):
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHOD_TO_STRATEGY:
-            parser.error(f"unknown method {m!r}")
-    _check_solver_flags(args, parser)
-    runs = suite_runs(args.suite, methods, args.gammas)  # --suite choices: known suites
-    rows = [_run_one(pid, n, gamma, method, args)[0] for pid, n, gamma, method in runs]
+    config = _config_from_args(args, parser)
+    runs = suite_runs(args.suite, args.methods, args.gammas)
+    rows = [_run_one(pid, n, gamma, method, config)[0] for pid, n, gamma, method in runs]
 
     lines = [CSV_HEADER] + [row.to_csv() for row in rows]
     text = "\n".join(lines) + "\n"
@@ -229,7 +235,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-condg", type=int, default=300, dest="max_condg")
     sub.add_argument("--refresh", type=int, default=5)
     sub.add_argument("--linsolve", choices=("direct", "inexact"), default="direct")
-    sub.add_argument("--eta-policy", default="constant:0.1", dest="eta_policy")
+    sub.add_argument("--eta-policy", type=_parse_eta_policy, default="constant:0.1",
+                     dest="eta_policy")
 
 
 def build_parser():
@@ -251,9 +258,8 @@ def build_parser():
                          help="write the full iterate/residual history as JSON")
 
     p_bench = subs.add_parser("benchmark", help="run a suite and emit a CSV table")
-    p_bench.add_argument("--suite", choices=("paper-core", "all", "synthetic"),
-                         default="paper-core")
-    p_bench.add_argument("--methods", default="fd,schubert")
+    p_bench.add_argument("--suite", choices=tuple(SUITES), default="paper-core")
+    p_bench.add_argument("--methods", type=_parse_methods, default="fd,schubert")
     p_bench.add_argument("--gammas", type=_parse_gammas, default="1,2,3")
     _add_solver_flags(p_bench)
     p_bench.add_argument("--out", default=None)

@@ -71,8 +71,6 @@ class Problem:
             strategy; a sparse analytic Jacobian alone does so only for the
             exact strategy.
         known_root: optional root, used by diagnostics and tests only.
-        domain_radius: radius kappa of the largest ball around the root known
-            to lie inside the domain of F (+inf when unrestricted).
     """
 
     name: str
@@ -82,7 +80,6 @@ class Problem:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pattern: Optional[object] = None
     known_root: Optional[np.ndarray] = None
-    domain_radius: float = np.inf
 
     def __post_init__(self):
         if self.n < 1:
@@ -119,9 +116,6 @@ class SolverConfig:
             strategy (refresh at k = 0 and whenever (k-1) mod m == 0).
         linsolve: "direct" or "inexact".
         eta_policy: forcing policy for inexact solves (see linsolve module).
-        no_progress_window / no_progress_factor: declare stagnation when the
-            best residual over the last `window` iterations is larger than
-            `factor` times the best over all earlier ones.
     """
 
     tol_inf: float = 1e-6
@@ -132,8 +126,6 @@ class SolverConfig:
     refresh_period: int = 5
     linsolve: str = "direct"
     eta_policy: object = None
-    no_progress_window: int = 10
-    no_progress_factor: float = 0.9
 
     def __post_init__(self):
         if not self.tol_inf > 0:
@@ -155,10 +147,6 @@ class SolverConfig:
             object.__setattr__(self, "theta", sched)
         if np.any(np.asarray(self.theta) < 0):
             raise ValueError("theta must be >= 0")
-        if self.no_progress_window < 1:
-            raise ValueError("no_progress_window must be >= 1")
-        if not (0.0 < self.no_progress_factor < 1.0):
-            raise ValueError("no_progress_factor must lie in (0, 1)")
 
     def theta_at(self, k):
         """theta_k for outer iteration k."""

@@ -25,6 +25,7 @@ FINITE_DIFFERENCE = "finite_difference"
 SCHUBERT = "schubert"
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+PATTERN_RTOL = 1e-10
 
 
 class JacobianError(Exception):
@@ -43,8 +44,8 @@ class CSRModel(sparse.csr_array):
 class JacobianState:
     """Model matrix M plus what the next call of next_jacobian reuses.
 
-    pattern is the sparsity mask the model keeps (schubert, and every
-    non-exact strategy of a problem with a sparse pattern); colouring is the
+    pattern is problem.pattern, or the mask schubert detects from its first
+    finite-difference build when the problem declares none; colouring is the
     column colouring of a sparse pattern, computed once and carried along.
     """
 
@@ -97,14 +98,14 @@ def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None):
     """Forward-difference Jacobian of fun at x.
 
     Column j uses the step h_j = sqrt(machine eps) * max(|x_j|, 1) with the
-    sign of x_j (positive when x_j == 0). Without a pattern every column
-    costs one residual evaluation and the result is a dense ndarray. With a
-    sparsity pattern (dense or scipy.sparse), the columns of each colour of
-    column_colouring(pattern) (or of the colouring passed in) are perturbed
-    together in one evaluation and the result is a CSRModel with exactly
-    the pattern's structure; its entries are bit-identical to the dense
-    ones when fun honours the pattern. f0 = fun(x) saves one evaluation.
-    Raises JacobianError when a perturbed residual is non-finite.
+    sign of x_j (positive when x_j == 0). One loop perturbs a group of
+    columns per residual evaluation. Without a pattern each column is a group
+    and the result is a dense ndarray. With a sparsity pattern (dense or
+    scipy.sparse) the groups are the colours of column_colouring(pattern), or
+    of the colouring passed in (gaps in its numbering are fine), and the
+    result is a CSRModel with exactly the pattern's structure, bit-identical
+    to the dense one when fun honours the pattern. f0 = fun(x) saves one
+    evaluation. Raises JacobianError when a perturbed residual is non-finite.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -117,41 +118,37 @@ def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None):
 
     if pattern is None:
         jac = np.empty((n, n))
-        for j in range(n):
-            jac[:, j] = _perturbed_difference(fun, x, f0, h, j) / h[j]
+        diffs, groups = jac.T, range(n)  # row j of diffs is column j of jac
+    else:
+        P = _pattern_model(pattern)
+        colour = column_colouring(P) if colouring is None else colouring
+        _, colour = np.unique(colour, return_inverse=True)  # renumber 0, 1, ...
+        order = np.argsort(colour, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(colour[order])) + 1)
+        diffs = np.empty((len(groups), n))
+    for g, cols in enumerate(groups):
+        xp = x.copy()
+        xp[cols] += h[cols]
+        diffs[g] = np.asarray(fun(xp), dtype=float) - f0
+        if not np.all(np.isfinite(diffs[g])):
+            raise JacobianError(
+                f"residual is non-finite at a point perturbed in x[{np.min(cols)}]"
+            )
+    if pattern is None:
+        jac /= h
         return jac
-
-    P = _pattern_model(pattern)
-    colour = column_colouring(P) if colouring is None else colouring
-    order = np.argsort(colour, kind="stable")
-    bounds = np.flatnonzero(np.diff(colour[order])) + 1
-    diffs = np.empty((colour.max() + 1, n))
-    for cols in np.split(order, bounds):
-        diffs[colour[cols[0]]] = _perturbed_difference(fun, x, f0, h, cols)
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
     P.data = diffs[colour[P.indices], rows] / h[P.indices]
     return P
 
 
-def _perturbed_difference(fun, x, f0, h, cols):
-    """fun(x + h_j e_j summed over the column(s) cols) - f0, checked to be finite."""
-    xp = x.copy()
-    xp[cols] += h[cols]
-    diff = np.asarray(fun(xp), dtype=float) - f0
-    if not np.all(np.isfinite(diff)):
-        raise JacobianError(
-            f"residual is non-finite at a point perturbed in x[{np.min(cols)}]"
-        )
-    return diff
-
-
-def detect_pattern(jac, rel_threshold=1e-10):
-    """Sparsity mask of a Jacobian: entries above rel_threshold * maxabs."""
+def detect_pattern(jac):
+    """Sparsity mask of a Jacobian: entries above PATTERN_RTOL * maxabs (1e-10)."""
     jac = np.asarray(jac)
     scale = np.abs(jac).max()
     if scale == 0.0:
         return np.zeros(jac.shape, dtype=bool)
-    return np.abs(jac) > rel_threshold * scale
+    return np.abs(jac) > PATTERN_RTOL * scale
 
 
 def schubert_update(M, s, yvec, pattern):
@@ -187,9 +184,14 @@ def _schubert_update_csr(M, s, yvec, pattern):
     M = as_model(M)
     if M.shape != P.shape:
         raise ValueError("M and pattern shapes differ")
-    P.data = _on_pattern(M, P)
     n = P.shape[0]
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    if np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices):
+        P.data = M.data
+    else:  # embed M, which may store only part of the pattern
+        P.data = M[rows, P.indices]
+        if np.count_nonzero(P.data) != np.count_nonzero(M.data):
+            raise JacobianError("M has entries outside the sparsity pattern")
     s_at = s[P.indices]
     denom = np.bincount(rows, weights=s_at * s_at, minlength=n)
     resid = yvec - P @ s
@@ -199,40 +201,19 @@ def _schubert_update_csr(M, s, yvec, pattern):
     return P
 
 
-def _on_pattern(M, P):
-    """Values of the canonical CSR matrix M at the stored entries of P.
-
-    Raises JacobianError when M has a non-zero entry outside P.
-    """
-    if np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices):
-        return M.data.copy()
-    p_keys, m_keys = _entry_keys(P), _entry_keys(M)
-    inside = np.isin(m_keys, p_keys)
-    if np.any(M.data[~inside] != 0.0):
-        raise JacobianError("M has entries outside the sparsity pattern")
-    data = np.zeros(P.nnz)
-    data[np.searchsorted(p_keys, m_keys[inside])] = M.data[inside]
-    return data
-
-
-def _entry_keys(A):
-    """Row-major keys i * ncols + j of the stored entries of a canonical CSR A."""
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    return rows * A.shape[1] + A.indices
-
-
 def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, fx=None):
     """Model matrix for outer iteration k, given the state of iteration k - 1.
 
-    state is None on the first call. exact: analytic Jacobian every iteration (JacobianError if the problem
-    has none). finite_difference: fd_jacobian every iteration. schubert:
-    fd_jacobian masked to the pattern at k == 0 and whenever
-    (k - 1) mod refresh_period == 0, otherwise the rowwise secant update of
-    the previous matrix using step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})).
-    The pattern comes from problem.pattern, or is detected from the first
-    finite-difference Jacobian when the problem declares none. A sparse
-    problem.pattern makes the finite differences column-grouped and the
-    model CSR; the first call colours it. fx = F(x), when given, spares
+    state is None on the first call. exact: analytic Jacobian every
+    iteration (JacobianError if the problem has none). finite_difference:
+    fd_jacobian every iteration. schubert: fd_jacobian masked to the
+    pattern at k == 0 and whenever (k - 1) mod refresh_period == 0,
+    otherwise the rowwise secant update of the previous matrix using
+    step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). The pattern comes from
+    problem.pattern, or is detected from the first finite-difference
+    Jacobian when the problem declares none. The first call colours a
+    sparse problem.pattern, which makes every finite-difference build
+    column-grouped and the model CSR. fx = F(x), when given, spares
     fd_jacobian one evaluation. Finiteness of M is left to the linear solve,
     which checks it once.
     """
@@ -245,20 +226,18 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
         raise ValueError(f"unknown jacobian strategy {strategy!r}")
 
     if state is None:
-        pattern = problem.pattern if sparse.issparse(problem.pattern) else None
-        colouring = None if pattern is None else column_colouring(pattern)
+        pattern = problem.pattern
+        colouring = column_colouring(pattern) if sparse.issparse(pattern) else None
         state = JacobianState(M=None, pattern=pattern, colouring=colouring)
-    grouped = state.pattern if sparse.issparse(state.pattern) else None
+    grouped = state.colouring is not None
 
     refresh = k == 0 or (k >= 1 and (k - 1) % refresh_period == 0)
     if strategy == FINITE_DIFFERENCE or refresh or state.M is None:
-        M = fd_jacobian(problem.fun, x, fx, grouped, state.colouring)
-        pattern = state.pattern
-        if strategy == SCHUBERT and grouped is None:
-            if pattern is None:
-                pattern = problem.pattern if problem.pattern is not None else detect_pattern(M)
-            M = np.where(pattern, M, 0.0)
-        return replace(state, M=M, pattern=pattern)
+        M = fd_jacobian(problem.fun, x, fx, state.pattern if grouped else None, state.colouring)
+        if strategy == FINITE_DIFFERENCE or grouped:
+            return replace(state, M=M)
+        pattern = detect_pattern(M) if state.pattern is None else state.pattern
+        return replace(state, M=np.where(pattern, M, 0.0), pattern=pattern)
     if step is None:
         raise ValueError("schubert update needs the previous step data")
     s, f_diff = step

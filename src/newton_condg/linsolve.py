@@ -19,6 +19,8 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import gmres, splu
 
 PIVOT_RTOL = 1e-14
+POWER_RTOL = 1e-8
+POWER_MAX_ITER = 2000
 
 
 class LinearSolveFailure(Exception):
@@ -159,21 +161,25 @@ def forcing_eta(resnorm, policy):
     return float(eta)
 
 
-def spectral_norm(A, tol=1e-8, max_iter=2000):
-    """Largest singular value by power iteration on A^T A."""
+def spectral_norm(A):
+    """Largest singular value by power iteration on A^T A.
+
+    Stops once sigma moves by at most POWER_RTOL * sigma, or after
+    POWER_MAX_ITER iterations.
+    """
     A = _as_matrix(A)
     n = A.shape[1]
     v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = A.T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new_sigma = np.linalg.norm(A @ v)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= POWER_RTOL * max(new_sigma, 1e-300):
             return new_sigma
         sigma = new_sigma
     return sigma

@@ -26,6 +26,10 @@ from .linsolve import (
 )
 
 STEP_FLOOR = 1e-15
+# stagnation: the best residual of the last NO_PROGRESS_WINDOW iterations is
+# above NO_PROGRESS_FACTOR times the best of all earlier ones
+NO_PROGRESS_WINDOW = 10
+NO_PROGRESS_FACTOR = 0.9
 
 
 def condg_epsilon(theta_k, s):
@@ -81,7 +85,7 @@ def solve(problem, x0, config=None, theory=None):
         if residual_norms[-1] <= config.tol_inf:
             status = core.CONVERGED
             break
-        if _stalled(residual_norms, config):
+        if _stalled(residual_norms):
             status = core.NO_PROGRESS
             break
         if k == config.max_outer:
@@ -134,13 +138,13 @@ def solve(problem, x0, config=None, theory=None):
     )
 
 
-def _stalled(residual_norms, config):
-    w = config.no_progress_window
+def _stalled(residual_norms):
+    w = NO_PROGRESS_WINDOW
     if len(residual_norms) <= w:
         return False
     recent = min(residual_norms[-w:])
     earlier = min(residual_norms[:-w])
-    return recent > config.no_progress_factor * earlier
+    return recent > NO_PROGRESS_FACTOR * earlier
 
 
 @dataclass
@@ -163,8 +167,8 @@ def verify_mk_conditions(M, fprime, theory):
     """
     fprime = fprime.toarray() if sparse.issparse(fprime) else np.asarray(fprime, dtype=float)
     B = linsolve.lu_factor(M).solve(fprime)
-    norm_b = spectral_norm(B, tol=1e-8)
-    norm_bi = spectral_norm(B - np.eye(B.shape[0]), tol=1e-8)
+    norm_b = spectral_norm(B)
+    norm_bi = spectral_norm(B - np.eye(B.shape[0]))
     return MkConditionCheck(
         norm_inv_jac=norm_b,
         norm_inv_jac_minus_identity=norm_bi,

@@ -158,12 +158,23 @@ class TestBenchmark:
     ["benchmark", "--suite", "synthetic", "--max-condg", "0"],
     ["benchmark", "--suite", "synthetic", "--gammas", "5"],
     ["benchmark", "--suite", "synthetic", "--gammas", "1,x"],
-], ids=["refresh", "tol", "max-condg", "gammas-range", "gammas-int"])
+    ["benchmark", "--suite", "synthetic", "--gammas", ""],
+    ["benchmark", "--suite", "synthetic", "--methods", ""],
+    ["benchmark", "--suite", "synthetic", "--eta-policy", "constant:2"],
+], ids=["refresh", "tol", "max-condg", "gammas-range", "gammas-int", "gammas-empty",
+        "methods-empty", "eta-range"])
 def test_bad_solver_flag_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as jq and JSON.parse do."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_error_row_names_the_exception(monkeypatch, tmp_path, capsys):
@@ -175,16 +186,32 @@ def test_error_row_names_the_exception(monkeypatch, tmp_path, capsys):
     argv = ["solve", "--problem", "synthetic_linear", "--n", "3"]
     trace = tmp_path / "trace.json"
     assert main(argv + ["--format", "json", "--trace", str(trace)]) == 1
-    row = json.loads(capsys.readouterr().out)
+    row = _strict_json(capsys.readouterr().out)
     assert row["status"] == "error"
     assert row["error"] == "RuntimeError: residual blew up"
-    assert json.loads(trace.read_text()) == {
+    assert row["final_norm_inf"] is None
+    assert _strict_json(trace.read_text()) == {
         "status": "error", "error": "RuntimeError: residual blew up",
     }
     assert main(argv) == 1
     header, line = capsys.readouterr().out.strip().splitlines()
     assert header == CSV_HEADER
     assert line.split(",")[:7] == ["synthetic_linear", "3", "1", "fd", "0", "nan", "error"]
+
+
+def test_non_finite_residual_is_null_in_json(monkeypatch, tmp_path, capsys):
+    nan_everywhere = Problem(
+        name="nan", n=3, fun=lambda x: np.full(3, np.nan),
+        feasible_set=Box(np.zeros(3), np.ones(3)),
+    )
+    monkeypatch.setattr(newton_condg.cli, "make_problem", lambda pid, n: nan_everywhere)
+    trace = tmp_path / "trace.json"
+    argv = ["solve", "--problem", "synthetic_linear", "--n", "3", "--format", "json"]
+    assert main(argv + ["--trace", str(trace)]) == 1
+    row = _strict_json(capsys.readouterr().out)
+    assert row["status"] == "linear_solve_failure"
+    assert row["final_norm_inf"] is None
+    assert _strict_json(trace.read_text())["residual_norms"] == [None]
 
 
 def test_list_problems(capsys):

@@ -82,7 +82,6 @@ def test_theta_schedule():
         dict(theta=-1e-9),
         dict(jacobian_strategy="bogus"),
         dict(linsolve="bogus"),
-        dict(no_progress_factor=1.0),
     ],
 )
 def test_solver_config_invariants(kwargs):

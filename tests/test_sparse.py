@@ -90,6 +90,13 @@ class TestGroupedFD:
         assert sorted(column_colouring(full)) == list(range(6))
         assert np.array_equal(fd_jacobian(fun, x, pattern=full).toarray(), fd_jacobian(fun, x))
 
+    def test_colouring_with_gaps_in_its_numbering(self):
+        fun = lambda v: np.array([1.0, 2.0, 3.0, 4.0]) * v ** 3
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        colouring = np.array([0, 2, 0, 2])
+        grouped = fd_jacobian(fun, x, pattern=sparse.eye_array(4), colouring=colouring)
+        assert np.array_equal(grouped.toarray(), fd_jacobian(fun, x))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_residual_raises(self):
         fun = lambda v: 1.0 / (v - 1.0)
