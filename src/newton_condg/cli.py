@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
-from .core import CONVERGED, SolverConfig, TheoryParams
+from .core import CONVERGED, LINSOLVE_MODES, SolverConfig, TheoryParams
 from .linsolve import AdaptiveEta, ConstantEta
 from .solver import solve
 from .theory import holder_radius, smale_radius
@@ -198,10 +198,10 @@ def cmd_benchmark(args, parser):
 
 
 def cmd_radius(args, parser):
-    theory = TheoryParams(
-        omega1=args.omega1, omega2=args.omega2, vartheta=args.vartheta, lam=args.lam
-    )
     try:
+        theory = TheoryParams(
+            omega1=args.omega1, omega2=args.omega2, vartheta=args.vartheta, lam=args.lam
+        )
         if args.kind == "holder":
             if args.K is None or args.p is None:
                 parser.error("--kind holder needs --K and --p")
@@ -229,12 +229,14 @@ def cmd_list_problems(args, parser):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--max-iter", type=int, default=300, dest="max_iter")
-    sub.add_argument("--theta", type=float, default=1e-5)
-    sub.add_argument("--max-condg", type=int, default=300, dest="max_condg")
-    sub.add_argument("--refresh", type=int, default=5)
-    sub.add_argument("--linsolve", choices=("direct", "inexact"), default="direct")
+    sub.add_argument("--tol", type=float, default=SolverConfig.tol_inf)
+    sub.add_argument("--max-iter", type=int, default=SolverConfig.max_outer,
+                     dest="max_iter")
+    sub.add_argument("--theta", type=float, default=SolverConfig.theta)
+    sub.add_argument("--max-condg", type=int, default=SolverConfig.max_condg,
+                     dest="max_condg")
+    sub.add_argument("--refresh", type=int, default=SolverConfig.refresh_period)
+    sub.add_argument("--linsolve", choices=LINSOLVE_MODES, default=SolverConfig.linsolve)
     sub.add_argument("--eta-policy", type=_parse_eta_policy, default="constant:0.1",
                      dest="eta_policy")
 

@@ -5,7 +5,7 @@ threads; `Problem.fun` is expected to be pure.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +26,8 @@ class TheoryParams:
     """Constants (omega1, omega2, vartheta, lambda) of the local convergence theory.
 
     omega1 bounds ||M_k^{-1} F'(x_k)||, omega2 bounds ||M_k^{-1} F'(x_k) - I||,
-    vartheta caps the preconditioned forcing term, and lam caps sqrt(2*theta_k).
+    vartheta caps the preconditioned forcing term, and lam caps sqrt(2*theta).
+    Construction raises ValueError naming the first violated inequality.
     """
 
     omega1: float
@@ -34,8 +35,7 @@ class TheoryParams:
     vartheta: float = 0.0
     lam: float = 0.0
 
-    def validate(self):
-        """Raise ValueError naming the first violated inequality."""
+    def __post_init__(self):
         if not (0.0 <= self.vartheta < 1.0):
             raise ValueError("violated: 0 <= vartheta < 1")
         if not (0.0 <= self.omega2 < self.omega1):
@@ -108,8 +108,7 @@ class SolverConfig:
     Attributes:
         tol_inf: stop when ||F(x_k)||_inf <= tol_inf.
         max_outer: cap on outer iterations.
-        theta: inner accuracy parameter theta_k; a constant or a schedule
-            (sequence indexed by k, last entry repeated beyond its end).
+        theta: inner accuracy parameter; every outer step k uses theta_k = theta.
         max_condg: cap on inner conditional-gradient iterations.
         jacobian_strategy: one of "exact", "finite_difference", "schubert".
         refresh_period: finite-difference refresh period m of the schubert
@@ -120,7 +119,7 @@ class SolverConfig:
 
     tol_inf: float = 1e-6
     max_outer: int = 300
-    theta: Union[float, Sequence[float]] = 1e-5
+    theta: float = 1e-5
     max_condg: int = 300
     jacobian_strategy: str = "finite_difference"
     refresh_period: int = 5
@@ -140,24 +139,8 @@ class SolverConfig:
             raise ValueError(f"unknown jacobian_strategy {self.jacobian_strategy!r}")
         if self.linsolve not in LINSOLVE_MODES:
             raise ValueError(f"unknown linsolve mode {self.linsolve!r}")
-        if not np.isscalar(self.theta):
-            sched = tuple(float(t) for t in self.theta)
-            if not sched:
-                raise ValueError("theta schedule must be non-empty")
-            object.__setattr__(self, "theta", sched)
-        if np.any(np.asarray(self.theta) < 0):
+        if not self.theta >= 0:
             raise ValueError("theta must be >= 0")
-
-    def theta_at(self, k):
-        """theta_k for outer iteration k."""
-        if np.isscalar(self.theta):
-            return float(self.theta)
-        return self.theta[min(k, len(self.theta) - 1)]
-
-    def theta_sup(self):
-        if np.isscalar(self.theta):
-            return float(self.theta)
-        return max(self.theta)
 
 
 @dataclass
@@ -194,12 +177,11 @@ class RunReport:
 def validate_config(config, theory):
     """Check a SolverConfig against TheoryParams.
 
-    Accepts iff the TheoryParams inequalities hold and every theta_k satisfies
-    theta_k <= lam**2 / 2 (with lam = 0 this forces theta = 0). Raises
-    ValueError naming the first violated inequality.
+    Accepts iff theta <= lam**2 / 2 (with lam = 0 this forces theta = 0);
+    raises ValueError otherwise. TheoryParams checks its own inequalities when
+    it is built.
     """
-    theory.validate()
-    if config.theta_sup() > theory.lam ** 2 / 2.0:
+    if config.theta > theory.lam ** 2 / 2.0:
         raise ValueError("violated: theta <= lambda**2/2")
     return config
 

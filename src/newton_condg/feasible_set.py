@@ -9,6 +9,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+BOX_CAP = 1e6  # finite stand-in for +inf upper bounds of a Box
+
 
 class FeasibleSet(ABC):
     """A convex compact subset of R^n."""
@@ -32,25 +34,24 @@ class FeasibleSet(ABC):
 
 
 class Box(FeasibleSet):
-    """{x : lower <= x <= upper}, upper entries of +inf capped at effective_cap.
+    """{x : lower <= x <= upper}, upper bounds (+inf included) capped at BOX_CAP.
 
     The capped box is the effective feasible set: lmo, contains, project and
-    sample all use min(upper, effective_cap).
+    sample all use min(upper, BOX_CAP).
     """
 
-    def __init__(self, lower, upper, effective_cap=1e6):
+    def __init__(self, lower, upper):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
         if not np.all(np.isfinite(lower)):
             raise ValueError("lower bounds must be finite")
-        capped = np.minimum(upper, effective_cap)
+        capped = np.minimum(upper, BOX_CAP)
         if not np.all(lower < capped):
-            raise ValueError("need lower < min(upper, effective_cap) per coordinate")
+            raise ValueError("need lower < min(upper, BOX_CAP) per coordinate")
         self.lower = lower
         self.upper = upper
-        self.effective_cap = float(effective_cap)
         self.capped_upper = capped
         self.n = lower.size
 

@@ -2,7 +2,7 @@
 
 Each outer iteration k builds an invertible model M_k of the Jacobian,
 solves M_k s_k = -F(x_k) (exactly or to a relative-residual contract),
-forms y_k = x_k + s_k, and takes x_{k+1} = condg(y_k, x_k, theta_k*||s_k||^2)
+forms y_k = x_k + s_k, and takes x_{k+1} = condg(y_k, x_k, theta*||s_k||^2)
 so the iterate stays feasible. Pure local method: no line search and no
 globalization.
 """
@@ -51,7 +51,7 @@ def solve(problem, x0, config=None, theory=None):
         x0_projected flag is raised.
     config : core.SolverConfig, defaults to SolverConfig().
     theory : optional core.TheoryParams; when given the configuration is
-        validated against them before iterating (theta <= lambda^2/2 etc).
+        validated against them before iterating (theta <= lambda^2/2).
 
     Returns a RunReport; failures (iteration cap, stagnation, unusable model
     matrix) are reported through its status, never raised.
@@ -120,7 +120,7 @@ def solve(problem, x0, config=None, theory=None):
             break
 
         y = x + s
-        inner = condg(fset, y, x, condg_epsilon(config.theta_at(k), s), config.max_condg)
+        inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
         condg_iters.append(inner.inner_iters)
 
         z = inner.z

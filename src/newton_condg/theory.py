@@ -29,7 +29,10 @@ ERROR_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class MajorantFunction:
-    """Scalar majorant model; build with holder_majorant or smale_majorant."""
+    """Scalar majorant model; build with holder_majorant or smale_majorant.
+
+    p is the rate exponent of the family; the analytic family has p = 1.
+    """
 
     kind: str
     K: Optional[float] = None
@@ -49,21 +52,11 @@ class MajorantFunction:
         return 1.0 / (1.0 - self.gamma * t) ** 2 - 2.0
 
     @property
-    def R(self):
-        """Right end of the domain of f."""
-        return math.inf if self.kind == HOLDER else 1.0 / self.gamma
-
-    @property
     def nu(self):
         """sup{t : f'(t) < 0}."""
         if self.kind == HOLDER:
             return (1.0 / self.K) ** (1.0 / self.p)
         return (math.sqrt(2.0) - 1.0) / (math.sqrt(2.0) * self.gamma)
-
-    @property
-    def exponent(self):
-        """Rate exponent p of the family (the analytic family has p = 1)."""
-        return self.p if self.kind == HOLDER else 1.0
 
 
 def holder_majorant(K, p):
@@ -77,7 +70,7 @@ def holder_majorant(K, p):
 def smale_majorant(gamma):
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    return MajorantFunction(kind=SMALE, gamma=float(gamma))
+    return MajorantFunction(kind=SMALE, p=1.0, gamma=float(gamma))
 
 
 def nf(majorant, t):
@@ -105,9 +98,8 @@ class RadiusBreakdown:
 
 def holder_radius(K, p, theory, kappa=math.inf):
     """Closed-form radii for the Holder family."""
-    theory.validate()
     majorant = holder_majorant(K, p)
-    q = _linear_coeff(theory)
+    q = _linear_coeff(theory, theory.lam)
     denom = K * (
         p
         - theory.omega1 * ((1.0 + theory.vartheta) * theory.lam + theory.vartheta - p)
@@ -120,13 +112,12 @@ def holder_radius(K, p, theory, kappa=math.inf):
 
 def smale_radius(gamma, theory, kappa=math.inf):
     """Closed-form radii for the analytic (Smale) family."""
-    theory.validate()
     majorant = smale_majorant(gamma)
     vt, lam = theory.vartheta, theory.lam
     a = theory.omega1 * (1.0 + vt) * (1.0 - 3.0 * lam) + 4.0 * (
         1.0 - theory.omega1 * vt - theory.omega2
     )
-    b = 1.0 - _linear_coeff(theory)
+    b = 1.0 - _linear_coeff(theory, lam)
     disc = a * a - 8.0 * b * b
     if disc < 0.0:
         raise ValueError("parameter combination outside the closed form (a^2 < 8 b^2)")
@@ -137,17 +128,14 @@ def smale_radius(gamma, theory, kappa=math.inf):
 def majorant_sequence(majorant, theory, theta, t0, kmax):
     """Scalar comparison sequence t_0 = t0, strictly decreasing to 0.
 
-    t_{k+1} = omega1 (1+vartheta)(1 + sqrt(2 theta_k)) |n_f(t_k)|
-              + (omega1 [(1+vartheta) sqrt(2 theta_k) + vartheta] + omega2) t_k.
+    t_{k+1} = omega1 (1+vartheta)(1 + sqrt(2 theta)) |n_f(t_k)|
+              + (omega1 [(1+vartheta) sqrt(2 theta) + vartheta] + omega2) t_k.
 
-    theta may be a constant or a sequence (last entry repeated). Requires
-    0 < t0 < rho and every theta_k <= lam^2/2. Stops early if a term
+    Requires 0 < t0 < rho and 0 <= theta <= lam^2/2. Stops early if a term
     underflows to exactly 0.
     """
-    theory.validate()
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(thetas < 0.0) or np.any(thetas > theory.lam ** 2 / 2.0):
-        raise ValueError("need 0 <= theta_k <= lambda**2/2")
+    if not 0.0 <= theta <= theory.lam ** 2 / 2.0:
+        raise ValueError("need 0 <= theta <= lambda**2/2")
     if majorant.kind == HOLDER:
         rho = holder_radius(majorant.K, majorant.p, theory).rho
     else:
@@ -155,17 +143,15 @@ def majorant_sequence(majorant, theory, theta, t0, kmax):
     if not (0.0 < t0 < rho):
         raise ValueError("need 0 < t0 < sigma")
 
-    om1, om2, vt = theory.omega1, theory.omega2, theory.vartheta
+    sq = math.sqrt(2.0 * theta)
+    newton_coeff = theory.omega1 * (1.0 + theory.vartheta) * (1.0 + sq)
+    q = _linear_coeff(theory, sq)
     ts = [float(t0)]
-    for k in range(kmax):
+    for _ in range(kmax):
         t = ts[-1]
         if t == 0.0:
             break
-        sq = math.sqrt(2.0 * thetas[min(k, thetas.size - 1)])
-        t_next = om1 * (1.0 + vt) * (1.0 + sq) * abs(nf(majorant, t)) + (
-            om1 * ((1.0 + vt) * sq + vt) + om2
-        ) * t
-        ts.append(float(t_next))
+        ts.append(float(newton_coeff * abs(nf(majorant, t)) + q * t))
     return np.array(ts)
 
 
@@ -202,10 +188,9 @@ def rate_check(report, x_star, majorant, theory, theta_bar):
     """
     if report.status != "converged":
         raise ValueError("rate_check needs a converged report")
-    theory.validate()
     x_star = np.asarray(x_star, dtype=float)
     errors = np.array([np.linalg.norm(it - x_star) for it in report.iterates])
-    cap = _ratio_cap(theory, theta_bar)
+    cap = _linear_coeff(theory, math.sqrt(2.0 * theta_bar))
 
     if np.all(errors <= ERROR_FLOOR):
         return RateDiagnostic(
@@ -223,25 +208,21 @@ def rate_check(report, x_star, majorant, theory, theta_bar):
     ratio_ok = max_last5 is None or max_last5 <= cap + RATIO_SLACK
 
     # explicit recursion: e_{k+1} <= C (e_k/e_0)^{p+1} + q e_k
-    p = majorant.exponent
+    p = majorant.p
     coef = (
         theory.omega1
         * (1.0 + theory.vartheta)
         * (1.0 + theory.lam)
         * float(majorant.f(e0) / majorant.fprime(e0) - e0)
     )
-    q = _linear_coeff(theory)
+    q = _linear_coeff(theory, theory.lam)
     bound = coef * (errors[:-1] / e0) ** (p + 1.0) + q * errors[:-1]
     per_step_ok = bool(np.all(errors[1:] <= bound + ENVELOPE_SLACK))
 
     ts = majorant_sequence(majorant, theory, theta_bar, e0, len(errors) - 1)
     # a truncated sequence ended at exactly 0; missing tail entries are 0
-    envelope_ok = True
-    for k, e in enumerate(errors):
-        t_k = ts[k] if k < ts.size else 0.0
-        if e > t_k + ENVELOPE_SLACK:
-            envelope_ok = False
-            break
+    ts = np.pad(ts, (0, errors.size - ts.size))
+    envelope_ok = bool(np.all(errors <= ts + ENVELOPE_SLACK))
 
     return RateDiagnostic(
         errors=errors, ratios=ratios, max_ratio_last5=max_last5, ratio_cap=cap,
@@ -250,17 +231,13 @@ def rate_check(report, x_star, majorant, theory, theta_bar):
     )
 
 
-def _linear_coeff(theory):
-    """omega1[(1+vartheta) lambda + vartheta] + omega2, the linear-term weight."""
-    return (
-        theory.omega1 * ((1.0 + theory.vartheta) * theory.lam + theory.vartheta)
-        + theory.omega2
-    )
+def _linear_coeff(theory, lam):
+    """omega1[(1+vartheta) lam + vartheta] + omega2, the linear-term weight.
 
-
-def _ratio_cap(theory, theta_bar):
-    sq = math.sqrt(2.0 * theta_bar)
+    The radii pass theory.lam; the comparison sequence and the ratio cap pass
+    sqrt(2 theta).
+    """
     return (
-        theory.omega1 * ((1.0 + theory.vartheta) * sq + theory.vartheta)
+        theory.omega1 * ((1.0 + theory.vartheta) * lam + theory.vartheta)
         + theory.omega2
     )

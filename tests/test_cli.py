@@ -161,8 +161,9 @@ class TestBenchmark:
     ["benchmark", "--suite", "synthetic", "--gammas", ""],
     ["benchmark", "--suite", "synthetic", "--methods", ""],
     ["benchmark", "--suite", "synthetic", "--eta-policy", "constant:2"],
+    ["solve", "--problem", "pb1_h_equation", "--gamma", "3", "--theta", "nan"],
 ], ids=["refresh", "tol", "max-condg", "gammas-range", "gammas-int", "gammas-empty",
-        "methods-empty", "eta-range"])
+        "methods-empty", "eta-range", "theta-nan"])
 def test_bad_solver_flag_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -14,7 +14,6 @@ from newton_condg import (
 def test_theory_params_accepts_valid_draw():
     # omega1*vartheta + omega2 = 0.5 < 1 and lambda_max = (1-0.5)/1.5 = 1/3 > 0.3
     tp = TheoryParams(omega1=1.0, omega2=0.0, vartheta=0.5, lam=0.3)
-    tp.validate()
     assert tp.lambda_max() == pytest.approx(1.0 / 3.0)
 
 
@@ -32,7 +31,7 @@ def test_theory_params_accepts_valid_draw():
 def test_theory_params_names_first_violation(params, fragment):
     with pytest.raises(ValueError, match="violated"):
         try:
-            TheoryParams(**params).validate()
+            TheoryParams(**params)
         except ValueError as exc:
             assert fragment in str(exc)
             raise
@@ -62,16 +61,6 @@ def test_validate_config_monotone_in_theta():
         validate_config(SolverConfig(theta=rng.uniform(0.0, theta)), tp)
 
 
-def test_theta_schedule():
-    cfg = SolverConfig(theta=(1e-3, 1e-4, 0.0))
-    assert cfg.theta_at(0) == 1e-3
-    assert cfg.theta_at(2) == 0.0
-    assert cfg.theta_at(99) == 0.0  # last entry repeats
-    assert cfg.theta_sup() == 1e-3
-    with pytest.raises(ValueError):
-        SolverConfig(theta=(1e-3, -1.0))
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -82,6 +71,7 @@ def test_theta_schedule():
         dict(theta=-1e-9),
         dict(jacobian_strategy="bogus"),
         dict(linsolve="bogus"),
+        dict(theta=float("nan")),
     ],
 )
 def test_solver_config_invariants(kwargs):

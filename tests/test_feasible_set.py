@@ -25,7 +25,7 @@ class TestBoxLMO:
             assert at_bound.all()
 
     def test_infinite_upper_is_capped(self):
-        box = Box([1.0, 1.0], [np.inf, 4.0], effective_cap=1e6)
+        box = Box([1.0, 1.0], [np.inf, 4.0])
         np.testing.assert_array_equal(box.lmo(np.array([-1.0, -1.0])), [1e6, 4.0])
         assert box.contains(box.lmo(np.array([-1.0, 0.5])))
 
@@ -128,7 +128,7 @@ def test_box_invariant_validation():
     with pytest.raises(ValueError):
         Box([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
-        Box([2e6], [np.inf], effective_cap=1e6)  # lower above the cap
+        Box([2e6], [np.inf])  # lower above the cap
     with pytest.raises(ValueError):
         Box([-np.inf], [1.0])
     with pytest.raises(ValueError):

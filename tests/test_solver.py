@@ -149,7 +149,7 @@ class TestVerifyMkConditions:
 
     def test_scaled_jacobian(self):
         J = np.diag([3.0, 1.0])
-        check = verify_mk_conditions(2.0 * J, J, TheoryParams(omega1=0.5, omega2=0.5))
+        check = verify_mk_conditions(2.0 * J, J, TheoryParams(omega1=0.6, omega2=0.5))
         assert check.norm_inv_jac == pytest.approx(0.5, abs=1e-7)
         assert check.norm_inv_jac_minus_identity == pytest.approx(0.5, abs=1e-7)
 

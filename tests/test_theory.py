@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from newton_condg import (
+    RunReport,
     SolverConfig,
     TheoryParams,
     holder_majorant,
@@ -23,7 +24,7 @@ EXACT_NEWTON = TheoryParams(omega1=1.0, omega2=0.0, vartheta=0.0, lam=0.0)
 
 
 def _grid(majorant, points=1000):
-    top = 0.99 * min(2.0 * majorant.nu, majorant.R)
+    top = 0.99 * 2.0 * majorant.nu
     return np.linspace(0.0, top, points)
 
 
@@ -194,12 +195,6 @@ class TestMajorantSequence:
         with pytest.raises(ValueError, match="theta"):
             majorant_sequence(m, EXACT_NEWTON, 1e-5, 0.5, 10)  # theta > lam^2/2 = 0
 
-    def test_theta_schedule_accepted(self):
-        tp = TheoryParams(omega1=1.0, lam=0.2)
-        m = holder_majorant(1.0, 1.0)
-        ts = majorant_sequence(m, tp, (0.02, 0.01, 0.0), 0.3, 50)
-        assert np.all(np.diff(ts) < 0)
-
 
 class TestRateCheck:
     def _exact_run(self, theta=0.0):
@@ -238,6 +233,20 @@ class TestRateCheck:
         diag = rate_check(report, p.known_root, holder_majorant(1.0, 1.0), tp, 1e-5)
         assert diag.ratio_within_cap
         assert diag.envelope_ok
+
+    def test_envelope_pads_a_truncated_sequence_with_zeros(self):
+        majorant = holder_majorant(1.0, 1.0)
+        ts = majorant_sequence(majorant, EXACT_NEWTON, 0.0, 0.1, 20)
+        assert ts.size == 6 and ts[-1] == 0.0  # stopped at an exact 0
+
+        def diagnose(tail):
+            errors = list(ts) + [tail, tail]
+            report = RunReport(status="converged",
+                               iterates=[np.array([e]) for e in errors])
+            return rate_check(report, np.zeros(1), majorant, EXACT_NEWTON, 0.0)
+
+        assert not diagnose(1e-11).envelope_ok  # 1e-11 > 0 + ENVELOPE_SLACK
+        assert diagnose(0.0).envelope_ok
 
     def test_requires_convergence(self):
         p = make_problem("synthetic_quadratic", 10)
