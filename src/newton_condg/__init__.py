@@ -24,7 +24,6 @@ from .core import (
 from .feasible_set import Box, EuclideanBall, FeasibleSet, Simplex, project_box
 from .jacobian import (
     JacobianError,
-    JacobianState,
     fd_jacobian,
     next_jacobian,
     schubert_update,
@@ -42,7 +41,6 @@ from .linsolve import (
 from .solver import condg_epsilon, solve, verify_mk_conditions
 from .theory import (
     MajorantFunction,
-    RadiusBreakdown,
     holder_majorant,
     holder_radius,
     majorant_sequence,
@@ -63,7 +61,6 @@ __all__ = [
     "EuclideanBall",
     "FeasibleSet",
     "JacobianError",
-    "JacobianState",
     "LINEAR_SOLVE_FAILURE",
     "LinSolveOutcome",
     "LinearSolveFailure",
@@ -71,7 +68,6 @@ __all__ = [
     "MajorantFunction",
     "NO_PROGRESS",
     "Problem",
-    "RadiusBreakdown",
     "RunReport",
     "Simplex",
     "SolverConfig",

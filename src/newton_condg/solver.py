@@ -34,7 +34,7 @@ NO_PROGRESS_FACTOR = 0.9
 
 def condg_epsilon(theta_k, s):
     """Inner accuracy theta_k * ||s_k||^2 (Euclidean norm squared)."""
-    if theta_k < 0:
+    if not theta_k >= 0:
         raise ValueError("theta must be >= 0")
     s = np.asarray(s, dtype=float)
     return float(theta_k * (s @ s))

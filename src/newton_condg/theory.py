@@ -97,7 +97,9 @@ class RadiusBreakdown:
 
 
 def holder_radius(K, p, theory, kappa=math.inf):
-    """Closed-form radii for the Holder family."""
+    """Closed-form radii for the Holder family; kappa must be positive."""
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     majorant = holder_majorant(K, p)
     q = _linear_coeff(theory, theory.lam)
     denom = K * (
@@ -111,7 +113,9 @@ def holder_radius(K, p, theory, kappa=math.inf):
 
 
 def smale_radius(gamma, theory, kappa=math.inf):
-    """Closed-form radii for the analytic (Smale) family."""
+    """Closed-form radii for the analytic (Smale) family; kappa must be positive."""
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     majorant = smale_majorant(gamma)
     vt, lam = theory.vartheta, theory.lam
     a = theory.omega1 * (1.0 + vt) * (1.0 - 3.0 * lam) + 4.0 * (

@@ -40,6 +40,18 @@ class TestRadius:
             main(["radius", "--kind", "holder"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kappa", ["-1", "0", "nan"])
+    @pytest.mark.parametrize(
+        "family",
+        [["--kind", "holder", "--K", "1", "--p", "1"], ["--kind", "smale", "--gamma", "1"]],
+        ids=["holder", "smale"],
+    )
+    def test_non_positive_kappa_exit_2(self, family, kappa, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", *family, "--kappa", kappa])
+        assert exc.value.code == 2
+        assert "sigma" not in capsys.readouterr().out
+
 
 class TestSolve:
     def test_known_root_problem_converges(self, capsys, tmp_path):

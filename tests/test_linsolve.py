@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import gmres
 
 from newton_condg import (
     AdaptiveEta,
@@ -100,6 +101,17 @@ class TestSolveInexact:
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
             solve_inexact(np.eye(2), np.ones(2), 1.0)
+
+    def test_dense_model_runs_plain_gmres(self):
+        # no preconditioner on a dense M: the step is scipy's own GMRES step
+        rng = np.random.default_rng(5)
+        for n in (3, 40, 150):
+            M = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+            b = rng.standard_normal(n)
+            for eta in (0.5, 0.1, 1e-6):
+                plain, _info = gmres(M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50)
+                assert np.linalg.norm(M @ plain - b) <= eta * np.linalg.norm(b)
+                np.testing.assert_array_equal(solve_inexact(M, b, eta).s, plain)
 
 
 class TestForcingEta:

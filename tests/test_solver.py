@@ -36,6 +36,10 @@ class TestCondGEpsilon:
         with pytest.raises(ValueError):
             condg_epsilon(-1.0, np.ones(2))
 
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError):
+            condg_epsilon(float("nan"), np.ones(3))
+
 
 class TestSolve:
     def test_start_at_root_stops_immediately(self):

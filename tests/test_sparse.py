@@ -1,6 +1,6 @@
 """The sparse model path: grouped finite differences, CSR secant updates,
-SuperLU factorizations, and the registry problems that declare sparse
-patterns."""
+SuperLU factorizations, ILU-preconditioned GMRES, and the registry problems
+that declare sparse patterns."""
 
 import dataclasses
 import tracemalloc
@@ -8,12 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, spilu
 
 import newton_condg.jacobian
 import newton_condg.linsolve
 import newton_condg.solver
 from newton_condg import (
     Box,
+    ConstantEta,
     LinearSolveFailure,
     Problem,
     SolverConfig,
@@ -53,6 +55,19 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _gmres_preconditioners(monkeypatch):
+    """The M= argument of every linsolve.gmres call, in call order."""
+    preconditioners = []
+    original = newton_condg.linsolve.gmres
+
+    def recorded(*args, **kwargs):
+        preconditioners.append(kwargs.get("M"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(newton_condg.linsolve, "gmres", recorded)
+    return preconditioners
 
 
 class TestGroupedFD:
@@ -204,6 +219,50 @@ class TestSparseLinsolve:
             with pytest.raises(LinearSolveFailure):
                 solve_direct(to_matrix(M), np.ones(n))
 
+    def test_tridiagonal_ilu_step_is_the_direct_step(self, monkeypatch):
+        # the incomplete LU of a tridiagonal matrix drops no fill: it is exact
+        preconditioners = _gmres_preconditioners(monkeypatch)
+        rng = np.random.default_rng(11)
+        n = 300
+        M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), 0.5)
+        b = rng.standard_normal(n)
+        out = solve_inexact(M, b, 0.1)
+        assert np.linalg.norm(M @ out.s - b) <= 0.1 * np.linalg.norm(b)
+        np.testing.assert_allclose(out.s, solve_direct(M, b).s, rtol=0.0, atol=1e-12)
+        assert len(preconditioners) == 1
+        assert isinstance(preconditioners[0], LinearOperator)
+
+    def test_laplacian_meets_the_contract_with_an_inexact_ilu(self, monkeypatch):
+        m = 30  # 5-point Laplacian on a 30 x 30 grid: n = 900
+        T = _tridiagonal(-1.0, np.full(m, 2.0), -1.0)
+        eye = sparse.eye_array(m)
+        M = sparse.csr_array(sparse.kron(T, eye) + sparse.kron(eye, T))
+        b = np.random.default_rng(12).standard_normal(m * m)
+        ilu = spilu(sparse.csc_array(M))
+        assert np.linalg.norm(M @ ilu.solve(b) - b) > 1e-4 * np.linalg.norm(b)
+        preconditioners = _gmres_preconditioners(monkeypatch)
+        direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+        for eta in (0.5, 0.1, 1e-3, 1e-8):
+            out = solve_inexact(M, b, eta)
+            assert np.linalg.norm(M @ out.s - b) <= eta * np.linalg.norm(b)
+        assert direct == []
+        assert len(preconditioners) == 4
+        assert all(isinstance(P, LinearOperator) for P in preconditioners)
+
+    def test_failed_ilu_falls_back_to_the_direct_solve(self, monkeypatch):
+        n = 8
+        M = _tridiagonal(-1.0, np.full(n, 4.0), -1.0).tolil()
+        M[3, :] = 0.0
+        M = sparse.csr_array(M)
+        with pytest.raises(RuntimeError):
+            spilu(sparse.csc_array(M))
+        gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
+        direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+        with pytest.raises(LinearSolveFailure):
+            solve_inexact(M, np.ones(n), 0.1)
+        assert len(direct) == 1
+        assert gmres_calls == []
+
     def test_diagnostics_accept_sparse_models(self):
         M = _tridiagonal(-1.0, np.full(30, 4.0), -1.0)
         check = verify_mk_conditions(M, M, TheoryParams(omega1=1.0))
@@ -222,6 +281,31 @@ class TestSparseLinsolve:
             assert isinstance(M, CSRModel)
             assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
         assert all(sparse.issparse(args[0]) for args in calls)
+
+
+def test_troesch_inexact_steps_meet_the_contract_without_fallback(monkeypatch):
+    direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+    steps = []
+    original = newton_condg.solver.solve_inexact
+
+    def recorded(M, b, eta):
+        out = original(M, b, eta)
+        steps.append((M, b, eta, out.s))
+        return out
+
+    monkeypatch.setattr(newton_condg.solver, "solve_inexact", recorded)
+    p = make_problem("pb3_troesch", 500)
+    config = SolverConfig(
+        jacobian_strategy="finite_difference", linsolve="inexact", eta_policy=ConstantEta(0.1)
+    )
+    report = solve(p, starting_point(p, 1), config)
+    assert report.status == "converged"
+    assert report.iterations <= 6
+    assert len(steps) == report.iterations
+    assert direct == []
+    for M, b, eta, s in steps:
+        assert sparse.issparse(M)
+        assert np.linalg.norm(M @ s - b) <= eta * np.linalg.norm(b)
 
 
 def test_fd_build_reuses_the_residual_at_the_iterate():

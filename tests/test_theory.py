@@ -104,6 +104,11 @@ class TestHolderRadius:
         with pytest.raises(ValueError):
             holder_radius(1.0, 1.0, TheoryParams(omega1=1.0, omega2=2.0))
 
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan])
+    def test_non_positive_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            holder_radius(1.0, 1.0, EXACT_NEWTON, kappa=kappa)
+
 
 class TestSmaleRadius:
     def test_exact_newton_pinned_value(self):
@@ -115,6 +120,11 @@ class TestSmaleRadius:
 
     def test_kappa_clamp(self):
         assert smale_radius(1.0, EXACT_NEWTON, kappa=0.05).sigma == 0.05
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan])
+    def test_non_positive_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            smale_radius(1.0, EXACT_NEWTON, kappa=kappa)
 
     def test_agrees_with_bisection_oracle(self):
         rng = np.random.default_rng(2)
