@@ -3,8 +3,10 @@
 An outer Newton-like iteration with approximate Jacobians and
 residual-controlled linear solves, combined with an inner conditional-gradient
 (Frank-Wolfe) procedure that keeps iterates feasible using only a
-linear-minimization oracle, plus majorant-based convergence radii and rate
-diagnostics and a registry of classic box-constrained benchmark problems.
+linear-minimization oracle (boxes, balls and simplexes take their exact
+projection instead, certified by one oracle call), plus majorant-based
+convergence radii and rate diagnostics and a registry of classic
+box-constrained benchmark problems.
 """
 
 from .bench import list_problems, make_problem, starting_point
@@ -21,7 +23,7 @@ from .core import (
     check_problem,
     validate_config,
 )
-from .feasible_set import Box, EuclideanBall, FeasibleSet, Simplex, project_box
+from .feasible_set import Box, EuclideanBall, FeasibleSet, Simplex
 from .jacobian import (
     JacobianError,
     fd_jacobian,
@@ -84,7 +86,6 @@ __all__ = [
     "make_problem",
     "next_jacobian",
     "nf",
-    "project_box",
     "rate_check",
     "schubert_update",
     "smale_majorant",

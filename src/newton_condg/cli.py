@@ -164,6 +164,7 @@ def cmd_solve(args, parser):
                 residual_norms=[_json_float(r) for r in report.residual_norms],
                 condg_iters=list(map(int, report.condg_iters)),
                 newton_steps=list(map(float, report.newton_steps)),
+                uncertified_steps=report.uncertified_steps,
             )
         with open(args.trace, "w") as fh:
             json.dump(payload, fh, allow_nan=False)

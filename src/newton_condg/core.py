@@ -156,6 +156,10 @@ class RunReport:
         newton_steps: ||s_k||_2 per outer step.
         x0_projected: True when the supplied start was infeasible and was
             returned to the set before iterating.
+        uncertified_steps: outer steps whose CondG call ended at its
+            iteration cap, without the Wolfe-gap certificate the local
+            theory assumes; a converged run with uncertified_steps > 0 is
+            outside the paper's guarantee.
     """
 
     status: str
@@ -164,6 +168,7 @@ class RunReport:
     condg_iters: list = field(default_factory=list)
     newton_steps: list = field(default_factory=list)
     x0_projected: bool = False
+    uncertified_steps: int = 0
 
     @property
     def x(self):

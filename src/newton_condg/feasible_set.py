@@ -1,8 +1,12 @@
 """Convex compact feasible sets exposing a linear-minimization oracle.
 
 Supported sets are boxes (with +inf upper bounds replaced by a finite cap to
-keep the set compact), Euclidean balls, and scaled standard simplexes. All
-operations are stateless and thread-safe.
+keep the set compact), Euclidean balls, and scaled standard simplexes. Each
+of them also has an exact Euclidean `project`: the box clips, the ball
+rescales `y - center`, the simplex subtracts a sort-based threshold. `condg`
+uses that projection, certified by one LMO call; a `FeasibleSet` whose
+`project` returns None (the default) exposes only its LMO and gets the
+Frank-Wolfe loop. All operations are stateless and thread-safe.
 """
 
 from abc import ABC, abstractmethod
@@ -10,6 +14,12 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 BOX_CAP = 1e6  # finite stand-in for +inf upper bounds of a Box
+# relative rounding slack on the equality sum(x) = scale in Simplex.contains:
+# rounding each of n entries and summing them moves the sum by up to about
+# n*eps_machine*scale (1e-14*scale at n = 50), so a point on the simplex
+# passes at tol=0 for n up to several thousand, and any point that passes
+# is within 1e-12*scale of the hyperplane
+SIMPLEX_SUM_RTOL = 1e-12
 
 
 class FeasibleSet(ABC):
@@ -31,6 +41,10 @@ class FeasibleSet(ABC):
     @abstractmethod
     def sample(self, rng):
         """Draw a uniformly-ish distributed feasible point (test utility)."""
+
+    def project(self, y):
+        """Exact Euclidean projection of y, or None for an LMO-only set."""
+        return None
 
 
 class Box(FeasibleSet):
@@ -105,6 +119,15 @@ class EuclideanBall(FeasibleSet):
         return bool(np.linalg.norm(np.asarray(x, dtype=float) - self.center)
                     <= self.radius + tol)
 
+    def project(self, y):
+        """Exact Euclidean projection: rescale y - center onto the sphere."""
+        y = np.asarray(y, dtype=float)
+        v = y - self.center
+        nv = np.linalg.norm(v)
+        if nv <= self.radius:
+            return y.copy()
+        return self.center + (self.radius / nv) * v
+
     def sample(self, rng):
         v = rng.standard_normal(self.n)
         v /= np.linalg.norm(v)
@@ -134,22 +157,33 @@ class Simplex(FeasibleSet):
         return out
 
     def contains(self, x, tol=0.0):
+        """x >= -tol and |sum(x) - scale| <= tol + SIMPLEX_SUM_RTOL*scale."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and abs(x.sum() - self.scale) <= tol)
+        return bool(
+            np.all(x >= -tol)
+            and abs(x.sum() - self.scale) <= tol + SIMPLEX_SUM_RTOL * self.scale
+        )
+
+    def project(self, y):
+        """Exact Euclidean projection max(y - tau, 0), tau by sorting.
+
+        tau puts sum(max(y - tau, 0)) at scale; the support is the largest k
+        with y_(k) > (sum of the k largest entries - scale)/k (Held, Wolfe and
+        Crowder 1974; Duchi et al., ICML 2008). O(n log n). Raises
+        ValueError for non-finite y.
+        """
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("simplex projection needs a finite point")
+        desc = np.sort(y)[::-1]
+        excess = np.cumsum(desc) - self.scale
+        k = np.arange(1, self.n + 1)
+        support = np.nonzero(desc * k > excess)[0][-1] + 1
+        tau = excess[support - 1] / support
+        return np.maximum(y - tau, 0.0)
 
     def sample(self, rng):
         return self.scale * rng.dirichlet(np.ones(self.n))
 
     def __repr__(self):
         return f"Simplex(n={self.n}, scale={self.scale})"
-
-
-def project_box(fset, y):
-    """Exact Euclidean projection onto a box (coordinatewise clip).
-
-    Raises TypeError for non-box sets; balls and simplexes only expose the
-    linear-minimization oracle here.
-    """
-    if not isinstance(fset, Box):
-        raise TypeError("project_box requires a Box feasible set")
-    return fset.project(y)

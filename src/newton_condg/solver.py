@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from . import core, linsolve
-from .condg import condg
+from .condg import ITERATION_CAP, condg
 from .core import RunReport, SolverConfig, validate_config
 from .jacobian import JacobianError, next_jacobian
 from .linsolve import (
@@ -74,6 +74,7 @@ def solve(problem, x0, config=None, theory=None):
     residual_norms = []
     condg_iters = []
     newton_steps = []
+    uncertified_steps = 0
     status = core.MAX_ITERATIONS
     jac_state = None
     prev_step = None
@@ -122,6 +123,8 @@ def solve(problem, x0, config=None, theory=None):
         y = x + s
         inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
         condg_iters.append(inner.inner_iters)
+        if inner.terminated_by == ITERATION_CAP:
+            uncertified_steps += 1
 
         z = inner.z
         fz = np.asarray(problem.fun(z), dtype=float)
@@ -135,6 +138,7 @@ def solve(problem, x0, config=None, theory=None):
         condg_iters=condg_iters,
         newton_steps=newton_steps,
         x0_projected=x0_projected,
+        uncertified_steps=uncertified_steps,
     )
 
 

@@ -2,10 +2,13 @@
 
 Kept deliberately separate from the library: the bisection radius oracle
 works from the sup-definition of the contraction radius, not from the closed
-forms it is checking.
+forms it is checking, and the simplex threshold comes from bisection, not
+from the sort the library uses.
 """
 
 import numpy as np
+
+from newton_condg import Box, EuclideanBall, FeasibleSet, Simplex
 
 
 def rho_bisection(f, fprime, nu, theory, iters=200):
@@ -54,3 +57,57 @@ def scalar_newton_iterates(x0, func, dfunc, steps):
         x = xs[-1]
         xs.append(x - func(x) / dfunc(x))
     return xs
+
+
+class LmoOnly(FeasibleSet):
+    """A view of a set with its lmo, contains and sample but no projection.
+
+    condg on this view runs the Frank-Wolfe loop, as on any set that exposes
+    only its linear-minimization oracle.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def lmo(self, d):
+        return self.inner.lmo(d)
+
+    def contains(self, x, tol=0.0):
+        return self.inner.contains(x, tol)
+
+    def sample(self, rng):
+        return self.inner.sample(rng)
+
+
+def simplex_threshold_bisection(y, scale, iters=200):
+    """tau with sum(max(y - tau, 0)) = scale, by bisection on tau.
+
+    The sum is continuous and decreasing in tau, scale at the answer, at
+    least scale at min(y) - scale/n and 0 at max(y).
+    """
+    lo, hi = float(y.min()) - scale / y.size, float(y.max())
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(y - mid, 0.0).sum() > scale:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def random_set_and_point(rng):
+    """(set, y, scale): a box, ball or simplex at a scale in [1e-3, 1e6] and a
+    point around it, inside or outside."""
+    scale = 10.0 ** rng.uniform(-3, 6)
+    n = int(rng.integers(1, 41))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        lower = scale * rng.uniform(-3, 0, n)
+        fset = Box(lower, lower + scale * rng.uniform(0.2, 4, n))
+    elif kind == 1:
+        fset = EuclideanBall(scale * rng.standard_normal(n), scale * rng.uniform(0.5, 3))
+    else:
+        fset = Simplex(n, scale)
+    y = fset.sample(rng) + scale * rng.uniform(0.0, 3.0) * rng.standard_normal(n)
+    return fset, y, scale

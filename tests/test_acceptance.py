@@ -20,7 +20,6 @@ from newton_condg import (
     majorant_sequence,
     make_problem,
     nf,
-    project_box,
     schubert_update,
     smale_majorant,
     smale_radius,
@@ -115,7 +114,7 @@ def test_criterion_4_condg_approximate_projection():
         y = np.where(side, box.capped_upper + margin, box.lower - margin)
         x = box.sample(rng)
         eps = rng.uniform(0.0, 1.0)
-        exact = project_box(box, y)
+        exact = box.project(y)
         z_eps = condg(box, y, x, eps, 300).z
         assert np.linalg.norm(z_eps - exact) <= math.sqrt(2.0 * eps) + 1e-9
         z_zero = condg(box, y, x, 0.0, 300).z

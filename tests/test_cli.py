@@ -73,6 +73,7 @@ class TestSolve:
         assert payload["status"] == "converged"
         assert len(payload["iterates"]) == len(payload["residual_norms"])
         assert len(payload["iterates"][0]) == 10
+        assert payload["uncertified_steps"] == 0
 
     def test_json_output_to_file(self, tmp_path):
         out_path = tmp_path / "row.json"

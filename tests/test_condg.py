@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from newton_condg import Box, EuclideanBall, condg, project_box, wolfe_gap
+from newton_condg import Box, EuclideanBall, condg, wolfe_gap
+
+from oracles import LmoOnly, random_set_and_point
 
 
 def _random_box(rng, n):
@@ -29,7 +31,7 @@ def test_corner_projection_two_lmo_calls():
     best = pts[np.argmin(((pts - y) ** 2).sum(axis=1))]
     np.testing.assert_array_equal(best, [1.0, 0.0])
 
-    res = condg(box, y, np.zeros(2), 0.0, 300)
+    res = condg(LmoOnly(box), y, np.zeros(2), 0.0, 300)
     np.testing.assert_allclose(res.z, [1.0, 0.0], atol=1e-15)
     assert res.inner_iters == 2
     assert res.terminated_by == "gap"
@@ -61,7 +63,7 @@ def test_outside_y_matches_exact_projection():
         x = box.sample(rng)
         eps = rng.uniform(0.0, 1.0)
         res = condg(box, y, x, eps, 300)
-        exact = project_box(box, y)
+        exact = box.project(y)
         assert np.linalg.norm(res.z - exact) <= np.sqrt(2.0 * eps) + 1e-9
         res0 = condg(box, y, x, 0.0, 300)
         assert np.linalg.norm(res0.z - exact) <= 1e-9
@@ -79,10 +81,10 @@ def test_gap_certificate_bounds_distance_to_projection():
             y[rng.integers(0, n)] = box.capped_upper[0] + 0.5 * width[0]
         x = box.sample(rng)
         mu = rng.uniform(1e-3, 0.5)
-        res = condg(box, y, x, mu, 20000)
+        res = condg(LmoOnly(box), y, x, mu, 20000)
         assert res.terminated_by == "gap"
         assert res.final_gap >= -mu
-        assert np.linalg.norm(res.z - project_box(box, y)) <= np.sqrt(2.0 * mu) + 1e-9
+        assert np.linalg.norm(res.z - box.project(y)) <= np.sqrt(2.0 * mu) + 1e-9
 
 
 def test_contraction_against_exact_projection():
@@ -96,9 +98,9 @@ def test_contraction_against_exact_projection():
         ytilde = box.lower + rng.uniform(-0.5, 1.5, n) * width
         x = box.sample(rng)
         mu = rng.uniform(0.0, 0.3)
-        res = condg(box, y, x, mu, 20000)
+        res = condg(LmoOnly(box), y, x, mu, 20000)
         bound = np.linalg.norm(y - ytilde) + np.sqrt(2.0 * mu)
-        assert np.linalg.norm(res.z - project_box(box, ytilde)) <= bound + 1e-9
+        assert np.linalg.norm(res.z - box.project(ytilde)) <= bound + 1e-9
 
 
 def test_iterates_stay_feasible_and_objective_decreases():
@@ -110,7 +112,7 @@ def test_iterates_stay_feasible_and_objective_decreases():
         y = box.lower + rng.uniform(-0.6, 1.6, n) * width
         x = box.sample(rng)
         trace = []
-        condg(box, y, x, 1e-4, 20000, trace=trace)
+        condg(LmoOnly(box), y, x, 1e-4, 20000, trace=trace)
         dists = [np.linalg.norm(z - y) for z in trace]
         for z in trace:
             assert box.contains(z, 1e-12)
@@ -122,9 +124,10 @@ def test_iteration_cap_reported():
     box = Box([0.0, 0.0], [1.0, 1.0])
     y = np.array([0.3, 0.9])
     x = np.array([0.9, 0.1])
-    res = condg(box, np.array([1.5, 0.9]), x, 0.0, 2)
+    view = LmoOnly(box)
+    res = condg(view, np.array([1.5, 0.9]), x, 0.0, 2)
     assert res.terminated_by in ("gap", "iteration_cap")
-    res = condg(box, np.array([1.5, -0.2]), x, 1e-16, 1)
+    res = condg(view, np.array([1.5, -0.2]), x, 1e-16, 1)
     assert res.inner_iters == 1
     if res.terminated_by == "iteration_cap":
         assert res.final_gap < -1e-16
@@ -145,7 +148,7 @@ class TestWolfeGap:
         rng = np.random.default_rng(17)
         box = _random_box(rng, 4)
         y = box.lower - 1.0  # strictly outside below
-        z = project_box(box, y)
+        z = box.project(y)
         assert wolfe_gap(box, y, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_dimensional_value(self):
@@ -159,3 +162,15 @@ class TestWolfeGap:
             y = rng.standard_normal(3) * 4
             z = box.sample(rng)
             assert wolfe_gap(box, y, z) <= 0.0
+
+
+def test_exact_projection_certified_in_one_call():
+    # every built-in set projects exactly; one LMO call certifies it at eps=0
+    rng = np.random.default_rng(65)
+    for _ in range(1500):
+        fset, y, _ = random_set_and_point(rng)
+        res = condg(fset, y, fset.sample(rng), 0.0, 300)
+        assert res.terminated_by == "gap"
+        assert res.inner_iters == 1
+        expected = y if fset.contains(y) else fset.project(y)
+        np.testing.assert_array_equal(res.z, expected)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from newton_condg import Box, EuclideanBall, Simplex, project_box
+from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, solve
+
+from oracles import random_set_and_point, simplex_threshold_bisection
 
 
 class TestBoxLMO:
@@ -87,41 +89,106 @@ class TestContains:
         assert not s.contains(np.array([0.2, 0.3, 0.6]))
         assert s.contains(np.array([-1e-13, 0.5, 0.5]), tol=1e-12)
 
+    def test_simplex_samples_at_every_scale(self):
+        # a sampled point is on the simplex up to the rounding of its sum
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            s = Simplex(int(rng.integers(1, 201)), scale=10.0 ** rng.uniform(-3, 6))
+            assert s.contains(s.sample(rng))
+
+    def test_simplex_sum_slack_is_relative(self):
+        s = Simplex(2, scale=1e6)
+        assert s.contains(np.array([5e5, 5e5 + 1e-7]))
+        assert not s.contains(np.array([5e5, 5e5 + 1e-5]))
+        assert not Simplex(2, scale=1e-3).contains(np.array([5e-4, 5e-4 + 1e-13]))
+
+
+def test_sampled_start_on_a_large_simplex_is_kept():
+    # F(x) = A(x - r) with A = tridiag(-1, 4, -1) and r on the simplex
+    n, scale = 50, 1e6
+    fset = Simplex(n, scale)
+    rng = np.random.default_rng(50)
+    root = fset.sample(rng)
+    A = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    problem = Problem(name="linear_simplex", n=n, fun=lambda x: A @ (x - root),
+                      jac=lambda x: A, feasible_set=fset)
+    x0 = fset.sample(rng)
+    report = solve(problem, x0, SolverConfig(jacobian_strategy="exact"))
+    assert report.x0_projected is False
+    np.testing.assert_array_equal(report.iterates[0], x0)
+    assert report.status == "converged"
+
 
 class TestProjectBox:
     def test_clip(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project_box(box, np.array([2.0, -3.0])), [1.0, 0.0])
+        np.testing.assert_array_equal(box.project(np.array([2.0, -3.0])), [1.0, 0.0])
 
     def test_identity_on_feasible(self):
         box = Box([0.0, 0.0], [5.0, 5.0])
         y = np.array([2.5, 4.0])
-        np.testing.assert_array_equal(project_box(box, y), y)
+        np.testing.assert_array_equal(box.project(y), y)
 
     def test_partial_clip(self):
         box = Box([0.0, 0.0], [5.0, 5.0])
-        np.testing.assert_array_equal(project_box(box, np.array([2.5, 7.0])), [2.5, 5.0])
+        np.testing.assert_array_equal(box.project(np.array([2.5, 7.0])), [2.5, 5.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         box = Box(rng.uniform(-2, 0, 5), rng.uniform(1, 3, 5))
         y = rng.standard_normal(5) * 10
-        once = project_box(box, y)
-        np.testing.assert_array_equal(project_box(box, once), once)
-
-    def test_rejects_non_box(self):
-        with pytest.raises(TypeError):
-            project_box(EuclideanBall(np.zeros(2), 1.0), np.zeros(2))
+        once = box.project(y)
+        np.testing.assert_array_equal(box.project(once), once)
 
     def test_minimizes_distance(self):
         rng = np.random.default_rng(5)
         box = Box([-1.0, -1.0], [1.0, 1.0])
         for _ in range(50):
             y = rng.standard_normal(2) * 3
-            p = project_box(box, y)
+            p = box.project(y)
             for _ in range(50):
                 v = box.sample(rng)
                 assert np.linalg.norm(p - y) <= np.linalg.norm(v - y) + 1e-12
+
+
+class TestExactProjections:
+    DRAWS = 1500
+
+    def test_simplex_matches_threshold_bisection(self):
+        rng = np.random.default_rng(61)
+        for _ in range(self.DRAWS):
+            n = int(rng.integers(1, 41))
+            scale = 10.0 ** rng.uniform(-3, 6)
+            y = scale * rng.uniform(0.0, 3.0) * rng.standard_normal(n)
+            tau = simplex_threshold_bisection(y, scale)
+            expected = np.maximum(y - tau, 0.0)
+            got = Simplex(n, scale).project(y)
+            assert np.abs(got - expected).max() <= 1e-12 * max(scale, np.abs(y).max())
+
+    def test_ball_matches_rescale_formula(self):
+        rng = np.random.default_rng(62)
+        for _ in range(self.DRAWS):
+            n = int(rng.integers(1, 41))
+            scale = 10.0 ** rng.uniform(-3, 6)
+            center = scale * rng.standard_normal(n)
+            radius = scale * rng.uniform(0.5, 3)
+            y = center + scale * rng.uniform(0.0, 6.0) * rng.standard_normal(n)
+            dist = np.sqrt(((y - center) ** 2).sum())
+            expected = center + (y - center) * min(1.0, radius / dist)
+            got = EuclideanBall(center, radius).project(y)
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    def test_feasible_and_idempotent(self):
+        rng = np.random.default_rng(63)
+        for _ in range(self.DRAWS):
+            fset, y, scale = random_set_and_point(rng)
+            z = fset.project(y)
+            assert np.abs(fset.project(z) - z).max() <= 1e-12 * scale
+            if isinstance(fset, EuclideanBall):
+                # the rescaled point can land an ulp or so outside the sphere
+                assert fset.contains(z, 1e-12 * scale)
+            else:
+                assert fset.contains(z)
 
 
 def test_box_invariant_validation():
