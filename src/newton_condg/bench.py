@@ -19,7 +19,8 @@ plus two synthetic problems with known roots for property tests:
 The banded and diagonal problems (pb2, pb3 and both synthetic ones) declare
 scipy.sparse patterns and return sparse analytic Jacobians, so the solver
 keeps their model matrices in CSR form and building them at any n allocates
-no n-by-n array; pb1 (no pattern) and pb4 (a full dense pattern) stay dense.
+no n-by-n array; pb1 and pb4 have full Jacobians, declare no pattern and
+stay dense.
 All builders are pure and the produced Problems immutable. The starting-point
 rule is x0(gamma) = l + 0.25 gamma (u - l) for finite boxes and
 10**gamma * (1, ..., 1) (clipped to the capped box) when an upper bound is
@@ -27,7 +28,7 @@ infinite.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -40,7 +41,6 @@ from .feasible_set import Box
 class BenchEntry:
     id: str
     default_n: int
-    box: Tuple[float, float]
     builder: Callable[[int], Problem]
     description: str
 
@@ -144,7 +144,6 @@ def _discrete_integral(n):
 
     return Problem(
         name="pb4_discrete_integral", n=n, fun=fun, jac=jac,
-        pattern=np.ones((n, n), dtype=bool),
         feasible_set=Box(np.full(n, -10.0), np.full(n, 10.0)),
     )
 
@@ -184,27 +183,27 @@ def _synthetic_linear(n):
 
 REGISTRY = {
     "pb1_h_equation": BenchEntry(
-        "pb1_h_equation", 400, (0.0, 5.0), _h_equation,
+        "pb1_h_equation", 400, _h_equation,
         "Chandrasekhar H-equation, c = 0.99",
     ),
     "pb2_discrete_boundary": BenchEntry(
-        "pb2_discrete_boundary", 500, (-100.0, 100.0), _discrete_boundary,
+        "pb2_discrete_boundary", 500, _discrete_boundary,
         "discrete boundary value problem",
     ),
     "pb3_troesch": BenchEntry(
-        "pb3_troesch", 500, (-1.0, 1.0), _troesch,
+        "pb3_troesch", 500, _troesch,
         "Troesch problem, lambda = 10",
     ),
     "pb4_discrete_integral": BenchEntry(
-        "pb4_discrete_integral", 1000, (-10.0, 10.0), _discrete_integral,
+        "pb4_discrete_integral", 1000, _discrete_integral,
         "discrete integral equation",
     ),
     "synthetic_quadratic": BenchEntry(
-        "synthetic_quadratic", 10, (0.0, 2.0), _synthetic_quadratic,
+        "synthetic_quadratic", 10, _synthetic_quadratic,
         "componentwise x^2 - 1, root at ones",
     ),
     "synthetic_linear": BenchEntry(
-        "synthetic_linear", 50, (-5.0, 5.0), _synthetic_linear,
+        "synthetic_linear", 50, _synthetic_linear,
         "well-conditioned banded linear system",
     ),
 }

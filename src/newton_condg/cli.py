@@ -222,8 +222,9 @@ def cmd_radius(args, parser):
 
 def cmd_list_problems(args, parser):
     for entry in REGISTRY.values():
+        box = make_problem(entry.id, 2).feasible_set
         sys.stdout.write(
-            f"{entry.id}  n={entry.default_n}  box=[{entry.box[0]:g},{entry.box[1]:g}]"
+            f"{entry.id}  n={entry.default_n}  box=[{box.lower[0]:g},{box.upper[0]:g}]"
             f"  {entry.description}\n"
         )
     return 0

@@ -62,14 +62,16 @@ class Problem:
         name: identifier of the problem instance.
         n: dimension (F maps n-vectors to n-vectors).
         fun: residual callback x -> F(x), pure.
-        feasible_set: the constraint set (provides the LMO).
+        feasible_set: the constraint set (provides the LMO), of dimension n.
         jac: optional analytic Jacobian callback x -> (n, n) array or
             scipy.sparse matrix.
         pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
-            scipy.sparse (stored as a boolean CSR array). A sparse pattern
-            keeps the solver's model matrices sparse under every Jacobian
-            strategy; a sparse analytic Jacobian alone does so only for the
-            exact strategy.
+            scipy.sparse, stored as a canonical boolean CSR array. Declaring
+            one selects CSR model matrices under every Jacobian strategy
+            (column-grouped finite differences, the Schubert update on the
+            pattern); with None the models are dense and the secant update
+            is Broyden's. A sparse analytic Jacobian alone keeps the model
+            sparse only for the exact strategy.
         known_root: optional root, used by diagnostics and tests only.
     """
 
@@ -84,13 +86,14 @@ class Problem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        if self.feasible_set.n != self.n:
+            raise ValueError(
+                f"feasible_set has n={self.feasible_set.n} but the problem has n={self.n}"
+            )
         if self.pattern is not None:
-            if sparse.issparse(self.pattern):
-                patt = sparse.csr_array(self.pattern, dtype=bool)
-                patt.eliminate_zeros()
-                patt.sum_duplicates()
-            else:
-                patt = np.asarray(self.pattern, dtype=bool)
+            patt = sparse.csr_array(self.pattern, dtype=bool, copy=True)
+            patt.eliminate_zeros()
+            patt.sum_duplicates()
             if patt.shape != (self.n, self.n):
                 raise ValueError("pattern must be a boolean (n, n) mask")
             object.__setattr__(self, "pattern", patt)
@@ -224,11 +227,7 @@ def check_problem(problem, rng=None, samples=8):
 
 
 def _off_pattern_max(jac, pattern):
-    """(largest |entry| of jac outside pattern, max(largest |entry|, 1e-300))."""
-    if sparse.issparse(jac) or sparse.issparse(pattern):
-        mag = abs(sparse.csr_array(jac, dtype=float))
-        off = mag - mag.multiply(sparse.csr_array(pattern, dtype=bool))
-        return off.max(), max(mag.max(), 1e-300)
-    mag = np.abs(np.asarray(jac, dtype=float))
-    outside = ~pattern
-    return (mag[outside].max() if outside.any() else 0.0), max(mag.max(), 1e-300)
+    """(largest |entry| of jac outside the CSR pattern, max(largest |entry|, 1e-300))."""
+    mag = abs(sparse.csr_array(jac, dtype=float))
+    off = mag - mag.multiply(pattern)
+    return off.max(), max(mag.max(), 1e-300)

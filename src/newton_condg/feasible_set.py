@@ -14,12 +14,14 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 BOX_CAP = 1e6  # finite stand-in for +inf upper bounds of a Box
-# relative rounding slack on the equality sum(x) = scale in Simplex.contains:
-# rounding each of n entries and summing them moves the sum by up to about
-# n*eps_machine*scale (1e-14*scale at n = 50), so a point on the simplex
-# passes at tol=0 for n up to several thousand, and any point that passes
-# is within 1e-12*scale of the hyperplane
-SIMPLEX_SUM_RTOL = 1e-12
+# relative rounding slack of contains on the simplex equality sum(x) = scale
+# and on the ball's sphere ||x - center|| = radius. Rounding each of n
+# entries and summing them moves a sum or a norm by up to about n*eps_machine
+# times the size of the entries (1e-14 at n = 50), so a point on the simplex
+# or the sphere (a projection, an LMO vertex) passes at tol=0 for n up to
+# several thousand. The size is scale for the simplex and radius +
+# ||center|| for the ball, whose points carry the centre's rounding too.
+CONTAINS_RTOL = 1e-12
 
 
 class FeasibleSet(ABC):
@@ -105,6 +107,7 @@ class EuclideanBall(FeasibleSet):
         self.center = center
         self.radius = float(radius)
         self.n = center.size
+        self._rounding = CONTAINS_RTOL * (self.radius + np.linalg.norm(center))
 
     def lmo(self, d):
         d = np.asarray(d, dtype=float)
@@ -116,8 +119,9 @@ class EuclideanBall(FeasibleSet):
         return self.center - self.radius * d / nd
 
     def contains(self, x, tol=0.0):
+        """||x - center|| <= radius + tol + CONTAINS_RTOL*(radius + ||center||)."""
         return bool(np.linalg.norm(np.asarray(x, dtype=float) - self.center)
-                    <= self.radius + tol)
+                    <= self.radius + tol + self._rounding)
 
     def project(self, y):
         """Exact Euclidean projection: rescale y - center onto the sphere."""
@@ -157,11 +161,11 @@ class Simplex(FeasibleSet):
         return out
 
     def contains(self, x, tol=0.0):
-        """x >= -tol and |sum(x) - scale| <= tol + SIMPLEX_SUM_RTOL*scale."""
+        """x >= -tol and |sum(x) - scale| <= tol + CONTAINS_RTOL*scale."""
         x = np.asarray(x, dtype=float)
         return bool(
             np.all(x >= -tol)
-            and abs(x.sum() - self.scale) <= tol + SIMPLEX_SUM_RTOL * self.scale
+            and abs(x.sum() - self.scale) <= tol + CONTAINS_RTOL * self.scale
         )
 
     def project(self, y):

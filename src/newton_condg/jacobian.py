@@ -5,13 +5,15 @@ Jacobian, forward finite differences, and a sparsity-preserving rowwise
 secant update (Schubert/Broyden) refreshed by finite differences every
 `refresh_period` iterations.
 
-The storage of M_k follows what the problem supplies. When problem.pattern
-is a scipy.sparse matrix, M_k is a CSRModel (a CSR matrix with the pattern's
-structure): finite differences perturb each group of structurally orthogonal
-columns in one residual call (Curtis, Powell and Reid 1974), with the greedy
-column colouring computed once per solve, and the secant update rewrites the
-CSR data array in O(nnz). Otherwise M_k is a dense ndarray built column by
-column, except that the exact strategy keeps a sparse problem.jac sparse.
+The storage of M_k follows what the problem declares. When it declares a
+pattern (Problem stores every pattern as a boolean CSR array), M_k is a
+CSRModel with the pattern's structure: finite differences perturb each group
+of structurally orthogonal columns in one residual call (Curtis, Powell and
+Reid 1974), with the greedy column colouring computed once per solve, and
+the Schubert update rewrites the CSR data array in O(nnz). A problem that
+declares no pattern gets a dense ndarray built column by column and the
+classical Broyden update, except that the exact strategy keeps a sparse
+problem.jac sparse. Sparsity is never guessed from computed values.
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +27,6 @@ FINITE_DIFFERENCE = "finite_difference"
 SCHUBERT = "schubert"
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
-PATTERN_RTOL = 1e-10
 
 
 class JacobianError(Exception):
@@ -44,13 +45,11 @@ class CSRModel(sparse.csr_array):
 class JacobianState:
     """Model matrix M plus what the next call of next_jacobian reuses.
 
-    pattern is problem.pattern, or the mask schubert detects from its first
-    finite-difference build when the problem declares none; colouring is the
-    column colouring of a sparse pattern, computed once and carried along.
+    colouring is the column colouring of problem.pattern, computed once and
+    carried along; None when the problem declares no pattern.
     """
 
     M: object
-    pattern: Optional[object] = None
     colouring: Optional[np.ndarray] = None
 
 
@@ -142,30 +141,29 @@ def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None):
     return P
 
 
-def detect_pattern(jac):
-    """Sparsity mask of a Jacobian: entries above PATTERN_RTOL * maxabs (1e-10)."""
-    jac = np.asarray(jac)
-    scale = np.abs(jac).max()
-    if scale == 0.0:
-        return np.zeros(jac.shape, dtype=bool)
-    return np.abs(jac) > PATTERN_RTOL * scale
-
-
-def schubert_update(M, s, yvec, pattern):
+def schubert_update(M, s, yvec, pattern=None):
     """Rowwise secant update of M constrained to a sparsity pattern.
 
     For each row i let z_i be s masked to the pattern columns of that row;
     rows with ||z_i|| > 0 are corrected so that (M' s)_i == yvec_i, rows with
     ||z_i|| == 0 are left unchanged, and no entry outside the pattern is ever
-    written. With a dense pattern this is the classical rank-one secant
-    (Broyden) update. A sparse M is updated in O(nnz) and returned as a
-    CSRModel with the pattern's structure.
+    written. pattern=None is the classical rank-one secant (Broyden) update
+    of a dense M, bit-identical to an all-true mask; a zero step returns M.
+    A sparse M is updated in O(nnz) and returned as a CSRModel with the
+    pattern's structure.
     """
     s = np.asarray(s, dtype=float)
     yvec = np.asarray(yvec, dtype=float)
     if sparse.issparse(M):
+        if pattern is None:
+            raise ValueError("a sparse M needs its sparsity pattern")
         return _schubert_update_csr(M, s, yvec, pattern)
     M = np.asarray(M, dtype=float)
+    if pattern is None:
+        denom = np.sum(s * s)
+        if denom == 0.0:
+            return M
+        return M + np.outer((yvec - M @ s) / denom, s)
     pattern = np.asarray(pattern, dtype=bool)
     if M.shape != pattern.shape:
         raise ValueError("M and pattern shapes differ")
@@ -206,16 +204,15 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
 
     state is None on the first call. exact: analytic Jacobian every
     iteration (JacobianError if the problem has none). finite_difference:
-    fd_jacobian every iteration. schubert: fd_jacobian masked to the
-    pattern at k == 0 and whenever (k - 1) mod refresh_period == 0,
+    fd_jacobian every iteration. schubert: fd_jacobian at k == 0 and
+    whenever (k - 1) mod refresh_period == 0,
     otherwise the rowwise secant update of the previous matrix using
-    step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). The pattern comes from
-    problem.pattern, or is detected from the first finite-difference
-    Jacobian when the problem declares none. The first call colours a
-    sparse problem.pattern, which makes every finite-difference build
-    column-grouped and the model CSR. fx = F(x), when given, spares
-    fd_jacobian one evaluation. Finiteness of M is left to the linear solve,
-    which checks it once.
+    step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
+    problem.pattern the first call colours it, every finite-difference build
+    is column-grouped and the model is CSR; without one, the builds are
+    column by column and the secant update is Broyden's. fx = F(x), when
+    given, spares fd_jacobian one evaluation. Finiteness of M is left to the
+    linear solve, which checks it once.
     """
     x = np.asarray(x, dtype=float)
     if strategy == EXACT:
@@ -225,20 +222,15 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     if strategy not in (FINITE_DIFFERENCE, SCHUBERT):
         raise ValueError(f"unknown jacobian strategy {strategy!r}")
 
+    pattern = problem.pattern
     if state is None:
-        pattern = problem.pattern
-        colouring = column_colouring(pattern) if sparse.issparse(pattern) else None
-        state = JacobianState(M=None, pattern=pattern, colouring=colouring)
-    grouped = state.colouring is not None
+        colouring = None if pattern is None else column_colouring(pattern)
+        state = JacobianState(M=None, colouring=colouring)
 
     refresh = k == 0 or (k >= 1 and (k - 1) % refresh_period == 0)
     if strategy == FINITE_DIFFERENCE or refresh or state.M is None:
-        M = fd_jacobian(problem.fun, x, fx, state.pattern if grouped else None, state.colouring)
-        if strategy == FINITE_DIFFERENCE or grouped:
-            return replace(state, M=M)
-        pattern = detect_pattern(M) if state.pattern is None else state.pattern
-        return replace(state, M=np.where(pattern, M, 0.0), pattern=pattern)
+        return replace(state, M=fd_jacobian(problem.fun, x, fx, pattern, state.colouring))
     if step is None:
         raise ValueError("schubert update needs the previous step data")
     s, f_diff = step
-    return replace(state, M=schubert_update(state.M, s, f_diff, state.pattern))
+    return replace(state, M=schubert_update(state.M, s, f_diff, pattern))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import newton_condg.cli
-from newton_condg import Box, Problem
+from newton_condg import Box, Problem, make_problem
 from newton_condg.cli import CSV_HEADER, main, suite_runs
 
 
@@ -234,3 +234,10 @@ def test_list_problems(capsys):
     for pid in ("pb1_h_equation", "pb2_discrete_boundary", "pb3_troesch",
                 "pb4_discrete_integral", "synthetic_quadratic", "synthetic_linear"):
         assert pid in out
+    lines = out.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        pid, _n, box = line.split()[:3]
+        lower, upper = (float(v) for v in box.removeprefix("box=[").rstrip("]").split(","))
+        fset = make_problem(pid, 7).feasible_set
+        assert np.all(fset.lower == lower) and np.all(fset.upper == upper)

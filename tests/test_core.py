@@ -124,3 +124,9 @@ def test_problem_shape_validation():
             name="x", n=2, fun=lambda x: x, pattern=np.eye(3, dtype=bool),
             feasible_set=Box([0.0, 0.0], [1.0, 1.0]),
         )
+
+
+def test_problem_rejects_a_feasible_set_of_another_dimension():
+    for fset in (Box(np.zeros(5), np.ones(5)), Box([0.0], [1.0])):
+        with pytest.raises(ValueError, match=rf"n={fset.n}\b.*n=3\b"):
+            Problem(name="x", n=3, fun=lambda x: x, feasible_set=fset)

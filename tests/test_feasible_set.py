@@ -89,6 +89,27 @@ class TestContains:
         assert not s.contains(np.array([0.2, 0.3, 0.6]))
         assert s.contains(np.array([-1e-13, 0.5, 0.5]), tol=1e-12)
 
+    def test_ball_projections_and_vertices_at_every_scale(self):
+        # a projection or an LMO vertex lies on the sphere up to rounding,
+        # which scales with the radius and with the centre's entries
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            n = int(rng.integers(1, 300))
+            center = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
+            ball = EuclideanBall(center, 10.0 ** rng.uniform(-3, 6))
+            y = center + ball.radius * rng.uniform(1.01, 10) * rng.standard_normal(n)
+            assert ball.contains(ball.project(y))
+            assert ball.contains(ball.lmo(rng.standard_normal(n)))
+
+    def test_ball_slack_is_relative(self):
+        ball = EuclideanBall(np.zeros(2), 1e6)
+        assert ball.contains(np.array([1e6 + 1e-7, 0.0]))
+        assert not ball.contains(np.array([1e6 + 1e-5, 0.0]))
+        assert not EuclideanBall(np.zeros(2), 1e-3).contains(np.array([1e-3 + 1e-13, 0.0]))
+        far = EuclideanBall(np.full(2, 1e6), 1.0)
+        assert far.contains(far.center + np.array([1.0 + 1e-7, 0.0]))
+        assert not far.contains(far.center + np.array([1.0 + 1e-5, 0.0]))
+
     def test_simplex_samples_at_every_scale(self):
         # a sampled point is on the simplex up to the rounding of its sum
         rng = np.random.default_rng(8)
@@ -184,11 +205,7 @@ class TestExactProjections:
             fset, y, scale = random_set_and_point(rng)
             z = fset.project(y)
             assert np.abs(fset.project(z) - z).max() <= 1e-12 * scale
-            if isinstance(fset, EuclideanBall):
-                # the rescaled point can land an ulp or so outside the sphere
-                assert fset.contains(z, 1e-12 * scale)
-            else:
-                assert fset.contains(z)
+            assert fset.contains(z)
 
 
 def test_box_invariant_validation():

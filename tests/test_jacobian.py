@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import newton_condg.jacobian
-from newton_condg import Box, Problem, fd_jacobian, next_jacobian, schubert_update
-from newton_condg.jacobian import JacobianError, detect_pattern
+from newton_condg import (
+    Box,
+    Problem,
+    fd_jacobian,
+    make_problem,
+    next_jacobian,
+    schubert_update,
+    starting_point,
+)
+from newton_condg.jacobian import CSRModel, JacobianError
 
 
 class TestFDJacobian:
@@ -48,6 +57,7 @@ class TestSchubertUpdate:
         M0 = np.diag([1.0, 2.0])
         M = schubert_update(M0, np.zeros(2), np.array([5.0, 5.0]), np.eye(2, dtype=bool))
         np.testing.assert_array_equal(M, M0)
+        np.testing.assert_array_equal(schubert_update(M0, np.zeros(2), np.ones(2)), M0)
 
     def test_diagonal_pattern_example(self):
         M = schubert_update(
@@ -82,6 +92,20 @@ class TestSchubertUpdate:
             updated = schubert_update(M, s, yvec, dense)
             broyden = M + np.outer(yvec - M @ s, s) / (s @ s)
             np.testing.assert_allclose(updated, broyden, atol=1e-14, rtol=1e-14)
+
+    def test_no_pattern_is_the_all_true_mask_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(3, 300))
+            M = rng.standard_normal((n, n))
+            s = rng.standard_normal(n)
+            yvec = rng.standard_normal(n)
+            masked = schubert_update(M, s, yvec, np.ones((n, n), dtype=bool))
+            assert np.array_equal(schubert_update(M, s, yvec), masked)
+
+    def test_sparse_m_needs_a_pattern(self):
+        with pytest.raises(ValueError, match="pattern"):
+            schubert_update(sparse.eye_array(2, format="csr"), np.ones(2), np.ones(2))
 
     def test_pattern_violation_rejected(self):
         M = np.ones((2, 2))
@@ -122,7 +146,7 @@ class TestNextJacobian:
         x = np.array([1.0, 1.5, 0.5])
         s1 = next_jacobian(None, 0, p, x, "finite_difference")
         s2 = next_jacobian(s1, 7, p, x, "finite_difference")
-        np.testing.assert_array_equal(s1.M, s2.M)
+        np.testing.assert_array_equal(s1.M.toarray(), s2.M.toarray())
 
     def test_schubert_refresh_schedule(self, monkeypatch):
         # refresh at k in {0, 1, 6, 11, ...} for refresh_period 5
@@ -142,25 +166,45 @@ class TestNextJacobian:
             state = next_jacobian(state, k, p, x, "schubert", refresh_period=5, step=step)
         assert builds == [0, 1, 6, 11]
 
-    def test_schubert_detects_pattern_when_missing(self):
+    def test_schubert_without_pattern_is_unmasked_broyden(self):
         n = 3
         p = Problem(
             name="diag", n=n, fun=lambda x: x * x - 1.0,
             feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         )
-        state = next_jacobian(None, 0, p, np.full(n, 1.1), "schubert")
-        np.testing.assert_array_equal(state.pattern, np.eye(n, dtype=bool))
-        assert np.all(state.M[~state.pattern] == 0.0)
+        x = np.full(n, 1.1)
+        state = next_jacobian(None, 0, p, x, "schubert")
+        assert type(state.M) is np.ndarray and state.colouring is None
+        np.testing.assert_array_equal(state.M, fd_jacobian(p.fun, x))
+        s = np.array([1e-3, -2e-3, 5e-4])
+        step = (s, p.fun(x + s) - p.fun(x))
+        updated = next_jacobian(state, 2, p, x + s, "schubert", step=step)
+        assert np.array_equal(updated.M, schubert_update(state.M, *step))
 
     def test_schubert_masks_refresh_to_pattern(self):
         p = _problem()
         state = next_jacobian(None, 0, p, np.array([1.0, 1.5, 0.5]), "schubert")
-        assert np.all(state.M[~p.pattern] == 0.0)
+        assert np.all(state.M.toarray()[~p.pattern.toarray()] == 0.0)
+
+    def test_dense_mask_gives_csr_models(self):
+        p = _problem()
+        x = np.array([1.0, 1.5, 0.5])
+        step = (np.full(3, 1e-3), 2.0 * x * 1e-3)
+        for strategy in ("finite_difference", "schubert"):
+            state = None
+            for k in range(3):
+                state = next_jacobian(state, k, p, x, strategy, step=step)
+                assert isinstance(state.M, CSRModel)
+                assert state.M.nnz == 3
 
 
-def test_detect_pattern_thresholds_relative_to_maxabs():
-    J = np.array([[1.0, 1e-12], [0.5, 2.0]])
-    np.testing.assert_array_equal(
-        detect_pattern(J), np.array([[True, False], [True, True]])
-    )
-    assert not detect_pattern(np.zeros((2, 2))).any()
+def test_schubert_model_keeps_every_analytic_entry_of_pb1():
+    # pb1 at n = 400 is structurally dense, with entries from about 1.6e-6 to
+    # 7.5e4 at gamma = 3; a model held to a pattern guessed from the values
+    # would zero the smallest of them
+    p = make_problem("pb1_h_equation", 400)
+    x0 = starting_point(p, 3)
+    state = next_jacobian(None, 0, p, x0, "schubert")
+    jac = p.jac(x0)
+    assert np.all(jac != 0.0)
+    assert np.count_nonzero(state.M[jac != 0.0] == 0.0) == 0

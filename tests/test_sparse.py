@@ -330,9 +330,12 @@ class TestSparseProblems:
             (np.array([2.0, 0.0, 1.0, 5.0]), (np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]))),
             shape=(2, 2),
         )
-        p = Problem(name="s", n=2, fun=lambda x: x, pattern=pattern, feasible_set=Box([0, 0], [1, 1]))
-        assert p.pattern.format == "csr" and p.pattern.dtype == bool
-        np.testing.assert_array_equal(p.pattern.toarray(), np.eye(2, dtype=bool))
+        for pattern in (pattern, np.eye(2, dtype=bool)):  # either form: one boolean CSR
+            p = Problem(name="s", n=2, fun=lambda x: x, pattern=pattern,
+                        feasible_set=Box([0, 0], [1, 1]))
+            assert p.pattern.format == "csr" and p.pattern.dtype == bool
+            assert p.pattern.has_canonical_format
+            np.testing.assert_array_equal(p.pattern.toarray(), np.eye(2, dtype=bool))
         with pytest.raises(ValueError):
             Problem(name="s", n=3, fun=lambda x: x, pattern=sparse.eye_array(2),
                     feasible_set=Box(np.zeros(3), np.ones(3)))
