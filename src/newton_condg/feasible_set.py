@@ -98,12 +98,14 @@ class Box(FeasibleSet):
 
 
 class EuclideanBall(FeasibleSet):
-    """{x : ||x - center|| <= radius}."""
+    """{x : ||x - center|| <= radius}, with a finite center and radius."""
 
     def __init__(self, center, radius):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.center = center
         self.radius = float(radius)
         self.n = center.size
@@ -142,13 +144,13 @@ class EuclideanBall(FeasibleSet):
 
 
 class Simplex(FeasibleSet):
-    """{x : x >= 0, sum(x) = scale}."""
+    """{x : x >= 0, sum(x) = scale}, with a finite positive scale."""
 
     def __init__(self, n, scale=1.0):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         self.n = int(n)
         self.scale = float(scale)
 

@@ -1,11 +1,14 @@
 """Linear step solves with an explicit residual contract.
 
 Every factorization goes through lu_factor, which checks the model matrix
-once (finite, non-zero, no pivot below PIVOT_RTOL * maxabs) and factorizes it
-with partial pivoting: LAPACK for a dense ndarray, SuperLU
-(scipy.sparse.linalg.splu) for a scipy.sparse matrix. solve_direct solves with
-that factorization; solve_inexact only promises ||M s - b|| <= eta * ||b|| in
-the Euclidean norm, produced by GMRES with the contract re-verified by
+once (finite, non-zero) and factorizes it with partial pivoting. The storage
+picks the kernel: LAPACK getrf for a dense ndarray; LAPACK gbtrf for a
+scipy.sparse matrix whose band, read from its stored structure, fits in
+BAND_STORAGE_RATIO times its stored entries; SuperLU
+(scipy.sparse.linalg.splu) for any other scipy.sparse matrix. All three
+share one pivot check (none below PIVOT_RTOL * maxabs). solve_direct solves
+with that factorization; solve_inexact only promises ||M s - b|| <= eta *
+||b|| in the Euclidean norm, produced by GMRES with the contract re-verified by
 recomputation. GMRES runs on a dense M as it is and on a scipy.sparse M with
 an incomplete-LU preconditioner (scipy.sparse.linalg.spilu at its default
 drop tolerance and fill factor); the contract is on the unpreconditioned
@@ -19,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 PIVOT_RTOL = 1e-14
+# a sparse matrix goes to the banded LU when its LAPACK band storage,
+# (2*kl + ku + 1) * n, is at most this many times its stored entries. A fully
+# stored band with kl + ku much below n stays below 2 (tridiagonal: 4n
+# against 3n - 2), so 3 keeps every band-shaped model with room for a few
+# empty diagonals inside the band, while a wide pattern (an arrowhead:
+# (3n - 2) * n against 3n - 2) goes to SuperLU, which keeps its fill small.
+BAND_STORAGE_RATIO = 3
 POWER_RTOL = 1e-8
 POWER_MAX_ITER = 2000
 
@@ -87,22 +98,38 @@ class _SparseLU:
         return self.superlu.solve(np.asarray(b, dtype=float))
 
 
+class _BandLU:
+    """LAPACK banded LU factors (gbtrf) of a sparse matrix with a narrow band."""
+
+    def __init__(self, lu, piv, kl, ku):
+        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
+        self.pivots = lu[kl + ku]  # the diagonal of U
+
+    def solve(self, b):
+        """x with M x = b."""
+        x, _info = dgbtrs(self.lu, self.kl, self.ku, np.asarray(b, dtype=float), self.piv)
+        return x
+
+
 def lu_factor(M):
     """LU factorization of M with partial pivoting; its .solve(b) solves M x = b.
 
-    A scipy.sparse M is factorized by SuperLU, anything else as a dense
-    float array by LAPACK. Raises LinearSolveFailure when M has a non-finite
-    entry, is zero, or is singular to working precision (some pivot below
-    PIVOT_RTOL * maxabs(M)).
+    b may be a vector or a matrix of right-hand sides. A scipy.sparse M is
+    factorized by LAPACK's banded LU when its band storage is at most
+    BAND_STORAGE_RATIO times its stored entries (kl and ku come from the
+    stored structure, never from values) and by SuperLU otherwise; anything
+    else is factorized as a dense float array by LAPACK. Raises
+    LinearSolveFailure when M has a non-finite entry, is zero, or is
+    singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)),
+    whichever kernel ran.
     """
     if sparse.issparse(M):
-        A = sparse.csc_array(M, dtype=float)
-        A.sum_duplicates()
+        A = sparse.csr_array(M, dtype=float)
+        if not A.has_canonical_format:  # A may share M's arrays; sort a copy
+            A = A.copy()
+            A.sum_duplicates()
         scale = _checked_scale(A.data)
-        try:
-            factors = _SparseLU(splu(A))
-        except RuntimeError:  # SuperLU met an exactly zero pivot
-            raise LinearSolveFailure("model matrix is singular") from None
+        factors = _sparse_lu(A)
     else:
         A = np.asarray(M, dtype=float)
         scale = _checked_scale(A)
@@ -110,6 +137,25 @@ def lu_factor(M):
     if np.abs(factors.pivots).min() < PIVOT_RTOL * scale:
         raise LinearSolveFailure("model matrix is singular to working precision")
     return factors
+
+
+def _sparse_lu(A):
+    """_BandLU of a canonical CSR A with a narrow enough band, else _SparseLU."""
+    n = A.shape[0]
+    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))  # j - i
+    kl = max(-int(offsets.min()), 0)
+    ku = max(int(offsets.max()), 0)
+    if (2 * kl + ku + 1) * n > BAND_STORAGE_RATIO * A.nnz:
+        try:
+            return _SparseLU(splu(A.tocsc()))
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            raise LinearSolveFailure("model matrix is singular") from None
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")  # A[i, j] at ab[kl + ku + i - j, j]
+    ab[kl + ku - offsets, A.indices] = A.data
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info > 0:  # an exactly zero pivot
+        raise LinearSolveFailure("model matrix is singular")
+    return _BandLU(lu, piv, kl, ku)
 
 
 def solve_direct(M, b):

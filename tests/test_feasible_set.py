@@ -219,3 +219,21 @@ def test_box_invariant_validation():
         EuclideanBall(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         Simplex(3, scale=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, argument",
+    [
+        (lambda: EuclideanBall(np.zeros(2), np.inf), "radius"),
+        (lambda: EuclideanBall(np.zeros(2), np.nan), "radius"),
+        (lambda: EuclideanBall([0.0, np.inf], 1.0), "center"),
+        (lambda: EuclideanBall([np.nan, 0.0], 1.0), "center"),
+        (lambda: Simplex(3, scale=np.inf), "scale"),
+        (lambda: Simplex(3, scale=np.nan), "scale"),
+    ],
+)
+def test_non_compact_sets_are_rejected(build, argument):
+    # an infinite ball or simplex has no finite LMO vertex; contains(1e300)
+    # would hold and lmo would return -inf entries
+    with pytest.raises(ValueError, match=argument):
+        build()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import gmres
+from scipy import linalg, sparse
+from scipy.sparse.linalg import gmres, splu
 
 from newton_condg import (
     AdaptiveEta,
@@ -11,6 +12,14 @@ from newton_condg import (
     solve_inexact,
     spectral_norm,
 )
+from newton_condg.linsolve import _BandLU, _SparseLU, lu_factor
+
+
+def _random_band(rng, n, kl, ku):
+    """A random CSR matrix with kl sub- and ku superdiagonals, all stored."""
+    offsets = list(range(-kl, ku + 1))
+    diagonals = [rng.standard_normal(n - abs(k)) for k in offsets]
+    return sparse.diags_array(diagonals, offsets=offsets, shape=(n, n), format="csr")
 
 
 class TestSolveDirect:
@@ -112,6 +121,60 @@ class TestSolveInexact:
                 plain, _info = gmres(M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50)
                 assert np.linalg.norm(M @ plain - b) <= eta * np.linalg.norm(b)
                 np.testing.assert_array_equal(solve_inexact(M, b, eta).s, plain)
+
+
+class TestBandLU:
+    @pytest.mark.parametrize(
+        "n, kl, ku",
+        [(1, 0, 0), (9, 0, 0), (40, 1, 1), (40, 2, 5), (40, 4, 1), (25, 0, 3), (25, 3, 0)],
+    )
+    def test_matches_superlu_and_dense_lapack(self, n, kl, ku):
+        rng = np.random.default_rng(1000 * n + 10 * kl + ku)
+        M = _random_band(rng, n, kl, ku)
+        band = lu_factor(M)
+        assert isinstance(band, _BandLU)
+        dense = linalg.lu_factor(M.toarray())
+        superlu = splu(sparse.csc_array(M))
+        # the same partial pivoting: row kl + ku of the band factors is U's diagonal
+        np.testing.assert_allclose(band.pivots, np.diag(dense[0]), rtol=1e-9)
+        cond = np.linalg.cond(M.toarray())
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = band.solve(b)
+            assert x.shape == b.shape
+            for reference in (linalg.lu_solve(dense, b), superlu.solve(b)):
+                err = np.linalg.norm(x - reference)
+                assert err <= 1e-13 * cond * np.linalg.norm(reference)
+
+    def test_exactly_singular_band_model_fails(self):
+        # two equal rows: gbtrf meets an exactly zero pivot (info > 0)
+        M = sparse.csr_array(np.ones((2, 2)))
+        with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
+            lu_factor(M)
+
+    def test_pivot_below_the_relative_floor_fails(self):
+        # the second pivot is (1 + 1e-15) - 1, about 1.1e-15 < PIVOT_RTOL * 1
+        M = sparse.csr_array(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        with pytest.raises(LinearSolveFailure, match="working precision"):
+            lu_factor(M)
+
+    def test_wide_pattern_goes_to_superlu(self):
+        n = 20
+        A = np.diag(np.full(n, 4.0))
+        A[0, :] = A[:, 0] = 1.0  # arrowhead: band storage (3n - 2) * n, 3n - 2 entries
+        A[0, 0] = 4.0
+        M = sparse.csr_array(A)
+        factors = lu_factor(M)
+        assert isinstance(factors, _SparseLU)
+        b = np.arange(1.0, n + 1.0)
+        np.testing.assert_allclose(factors.solve(b), np.linalg.solve(A, b), rtol=1e-12)
+
+    def test_duplicates_are_summed_without_touching_the_input(self):
+        data, indices = np.array([1.0, 2.0, 3.0, 5.0]), np.array([1, 0, 0, 1])
+        M = sparse.csr_array((data, indices, [0, 3, 4]), shape=(2, 2))  # [[5, 1], [0, 5]]
+        x = lu_factor(M).solve(np.array([6.0, 5.0]))
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
+        np.testing.assert_array_equal(M.indices, [1, 0, 0, 1])
+        np.testing.assert_array_equal(M.data, [1.0, 2.0, 3.0, 5.0])
 
 
 class TestForcingEta:

@@ -1,6 +1,6 @@
 """The sparse model path: grouped finite differences, CSR secant updates,
-SuperLU factorizations, ILU-preconditioned GMRES, and the registry problems
-that declare sparse patterns."""
+banded LU and SuperLU factorizations, ILU-preconditioned GMRES, and the
+registry problems that declare sparse patterns."""
 
 import dataclasses
 import tracemalloc
@@ -31,6 +31,7 @@ from newton_condg import (
     verify_mk_conditions,
 )
 from newton_condg.jacobian import CSRModel, JacobianError, as_model, column_colouring
+from newton_condg.linsolve import _BandLU
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
@@ -271,16 +272,28 @@ class TestSparseLinsolve:
 
     @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
     def test_sparse_solve_factorizes_through_lu_factor(self, monkeypatch, strategy):
-        calls = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
+        factored = []  # (M, factors) of every lu_factor call
+        original = newton_condg.linsolve.lu_factor
+
+        def recorded(M):
+            factored.append((M, original(M)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(newton_condg.linsolve, "lu_factor", recorded)
         models = _counting(monkeypatch, newton_condg.solver, "solve_direct")
-        p = make_problem("pb2_discrete_boundary", 200)
-        report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
-        assert report.status == "converged"
-        assert len(calls) == len(models) == report.iterations
-        for (M, _b) in models:
-            assert isinstance(M, CSRModel)
-            assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-        assert all(sparse.issparse(args[0]) for args in calls)
+        for pid in ("pb2_discrete_boundary", "pb3_troesch", "synthetic_quadratic"):
+            factored.clear()
+            models.clear()
+            p = make_problem(pid, 200)
+            report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+            assert report.status == "converged"
+            assert len(factored) == len(models) == report.iterations
+            for (M, _b) in models:
+                assert isinstance(M, CSRModel)
+                assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+            for M, factors in factored:
+                assert sparse.issparse(M)
+                assert isinstance(factors, _BandLU)
 
 
 def test_troesch_inexact_steps_meet_the_contract_without_fallback(monkeypatch):
