@@ -9,7 +9,7 @@ convergence radii and rate diagnostics and a registry of classic
 box-constrained benchmark problems.
 """
 
-from .bench import list_problems, make_problem, starting_point
+from .bench import make_problem, starting_point
 from .condg import CondGResult, condg, wolfe_gap
 from .core import (
     CONVERGED,
@@ -81,7 +81,6 @@ __all__ = [
     "forcing_eta",
     "holder_majorant",
     "holder_radius",
-    "list_problems",
     "majorant_sequence",
     "make_problem",
     "next_jacobian",

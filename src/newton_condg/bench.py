@@ -20,7 +20,9 @@ The banded and diagonal problems (pb2, pb3 and both synthetic ones) declare
 scipy.sparse patterns and return sparse analytic Jacobians, so the solver
 keeps their model matrices in CSR form and building them at any n allocates
 no n-by-n array; pb1 and pb4 have full Jacobians, declare no pattern and
-stay dense.
+stay dense. They declare vectorized residuals instead (rows of a 2-D input
+are points), so a finite-difference Jacobian evaluates many columns per
+residual call.
 All builders are pure and the produced Problems immutable. The starting-point
 rule is x0(gamma) = l + 0.25 gamma (u - l) for finite boxes and
 10**gamma * (1, ..., 1) (clipped to the capped box) when an upper bound is
@@ -74,14 +76,16 @@ def _h_equation(n, c=0.99):
     A = (c / (2.0 * n)) * (mu[:, None] / (mu[:, None] + mu[None, :]))
 
     def fun(h):
-        return h - 1.0 / (1.0 - A @ h)
+        # a stacked matrix-vector product per row: H @ A.T would be one GEMM,
+        # whose sums differ in their last bits from A @ h
+        return h - 1.0 / (1.0 - np.matmul(A, h[..., None])[..., 0])
 
     def jac(h):
         w = 1.0 / (1.0 - A @ h) ** 2
         return np.eye(n) - w[:, None] * A
 
     return Problem(
-        name="pb1_h_equation", n=n, fun=fun, jac=jac,
+        name="pb1_h_equation", n=n, fun=fun, jac=jac, vectorized=True,
         feasible_set=Box(np.zeros(n), np.full(n, 5.0)),
     )
 
@@ -135,15 +139,19 @@ def _discrete_integral(n):
 
     def fun(x):
         g = (x + t + 1.0) ** 3
-        s1 = np.cumsum(t * g)
-        rest = np.sum((1.0 - t) * g) - np.cumsum((1.0 - t) * g)
+        s1 = np.cumsum(t * g, axis=-1)
+        tail = (1.0 - t) * g
+        rest = np.sum(tail, axis=-1, keepdims=True) - np.cumsum(tail, axis=-1)
         return x + h * ((1.0 - t) * s1 + t * rest) / 2.0
 
     def jac(x):
-        return np.eye(n) + 1.5 * h * weights * ((x + t + 1.0) ** 2)[None, :]
+        J = np.multiply(weights, 1.5 * h)
+        J *= ((x + t + 1.0) ** 2)[None, :]
+        J.flat[::n + 1] += 1.0
+        return J
 
     return Problem(
-        name="pb4_discrete_integral", n=n, fun=fun, jac=jac,
+        name="pb4_discrete_integral", n=n, fun=fun, jac=jac, vectorized=True,
         feasible_set=Box(np.full(n, -10.0), np.full(n, 10.0)),
     )
 
@@ -216,10 +224,6 @@ PAPER_CORE = (
 )
 
 SYNTHETIC = ("synthetic_quadratic", "synthetic_linear")
-
-
-def list_problems():
-    return list(REGISTRY.values())
 
 
 def make_problem(problem_id, n=None):

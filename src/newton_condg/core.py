@@ -73,6 +73,14 @@ class Problem:
             is Broyden's. A sparse analytic Jacobian alone keeps the model
             sparse only for the exact strategy.
         known_root: optional root, used by diagnostics and tests only.
+        vectorized: True declares that fun also takes an (m, n) array whose
+            rows are points and returns the (m, n) array of their residuals,
+            row i bit-identical to fun of row i. Finite-difference Jacobians
+            then evaluate many perturbed points per call. Points are rows,
+            not columns, so that a reduction along the contiguous last axis
+            (cumsum, the pairwise sum of np.sum(..., axis=-1)) adds the same
+            numbers in the same order as the 1-D call. fun must still take
+            an n-vector. check_problem verifies the declaration.
     """
 
     name: str
@@ -82,10 +90,13 @@ class Problem:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     pattern: Optional[object] = None
     known_root: Optional[np.ndarray] = None
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        if not isinstance(self.vectorized, bool):
+            raise TypeError("vectorized must be a bool")
         if self.feasible_set.n != self.n:
             raise ValueError(
                 f"feasible_set has n={self.feasible_set.n} but the problem has n={self.n}"
@@ -199,27 +210,43 @@ def check_problem(problem, rng=None, samples=8):
 
     Checks the residual shape, that Jacobian entries outside the declared
     pattern vanish (relative tolerance 1e-12; the Jacobian is the analytic
-    one, or column-by-column finite differences, dense or sparse alike), and
-    that the known root has max-norm residual <= 1e-10.
+    one, or finite differences, dense or sparse alike), that a vectorized
+    fun maps the (samples, n) stack of the sampled points to the stack of
+    their residuals bit for bit, and that the known root has max-norm
+    residual <= 1e-10.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    points, residuals = [], []
     for _ in range(samples):
         x = problem.feasible_set.sample(rng)
         fx = np.asarray(problem.fun(x))
         if fx.shape != (problem.n,):
             raise AssertionError(f"{problem.name}: fun(x) has shape {fx.shape}")
+        points.append(x)
+        residuals.append(fx)
         if problem.pattern is not None:
             if problem.jac is not None:
                 jac = problem.jac(x)
             else:
                 from .jacobian import fd_jacobian
 
-                jac = fd_jacobian(problem.fun, x, fx)
+                jac = fd_jacobian(problem.fun, x, fx, vectorized=problem.vectorized)
             off, scale = _off_pattern_max(jac, problem.pattern)
             if off > 1e-12 * scale:
                 raise AssertionError(
                     f"{problem.name}: Jacobian entry outside pattern ({off:.3e})"
                 )
+    if problem.vectorized:
+        stacked = np.asarray(problem.fun(np.stack(points)))
+        if stacked.shape != (samples, problem.n):
+            raise AssertionError(
+                f"{problem.name}: vectorized fun maps ({samples}, {problem.n}) "
+                f"points to shape {stacked.shape}"
+            )
+        if not np.array_equal(stacked, np.stack(residuals)):
+            raise AssertionError(
+                f"{problem.name}: vectorized fun's rows differ from its 1-D residuals"
+            )
     if problem.known_root is not None:
         res = np.abs(problem.fun(problem.known_root)).max()
         if res > 1e-10:

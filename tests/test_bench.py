@@ -7,11 +7,11 @@ from newton_condg import (
     SolverConfig,
     check_problem,
     fd_jacobian,
-    list_problems,
     make_problem,
     solve,
     starting_point,
 )
+from newton_condg.bench import REGISTRY
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -24,7 +24,8 @@ ALL_IDS = [
 
 
 def test_registry_contents():
-    assert [e.id for e in list_problems()] == ALL_IDS
+    assert list(REGISTRY) == ALL_IDS
+    assert [e.id for e in REGISTRY.values()] == ALL_IDS
     with pytest.raises(KeyError):
         make_problem("pb99_unknown")
     with pytest.raises(ValueError):

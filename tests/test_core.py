@@ -116,6 +116,42 @@ def test_check_problem_flags_pattern_violation():
         check_problem(bad)
 
 
+def test_check_problem_accepts_a_vectorized_fun():
+    n = 5
+    p = Problem(
+        name="rows", n=n, fun=lambda x: x * x - np.sum(x, axis=-1, keepdims=True),
+        feasible_set=Box(np.zeros(n), np.ones(n)), vectorized=True,
+    )
+    check_problem(p)
+
+
+@pytest.mark.parametrize(
+    "fun, message",
+    [
+        # np.sum without an axis adds up every point of the stack
+        (lambda x: x * x - np.sum(x), "rows differ"),
+        (lambda x: np.ravel(x * x), "shape"),
+    ],
+    ids=["axis-less-sum", "flattened"],
+)
+def test_check_problem_flags_a_false_vectorized_declaration(fun, message):
+    n = 5
+    bad = Problem(
+        name="not_rows", n=n, fun=fun, feasible_set=Box(np.zeros(n), np.ones(n)),
+        vectorized=True,
+    )
+    with pytest.raises(AssertionError, match=rf"not_rows: vectorized fun.*{message}"):
+        check_problem(bad)
+    check_problem(Problem(name="per_point", n=n, fun=fun, feasible_set=bad.feasible_set))
+
+
+@pytest.mark.parametrize("flag", [1, np.True_, "yes", None])
+def test_problem_rejects_a_vectorized_that_is_not_a_bool(flag):
+    with pytest.raises(TypeError, match="vectorized"):
+        Problem(name="x", n=1, fun=lambda x: x, feasible_set=Box([0.0], [1.0]),
+                vectorized=flag)
+
+
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         Problem(name="x", n=0, fun=lambda x: x, feasible_set=Box([0.0], [1.0]))

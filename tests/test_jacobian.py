@@ -12,7 +12,7 @@ from newton_condg import (
     schubert_update,
     starting_point,
 )
-from newton_condg.jacobian import CSRModel, JacobianError
+from newton_condg.jacobian import FD_BLOCK_ENTRIES, CSRModel, JacobianError
 
 
 class TestFDJacobian:
@@ -43,6 +43,70 @@ class TestFDJacobian:
         fun = lambda v: np.array([1.0 / (v[0] - 1.0)])
         with pytest.raises(JacobianError):
             fd_jacobian(fun, np.array([1.0]))
+
+
+def _tridiagonal_fun(X):
+    """Vectorized tridiagonal residual: rows of X are points."""
+    pad = np.zeros(X.shape[:-1] + (1,))
+    left = np.concatenate((pad, X[..., :-1]), axis=-1)
+    right = np.concatenate((X[..., 1:], pad), axis=-1)
+    return 3.0 * X - left - right + X ** 3 / 10.0
+
+
+class TestVectorizedFD:
+    @pytest.mark.parametrize(
+        "pid, n", [("pb1_h_equation", 400), ("pb4_discrete_integral", 1000),
+                   ("pb4_discrete_integral", 2)],
+    )
+    def test_registry_problems_bit_identical(self, pid, n):
+        p = make_problem(pid, n)
+        assert p.vectorized
+        assert n % (FD_BLOCK_ENTRIES // n) != 0  # the last block is partial
+        rng = np.random.default_rng(3)
+        for x in (starting_point(p, 1), p.feasible_set.sample(rng)):
+            batched = fd_jacobian(p.fun, x, vectorized=True)
+            assert batched.tobytes() == fd_jacobian(p.fun, x).tobytes()
+
+    @pytest.mark.parametrize("groups_per_block", [1, 2, 3, 4, 100])
+    def test_blocks_of_any_size_bit_identical(self, monkeypatch, groups_per_block):
+        n = 10
+        monkeypatch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", groups_per_block * n)
+        x = np.linspace(-2.0, 3.0, n)
+        per_point = fd_jacobian(_tridiagonal_fun, x)
+        batched = fd_jacobian(_tridiagonal_fun, x, vectorized=True)
+        assert batched.tobytes() == per_point.tobytes()
+        pattern = sparse.diags_array([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                                     offsets=[-1, 0, 1])
+        grouped = fd_jacobian(_tridiagonal_fun, x, pattern=pattern, vectorized=True)
+        reference = fd_jacobian(_tridiagonal_fun, x, pattern=pattern)
+        assert isinstance(grouped, CSRModel)
+        assert np.array_equal(grouped.indptr, reference.indptr)
+        assert np.array_equal(grouped.indices, reference.indices)
+        assert grouped.data.tobytes() == reference.data.tobytes()
+        assert np.array_equal(grouped.toarray(), per_point)
+
+    def test_one_unknown(self):
+        fun = lambda v: v ** 3 - 2.0 * v
+        x = np.array([1.3])
+        for pattern in (None, np.ones((1, 1), dtype=bool)):
+            batched = fd_jacobian(fun, x, pattern=pattern, vectorized=True)
+            per_point = fd_jacobian(fun, x, pattern=pattern)
+            batched = batched if pattern is None else batched.toarray()
+            per_point = per_point if pattern is None else per_point.toarray()
+            assert batched.shape == (1, 1)
+            assert batched.tobytes() == per_point.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_inside_a_block_names_the_same_column(self, monkeypatch):
+        # the steps follow the sign of x, so only columns 5 and 7 step into v > 0
+        n = 10
+        monkeypatch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", 4 * n)
+        fun = lambda v: np.where(v > 0.0, np.inf, v)
+        x = -np.ones(n)
+        x[[5, 7]] = 0.0
+        for vectorized in (False, True):
+            with pytest.raises(JacobianError, match=r"x\[5\]"):
+                fd_jacobian(fun, x, vectorized=vectorized)
 
 
 class TestSchubertUpdate:

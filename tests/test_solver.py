@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,23 @@ class TestSolve:
             assert report.status == "converged"
             errs = [np.linalg.norm(it - p.known_root) for it in report.iterates]
             assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
+@pytest.mark.parametrize("pid, n", [("pb1_h_equation", 100), ("pb4_discrete_integral", 200)])
+def test_vectorized_fd_keeps_every_history_bit_for_bit(pid, n, strategy):
+    p = make_problem(pid, n)
+    assert p.vectorized
+    cfg = SolverConfig(jacobian_strategy=strategy)
+    for gamma in (1, 3):
+        x0 = starting_point(p, gamma)
+        batched = solve(p, x0, cfg)
+        per_point = solve(dataclasses.replace(p, vectorized=False), x0, cfg)
+        assert batched.status == per_point.status
+        assert batched.residual_norms == per_point.residual_norms
+        assert len(batched.iterates) == len(per_point.iterates)
+        for a, b in zip(batched.iterates, per_point.iterates):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestVerifyMkConditions:
