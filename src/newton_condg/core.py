@@ -66,7 +66,10 @@ class Problem:
         jac: optional analytic Jacobian callback x -> (n, n) array or
             scipy.sparse matrix.
         pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
-            scipy.sparse, stored as a canonical boolean CSR array. Declaring
+            scipy.sparse, stored as canonical_pattern(pattern): a boolean CSR
+            array with read-only arrays, kept as it is when it already is one
+            (so dataclasses.replace copies share it) and copied otherwise, so
+            the caller's mask stays writable. Declaring
             one selects CSR model matrices under every Jacobian strategy
             (column-grouped finite differences, the Schubert update on the
             pattern); with None the models are dense and the secant update
@@ -102,9 +105,7 @@ class Problem:
                 f"feasible_set has n={self.feasible_set.n} but the problem has n={self.n}"
             )
         if self.pattern is not None:
-            patt = sparse.csr_array(self.pattern, dtype=bool, copy=True)
-            patt.eliminate_zeros()
-            patt.sum_duplicates()
+            patt = canonical_pattern(self.pattern)
             if patt.shape != (self.n, self.n):
                 raise ValueError("pattern must be a boolean (n, n) mask")
             object.__setattr__(self, "pattern", patt)
@@ -251,6 +252,35 @@ def check_problem(problem, rng=None, samples=8):
         res = np.abs(problem.fun(problem.known_root)).max()
         if res > 1e-10:
             raise AssertionError(f"{problem.name}: known_root residual {res:.3e}")
+
+
+def canonical_pattern(pattern):
+    """A dense or sparse boolean mask as the canonical form Problem stores.
+
+    That form is a boolean scipy.sparse.csr_array with sorted, duplicate-free
+    indices, no explicit False, and read-only data, indices and indptr, so
+    that what is derived from it once (the Jacobian layer's colouring) cannot
+    go stale. A pattern already in that form is returned as it is; anything
+    else is copied.
+    """
+    if (
+        type(pattern) is sparse.csr_array
+        and pattern.dtype == bool
+        and not (
+            pattern.data.flags.writeable
+            or pattern.indices.flags.writeable
+            or pattern.indptr.flags.writeable
+        )
+        and pattern.has_canonical_format
+        and pattern.data.all()
+    ):
+        return pattern
+    patt = sparse.csr_array(pattern, dtype=bool, copy=True)
+    patt.eliminate_zeros()
+    patt.sum_duplicates()
+    for arr in (patt.data, patt.indices, patt.indptr):
+        arr.flags.writeable = False
+    return patt
 
 
 def _off_pattern_max(jac, pattern):

@@ -6,14 +6,22 @@ secant update (Schubert/Broyden) refreshed by finite differences every
 `refresh_period` iterations.
 
 The storage of M_k follows what the problem declares. When it declares a
-pattern (Problem stores every pattern as a boolean CSR array), M_k is a
+pattern (Problem stores every pattern as a read-only boolean CSR array), M_k is a
 CSRModel with the pattern's structure: finite differences perturb each group
 of structurally orthogonal columns in one residual call (Curtis, Powell and
-Reid 1974), with the greedy column colouring computed once per solve, and
-the Schubert update rewrites the CSR data array in O(nnz). A problem that
-declares no pattern gets a dense ndarray built column by column and the
-classical Broyden update, except that the exact strategy keeps a sparse
-problem.jac sparse. Sparsity is never guessed from computed values.
+Reid 1974), and the Schubert update rewrites the CSR data array in O(nnz).
+A problem that declares no pattern gets a dense ndarray built column by
+column and the classical Broyden update, except that the exact strategy
+keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
+values.
+
+What both builds need of a pattern (the greedy column colouring and its
+group order, the row of every stored entry, the CSR indptr/indices that
+every model shares) lives in one _Layout per pattern. A Problem's layout is
+built on its first finite-difference or Schubert build and kept on
+problem.pattern, so every later solve reads it, and so do
+dataclasses.replace copies, which keep the same pattern object. A problem
+solved only with its exact Jacobian never builds one.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -22,11 +30,12 @@ as many perturbed points, stacked as rows, as fit in FD_BLOCK_ENTRIES
 entries, and the model is bit-identical to the one built point by point.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+from .core import canonical_pattern
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -52,14 +61,9 @@ class CSRModel(sparse.csr_array):
 
 @dataclass
 class JacobianState:
-    """Model matrix M plus what the next call of next_jacobian reuses.
-
-    colouring is the column colouring of problem.pattern, computed once and
-    carried along; None when the problem declares no pattern.
-    """
+    """Model matrix M of one outer iteration; the next secant update reads it."""
 
     M: object
-    colouring: Optional[np.ndarray] = None
 
 
 def as_model(M):
@@ -71,11 +75,45 @@ def as_model(M):
     return M
 
 
-def _pattern_model(pattern):
-    """CSRModel holding 1.0 at every entry of a dense or sparse boolean pattern."""
-    P = sparse.csr_array(pattern, dtype=bool, copy=True)
-    P.eliminate_zeros()
-    return as_model(P)
+class _Layout:
+    """What finite differences and the Schubert update need of a canonical
+    boolean CSR pattern P, derived once.
+
+    colour is column_colouring(P), order and start give the columns of group
+    g as order[start[g]:start[g + 1]] (ascending: the sort is stable), rows
+    and entry_colour give the row and the column's group of every stored
+    entry, and indptr and indices are P's own read-only arrays, which every
+    model built by model() shares.
+    """
+
+    def __init__(self, P):
+        self.shape = P.shape
+        self.indptr, self.indices = P.indptr, P.indices
+        self.rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        self.colour = column_colouring(P)
+        self.order = np.argsort(self.colour, kind="stable")
+        self.start = np.searchsorted(
+            self.colour[self.order], np.arange(self.colour.max() + 2)
+        ).tolist()
+        self.entry_colour = self.colour[P.indices]
+
+    def model(self, data):
+        """The CSRModel storing data at the pattern's entries."""
+        return CSRModel((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _layout(pattern):
+    """The _Layout of a dense or sparse boolean pattern.
+
+    It is kept on the canonical pattern, so a Problem's pattern, which is
+    already canonical, builds one layout in its lifetime; any other pattern
+    is copied to a canonical one, and its layout goes with that copy.
+    """
+    P = canonical_pattern(pattern)
+    layout = getattr(P, "_jacobian_layout", None)
+    if layout is None:
+        layout = P._jacobian_layout = _Layout(P)
+    return layout
 
 
 def column_colouring(pattern):
@@ -84,7 +122,8 @@ def column_colouring(pattern):
     Columns j and k get different colours whenever some row i has both
     (i, j) and (i, k) in the pattern, so the columns of one colour can be
     perturbed together. Returns colour[j] for every column; a full pattern
-    needs n colours, a tridiagonal one 3.
+    needs n colours, a tridiagonal one 3. The colours are 0, 1, ..., k - 1:
+    a column takes the smallest colour none of its neighbours has.
     """
     P = sparse.csr_array(pattern, dtype=float)
     # columns that share a row are the neighbours in P^T P
@@ -102,17 +141,17 @@ def column_colouring(pattern):
     return np.asarray(colour, dtype=np.intp)
 
 
-def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None, vectorized=False):
+def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     """Forward-difference Jacobian of fun at x.
 
     Column j uses the step h_j = sqrt(machine eps) * max(|x_j|, 1) with the
     sign of x_j (positive when x_j == 0). A group of columns is perturbed
     together at one point. Without a pattern each column is a group and the
     result is a dense ndarray. With a sparsity pattern (dense or
-    scipy.sparse) the groups are the colours of column_colouring(pattern), or
-    of the colouring passed in (gaps in its numbering are fine), and the
-    result is a CSRModel with exactly the pattern's structure, bit-identical
-    to the dense one when fun honours the pattern.
+    scipy.sparse) the groups are the colours of column_colouring(pattern),
+    computed once per Problem pattern, and the result is a CSRModel with
+    exactly the pattern's structure, bit-identical to the dense one when fun
+    honours the pattern.
 
     One loop runs over blocks of groups and makes one residual call per
     block. A block is one group, unless vectorized is true: then fun takes an
@@ -135,18 +174,16 @@ def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None, vectorized=False)
     if pattern is None:
         jac = np.empty((n, n))
         diffs = jac.T  # row j of diffs is column j of jac
-        colour = np.arange(n)
+        colour = order = np.arange(n)
+        start = range(n + 1)
     else:
-        P = _pattern_model(pattern)
-        colour = column_colouring(P) if colouring is None else colouring
-        _, colour = np.unique(colour, return_inverse=True)  # renumber 0, 1, ...
-        diffs = np.empty((colour.max() + 1, n))
+        layout = _layout(pattern)
+        colour, order, start = layout.colour, layout.order, layout.start
+        diffs = np.empty((len(start) - 1, n))
     groups_per_block = max(1, FD_BLOCK_ENTRIES // n) if vectorized else 1
-    # group g perturbs the columns order[start[g]:start[g + 1]] (ascending:
-    # the sort is stable) in row g % groups_per_block of its block's points;
-    # flat holds those positions in the flattened points
-    order = np.argsort(colour, kind="stable")
-    start = np.searchsorted(colour[order], np.arange(len(diffs) + 1)).tolist()
+    # group g perturbs the columns order[start[g]:start[g + 1]] in row
+    # g % groups_per_block of its block's points; flat holds those positions
+    # in the flattened points
     flat = colour[order] % groups_per_block * n + order
     step = h[order]
     for g0 in range(0, len(diffs), groups_per_block):
@@ -164,9 +201,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, colouring=None, vectorized=False)
     if pattern is None:
         jac /= h
         return jac
-    rows = np.repeat(np.arange(n), np.diff(P.indptr))
-    P.data = diffs[colour[P.indices], rows] / h[P.indices]
-    return P
+    return layout.model(diffs[layout.entry_colour, layout.rows] / h[layout.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):
@@ -206,25 +241,22 @@ def schubert_update(M, s, yvec, pattern=None):
 
 
 def _schubert_update_csr(M, s, yvec, pattern):
-    P = _pattern_model(pattern)
+    layout = _layout(pattern)
     M = as_model(M)
-    if M.shape != P.shape:
+    if M.shape != layout.shape:
         raise ValueError("M and pattern shapes differ")
-    n = P.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(P.indptr))
-    if np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices):
-        P.data = M.data
-    else:  # embed M, which may store only part of the pattern
-        P.data = M[rows, P.indices]
-        if np.count_nonzero(P.data) != np.count_nonzero(M.data):
+    rows, indices = layout.rows, layout.indices
+    if not (np.array_equal(M.indptr, layout.indptr) and np.array_equal(M.indices, indices)):
+        data = M[rows, indices]  # embed M, which may store only part of the pattern
+        if np.count_nonzero(data) != np.count_nonzero(M.data):
             raise JacobianError("M has entries outside the sparsity pattern")
-    s_at = s[P.indices]
-    denom = np.bincount(rows, weights=s_at * s_at, minlength=n)
-    resid = yvec - P @ s
+        M = layout.model(data)
+    s_at = s[indices]
+    denom = np.bincount(rows, weights=s_at * s_at, minlength=layout.shape[0])
+    resid = yvec - M @ s
     safe = np.where(denom > 0.0, denom, 1.0)
     scale = np.where(denom > 0.0, resid / safe, 0.0)
-    P.data = P.data + scale[rows] * s_at
-    return P
+    return layout.model(M.data + scale[rows] * s_at)
 
 
 def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, fx=None):
@@ -236,11 +268,15 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     whenever (k - 1) mod refresh_period == 0,
     otherwise the rowwise secant update of the previous matrix using
     step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
-    problem.pattern the first call colours it, every finite-difference build
-    is column-grouped and the model is CSR; without one, the builds are
-    column by column and the secant update is Broyden's. A problem that
-    declares vectorized=True has fd_jacobian evaluate its perturbed points in
-    blocks. fx = F(x), when given, spares fd_jacobian one evaluation.
+    problem.pattern every finite-difference build is column-grouped and the
+    model is CSR; both builds read the pattern's layout (colouring, group
+    order, entry rows, CSR template), which the problem's first
+    finite-difference or Schubert build derives and problem.pattern keeps for
+    every later solve of the problem or of a dataclasses.replace copy.
+    Without a pattern, the builds are column by column and the secant update
+    is Broyden's. A problem that declares vectorized=True has fd_jacobian
+    evaluate its perturbed points in blocks. fx = F(x), when given, spares
+    fd_jacobian one evaluation.
     Finiteness of M is left to the linear solve, which checks it once.
     """
     x = np.asarray(x, dtype=float)
@@ -251,16 +287,12 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     if strategy not in (FINITE_DIFFERENCE, SCHUBERT):
         raise ValueError(f"unknown jacobian strategy {strategy!r}")
 
-    pattern = problem.pattern
-    if state is None:
-        colouring = None if pattern is None else column_colouring(pattern)
-        state = JacobianState(M=None, colouring=colouring)
-
     refresh = k == 0 or (k >= 1 and (k - 1) % refresh_period == 0)
-    if strategy == FINITE_DIFFERENCE or refresh or state.M is None:
-        M = fd_jacobian(problem.fun, x, fx, pattern, state.colouring, problem.vectorized)
-        return replace(state, M=M)
+    if strategy == FINITE_DIFFERENCE or refresh or state is None:
+        return JacobianState(
+            M=fd_jacobian(problem.fun, x, fx, problem.pattern, problem.vectorized)
+        )
     if step is None:
         raise ValueError("schubert update needs the previous step data")
     s, f_diff = step
-    return replace(state, M=schubert_update(state.M, s, f_diff, pattern))
+    return JacobianState(M=schubert_update(state.M, s, f_diff, problem.pattern))

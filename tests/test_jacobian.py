@@ -238,7 +238,7 @@ class TestNextJacobian:
         )
         x = np.full(n, 1.1)
         state = next_jacobian(None, 0, p, x, "schubert")
-        assert type(state.M) is np.ndarray and state.colouring is None
+        assert type(state.M) is np.ndarray
         np.testing.assert_array_equal(state.M, fd_jacobian(p.fun, x))
         s = np.array([1e-3, -2e-3, 5e-4])
         step = (s, p.fun(x + s) - p.fun(x))

@@ -106,11 +106,26 @@ class TestGroupedFD:
         assert sorted(column_colouring(full)) == list(range(6))
         assert np.array_equal(fd_jacobian(fun, x, pattern=full).toarray(), fd_jacobian(fun, x))
 
-    def test_colouring_with_gaps_in_its_numbering(self):
-        fun = lambda v: np.array([1.0, 2.0, 3.0, 4.0]) * v ** 3
+    def test_diagonal_pattern_is_one_group(self):
+        calls = []
+
+        def fun(v):
+            calls.append(1)
+            return np.array([1.0, 2.0, 3.0, 4.0]) * v ** 3
+
         x = np.array([0.5, -1.0, 2.0, 0.0])
-        colouring = np.array([0, 2, 0, 2])
-        grouped = fd_jacobian(fun, x, pattern=sparse.eye_array(4), colouring=colouring)
+        grouped = fd_jacobian(fun, x, fun(x), pattern=sparse.eye_array(4))
+        assert len(calls) == 2
+        assert np.array_equal(grouped.toarray(), fd_jacobian(fun, x))
+
+    def test_a_writable_pattern_is_read_afresh_on_every_call(self):
+        fun = lambda v: np.array([v[0] + v[1], v[1], v[2]])
+        x = np.array([1.0, 2.0, 3.0])
+        mask = np.eye(3, dtype=bool)
+        assert fd_jacobian(fun, x, pattern=mask).nnz == 3
+        mask[0, 1] = True
+        grouped = fd_jacobian(fun, x, pattern=mask)
+        assert grouped.nnz == 4
         assert np.array_equal(grouped.toarray(), fd_jacobian(fun, x))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -144,14 +159,40 @@ class TestColouring:
             colour = column_colouring(sparse.csr_array(pattern))
             self._assert_valid(pattern, colour)
 
-    def test_computed_once_per_solve(self, monkeypatch):
+    def test_computed_once_per_problem(self, monkeypatch):
         calls = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
         p = make_problem("pb3_troesch", 100)
-        for strategy in ("finite_difference", "schubert"):
-            calls.clear()
-            report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+        x0 = starting_point(p, 1)
+        assert solve(p, x0, SolverConfig(jacobian_strategy="exact")).status == "converged"
+        assert calls == []  # built on the first finite-difference or Schubert build
+        copy = dataclasses.replace(p, fun=lambda x: p.fun(x))  # as a tracer wraps fun
+        assert copy.pattern is p.pattern
+        for problem, strategy in (
+            (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
+        ):
+            report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
             assert report.status == "converged" and report.iterations > 1
-            assert len(calls) == 1
+        assert len(calls) == 1
+
+
+def _assert_same_history(a, b):
+    assert a.status == b.status
+    assert a.residual_norms == b.residual_norms
+    assert len(a.iterates) == len(b.iterates)
+    for u, v in zip(a.iterates, b.iterates):
+        assert u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
+@pytest.mark.parametrize("pid", ["pb2_discrete_boundary", "pb3_troesch"])
+def test_cached_layout_keeps_every_history_bit_for_bit(pid, strategy):
+    p = make_problem(pid, 100)
+    x0 = starting_point(p, 1)
+    cfg = SolverConfig(jacobian_strategy=strategy)
+    first = solve(p, x0, cfg)  # builds the layout
+    assert first.status == "converged"
+    _assert_same_history(solve(p, x0, cfg), first)  # reads it
+    _assert_same_history(solve(make_problem(pid, 100), x0, cfg), first)
 
 
 class TestSparseSchubert:
@@ -352,6 +393,17 @@ class TestSparseProblems:
         with pytest.raises(ValueError):
             Problem(name="s", n=3, fun=lambda x: x, pattern=sparse.eye_array(2),
                     feasible_set=Box(np.zeros(3), np.ones(3)))
+
+    def test_pattern_is_read_only_and_shared_by_copies(self):
+        mask = np.eye(3, dtype=bool)
+        p = Problem(name="s", n=3, fun=lambda x: x, pattern=mask,
+                    feasible_set=Box(np.zeros(3), np.ones(3)))
+        for arr in (p.pattern.data, p.pattern.indices, p.pattern.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        mask[0, 1] = True  # the caller's mask was copied and stays writable
+        assert p.pattern.nnz == 3
+        assert dataclasses.replace(p, name="t").pattern is p.pattern
 
     @pytest.mark.parametrize("sparse_pattern", [True, False])
     @pytest.mark.parametrize("sparse_jac", [True, False])
