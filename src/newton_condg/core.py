@@ -115,6 +115,14 @@ class Problem:
                 raise ValueError("known_root must be an n-vector")
             object.__setattr__(self, "known_root", root)
 
+    def __setstate__(self, state):
+        # unpickling skips __post_init__ and numpy restores the pattern's
+        # arrays writable: store it in canonical form again, so that its
+        # Jacobian layout is derived once, not on every build
+        self.__dict__.update(state)
+        if self.pattern is not None:
+            object.__setattr__(self, "pattern", canonical_pattern(self.pattern))
+
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -16,10 +16,14 @@ keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
 What both builds need of a pattern (the greedy column colouring and its
-group order, the row of every stored entry, the CSR indptr/indices that
-every model shares) lives in one _Layout per pattern. A Problem's layout is
-built on its first finite-difference or Schubert build and kept on
-problem.pattern, so every later solve reads it, and so do
+group order, the row of every stored entry, one validated CSRModel template
+whose indptr/indices every model shares, and the linear solve's
+factorization plan) lives in one _Layout per pattern. Each model is a
+shallow copy of the template with its own data array, so no model pays the
+sparse constructor's checks, and each carries the plan, so lu_factor
+analyses the pattern's structure once, not once per factorization. A
+Problem's layout is built on its first finite-difference or Schubert build
+and kept on problem.pattern, so every later solve reads it, and so do
 dataclasses.replace copies, which keep the same pattern object. A problem
 solved only with its exact Jacobian never builds one.
 
@@ -30,12 +34,14 @@ as many perturbed points, stacked as rows, as fit in FD_BLOCK_ENTRIES
 entries, and the model is bit-identical to the one built point by point.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .core import canonical_pattern
+from .linsolve import _attach_plan
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -80,16 +86,22 @@ class _Layout:
     boolean CSR pattern P, derived once.
 
     colour is column_colouring(P), order and start give the columns of group
-    g as order[start[g]:start[g + 1]] (ascending: the sort is stable), rows
-    and entry_colour give the row and the column's group of every stored
-    entry, and indptr and indices are P's own read-only arrays, which every
-    model built by model() shares.
+    g as order[start[g]:start[g + 1]] (ascending: the sort is stable), and
+    entry_colour gives the column's group of every stored entry. template is
+    a CSRModel of P's structure, built and checked once by scipy; indptr and
+    indices are its read-only arrays, which every model built by model()
+    shares. plan is the linsolve._FactorPlan attached to the template, so
+    every model carries it; plan.rows is the row of every stored entry.
     """
 
     def __init__(self, P):
         self.shape = P.shape
-        self.indptr, self.indices = P.indptr, P.indices
-        self.rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        data = np.zeros(P.nnz)
+        data.flags.writeable = False  # every model gets its own data array
+        self.template = CSRModel((data, P.indices, P.indptr), shape=P.shape)
+        self.template.has_canonical_format  # computed once, copied to every model
+        self.indptr, self.indices = self.template.indptr, self.template.indices
+        self.plan = _attach_plan(self.template)
         self.colour = column_colouring(P)
         self.order = np.argsort(self.colour, kind="stable")
         self.start = np.searchsorted(
@@ -98,8 +110,10 @@ class _Layout:
         self.entry_colour = self.colour[P.indices]
 
     def model(self, data):
-        """The CSRModel storing data at the pattern's entries."""
-        return CSRModel((data, self.indices, self.indptr), shape=self.shape)
+        """The CSRModel storing the float array data at the pattern's entries."""
+        M = copy.copy(self.template)
+        M.data = data
+        return M
 
 
 def _layout(pattern):
@@ -201,7 +215,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     if pattern is None:
         jac /= h
         return jac
-    return layout.model(diffs[layout.entry_colour, layout.rows] / h[layout.indices])
+    return layout.model(diffs[layout.entry_colour, layout.plan.rows] / h[layout.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):
@@ -242,15 +256,18 @@ def schubert_update(M, s, yvec, pattern=None):
 
 def _schubert_update_csr(M, s, yvec, pattern):
     layout = _layout(pattern)
-    M = as_model(M)
     if M.shape != layout.shape:
         raise ValueError("M and pattern shapes differ")
-    rows, indices = layout.rows, layout.indices
-    if not (np.array_equal(M.indptr, layout.indptr) and np.array_equal(M.indices, indices)):
-        data = M[rows, indices]  # embed M, which may store only part of the pattern
-        if np.count_nonzero(data) != np.count_nonzero(M.data):
-            raise JacobianError("M has entries outside the sparsity pattern")
-        M = layout.model(data)
+    rows, indices = layout.plan.rows, layout.indices
+    if not layout.plan.fits(M):  # M was not built from this layout
+        M = as_model(M)
+        if not (
+            np.array_equal(M.indptr, layout.indptr) and np.array_equal(M.indices, indices)
+        ):
+            data = M[rows, indices]  # embed M, which may store only part of the pattern
+            if np.count_nonzero(data) != np.count_nonzero(M.data):
+                raise JacobianError("M has entries outside the sparsity pattern")
+            M = layout.model(data)
     s_at = s[indices]
     denom = np.bincount(rows, weights=s_at * s_at, minlength=layout.shape[0])
     resid = yvec - M @ s

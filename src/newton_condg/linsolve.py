@@ -6,7 +6,14 @@ picks the kernel: LAPACK getrf for a dense ndarray; LAPACK gbtrf for a
 scipy.sparse matrix whose band, read from its stored structure, fits in
 BAND_STORAGE_RATIO times its stored entries; SuperLU
 (scipy.sparse.linalg.splu) for any other scipy.sparse matrix. All three
-share one pivot check (none below PIVOT_RTOL * maxabs). solve_direct solves
+share one pivot check (none below PIVOT_RTOL * maxabs). What a sparse
+factorization needs of the structure alone (the row of every entry, kl and
+ku, the kernel, where each entry goes in the band storage) is one
+_FactorPlan, the symbolic half of the factorization. A model built from a
+declared pattern carries its pattern's plan (see _attach_plan), so that
+analysis runs once per pattern and every later factorization of the
+pattern is numeric only; any other sparse model is analysed per call, with
+the same result. solve_direct solves
 with that factorization; solve_inexact only promises ||M s - b|| <= eta *
 ||b|| in the Euclidean norm, produced by GMRES with the contract re-verified by
 recomputation. GMRES runs on a dense M as it is and on a scipy.sparse M with
@@ -118,18 +125,25 @@ def lu_factor(M):
     factorized by LAPACK's banded LU when its band storage is at most
     BAND_STORAGE_RATIO times its stored entries (kl and ku come from the
     stored structure, never from values) and by SuperLU otherwise; anything
-    else is factorized as a dense float array by LAPACK. Raises
+    else is factorized as a dense float array by LAPACK. The structure of a
+    sparse M is analysed once per pattern: a model that carries the
+    _FactorPlan of its own indptr and indices (every model built from a
+    Problem's pattern does) reuses it, and any other sparse M is analysed
+    here; the kernel and the factors are the same either way. Raises
     LinearSolveFailure when M has a non-finite entry, is zero, or is
     singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)),
     whichever kernel ran.
     """
     if sparse.issparse(M):
-        A = sparse.csr_array(M, dtype=float)
-        if not A.has_canonical_format:  # A may share M's arrays; sort a copy
-            A = A.copy()
-            A.sum_duplicates()
+        A, plan = M, getattr(M, "_factor_plan", None)
+        if plan is None or not plan.fits(M):
+            A = sparse.csr_array(M, dtype=float)
+            if not A.has_canonical_format:  # A may share M's arrays; sort a copy
+                A = A.copy()
+                A.sum_duplicates()
+            plan = _FactorPlan(A.indptr, A.indices)
         scale = _checked_scale(A.data)
-        factors = _sparse_lu(A)
+        factors = _sparse_lu(A, plan)
     else:
         A = np.asarray(M, dtype=float)
         scale = _checked_scale(A)
@@ -139,19 +153,61 @@ def lu_factor(M):
     return factors
 
 
-def _sparse_lu(A):
-    """_BandLU of a canonical CSR A with a narrow enough band, else _SparseLU."""
-    n = A.shape[0]
-    offsets = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))  # j - i
-    kl = max(-int(offsets.min()), 0)
-    ku = max(int(offsets.max()), 0)
-    if (2 * kl + ku + 1) * n > BAND_STORAGE_RATIO * A.nnz:
+class _FactorPlan:
+    """The structure of a canonical CSR matrix's factorization, from its
+    indptr and indices alone.
+
+    rows is the row of every stored entry, kl and ku the band's sub- and
+    superdiagonals, band whether the band storage fits (BAND_STORAGE_RATIO),
+    and, for a band, flat the position of every entry in the Fortran-ordered
+    gbtrf storage, A[i, j] at ab[kl + ku + i - j, j]. The plan keeps the
+    arrays it was derived from and fits only a matrix that stores those very
+    arrays, so it cannot be applied to a structure it was not derived from.
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr, self.indices = indptr, indices
+        n = len(indptr) - 1
+        self.rows = np.repeat(np.arange(n), np.diff(indptr))
+        offsets = indices - self.rows  # j - i
+        self.kl = max(-int(offsets.min()), 0) if offsets.size else 0
+        self.ku = max(int(offsets.max()), 0) if offsets.size else 0
+        ldab = 2 * self.kl + self.ku + 1
+        self.band = ldab * n <= BAND_STORAGE_RATIO * indices.size
+        self.flat = (
+            (self.kl + self.ku - offsets) + ldab * indices.astype(np.intp) if self.band else None
+        )
+
+    def fits(self, M):
+        """True when M is a float CSR matrix storing this plan's own arrays."""
+        return (
+            M.format == "csr"
+            and M.indptr is self.indptr
+            and M.indices is self.indices
+            and M.dtype == np.float64
+        )
+
+
+def _attach_plan(model):
+    """Derive the _FactorPlan of a canonical float CSR model and attach it.
+
+    Copies of model (copy.copy) carry the plan, and lu_factor reuses it for
+    every copy that still stores model's indptr and indices. Returns the plan.
+    """
+    model._factor_plan = _FactorPlan(model.indptr, model.indices)
+    return model._factor_plan
+
+
+def _sparse_lu(A, plan):
+    """_BandLU of a canonical CSR A when plan says its band fits, else _SparseLU."""
+    if not plan.band:
         try:
             return _SparseLU(splu(A.tocsc()))
         except RuntimeError:  # SuperLU met an exactly zero pivot
             raise LinearSolveFailure("model matrix is singular") from None
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")  # A[i, j] at ab[kl + ku + i - j, j]
-    ab[kl + ku - offsets, A.indices] = A.data
+    kl, ku, n = plan.kl, plan.ku, A.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab.reshape(-1, order="F")[plan.flat] = A.data
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
     if info > 0:  # an exactly zero pivot
         raise LinearSolveFailure("model matrix is singular")
@@ -257,8 +313,10 @@ def _require_finite(values):
 
 def _checked_scale(values):
     """maxabs of the stored entries; LinearSolveFailure if non-finite or zero."""
-    _require_finite(values)
+    # one pass: a nan or an infinity anywhere makes the max non-finite
     scale = np.abs(values).max() if values.size else 0.0
+    if not np.isfinite(scale):
+        raise LinearSolveFailure("model matrix has non-finite entries")
     if scale == 0.0:
         raise LinearSolveFailure("model matrix is zero")
     return scale

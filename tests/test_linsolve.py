@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy import linalg, sparse
@@ -12,7 +14,8 @@ from newton_condg import (
     solve_inexact,
     spectral_norm,
 )
-from newton_condg.linsolve import _BandLU, _SparseLU, lu_factor
+from newton_condg.jacobian import _layout
+from newton_condg.linsolve import _BandLU, _FactorPlan, _SparseLU, lu_factor
 
 
 def _random_band(rng, n, kl, ku):
@@ -175,6 +178,112 @@ class TestBandLU:
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
         np.testing.assert_array_equal(M.indices, [1, 0, 0, 1])
         np.testing.assert_array_equal(M.data, [1.0, 2.0, 3.0, 5.0])
+
+
+def _arrowhead(n):
+    A = np.diag(np.full(n, 4.0))
+    A[0, :] = A[:, 0] = 1.0
+    A[0, 0] = 4.0
+    return A
+
+
+def _layout_model(A):
+    """A model of A built as finite differences build one: from its pattern's layout."""
+    layout = _layout(sparse.csr_array(A != 0))
+    return layout.model(sparse.csr_array(A).data.copy())
+
+
+def _plain(M):
+    """A scipy-built copy of M that carries no factorization plan."""
+    return sparse.csr_array((M.data.copy(), M.indices.copy(), M.indptr.copy()), shape=M.shape)
+
+
+def _plans_derived(monkeypatch):
+    plans = []
+    original = _FactorPlan.__init__
+
+    def counted(self, *args):
+        plans.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(_FactorPlan, "__init__", counted)
+    return plans
+
+
+class TestFactorPlan:
+    """A model built from a pattern's layout factorizes with the cached plan,
+    and exactly as a plain CSR copy of it does."""
+
+    @pytest.mark.parametrize(
+        "A, kind",
+        [(_random_band(np.random.default_rng(3), 40, 1, 1).toarray(), _BandLU),
+         (_arrowhead(20), _SparseLU)],
+        ids=["tridiagonal", "arrowhead"],
+    )
+    def test_cached_plan_gives_the_same_bits(self, monkeypatch, A, kind):
+        M = _layout_model(A)
+        plans = _plans_derived(monkeypatch)
+        cached = lu_factor(M)
+        assert plans == []  # read from the model
+        plain = lu_factor(_plain(M))
+        assert len(plans) == 1  # derived for the copy
+        assert type(cached) is type(plain) is kind
+        b = np.random.default_rng(4).standard_normal((A.shape[0], 2))
+        for rhs in (b[:, 0], b):
+            assert cached.solve(rhs).tobytes() == plain.solve(rhs).tobytes()
+        np.testing.assert_allclose(cached.solve(b), np.linalg.solve(A, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("A", [_random_band(np.random.default_rng(5), 12, 1, 1).toarray(),
+                                   _arrowhead(12)], ids=["tridiagonal", "arrowhead"])
+    def test_failures_are_the_same_either_way(self, A):
+        cases = []
+        for bad in (np.nan, np.inf, -np.inf):
+            M = _layout_model(A)
+            M.data[3] = bad
+            cases.append(M)
+        M = _layout_model(A)
+        M.data[:] = 0.0
+        cases.append(M)
+        M = _layout_model(A)
+        M.data[M.indptr[1]:M.indptr[2]] = 0.0  # a stored zero row
+        cases.append(M)
+        messages = []
+        for M in cases:
+            with pytest.raises(LinearSolveFailure) as cached:
+                lu_factor(M)
+            with pytest.raises(LinearSolveFailure) as plain:
+                lu_factor(_plain(M))
+            assert str(cached.value) == str(plain.value)
+            messages.append(str(cached.value))
+        assert messages[:3] == ["model matrix has non-finite entries"] * 3
+        assert messages[3] == "model matrix is zero"
+        assert "singular" in messages[4]
+
+    def test_a_model_with_other_indices_is_analysed_afresh(self, monkeypatch):
+        n = 8
+        M = _layout_model(_random_band(np.random.default_rng(6), n, 1, 1).toarray())
+        plans = _plans_derived(monkeypatch)
+        equal = copy.copy(M)
+        equal.indices = M.indices.copy()  # the same structure in another array
+        lu_factor(equal)
+        assert len(plans) == 1
+        # a stale plan would place row 1's entries in the wrong diagonals
+        moved = copy.copy(M)
+        moved.indices = M.indices.copy()
+        moved.indices[M.indptr[1]:M.indptr[2]] = [1, 2, 3]
+        b = np.arange(1.0, n + 1.0)
+        x = lu_factor(moved).solve(b)
+        assert len(plans) == 2
+        np.testing.assert_allclose(x, np.linalg.solve(_plain(moved).toarray(), b), rtol=1e-12)
+
+    def test_models_own_their_data(self):
+        layout = _layout(sparse.csr_array(_arrowhead(6) != 0))
+        first = layout.model(np.ones(layout.plan.rows.size))
+        second = layout.model(np.full(layout.plan.rows.size, 2.0))
+        first.data[0] = 7.0
+        assert first[0, 0] == 7.0 and second[0, 0] == 2.0
+        assert not layout.template.data.any()
+        assert first.indices is second.indices is layout.template.indices
 
 
 class TestForcingEta:

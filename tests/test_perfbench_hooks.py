@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from newton_condg import Box, EuclideanBall, Simplex, make_problem, next_jacobian
+from newton_condg.jacobian import CSRModel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,11 +43,18 @@ def test_method_hooks_are_defined_on_every_built_in_set(cls):
 @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
 def test_models_report_nbytes(pid, strategy):
     # the tracer reads next_jacobian(...).M.nbytes for the model-bytes count
+    # and args[0].shape of lu_factor; FD and Schubert models of a pattern are
+    # copies of one template, and must report both as a constructed CSRModel does
     p = make_problem(pid, 20)
     x = p.feasible_set.sample(np.random.default_rng(0))
-    state = next_jacobian(None, 0, p, x, strategy)
-    assert state.M.nbytes > 0
     s = 1e-3 * x
     step = (s, p.fun(x + s) - p.fun(x))
-    state = next_jacobian(state, 2, p, x + s, strategy, step=step)
-    assert state.M.nbytes > 0
+    first = next_jacobian(None, 0, p, x, strategy)
+    second = next_jacobian(first, 2, p, x + s, strategy, step=step)
+    for M in (first.M, second.M):
+        assert M.nbytes > 0
+        assert M.shape == (20, 20)
+        if p.pattern is not None and strategy != "exact":
+            assert isinstance(M, CSRModel)
+            built = CSRModel((M.data, M.indices, M.indptr), shape=M.shape)
+            assert M.nbytes == built.nbytes

@@ -3,6 +3,7 @@ banded LU and SuperLU factorizations, ILU-preconditioned GMRES, and the
 registry problems that declare sparse patterns."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,14 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _chain_residual(x):
+    """Residual of 3 x_i + x_i^3 - x_{i-1} - x_{i+1} = 1: module level, so it pickles."""
+    f = 3.0 * x + x ** 3 - 1.0
+    f[1:] -= x[:-1]
+    f[:-1] -= x[1:]
+    return f
 
 
 def _gmres_preconditioners(monkeypatch):
@@ -173,6 +182,47 @@ class TestColouring:
             report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
             assert report.status == "converged" and report.iterations > 1
         assert len(calls) == 1
+
+
+def test_factor_plan_derived_once_per_problem(monkeypatch):
+    plans = []
+    original = newton_condg.linsolve._FactorPlan.__init__
+
+    def counted(self, *args):
+        plans.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(newton_condg.linsolve._FactorPlan, "__init__", counted)
+    p = make_problem("pb3_troesch", 100)
+    x0 = starting_point(p, 1)
+    copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
+    factorizations = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
+    for problem, strategy in (
+        (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
+    ):
+        report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
+        assert report.status == "converged" and report.iterations > 1
+    assert len(factorizations) > 3
+    assert len(plans) == 1
+    assert plans[0] is p.pattern._jacobian_layout.plan
+
+
+def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
+    n = 50
+    p = Problem(name="chain", n=n, fun=_chain_residual, feasible_set=Box(-np.ones(n), np.ones(n)),
+                pattern=_tridiagonal(1.0, np.ones(n), 1.0))
+    x = np.full(n, 0.3)
+    fd_jacobian(p.fun, x, pattern=p.pattern)  # the pickle carries a layout too
+    q = pickle.loads(pickle.dumps(p))
+    for arr in (q.pattern.data, q.pattern.indices, q.pattern.indptr):
+        assert not arr.flags.writeable
+    np.testing.assert_array_equal(q.pattern.toarray(), p.pattern.toarray())
+    calls = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+    first = fd_jacobian(q.fun, x, pattern=q.pattern)
+    second = fd_jacobian(q.fun, x, pattern=q.pattern)
+    assert len(calls) == 1
+    assert np.array_equal(first.toarray(), second.toarray())
+    assert np.array_equal(first.toarray(), fd_jacobian(p.fun, x, pattern=p.pattern).toarray())
 
 
 def _assert_same_history(a, b):
