@@ -23,6 +23,16 @@ no n-by-n array; pb1 and pb4 have full Jacobians, declare no pattern and
 stay dense. They declare vectorized residuals instead (rows of a 2-D input
 are points), so a finite-difference Jacobian evaluates many columns per
 residual call.
+
+The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
+copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
+element by element, for a negative base: with numpy 2.4.6 it takes about
+10 ms on a (65, 1000) block of negative bases against 0.4 ms for _cube,
+and the gamma = 0 and 1 starts of both problems have negative bases. For
+g >= 0 _cube is bit-identical to g ** 3; for g < 0 it returns -(|g| ** 3),
+which can differ from g ** 3 in the last bit. `g * g * g` would round
+differently for positive bases too.
+
 All builders are pure and the produced Problems immutable. The starting-point
 rule is x0(gamma) = l + 0.25 gamma (u - l) for finite boxes and
 10**gamma * (1, ..., 1) (clipped to the capped box) when an upper bound is
@@ -70,6 +80,17 @@ def _diagonal(values):
     return sparse.csr_array((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
+def _cube(g):
+    """g ** 3 elementwise, on numpy's vectorized pow whatever the sign of g."""
+    # a negative base sends np.power to its scalar fallback; |g| ** 3 stays
+    # on the SIMD path, and copysign restores the sign (-0.0, -inf and a
+    # negative nan included), all in one buffer
+    a = np.abs(g)
+    np.power(a, 3, out=a)
+    np.copysign(a, g, out=a)
+    return a
+
+
 def _h_equation(n, c=0.99):
     # midpoint nodes mu_i = (i - 1/2)/n; kernel (c/2n) mu_i/(mu_i + mu_j)
     mu = (np.arange(1, n + 1) - 0.5) / n
@@ -97,7 +118,7 @@ def _discrete_boundary(n):
     def fun(x):
         xm = np.concatenate(([0.0], x[:-1]))
         xp = np.concatenate((x[1:], [0.0]))
-        return 2.0 * x - xm - xp + h * h * (x + t + 1.0) ** 3 / 2.0
+        return 2.0 * x - xm - xp + h * h * _cube(x + t + 1.0) / 2.0
 
     def jac(x):
         return _tridiagonal(2.0 + 1.5 * h * h * (x + t + 1.0) ** 2, -1.0)
@@ -138,7 +159,7 @@ def _discrete_integral(n):
     )
 
     def fun(x):
-        g = (x + t + 1.0) ** 3
+        g = _cube(x + t + 1.0)
         s1 = np.cumsum(t * g, axis=-1)
         tail = (1.0 - t) * g
         rest = np.sum(tail, axis=-1, keepdims=True) - np.cumsum(tail, axis=-1)

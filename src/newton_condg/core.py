@@ -115,6 +115,16 @@ class Problem:
                 raise ValueError("known_root must be an n-vector")
             object.__setattr__(self, "known_root", root)
 
+    def __getstate__(self):
+        # pickle the pattern's arrays alone: what the Jacobian layer caches
+        # on it (its layout, several times the pattern's size) would be
+        # dropped by the canonical copy __setstate__ makes anyway
+        state = dict(self.__dict__)
+        if self.pattern is not None:
+            P = self.pattern
+            state["pattern"] = sparse.csr_array((P.data, P.indices, P.indptr), shape=P.shape)
+        return state
+
     def __setstate__(self, state):
         # unpickling skips __post_init__ and numpy restores the pattern's
         # arrays writable: store it in canonical form again, so that its

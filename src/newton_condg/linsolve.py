@@ -313,10 +313,12 @@ def _require_finite(values):
 
 def _checked_scale(values):
     """maxabs of the stored entries; LinearSolveFailure if non-finite or zero."""
-    # one pass: a nan or an infinity anywhere makes the max non-finite
-    scale = np.abs(values).max() if values.size else 0.0
-    if not np.isfinite(scale):
+    # max and min copy nothing, unlike np.abs(values); a nan makes both nan,
+    # +inf the max and -inf the min, so checking both catches every one
+    high, low = (values.max(), values.min()) if values.size else (0.0, 0.0)
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise LinearSolveFailure("model matrix has non-finite entries")
+    scale = max(high, -low)
     if scale == 0.0:
         raise LinearSolveFailure("model matrix is zero")
     return scale

@@ -11,7 +11,7 @@ from newton_condg import (
     solve,
     starting_point,
 )
-from newton_condg.bench import REGISTRY
+from newton_condg.bench import REGISTRY, _cube
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -63,14 +63,36 @@ def test_h_equation_independent_recomputation():
         assert fx[i] == pytest.approx(expected, rel=1e-14)
 
 
+def _discrete_boundary_reference(x):
+    n = x.size
+    h = 1.0 / (n + 1)
+    padded = [0.0, *x.tolist(), 0.0]  # boundary values
+    return [
+        2.0 * padded[i] - padded[i - 1] - padded[i + 1]
+        + h * h * (padded[i] + i * h + 1.0) ** 3 / 2.0
+        for i in range(1, n + 1)
+    ]
+
+
+def _discrete_integral_reference(x):
+    n = x.size
+    h = 1.0 / (n + 1)
+    t = [(j + 1) * h for j in range(n)]
+    cube = [(x[j] + t[j] + 1.0) ** 3 for j in range(n)]
+    out = []
+    for i in range(n):
+        low = sum(t[j] * cube[j] for j in range(i + 1))
+        high = sum((1.0 - t[j]) * cube[j] for j in range(i + 1, n))
+        out.append(x[i] + h * ((1.0 - t[i]) * low + t[i] * high) / 2.0)
+    return out
+
+
 def test_discrete_boundary_value_at_zero():
     n = 25
     p = make_problem("pb2_discrete_boundary", n)
-    fx = p.fun(np.zeros(n))
-    h = 1.0 / (n + 1)
-    for i in range(n):
-        t_i = (i + 1) * h
-        assert fx[i] == pytest.approx(h * h * (t_i + 1.0) ** 3 / 2.0, rel=1e-14)
+    np.testing.assert_allclose(
+        p.fun(np.zeros(n)), _discrete_boundary_reference(np.zeros(n)), rtol=1e-14
+    )
 
 
 def test_troesch_independent_recomputation():
@@ -95,14 +117,52 @@ def test_discrete_integral_independent_recomputation():
     p = make_problem("pb4_discrete_integral", n)
     rng = np.random.default_rng(2)
     x = rng.uniform(-1.0, 1.0, n)
-    fx = p.fun(x)
-    h = 1.0 / (n + 1)
-    t = (np.arange(n) + 1) * h
-    for i in range(n):
-        low = sum(t[j] * (x[j] + t[j] + 1.0) ** 3 for j in range(i + 1))
-        high = sum((1.0 - t[j]) * (x[j] + t[j] + 1.0) ** 3 for j in range(i + 1, n))
-        expected = x[i] + h * ((1.0 - t[i]) * low + t[i] * high) / 2.0
-        assert fx[i] == pytest.approx(expected, rel=1e-13)
+    np.testing.assert_allclose(p.fun(x), _discrete_integral_reference(x), rtol=1e-13)
+
+
+def test_cube_is_bit_identical_to_pow_for_non_negative_bases():
+    rng = np.random.default_rng(3)
+    g = np.concatenate((
+        [0.0, -0.0, np.inf, np.nan, 1e-310, 1e100],
+        rng.uniform(0.0, 200.0, 1000),
+        10.0 ** rng.uniform(-300.0, 100.0, 1000),
+    ))
+    for shape in (g.shape, (34, 59)):
+        base = g.reshape(shape)
+        assert _cube(base).tobytes() == (base ** 3).tobytes()
+
+
+def test_cube_is_minus_the_cube_of_abs_for_negative_bases():
+    rng = np.random.default_rng(4)
+    g = -np.concatenate(([np.inf, 1e-310, 1e100], rng.uniform(0.0, 200.0, 1000)))
+    g = g[g < 0]
+    expected = -(np.abs(g) ** 3)
+    assert _cube(g).tobytes() == expected.tobytes()
+    assert _cube(g.reshape(1, -1)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "pid, reference",
+    [
+        ("pb2_discrete_boundary", _discrete_boundary_reference),
+        ("pb4_discrete_integral", _discrete_integral_reference),
+    ],
+)
+def test_cubed_residuals_at_negative_bases(pid, reference):
+    # the gamma = 0 and 1 starts and random points where every x + t + 1 < 0
+    n = 30
+    p = make_problem(pid, n)
+    t = np.arange(1, n + 1) / (n + 1)
+    rng = np.random.default_rng(5)
+    points = [starting_point(p, 0), starting_point(p, 1)]
+    points += [rng.uniform(p.feasible_set.lower, -t - 1.0 - 1e-3) for _ in range(4)]
+    for x in points:
+        assert np.all(x + t + 1.0 < 0.0)
+        np.testing.assert_allclose(p.fun(x), reference(x), rtol=1e-13, atol=0.0)
+    if p.vectorized:
+        stacked = p.fun(np.stack(points))
+        assert stacked.tobytes() == np.stack([p.fun(x) for x in points]).tobytes()
+    check_problem(p)
 
 
 def test_synthetic_roots():

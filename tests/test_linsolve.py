@@ -15,7 +15,7 @@ from newton_condg import (
     spectral_norm,
 )
 from newton_condg.jacobian import _layout
-from newton_condg.linsolve import _BandLU, _FactorPlan, _SparseLU, lu_factor
+from newton_condg.linsolve import _BandLU, _FactorPlan, _SparseLU, _checked_scale, lu_factor
 
 
 def _random_band(rng, n, kl, ku):
@@ -284,6 +284,40 @@ class TestFactorPlan:
         assert first[0, 0] == 7.0 and second[0, 0] == 2.0
         assert not layout.template.data.any()
         assert first.indices is second.indices is layout.template.indices
+
+
+class TestCheckedScale:
+    NON_FINITE = "model matrix has non-finite entries"
+
+    @pytest.mark.parametrize("where", [0, 4, 8])  # first, in the middle, last
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere(self, where, bad):
+        A = np.arange(1.0, 10.0).reshape(3, 3) - 5.0
+        A.flat[where] = bad
+        with pytest.raises(LinearSolveFailure, match=f"^{self.NON_FINITE}$"):
+            _checked_scale(A)
+        with pytest.raises(LinearSolveFailure, match=f"^{self.NON_FINITE}$"):
+            lu_factor(A)
+        with pytest.raises(LinearSolveFailure, match=f"^{self.NON_FINITE}$"):
+            lu_factor(sparse.csr_array(A))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_matrix(self, zero):
+        A = np.full((3, 3), zero)
+        for values in (A, A[:0]):
+            with pytest.raises(LinearSolveFailure, match="^model matrix is zero$"):
+                _checked_scale(values)
+        with pytest.raises(LinearSolveFailure, match="^model matrix is zero$"):
+            lu_factor(A)
+
+    def test_is_the_max_abs_entry(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            A = rng.standard_normal((5, 5)) * 10.0 ** rng.uniform(-5, 5)
+            A[rng.random((5, 5)) < 0.3] = -0.0
+            assert _checked_scale(A) == np.abs(A).max()
+        assert _checked_scale(np.array([-3.0, -0.0, 2.0])) == 3.0
+        assert _checked_scale(np.array([-0.0, 2.0])) == 2.0
 
 
 class TestForcingEta:

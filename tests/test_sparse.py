@@ -212,7 +212,7 @@ def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
     p = Problem(name="chain", n=n, fun=_chain_residual, feasible_set=Box(-np.ones(n), np.ones(n)),
                 pattern=_tridiagonal(1.0, np.ones(n), 1.0))
     x = np.full(n, 0.3)
-    fd_jacobian(p.fun, x, pattern=p.pattern)  # the pickle carries a layout too
+    fd_jacobian(p.fun, x, pattern=p.pattern)  # caches a layout on the pattern
     q = pickle.loads(pickle.dumps(p))
     for arr in (q.pattern.data, q.pattern.indices, q.pattern.indptr):
         assert not arr.flags.writeable
@@ -231,6 +231,23 @@ def _assert_same_history(a, b):
     assert len(a.iterates) == len(b.iterates)
     for u, v in zip(a.iterates, b.iterates):
         assert u.tobytes() == v.tobytes()
+
+
+def test_pickle_leaves_the_cached_layout_behind():
+    n = 500
+    p = Problem(name="chain", n=n, fun=_chain_residual, feasible_set=Box(-np.ones(n), np.ones(n)),
+                pattern=_tridiagonal(1.0, np.ones(n), 1.0))
+    x0 = np.full(n, 0.3)
+    fresh = pickle.dumps(p)
+    report = solve(p, x0, SolverConfig())
+    assert report.status == "converged" and report.iterations > 1
+    assert hasattr(p.pattern, "_jacobian_layout")
+    solved = pickle.dumps(p)
+    assert len(solved) == len(fresh)
+    for data in (fresh, solved):
+        q = pickle.loads(data)
+        assert not hasattr(q.pattern, "_jacobian_layout")
+        _assert_same_history(solve(q, x0, SolverConfig()), report)
 
 
 @pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
