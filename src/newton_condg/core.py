@@ -11,6 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from .feasible_set import FeasibleSet
+from .linsolve import AdaptiveEta, ConstantEta
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -147,7 +148,8 @@ class SolverConfig:
         refresh_period: finite-difference refresh period m of the schubert
             strategy (refresh at k = 0 and whenever (k-1) mod m == 0).
         linsolve: "direct" or "inexact".
-        eta_policy: forcing policy for inexact solves (see linsolve module).
+        eta_policy: forcing policy (ConstantEta or AdaptiveEta) of an inexact
+            solve, None for ConstantEta(); a direct solve takes None only.
     """
 
     tol_inf: float = 1e-6
@@ -174,6 +176,11 @@ class SolverConfig:
             raise ValueError(f"unknown linsolve mode {self.linsolve!r}")
         if not self.theta >= 0:
             raise ValueError("theta must be >= 0")
+        if self.eta_policy is not None:
+            if not isinstance(self.eta_policy, (ConstantEta, AdaptiveEta)):
+                raise TypeError(f"unknown forcing policy {self.eta_policy!r}")
+            if self.linsolve == "direct":
+                raise ValueError("eta_policy applies to inexact solves only")
 
 
 @dataclass

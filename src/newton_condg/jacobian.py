@@ -15,15 +15,16 @@ column and the classical Broyden update, except that the exact strategy
 keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
-What both builds need of a pattern (the greedy column colouring and its
-group order, the row of every stored entry, one validated CSRModel template
-whose indptr/indices every model shares, and the linear solve's
-factorization plan) lives in one _Layout per pattern. Each model is a
-shallow copy of the template with its own data array, so no model pays the
-sparse constructor's checks, and each carries the plan, so lu_factor
-analyses the pattern's structure once, not once per factorization. A
-Problem's layout is built on its first finite-difference or Schubert build
-and kept on problem.pattern, so every later solve reads it, and so do
+Every model goes through linsolve.as_model, which owns CSRModel and gives
+each sparse model its factorization plan. What both builds need of a
+pattern (the greedy column colouring and its group order, the row of every
+stored entry, and a template, the as_model of the pattern, whose indptr,
+indices and plan every model shares) lives in one _Layout per pattern. Each
+model is a shallow copy of the template with its own data array, so no
+model pays the sparse constructor's checks and lu_factor analyses the
+pattern's structure once, not once per factorization. A Problem's layout is
+built on its first finite-difference or Schubert build and kept on
+problem.pattern, so every later solve reads it, and so do
 dataclasses.replace copies, which keep the same pattern object. A problem
 solved only with its exact Jacobian never builds one.
 
@@ -41,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import canonical_pattern
-from .linsolve import _attach_plan
+from .linsolve import CSRModel, as_model  # noqa: F401 (the type of every sparse model)
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -57,28 +58,11 @@ class JacobianError(Exception):
     """Raised when a usable model matrix cannot be produced."""
 
 
-class CSRModel(sparse.csr_array):
-    """CSR model matrix whose nbytes counts the data, indices and indptr it stores."""
-
-    @property
-    def nbytes(self):
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-
-
 @dataclass
 class JacobianState:
     """Model matrix M of one outer iteration; the next secant update reads it."""
 
     M: object
-
-
-def as_model(M):
-    """A sparse M as a canonical float CSRModel, anything else as a float ndarray."""
-    if not sparse.issparse(M):
-        return np.asarray(M, dtype=float)
-    M = CSRModel(M, dtype=float)
-    M.sum_duplicates()
-    return M
 
 
 class _Layout:
@@ -88,20 +72,19 @@ class _Layout:
     colour is column_colouring(P), order and start give the columns of group
     g as order[start[g]:start[g + 1]] (ascending: the sort is stable), and
     entry_colour gives the column's group of every stored entry. template is
-    a CSRModel of P's structure, built and checked once by scipy; indptr and
-    indices are its read-only arrays, which every model built by model()
-    shares. plan is the linsolve._FactorPlan attached to the template, so
-    every model carries it; plan.rows is the row of every stored entry.
+    as_model of P's structure, built and checked once by scipy; indptr and
+    indices are its read-only arrays, and plan its linsolve._FactorPlan,
+    which every model built by model() shares; plan.rows is the row of every
+    stored entry.
     """
 
     def __init__(self, P):
         self.shape = P.shape
         data = np.zeros(P.nnz)
         data.flags.writeable = False  # every model gets its own data array
-        self.template = CSRModel((data, P.indices, P.indptr), shape=P.shape)
-        self.template.has_canonical_format  # computed once, copied to every model
+        self.template = as_model(sparse.csr_array((data, P.indices, P.indptr), shape=P.shape))
         self.indptr, self.indices = self.template.indptr, self.template.indices
-        self.plan = _attach_plan(self.template)
+        self.plan = self.template._factor_plan
         self.colour = column_colouring(P)
         self.order = np.argsort(self.colour, kind="stable")
         self.start = np.searchsorted(
@@ -226,8 +209,8 @@ def schubert_update(M, s, yvec, pattern=None):
     ||z_i|| == 0 are left unchanged, and no entry outside the pattern is ever
     written. pattern=None is the classical rank-one secant (Broyden) update
     of a dense M, bit-identical to an all-true mask; a zero step returns M.
-    A sparse M is updated in O(nnz) and returned as a CSRModel with the
-    pattern's structure.
+    A dense M stays dense under a dense or sparse pattern. A sparse M is
+    updated in O(nnz) and returned as a CSRModel with the pattern's structure.
     """
     s = np.asarray(s, dtype=float)
     yvec = np.asarray(yvec, dtype=float)
@@ -241,7 +224,7 @@ def schubert_update(M, s, yvec, pattern=None):
         if denom == 0.0:
             return M
         return M + np.outer((yvec - M @ s) / denom, s)
-    pattern = np.asarray(pattern, dtype=bool)
+    pattern = np.asarray(pattern.toarray() if sparse.issparse(pattern) else pattern, dtype=bool)
     if M.shape != pattern.shape:
         raise ValueError("M and pattern shapes differ")
     if np.any(M[~pattern] != 0.0):

@@ -1,22 +1,20 @@
 """Linear step solves with an explicit residual contract.
 
-Every factorization goes through lu_factor, which checks the model matrix
-once (finite, non-zero) and factorizes it with partial pivoting. The storage
-picks the kernel: LAPACK getrf for a dense ndarray; LAPACK gbtrf for a
-scipy.sparse matrix whose band, read from its stored structure, fits in
-BAND_STORAGE_RATIO times its stored entries; SuperLU
-(scipy.sparse.linalg.splu) for any other scipy.sparse matrix. All three
-share one pivot check (none below PIVOT_RTOL * maxabs). What a sparse
-factorization needs of the structure alone (the row of every entry, kl and
-ku, the kernel, where each entry goes in the band storage) is one
-_FactorPlan, the symbolic half of the factorization. A model built from a
-declared pattern carries its pattern's plan (see _attach_plan), so that
-analysis runs once per pattern and every later factorization of the
-pattern is numeric only; any other sparse model is analysed per call, with
-the same result. solve_direct solves
+as_model is the one conversion of a model matrix: a float ndarray, or a
+canonical float CSRModel that carries its _FactorPlan, the symbolic half of
+its factorization (the row of every entry, kl and ku, the kernel, where each
+entry goes in the band storage). A sparse matrix is sorted in a copy, never
+in place, and every model built from a declared pattern already carries the
+pattern's plan, so that analysis runs once per pattern. Every factorization
+goes through lu_factor, which checks the model once (finite, non-zero) and
+factorizes it with partial pivoting. The storage picks the kernel: LAPACK
+getrf for a dense model; LAPACK gbtrf for a sparse one whose band, read from
+its stored structure, fits in BAND_STORAGE_RATIO times its stored entries;
+SuperLU (scipy.sparse.linalg.splu) for any other sparse one. All three share
+one pivot check (none below PIVOT_RTOL * maxabs). solve_direct solves
 with that factorization; solve_inexact only promises ||M s - b|| <= eta *
 ||b|| in the Euclidean norm, produced by GMRES with the contract re-verified by
-recomputation. GMRES runs on a dense M as it is and on a scipy.sparse M with
+recomputation. GMRES runs on a dense M as it is and on a sparse M with
 an incomplete-LU preconditioner (scipy.sparse.linalg.spilu at its default
 drop tolerance and fill factor); the contract is on the unpreconditioned
 residual either way. That contract is all an inexact solve guarantees: the
@@ -118,34 +116,53 @@ class _BandLU:
         return x
 
 
+class CSRModel(sparse.csr_array):
+    """CSR model matrix whose nbytes counts the data, indices and indptr it stores."""
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def as_model(M):
+    """M as a model matrix: a float ndarray, or a canonical float CSRModel.
+
+    A scipy.sparse M that carries the _FactorPlan of its own indptr and
+    indices (every model built from a Problem's pattern does) is returned as
+    it is. Any other sparse M becomes a CSRModel with sorted, summed entries,
+    made in a copy when M is not canonical, and gets its plan here. Copies of
+    the result (copy.copy) carry the plan too.
+    """
+    if not sparse.issparse(M):
+        return np.asarray(M, dtype=float)
+    plan = getattr(M, "_factor_plan", None)
+    if plan is not None and plan.fits(M):
+        return M
+    A = CSRModel(M, dtype=float)
+    if not A.has_canonical_format:  # A may share M's arrays; sort a copy
+        A = A.copy()
+        A.sum_duplicates()
+    A._factor_plan = _FactorPlan(A.indptr, A.indices)
+    return A
+
+
 def lu_factor(M):
     """LU factorization of M with partial pivoting; its .solve(b) solves M x = b.
 
-    b may be a vector or a matrix of right-hand sides. A scipy.sparse M is
-    factorized by LAPACK's banded LU when its band storage is at most
-    BAND_STORAGE_RATIO times its stored entries (kl and ku come from the
-    stored structure, never from values) and by SuperLU otherwise; anything
-    else is factorized as a dense float array by LAPACK. The structure of a
-    sparse M is analysed once per pattern: a model that carries the
-    _FactorPlan of its own indptr and indices (every model built from a
-    Problem's pattern does) reuses it, and any other sparse M is analysed
-    here; the kernel and the factors are the same either way. Raises
-    LinearSolveFailure when M has a non-finite entry, is zero, or is
-    singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)),
-    whichever kernel ran.
+    b may be a vector or a matrix of right-hand sides. M goes through
+    as_model. A sparse model is factorized by LAPACK's banded LU when its
+    band storage is at most BAND_STORAGE_RATIO times its stored entries (kl
+    and ku come from the stored structure, never from values) and by
+    SuperLU otherwise, as its _FactorPlan says; a dense one is factorized by
+    LAPACK. Raises LinearSolveFailure when M has a non-finite entry, is
+    zero, or is singular to working precision (some pivot below
+    PIVOT_RTOL * maxabs(M)), whichever kernel ran.
     """
-    if sparse.issparse(M):
-        A, plan = M, getattr(M, "_factor_plan", None)
-        if plan is None or not plan.fits(M):
-            A = sparse.csr_array(M, dtype=float)
-            if not A.has_canonical_format:  # A may share M's arrays; sort a copy
-                A = A.copy()
-                A.sum_duplicates()
-            plan = _FactorPlan(A.indptr, A.indices)
+    A = as_model(M)
+    if sparse.issparse(A):
         scale = _checked_scale(A.data)
-        factors = _sparse_lu(A, plan)
+        factors = _sparse_lu(A)
     else:
-        A = np.asarray(M, dtype=float)
         scale = _checked_scale(A)
         factors = _DenseLU(*linalg.lu_factor(A, check_finite=False))
     if np.abs(factors.pivots).min() < PIVOT_RTOL * scale:
@@ -188,18 +205,9 @@ class _FactorPlan:
         )
 
 
-def _attach_plan(model):
-    """Derive the _FactorPlan of a canonical float CSR model and attach it.
-
-    Copies of model (copy.copy) carry the plan, and lu_factor reuses it for
-    every copy that still stores model's indptr and indices. Returns the plan.
-    """
-    model._factor_plan = _FactorPlan(model.indptr, model.indices)
-    return model._factor_plan
-
-
-def _sparse_lu(A, plan):
-    """_BandLU of a canonical CSR A when plan says its band fits, else _SparseLU."""
+def _sparse_lu(A):
+    """_BandLU of a sparse model A when its plan says the band fits, else _SparseLU."""
+    plan = A._factor_plan
     if not plan.band:
         try:
             return _SparseLU(splu(A.tocsc()))
@@ -220,7 +228,7 @@ def solve_direct(M, b):
     Raises LinearSolveFailure when M is non-finite or singular to working
     precision (some pivot below 1e-14 * maxabs(M)).
     """
-    M = _as_matrix(M)
+    M = as_model(M)
     b = np.asarray(b, dtype=float)
     s = lu_factor(M).solve(b)
     bnorm = np.linalg.norm(b)
@@ -235,15 +243,16 @@ def solve_inexact(M, b, eta):
     residual eta, preconditioned by the incomplete LU factors of M (spilu)
     when M is scipy.sparse and unpreconditioned when M is dense. The
     contract is checked by recomputation and, should GMRES miss it or spilu
-    fail, the direct solve is substituted (which satisfies any eta).
+    fail, the direct solve is substituted (which satisfies any eta). Raises
+    LinearSolveFailure when M is non-finite or zero, whatever b is.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
     if eta == 0.0:
         return solve_direct(M, b)
-    M = _as_matrix(M)
+    M = as_model(M)
     b = np.asarray(b, dtype=float)
-    _require_finite(M.data if sparse.issparse(M) else M)
+    _checked_scale(M.data if sparse.issparse(M) else M)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
@@ -283,7 +292,7 @@ def spectral_norm(A):
     Stops once sigma moves by at most POWER_RTOL * sigma, or after
     POWER_MAX_ITER iterations.
     """
-    A = _as_matrix(A)
+    A = as_model(A)
     n = A.shape[1]
     v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
     v /= np.linalg.norm(v)
@@ -299,16 +308,6 @@ def spectral_norm(A):
             return new_sigma
         sigma = new_sigma
     return sigma
-
-
-def _as_matrix(M):
-    """A scipy.sparse M unchanged, anything else as a dense float array."""
-    return M if sparse.issparse(M) else np.asarray(M, dtype=float)
-
-
-def _require_finite(values):
-    if not np.all(np.isfinite(values)):
-        raise LinearSolveFailure("model matrix has non-finite entries")
 
 
 def _checked_scale(values):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from newton_condg import (
+    AdaptiveEta,
     Box,
+    ConstantEta,
     Problem,
     SolverConfig,
     TheoryParams,
@@ -72,11 +74,19 @@ def test_validate_config_monotone_in_theta():
         dict(jacobian_strategy="bogus"),
         dict(linsolve="bogus"),
         dict(theta=float("nan")),
+        dict(linsolve="direct", eta_policy=ConstantEta(0.1)),
+        dict(linsolve="direct", eta_policy=AdaptiveEta()),
     ],
 )
 def test_solver_config_invariants(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("policy", [0.1, "constant:0.1", ConstantEta])
+def test_solver_config_rejects_what_is_not_a_forcing_policy(policy):
+    with pytest.raises(TypeError, match="unknown forcing policy"):
+        SolverConfig(linsolve="inexact", eta_policy=policy)
 
 
 def _quadratic_problem(n=4):

@@ -167,6 +167,18 @@ class TestSchubertUpdate:
             masked = schubert_update(M, s, yvec, np.ones((n, n), dtype=bool))
             assert np.array_equal(schubert_update(M, s, yvec), masked)
 
+    def test_dense_m_takes_the_sparse_pattern_a_problem_stores(self):
+        p = make_problem("pb3_troesch", 6)
+        x = starting_point(p, 1)
+        M = p.jac(x).toarray()
+        rng = np.random.default_rng(6)
+        s, yvec = rng.standard_normal(6), rng.standard_normal(6)
+        updated = schubert_update(M, s, yvec, p.pattern)
+        assert type(updated) is np.ndarray
+        assert updated.tobytes() == schubert_update(M, s, yvec, p.pattern.toarray()).tobytes()
+        full = sparse.csr_array(np.ones((6, 6), dtype=bool))
+        assert np.array_equal(schubert_update(M, s, yvec, full), schubert_update(M, s, yvec))
+
     def test_sparse_m_needs_a_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
             schubert_update(sparse.eye_array(2, format="csr"), np.ones(2), np.ones(2))

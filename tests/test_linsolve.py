@@ -100,6 +100,14 @@ class TestSolveInexact:
         np.testing.assert_array_equal(out.s, np.zeros(3))
         assert out.eta_used == 0.0
 
+    @pytest.mark.parametrize("zero", [np.zeros((3, 3)), sparse.csr_array((3, 3))],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("b", [np.zeros(3), np.ones(3)], ids=["b=0", "b!=0"])
+    def test_zero_model_fails_whatever_b_is(self, zero, b):
+        for solve in (lambda: solve_inexact(zero, b, 0.5), lambda: solve_direct(zero, b)):
+            with pytest.raises(LinearSolveFailure, match="^model matrix is zero$"):
+                solve()
+
     def test_contract_over_random_instances(self):
         rng = np.random.default_rng(77)
         for _ in range(50):

@@ -24,6 +24,7 @@ from newton_condg import (
     check_problem,
     fd_jacobian,
     make_problem,
+    next_jacobian,
     schubert_update,
     solve,
     solve_direct,
@@ -32,7 +33,7 @@ from newton_condg import (
     verify_mk_conditions,
 )
 from newton_condg.jacobian import CSRModel, JacobianError, as_model, column_colouring
-from newton_condg.linsolve import _BandLU
+from newton_condg.linsolve import _BandLU, lu_factor
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
@@ -193,18 +194,32 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(newton_condg.linsolve._FactorPlan, "__init__", counted)
+    derived_in_lu = []
+    lu_factor = newton_condg.linsolve.lu_factor
+
+    def factor(M):
+        before = len(plans)
+        factors = lu_factor(M)
+        derived_in_lu.append(len(plans) - before)
+        return factors
+
+    monkeypatch.setattr(newton_condg.linsolve, "lu_factor", factor)
     p = make_problem("pb3_troesch", 100)
     x0 = starting_point(p, 1)
     copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
-    factorizations = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
     for problem, strategy in (
         (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
     ):
         report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
         assert report.status == "converged" and report.iterations > 1
-    assert len(factorizations) > 3
+    assert len(derived_in_lu) > 3
     assert len(plans) == 1
     assert plans[0] is p.pattern._jacobian_layout.plan
+    # every exact model gets its plan when it is built, not when it is factorized
+    report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
+    assert report.status == "converged" and report.iterations > 1
+    assert len(plans) == 1 + report.iterations
+    assert not any(derived_in_lu)
 
 
 def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
@@ -260,6 +275,35 @@ def test_cached_layout_keeps_every_history_bit_for_bit(pid, strategy):
     assert first.status == "converged"
     _assert_same_history(solve(p, x0, cfg), first)  # reads it
     _assert_same_history(solve(make_problem(pid, 100), x0, cfg), first)
+
+
+def test_non_canonical_input_is_never_touched():
+    # [[4, 1, 0], [1, 4, 1], [0, 1, 4]] with unsorted indices and 4 = 3 + 1 in row 0
+    data = np.array([1.0, 3.0, 1.0, 1.0, 4.0, 1.0, 4.0, 1.0])
+    indices = np.array([1, 0, 0, 2, 1, 0, 2, 1])
+    M = sparse.csr_array((data, indices, [0, 3, 6, 8]), shape=(3, 3))
+    C = sparse.csr_array(M.toarray())
+    assert not M.has_canonical_format and C.has_canonical_format
+    before = [arr.tobytes() for arr in (M.data, M.indices, M.indptr)]
+    b, s, yvec = np.array([5.0, 6.0, 5.0]), np.array([0.1, -0.2, 0.3]), np.ones(3)
+    pattern = sparse.csr_array(C.toarray() != 0)
+    problem = Problem(name="stored", n=3, fun=lambda x: C @ x - b, jac=lambda x: M,
+                      feasible_set=Box(-np.ones(3), np.ones(3)))
+    runs = (
+        lambda A: lu_factor(A).solve(b),
+        lambda A: solve_direct(A, b).s,
+        lambda A: solve_inexact(A, b, 0.1).s,
+        lambda A: schubert_update(A, s, yvec, pattern).toarray(),
+        lambda A: next_jacobian(None, 0, dataclasses.replace(problem, jac=lambda x: A),
+                                np.zeros(3), "exact").M.toarray(),
+    )
+    for run in runs:
+        assert run(M).tobytes() == run(C).tobytes()
+        assert [arr.tobytes() for arr in (M.data, M.indices, M.indptr)] == before
+    exact = next_jacobian(None, 0, problem, np.zeros(3), "exact").M
+    assert isinstance(exact, CSRModel) and exact.has_canonical_format
+    np.testing.assert_array_equal(exact.indices, C.indices)
+    assert [arr.tobytes() for arr in (M.data, M.indices, M.indptr)] == before
 
 
 class TestSparseSchubert:
