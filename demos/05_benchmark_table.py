@@ -3,33 +3,21 @@
 Covers the finite-difference and sparse-secant (Schubert) variants over the
 registry's default dimensions and starting points x0(gamma), gamma = 1, 2, 3,
 with the usual protocol: ||F||_inf <= 1e-6, theta = 1e-5, refresh period 5,
-at most 300 outer and 300 inner iterations.
+at most 300 outer and 300 inner iterations. The table is the CLI's CSV
+(problem,n,gamma,method,iters,final_norm_inf,status,wall_ms), because this
+script is the CLI sweep:
 
-Equivalent CLI:  newton-condg benchmark --suite paper-core --out table.csv
+    newton-condg benchmark --suite paper-core --methods fd,schubert
 """
 
-import time
+import sys
 
-from newton_condg import SolverConfig, make_problem, solve, starting_point
+from newton_condg import cli
 
-PROBLEMS = (
-    "pb1_h_equation",
-    "pb2_discrete_boundary",
-    "pb3_troesch",
-    "pb4_discrete_integral",
-)
+PROTOCOL = [
+    "--methods", "fd,schubert", "--gammas", "1,2,3",
+    "--tol", "1e-6", "--theta", "1e-5", "--refresh", "5",
+    "--max-iter", "300", "--max-condg", "300",
+]
 
-print(f"{'problem':<22} {'n':>5} {'g':>2} {'method':>8} {'iters':>5}"
-      f" {'||F||_inf':>10} {'status':>12} {'secs':>6}")
-for pid in PROBLEMS:
-    for gamma in (1, 2, 3):
-        for method, strategy in (("fd", "finite_difference"), ("bsu", "schubert")):
-            problem = make_problem(pid)
-            config = SolverConfig(theta=1e-5, jacobian_strategy=strategy,
-                                  refresh_period=5)
-            start = time.perf_counter()
-            report = solve(problem, starting_point(problem, gamma), config)
-            elapsed = time.perf_counter() - start
-            print(f"{pid:<22} {problem.n:>5} {gamma:>2} {method:>8}"
-                  f" {report.iterations:>5} {report.residual_norms[-1]:>10.2e}"
-                  f" {report.status:>12} {elapsed:>6.2f}")
+sys.exit(cli.main(["benchmark", "--suite", "paper-core", *PROTOCOL]))

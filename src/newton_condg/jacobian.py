@@ -42,7 +42,11 @@ import numpy as np
 from scipy import sparse
 
 from .core import canonical_pattern
-from .linsolve import CSRModel, as_model  # noqa: F401 (the type of every sparse model)
+from .linsolve import (  # noqa: F401 (CSRModel: the type of every sparse model)
+    CSRModel,
+    as_model,
+    canonical_csr,
+)
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -243,7 +247,7 @@ def _schubert_update_csr(M, s, yvec, pattern):
         raise ValueError("M and pattern shapes differ")
     rows, indices = layout.plan.rows, layout.indices
     if not layout.plan.fits(M):  # M was not built from this layout
-        M = as_model(M)
+        M = canonical_csr(M)  # compared and embedded only: no plan is derived for it
         if not (
             np.array_equal(M.indptr, layout.indptr) and np.array_equal(M.indices, indices)
         ):

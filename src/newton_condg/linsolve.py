@@ -7,18 +7,31 @@ entry goes in the band storage). A sparse matrix is sorted in a copy, never
 in place, and every model built from a declared pattern already carries the
 pattern's plan, so that analysis runs once per pattern. Every factorization
 goes through lu_factor, which checks the model once (finite, non-zero) and
-factorizes it with partial pivoting. The storage picks the kernel: LAPACK
-getrf for a dense model; LAPACK gbtrf for a sparse one whose band, read from
-its stored structure, fits in BAND_STORAGE_RATIO times its stored entries;
-SuperLU (scipy.sparse.linalg.splu) for any other sparse one. All three share
-one pivot check (none below PIVOT_RTOL * maxabs). solve_direct solves
-with that factorization; solve_inexact only promises ||M s - b|| <= eta *
-||b|| in the Euclidean norm, produced by GMRES with the contract re-verified by
-recomputation. GMRES runs on a dense M as it is and on a sparse M with
-an incomplete-LU preconditioner (scipy.sparse.linalg.spilu at its default
-drop tolerance and fill factor); the contract is on the unpreconditioned
-residual either way. That contract is all an inexact solve guarantees: the
-theory's vartheta bound on the preconditioned residual M^{-1}(M s - b), which
+factorizes it with partial pivoting. The storage and the order pick the
+kernel: LAPACK gbtrf for a sparse model whose band, read from its stored
+structure, fits in BAND_STORAGE_RATIO times its stored entries; SuperLU
+(scipy.sparse.linalg.splu) for any other sparse one; LAPACK getrf for a dense
+one of order below MIXED_MIN_N (250, where the next kernel stops costing
+more than it saves); and for a larger dense one, LAPACK sgetrf on a float32
+copy with mixed-precision iterative refinement (Buttari et al., ACM TOMS
+2008; Carson & Higham, SIAM J. Sci. Comput. 2018): each solve takes sgetrs
+steps on the float64 residual b - M x until ||b - M x||_inf <= 4 u
+(||M||_inf ||x||_inf + ||b||_inf), u = 2^-53, a backward error at working
+precision. So a dense direct step of order >= MIXED_MIN_N is refined to
+working precision, not the bitwise output of getrs. Such a model goes to
+getrf when a float32 pivot is below MIXED_PIVOT_RTOL * maxabs (or sgetrf
+meets an exactly zero one), or when refinement has not met its stop rule
+after MIXED_MAX_STEPS corrections or a correction does not reduce the
+residual. The getrf, gbtrf and SuperLU factors share one pivot check (none
+below PIVOT_RTOL * maxabs). solve_direct solves with that factorization,
+and its achieved residual is refinement's last one when refinement ran.
+solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
+norm, produced by GMRES with the contract re-verified by recomputation.
+GMRES runs on a dense M as it is and on a sparse M with an incomplete-LU
+preconditioner (scipy.sparse.linalg.spilu at its default drop tolerance and
+fill factor); the contract is on the unpreconditioned residual either way.
+That contract is all an inexact solve guarantees: the theory's vartheta
+bound on the preconditioned residual M^{-1}(M s - b), which
 eta * cond(M) <= vartheta would imply, is not checked.
 spectral_norm, for the solver's model diagnostics, lives here too.
 """
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dlange, sgetrf, sgetrs
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 PIVOT_RTOL = 1e-14
@@ -38,6 +51,18 @@ PIVOT_RTOL = 1e-14
 # empty diagonals inside the band, while a wide pattern (an arrowhead:
 # (3n - 2) * n against 3n - 2) goes to SuperLU, which keeps its fill small.
 BAND_STORAGE_RATIO = 3
+# a dense model of at least this order gets the float32 LU with float64
+# refinement (_MixedLU); below it the refinement's matvecs cost about what the
+# faster factorization saves. One solve_direct with one BLAS thread, random,
+# pb1 and pb4 models: the refined solve took 7-8% longer than getrf at
+# n=175, between 5% less and 1% more at n=200 and 225, and 5-14% less at
+# n=250-300, 17% less at n=400 and a third less at n=1000.
+MIXED_MIN_N = 250
+# a float32 pivot below this times maxabs(M) sends the model to getrf
+MIXED_PIVOT_RTOL = 1e-5
+# refinement corrections after which an unconverged solve goes to getrf
+MIXED_MAX_STEPS = 10
+UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2^-53
 POWER_RTOL = 1e-8
 POWER_MAX_ITER = 2000
 
@@ -91,6 +116,64 @@ class _DenseLU:
         return linalg.lu_solve(self.lu_piv, b, check_finite=False)
 
 
+class _MixedLU:
+    """LAPACK LU factors (sgetrf) of a float32 copy of a dense matrix, whose
+    solves are refined in float64 against the matrix itself.
+
+    The factors are those of M^T, so that a C-ordered M is cast to float32
+    without a transposing copy; sgetrs solves with their transpose. M is kept
+    by reference, not copied, and must not change while the factors are used.
+    """
+
+    def __init__(self, M, maxabs, lu, piv):
+        self.M, self.maxabs, self.lu, self.piv = M, maxabs, lu, piv
+        self.norm_inf = dlange("1", M.T)  # ||M^T||_1 = ||M||_inf, with no temporary
+        self.fallback = None  # the getrf factors, once refinement failed
+
+    def solve(self, b):
+        """x with M x = b."""
+        return self.refine(b)[0]
+
+    def refine(self, b):
+        """(x, r): x with M x = b and its residual r = b - M x, the last one
+        refinement computed; r is None when the solve fell back to getrf.
+
+        Refinement stops when every column meets ||r||_inf <= 4 u (||M||_inf
+        ||x||_inf + ||b||_inf), u = 2^-53: a backward error at working
+        precision. When MIXED_MAX_STEPS corrections do not get there, or one
+        does not reduce ||r||_inf, M is factorized by getrf (and its pivots
+        checked against PIVOT_RTOL) for this and every later solve.
+        """
+        b = np.asarray(b, dtype=float)
+        if self.fallback is None:
+            bnorm = np.abs(b).max(axis=0)
+            x = self._correction(b, bnorm)
+            previous = np.inf
+            for corrections in range(MIXED_MAX_STEPS + 1):
+                r = b - self.M @ x
+                rnorm = np.abs(r).max(axis=0)
+                bound = 4.0 * UNIT_ROUNDOFF * (self.norm_inf * np.abs(x).max(axis=0) + bnorm)
+                met = rnorm <= bound
+                if met.all():
+                    return x, r
+                # a column that stalls, grows or is not finite will not converge
+                if corrections == MIXED_MAX_STEPS or not (met | (rnorm < previous)).all():
+                    break
+                previous = rnorm
+                x += self._correction(r, rnorm)
+            self.fallback = _dense_lu(self.M, self.maxabs)
+        return self.fallback.solve(b), None
+
+    def _correction(self, r, rnorm):
+        """The float32 solve of M d = r, in float64. Each column of r is
+        divided by its max-norm rnorm first, so that no finite r overflows
+        float32."""
+        scale = np.where(rnorm > 0.0, rnorm, 1.0)
+        d, _info = sgetrs(self.lu, self.piv, (r / scale).astype(np.float32), trans=1,
+                          overwrite_b=True)
+        return scale * d
+
+
 class _SparseLU:
     """SuperLU factors of a sparse matrix."""
 
@@ -138,11 +221,18 @@ def as_model(M):
     plan = getattr(M, "_factor_plan", None)
     if plan is not None and plan.fits(M):
         return M
+    A = canonical_csr(M)
+    A._factor_plan = _FactorPlan(A.indptr, A.indices)
+    return A
+
+
+def canonical_csr(M):
+    """A sparse M as a CSRModel with sorted, summed float entries and no
+    _FactorPlan; made in a copy when M is not canonical, so M is never sorted."""
     A = CSRModel(M, dtype=float)
     if not A.has_canonical_format:  # A may share M's arrays; sort a copy
         A = A.copy()
         A.sum_duplicates()
-    A._factor_plan = _FactorPlan(A.indptr, A.indices)
     return A
 
 
@@ -153,21 +243,43 @@ def lu_factor(M):
     as_model. A sparse model is factorized by LAPACK's banded LU when its
     band storage is at most BAND_STORAGE_RATIO times its stored entries (kl
     and ku come from the stored structure, never from values) and by
-    SuperLU otherwise, as its _FactorPlan says; a dense one is factorized by
-    LAPACK. Raises LinearSolveFailure when M has a non-finite entry, is
-    zero, or is singular to working precision (some pivot below
-    PIVOT_RTOL * maxabs(M)), whichever kernel ran.
+    SuperLU otherwise, as its _FactorPlan says. A dense one is factorized by
+    LAPACK getrf below order MIXED_MIN_N, and above it by sgetrf on a
+    float32 copy whose solves are refined against M (_MixedLU), which keeps
+    a reference to M: M must not change while the factors are in use; it is
+    never written. Raises LinearSolveFailure when M has a non-finite entry,
+    is zero, or is singular to working precision (some pivot below
+    PIVOT_RTOL * maxabs(M) in getrf, gbtrf or SuperLU); for a refined
+    model, the check runs when it falls back to getrf, which can be in
+    .solve(b).
     """
     A = as_model(M)
     if sparse.issparse(A):
         scale = _checked_scale(A.data)
         factors = _sparse_lu(A)
-    else:
-        scale = _checked_scale(A)
-        factors = _DenseLU(*linalg.lu_factor(A, check_finite=False))
-    if np.abs(factors.pivots).min() < PIVOT_RTOL * scale:
-        raise LinearSolveFailure("model matrix is singular to working precision")
+        _check_pivots(factors.pivots, scale)
+        return factors
+    scale = _checked_scale(A)
+    if A.shape[0] >= MIXED_MIN_N:
+        # factors of A^T: a C-ordered A is cast without a transposing copy
+        lu, piv, info = sgetrf(A.T.astype(np.float32, order="F"), overwrite_a=True)
+        # written so that a nan pivot (a float32 overflow) falls back too
+        if info == 0 and np.abs(np.diag(lu)).min() >= MIXED_PIVOT_RTOL * scale:
+            return _MixedLU(A, scale, lu, piv)
+    return _dense_lu(A, scale)
+
+
+def _dense_lu(A, scale):
+    """_DenseLU of a dense model A by getrf; scale is maxabs(A)."""
+    factors = _DenseLU(*linalg.lu_factor(A, check_finite=False))
+    _check_pivots(factors.pivots, scale)
     return factors
+
+
+def _check_pivots(pivots, scale):
+    """LinearSolveFailure when a pivot is below PIVOT_RTOL * scale (maxabs)."""
+    if np.abs(pivots).min() < PIVOT_RTOL * scale:
+        raise LinearSolveFailure("model matrix is singular to working precision")
 
 
 class _FactorPlan:
@@ -225,14 +337,22 @@ def _sparse_lu(A):
 def solve_direct(M, b):
     """Solve M s = b with the factorization of lu_factor.
 
-    Raises LinearSolveFailure when M is non-finite or singular to working
-    precision (some pivot below 1e-14 * maxabs(M)).
+    eta_used is ||M s - b|| / ||b||: refinement's last residual when the
+    refined kernel solved the step, one more matvec otherwise. Raises
+    LinearSolveFailure when M is non-finite or singular to working precision
+    (some pivot below PIVOT_RTOL * maxabs(M)).
     """
     M = as_model(M)
     b = np.asarray(b, dtype=float)
-    s = lu_factor(M).solve(b)
+    factors = lu_factor(M)
+    if isinstance(factors, _MixedLU):
+        s, r = factors.refine(b)  # r is the achieved residual, or None
+    else:
+        s, r = factors.solve(b), None
+    if r is None:
+        r = M @ s - b
     bnorm = np.linalg.norm(b)
-    eta_used = float(np.linalg.norm(M @ s - b) / bnorm) if bnorm > 0 else 0.0
+    eta_used = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else 0.0
     return LinSolveOutcome(s=s, eta_used=eta_used)
 
 

@@ -3,8 +3,10 @@ import copy
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.linalg.lapack import sgetrf
 from scipy.sparse.linalg import gmres, splu
 
+import newton_condg.linsolve
 from newton_condg import (
     AdaptiveEta,
     ConstantEta,
@@ -15,7 +17,17 @@ from newton_condg import (
     spectral_norm,
 )
 from newton_condg.jacobian import _layout
-from newton_condg.linsolve import _BandLU, _FactorPlan, _SparseLU, _checked_scale, lu_factor
+from newton_condg.linsolve import (
+    MIXED_MIN_N,
+    UNIT_ROUNDOFF,
+    _BandLU,
+    _DenseLU,
+    _FactorPlan,
+    _MixedLU,
+    _SparseLU,
+    _checked_scale,
+    lu_factor,
+)
 
 
 def _random_band(rng, n, kl, ku):
@@ -186,6 +198,168 @@ class TestBandLU:
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
         np.testing.assert_array_equal(M.indices, [1, 0, 0, 1])
         np.testing.assert_array_equal(M.data, [1.0, 2.0, 3.0, 5.0])
+
+
+def _graded(n, decades, seed):
+    """Q1 diag(logspace(0, -decades)) Q2^T with random orthogonal Q1, Q2."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (q1 * np.logspace(0, -decades, n)) @ q2.T
+
+
+def _normwise_close(x, reference, rtol):
+    """||x - reference||_inf <= rtol * ||reference||_inf, column by column."""
+    return bool(np.all(np.abs(x - reference).max(axis=0)
+                       <= rtol * np.abs(reference).max(axis=0)))
+
+
+def _meets_stop_rule(M, x, b):
+    rnorm = np.abs(b - M @ x).max(axis=0)
+    bound = 4 * UNIT_ROUNDOFF * (np.abs(M).sum(axis=1).max() * np.abs(x).max(axis=0)
+                                 + np.abs(b).max(axis=0))
+    return bool(np.all(rnorm <= bound))
+
+
+def _counting_sgetrs(monkeypatch):
+    calls = []
+    sgetrs = newton_condg.linsolve.sgetrs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(newton_condg.linsolve, "sgetrs", counted)
+    return calls
+
+
+class TestMixedLU:
+    """Dense models of order >= MIXED_MIN_N: float32 LU, float64 refinement."""
+
+    N = MIXED_MIN_N + 7
+
+    def test_well_conditioned_model_meets_the_stop_rule(self):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((self.N, self.N)) + 2.0 * np.sqrt(self.N) * np.eye(self.N)
+        b = rng.standard_normal(self.N)
+        factors = lu_factor(M)
+        assert isinstance(factors, _MixedLU)
+        x, r = factors.refine(b)
+        assert r is not None and factors.fallback is None
+        assert r.tobytes() == (b - M @ x).tobytes()
+        assert _meets_stop_rule(M, x, b)
+        assert _normwise_close(x, linalg.lu_solve(linalg.lu_factor(M), b), 1e-14)
+
+    def test_eta_used_is_the_last_refinement_residual(self):
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((self.N, self.N)) + 2.0 * np.sqrt(self.N) * np.eye(self.N)
+        b = rng.standard_normal(self.N)
+        out = solve_direct(M, b)
+        assert out.eta_used == np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+        assert solve_direct(M, np.zeros(self.N)).eta_used == 0.0
+
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_matrix_right_hand_side(self, nrhs):
+        rng = np.random.default_rng(13)
+        M = _graded(self.N, 4, seed=13)
+        B = rng.standard_normal((self.N, nrhs))
+        B[:, 0] *= 1e-6  # columns of very different sizes meet the rule together
+        factors = lu_factor(M)
+        X = factors.solve(B)
+        assert X.shape == B.shape and factors.fallback is None
+        assert _meets_stop_rule(M, X, B)
+        # cond(M) = 1e4: forward errors up to about cond * u
+        assert _normwise_close(X, linalg.lu_solve(linalg.lu_factor(M), B), 1e-11)
+        for j in range(nrhs):
+            assert _normwise_close(factors.solve(B[:, j]), X[:, j], 1e-11)
+
+    def test_small_float32_pivot_takes_getrf(self):
+        # cond 1e10: a float32 pivot is far below MIXED_PIVOT_RTOL * maxabs
+        M = _graded(self.N, 10, seed=14)
+        b = np.random.default_rng(14).standard_normal(self.N)
+        factors = lu_factor(M)
+        assert isinstance(factors, _DenseLU)
+        reference = linalg.lu_solve(linalg.lu_factor(M), b)
+        assert factors.solve(b).tobytes() == reference.tobytes()
+        assert solve_direct(M, b).s.tobytes() == reference.tobytes()
+        assert _meets_stop_rule(M, reference, b)
+
+    def test_unconverged_refinement_takes_getrf(self, monkeypatch):
+        # cond 1e6 needs more than one correction
+        M = _graded(self.N, 6, seed=15)
+        b = np.random.default_rng(15).standard_normal(self.N)
+        monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 1)
+        factors = lu_factor(M)
+        assert isinstance(factors, _MixedLU)
+        x, r = factors.refine(b)
+        assert r is None and isinstance(factors.fallback, _DenseLU)
+        reference = linalg.lu_solve(linalg.lu_factor(M), b)
+        assert x.tobytes() == reference.tobytes()
+        assert factors.solve(2.0 * b).tobytes() == (2.0 * reference).tobytes()
+        out = solve_direct(M, b)
+        assert out.s.tobytes() == reference.tobytes()
+        assert out.eta_used == np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+
+    def test_growing_residual_takes_getrf_at_once(self, monkeypatch):
+        # factors of another matrix: every correction makes the residual grow
+        rng = np.random.default_rng(20)
+        M, other = (rng.standard_normal((self.N, self.N)) for _ in range(2))
+        lu, piv, _info = sgetrf(other.T.astype(np.float32, order="F"))
+        factors = _MixedLU(M, np.abs(M).max(), lu, piv)
+        solves = _counting_sgetrs(monkeypatch)
+        b = rng.standard_normal(self.N)
+        x, r = factors.refine(b)
+        assert r is None and len(solves) == 2  # the first solve and one correction
+        assert x.tobytes() == linalg.lu_solve(linalg.lu_factor(M), b).tobytes()
+
+    @pytest.mark.parametrize("size", [1e-300, 1e300])  # 0 and inf in float32
+    def test_right_hand_side_beyond_float32_range(self, size):
+        rng = np.random.default_rng(16)
+        M = rng.standard_normal((self.N, self.N)) + 2.0 * np.sqrt(self.N) * np.eye(self.N)
+        b = size * rng.standard_normal(self.N)
+        x, r = lu_factor(M).refine(b)
+        assert r is not None and _meets_stop_rule(M, x, b)
+        assert _normwise_close(x, linalg.lu_solve(linalg.lu_factor(M), b), 1e-14)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # getrf's exact zero
+    @pytest.mark.parametrize("offset", [0.0, 1e-16], ids=["equal rows", "rows 1e-16 apart"])
+    def test_singular_model_fails(self, offset):
+        rng = np.random.default_rng(17)
+        M = rng.standard_normal((self.N, self.N))
+        M[9] = M[5] + offset * rng.standard_normal(self.N)
+        with pytest.raises(LinearSolveFailure,
+                           match="^model matrix is singular to working precision$"):
+            solve_direct(M, np.ones(self.N))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_fails(self, bad):
+        M = np.eye(self.N)
+        M[3, 7] = bad
+        with pytest.raises(LinearSolveFailure, match="^model matrix has non-finite entries$"):
+            solve_direct(M, np.ones(self.N))
+
+    def test_model_is_not_written(self, monkeypatch):
+        for M in (_graded(self.N, 4, seed=18), np.asfortranarray(_graded(self.N, 4, seed=19))):
+            before = M.tobytes()
+            factors = lu_factor(M)
+            assert isinstance(factors, _MixedLU) and factors.M is M
+            factors.solve(np.ones((self.N, 2)))
+            assert M.tobytes() == before
+        monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 0)
+        lu_factor(M).solve(np.ones(self.N))  # through the getrf fallback
+        assert M.tobytes() == before
+
+    @pytest.mark.parametrize("n", [1, 40, MIXED_MIN_N - 1])
+    def test_below_the_crossover_is_getrf_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        factors = lu_factor(M)
+        assert isinstance(factors, _DenseLU)
+        reference = linalg.lu_factor(M)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            assert factors.solve(b).tobytes() == linalg.lu_solve(reference, b).tobytes()
+        b = rng.standard_normal(n)
+        out = solve_direct(M, b)
+        assert out.s.tobytes() == linalg.lu_solve(reference, b).tobytes()
 
 
 def _arrowhead(n):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newton_condg import Box, EuclideanBall, Simplex, make_problem, next_jacobian
+from newton_condg import Box, EuclideanBall, Simplex, linsolve, make_problem, next_jacobian
 from newton_condg.jacobian import CSRModel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -58,3 +58,37 @@ def test_models_report_nbytes(pid, strategy):
             assert isinstance(M, CSRModel)
             built = CSRModel((M.data, M.indices, M.indptr), shape=M.shape)
             assert M.nbytes == built.nbytes
+
+
+def test_refined_dense_solve_keeps_the_tracer_spans_apart(monkeypatch):
+    # the tracer charges linsolve.lu_s to lu_factor, which it hooks by name
+    # with the model as args[0]; refinement must run after lu_factor returns,
+    # in solve_direct, so that lu_s stays the factorization alone
+    hooks = {(module, attr) for module, attr, _span in _tracing().FUNCTION_HOOKS}
+    assert ("newton_condg.linsolve", "lu_factor") in hooks
+    assert ("newton_condg.linsolve", "solve_direct") in hooks
+    factored, refined = [], []  # the models lu_factor got; where each sgetrs ran
+    inside = []
+    lu_factor, sgetrs = linsolve.lu_factor, linsolve.sgetrs
+
+    def hooked_lu_factor(*args):
+        factored.append(args[0])
+        inside.append(True)
+        try:
+            return lu_factor(*args)
+        finally:
+            inside.pop()
+
+    def counted_sgetrs(*args, **kwargs):
+        refined.append(bool(inside))
+        return sgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "lu_factor", hooked_lu_factor)
+    monkeypatch.setattr(linsolve, "sgetrs", counted_sgetrs)
+    n = linsolve.MIXED_MIN_N
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    out = linsolve.solve_direct(M, rng.standard_normal(n))
+    assert out.eta_used < 1e-14
+    assert len(factored) == 1 and factored[0] is M
+    assert refined and not any(refined)  # every float32 solve ran outside lu_factor

@@ -339,6 +339,29 @@ class TestSparseSchubert:
                 sparse.csr_array(np.ones((2, 2))), np.ones(2), np.ones(2), sparse.eye_array(2),
             )
 
+    def test_a_model_off_the_layout_derives_no_plan(self, monkeypatch):
+        plans = []
+        original = newton_condg.linsolve._FactorPlan.__init__
+
+        def counted(self, *args):
+            plans.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(newton_condg.linsolve._FactorPlan, "__init__", counted)
+        p = make_problem("pb3_troesch", 500)
+        x = starting_point(p, 1)
+        s = 1e-3 * np.linspace(-1.0, 1.0, p.n)
+        y = p.fun(x + s) - p.fun(x)
+        J = p.jac(x)
+        updated = schubert_update(J, s, y, p.pattern)
+        layout = p.pattern._jacobian_layout
+        assert plans == [layout.plan]  # the layout's, derived once
+        assert updated._factor_plan is layout.plan
+        schubert_update(J, s, y, p.pattern)
+        assert len(plans) == 1
+        start = layout.model(J[layout.plan.rows, layout.indices])
+        assert updated.data.tobytes() == schubert_update(start, s, y, p.pattern).data.tobytes()
+
 
 class TestSparseLinsolve:
     def test_sparse_and_dense_solves_agree(self):
