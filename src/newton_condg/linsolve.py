@@ -7,24 +7,24 @@ entry goes in the band storage). A sparse matrix is sorted in a copy, never
 in place, and every model built from a declared pattern already carries the
 pattern's plan, so that analysis runs once per pattern. Every factorization
 goes through lu_factor, which checks the model once (finite, non-zero) and
-factorizes it with partial pivoting. The storage and the order pick the
-kernel: LAPACK gbtrf for a sparse model whose band, read from its stored
-structure, fits in BAND_STORAGE_RATIO times its stored entries; SuperLU
-(scipy.sparse.linalg.splu) for any other sparse one; LAPACK getrf for a dense
-one of order below MIXED_MIN_N (250, where the next kernel stops costing
-more than it saves); and for a larger dense one, LAPACK sgetrf on a float32
-copy with mixed-precision iterative refinement (Buttari et al., ACM TOMS
-2008; Carson & Higham, SIAM J. Sci. Comput. 2018): each solve takes sgetrs
-steps on the float64 residual b - M x until ||b - M x||_inf <= 4 u
-(||M||_inf ||x||_inf + ||b||_inf), u = 2^-53, a backward error at working
-precision. So a dense direct step of order >= MIXED_MIN_N is refined to
-working precision, not the bitwise output of getrs. Such a model goes to
-getrf when a float32 pivot is below MIXED_PIVOT_RTOL * maxabs (or sgetrf
-meets an exactly zero one), or when refinement has not met its stop rule
-after MIXED_MAX_STEPS corrections or a correction does not reduce the
-residual. The getrf, gbtrf and SuperLU factors share one pivot check (none
-below PIVOT_RTOL * maxabs). solve_direct solves with that factorization,
-and its achieved residual is refinement's last one when refinement ran.
+picks the kernel by storage; each kernel is one class that factorizes with
+partial pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
+_BandLU (LAPACK gbtrf) takes a sparse model whose band, read from its stored
+structure, fits in BAND_STORAGE_RATIO times its stored entries; _SparseLU
+(scipy.sparse.linalg.splu) any other sparse one; _DenseLU a dense one, by
+LAPACK getrf below order MIXED_MIN_N (250, where the float32 factors stop
+costing more than they save) and by sgetrf on a float32 copy above it, with
+mixed-precision iterative refinement (Buttari et al., ACM TOMS 2008; Carson
+& Higham, SIAM J. Sci. Comput. 2018) for one right-hand side: sgetrs steps
+on the float64 residual b - M x until ||b - M x||_inf <= 4 u (||M||_inf
+||x||_inf + ||b||_inf), u = 2^-53, a backward error at working precision,
+not the bitwise output of getrs. Such a model takes getrf when a float32
+pivot is below MIXED_PIVOT_RTOL * maxabs (or sgetrf meets an exactly zero
+one); a solve takes it for a block of right-hand sides (as
+verify_mk_conditions sends) and, from then on, once refinement has not met
+its stop rule after MIXED_MAX_STEPS corrections or a correction does not
+reduce the residual. solve_direct solves with that factorization, and its
+achieved residual is refinement's last one when refinement ran.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
 GMRES runs on a dense M as it is and on a sparse M with an incomplete-LU
@@ -52,7 +52,7 @@ PIVOT_RTOL = 1e-14
 # (3n - 2) * n against 3n - 2) goes to SuperLU, which keeps its fill small.
 BAND_STORAGE_RATIO = 3
 # a dense model of at least this order gets the float32 LU with float64
-# refinement (_MixedLU); below it the refinement's matvecs cost about what the
+# refinement (_DenseLU); below it the refinement's matvecs cost about what the
 # faster factorization saves. One solve_direct with one BLAS thread, random,
 # pb1 and pb4 models: the refined solve took 7-8% longer than getrf at
 # n=175, between 5% less and 1% more at n=200 and 225, and 5-14% less at
@@ -105,30 +105,37 @@ class AdaptiveEta:
 
 
 class _DenseLU:
-    """LAPACK LU factors (getrf) of a dense matrix."""
+    """LU factors of a dense model M: sgetrf's of a float32 copy, refined
+    against M, from order MIXED_MIN_N on, and getrf's where those do not serve.
 
-    def __init__(self, lu, piv):
-        self.lu_piv = (lu, piv)
-        self.pivots = np.diag(lu)
-
-    def solve(self, b):
-        """x with M x = b."""
-        return linalg.lu_solve(self.lu_piv, b, check_finite=False)
-
-
-class _MixedLU:
-    """LAPACK LU factors (sgetrf) of a float32 copy of a dense matrix, whose
-    solves are refined in float64 against the matrix itself.
-
-    The factors are those of M^T, so that a C-ordered M is cast to float32
-    without a transposing copy; sgetrs solves with their transpose. M is kept
-    by reference, not copied, and must not change while the factors are used.
+    The float32 factors are those of M^T, so that a C-ordered M is cast
+    without a transposing copy; sgetrs solves with their transpose. They are
+    kept when every float32 pivot is at least MIXED_PIVOT_RTOL * maxabs. The
+    pivot-checked getrf factors are derived where needed: in the constructor
+    below MIXED_MIN_N or when a float32 pivot is too small, else on the first
+    solve of a 2-D b or once refinement has failed. M is kept by reference,
+    never written, and must not change while the factors are used.
     """
 
-    def __init__(self, M, maxabs, lu, piv):
-        self.M, self.maxabs, self.lu, self.piv = M, maxabs, lu, piv
-        self.norm_inf = dlange("1", M.T)  # ||M^T||_1 = ||M||_inf, with no temporary
-        self.fallback = None  # the getrf factors, once refinement failed
+    def __init__(self, M, maxabs):
+        self.M, self.maxabs = M, maxabs
+        self.lu32 = self.lu64 = None  # (lu, piv) of sgetrf and of getrf
+        if M.shape[0] >= MIXED_MIN_N:
+            lu, piv, info = sgetrf(M.T.astype(np.float32, order="F"), overwrite_a=True)
+            # written so that a nan pivot (a float32 overflow) goes to getrf too
+            if info == 0 and np.abs(np.diag(lu)).min() >= MIXED_PIVOT_RTOL * maxabs:
+                self.lu32 = (lu, piv)
+                self.norm_inf = dlange("1", M.T)  # ||M^T||_1 = ||M||_inf, with no temporary
+                return
+        self._getrf()
+
+    def _getrf(self):
+        """The getrf factors, derived and pivot-checked on first use."""
+        if self.lu64 is None:
+            lu, piv = linalg.lu_factor(self.M, check_finite=False)
+            _check_pivots(np.diag(lu), self.maxabs)
+            self.lu64 = (lu, piv)
+        return self.lu64
 
     def solve(self, b):
         """x with M x = b."""
@@ -136,50 +143,50 @@ class _MixedLU:
 
     def refine(self, b):
         """(x, r): x with M x = b and its residual r = b - M x, the last one
-        refinement computed; r is None when the solve fell back to getrf.
+        refinement computed; r is None when getrf solved it.
 
-        Refinement stops when every column meets ||r||_inf <= 4 u (||M||_inf
-        ||x||_inf + ||b||_inf), u = 2^-53: a backward error at working
-        precision. When MIXED_MAX_STEPS corrections do not get there, or one
-        does not reduce ||r||_inf, M is factorized by getrf (and its pivots
-        checked against PIVOT_RTOL) for this and every later solve.
+        Refinement serves a 1-D b (a 2-D one takes getrf) and stops when
+        ||r||_inf <= 4 u (||M||_inf ||x||_inf + ||b||_inf), u = 2^-53: a
+        backward error at working precision. When MIXED_MAX_STEPS corrections
+        do not get there, or one does not reduce ||r||_inf, this and every
+        later solve takes getrf.
         """
         b = np.asarray(b, dtype=float)
-        if self.fallback is None:
-            bnorm = np.abs(b).max(axis=0)
+        if self.lu32 is not None and b.ndim == 1:
+            bnorm = np.abs(b).max()
             x = self._correction(b, bnorm)
             previous = np.inf
             for corrections in range(MIXED_MAX_STEPS + 1):
                 r = b - self.M @ x
-                rnorm = np.abs(r).max(axis=0)
-                bound = 4.0 * UNIT_ROUNDOFF * (self.norm_inf * np.abs(x).max(axis=0) + bnorm)
-                met = rnorm <= bound
-                if met.all():
+                rnorm = np.abs(r).max()
+                if rnorm <= 4.0 * UNIT_ROUNDOFF * (self.norm_inf * np.abs(x).max() + bnorm):
                     return x, r
-                # a column that stalls, grows or is not finite will not converge
-                if corrections == MIXED_MAX_STEPS or not (met | (rnorm < previous)).all():
+                # a residual that stalls, grows or is not finite will not converge
+                if corrections == MIXED_MAX_STEPS or not rnorm < previous:
                     break
                 previous = rnorm
                 x += self._correction(r, rnorm)
-            self.fallback = _dense_lu(self.M, self.maxabs)
-        return self.fallback.solve(b), None
+            self.lu32 = None
+        return linalg.lu_solve(self._getrf(), b, check_finite=False), None
 
     def _correction(self, r, rnorm):
-        """The float32 solve of M d = r, in float64. Each column of r is
-        divided by its max-norm rnorm first, so that no finite r overflows
-        float32."""
-        scale = np.where(rnorm > 0.0, rnorm, 1.0)
-        d, _info = sgetrs(self.lu, self.piv, (r / scale).astype(np.float32), trans=1,
+        """The float32 solve of M d = r, in float64. r is divided by its
+        max-norm rnorm first, so that no finite r overflows float32."""
+        scale = np.float64(rnorm if rnorm > 0.0 else 1.0)  # so that scale * d is float64
+        d, _info = sgetrs(*self.lu32, (r / scale).astype(np.float32), trans=1,
                           overwrite_b=True)
         return scale * d
 
 
 class _SparseLU:
-    """SuperLU factors of a sparse matrix."""
+    """SuperLU factors of a sparse model."""
 
-    def __init__(self, superlu):
-        self.superlu = superlu
-        self.pivots = superlu.U.diagonal()
+    def __init__(self, A, maxabs):
+        try:
+            self.superlu = splu(A.tocsc())
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            raise LinearSolveFailure("model matrix is singular") from None
+        _check_pivots(self.superlu.U.diagonal(), maxabs)
 
     def solve(self, b):
         """x with M x = b."""
@@ -187,11 +194,18 @@ class _SparseLU:
 
 
 class _BandLU:
-    """LAPACK banded LU factors (gbtrf) of a sparse matrix with a narrow band."""
+    """LAPACK banded LU factors (gbtrf) of a sparse model whose _FactorPlan
+    says its band storage fits."""
 
-    def __init__(self, lu, piv, kl, ku):
-        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
-        self.pivots = lu[kl + ku]  # the diagonal of U
+    def __init__(self, A, maxabs):
+        plan = A._factor_plan
+        self.kl, self.ku = kl, ku = plan.kl, plan.ku
+        ab = np.zeros((2 * kl + ku + 1, A.shape[0]), order="F")
+        ab.reshape(-1, order="F")[plan.flat] = A.data
+        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info > 0:  # an exactly zero pivot
+            raise LinearSolveFailure("model matrix is singular")
+        _check_pivots(self.lu[kl + ku], maxabs)  # the diagonal of U
 
     def solve(self, b):
         """x with M x = b."""
@@ -240,44 +254,37 @@ def lu_factor(M):
     """LU factorization of M with partial pivoting; its .solve(b) solves M x = b.
 
     b may be a vector or a matrix of right-hand sides. M goes through
-    as_model. A sparse model is factorized by LAPACK's banded LU when its
-    band storage is at most BAND_STORAGE_RATIO times its stored entries (kl
-    and ku come from the stored structure, never from values) and by
-    SuperLU otherwise, as its _FactorPlan says. A dense one is factorized by
-    LAPACK getrf below order MIXED_MIN_N, and above it by sgetrf on a
-    float32 copy whose solves are refined against M (_MixedLU), which keeps
-    a reference to M: M must not change while the factors are in use; it is
-    never written. Raises LinearSolveFailure when M has a non-finite entry,
-    is zero, or is singular to working precision (some pivot below
-    PIVOT_RTOL * maxabs(M) in getrf, gbtrf or SuperLU); for a refined
-    model, the check runs when it falls back to getrf, which can be in
-    .solve(b).
+    as_model; each kernel is one class that factorizes it and checks its own
+    pivots. A sparse model gets LAPACK's banded LU (_BandLU) when its band
+    storage is at most BAND_STORAGE_RATIO times its stored entries (kl and ku
+    come from the stored structure, never from values) and SuperLU
+    (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets _DenseLU:
+    getrf below order MIXED_MIN_N, above it sgetrf on a float32 copy, whose
+    solves of one right-hand side are refined against M, while a block of
+    right-hand sides is solved by getrf. _DenseLU keeps a reference to M,
+    which must not change while the factors are in use; it is never written.
+    Raises LinearSolveFailure when M has a non-finite entry, is zero, or is
+    singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)
+    in getrf, gbtrf or SuperLU); with float32 factors, the getrf check runs
+    in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
-    if sparse.issparse(A):
-        scale = _checked_scale(A.data)
-        factors = _sparse_lu(A)
-        _check_pivots(factors.pivots, scale)
-        return factors
-    scale = _checked_scale(A)
-    if A.shape[0] >= MIXED_MIN_N:
-        # factors of A^T: a C-ordered A is cast without a transposing copy
-        lu, piv, info = sgetrf(A.T.astype(np.float32, order="F"), overwrite_a=True)
-        # written so that a nan pivot (a float32 overflow) falls back too
-        if info == 0 and np.abs(np.diag(lu)).min() >= MIXED_PIVOT_RTOL * scale:
-            return _MixedLU(A, scale, lu, piv)
-    return _dense_lu(A, scale)
-
-
-def _dense_lu(A, scale):
-    """_DenseLU of a dense model A by getrf; scale is maxabs(A)."""
-    factors = _DenseLU(*linalg.lu_factor(A, check_finite=False))
-    _check_pivots(factors.pivots, scale)
-    return factors
+    if not sparse.issparse(A):
+        return _DenseLU(A, _checked_scale(A))
+    kernel = _BandLU if A._factor_plan.band else _SparseLU
+    return kernel(A, _checked_scale(A.data))
 
 
 def _check_pivots(pivots, scale):
-    """LinearSolveFailure when a pivot is below PIVOT_RTOL * scale (maxabs)."""
+    """LinearSolveFailure when a pivot is below PIVOT_RTOL * scale (maxabs).
+
+    The check is on pivot size alone, so a model that is singular in exact
+    arithmetic can pass it: the product of default_rng(1) Gaussians of shape
+    300 x 299 and 299 x 300 factorizes, and solve_direct with b = ones
+    returns a step with eta_used 0.37 and ||s||_inf 2e12 (one BLAS thread;
+    0.24 and 1.3e12 with two). The solver does not read eta_used. A condition
+    estimate (LAPACK gecon) would catch such a model.
+    """
     if np.abs(pivots).min() < PIVOT_RTOL * scale:
         raise LinearSolveFailure("model matrix is singular to working precision")
 
@@ -317,35 +324,18 @@ class _FactorPlan:
         )
 
 
-def _sparse_lu(A):
-    """_BandLU of a sparse model A when its plan says the band fits, else _SparseLU."""
-    plan = A._factor_plan
-    if not plan.band:
-        try:
-            return _SparseLU(splu(A.tocsc()))
-        except RuntimeError:  # SuperLU met an exactly zero pivot
-            raise LinearSolveFailure("model matrix is singular") from None
-    kl, ku, n = plan.kl, plan.ku, A.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    ab.reshape(-1, order="F")[plan.flat] = A.data
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-    if info > 0:  # an exactly zero pivot
-        raise LinearSolveFailure("model matrix is singular")
-    return _BandLU(lu, piv, kl, ku)
-
-
 def solve_direct(M, b):
     """Solve M s = b with the factorization of lu_factor.
 
-    eta_used is ||M s - b|| / ||b||: refinement's last residual when the
-    refined kernel solved the step, one more matvec otherwise. Raises
+    eta_used is ||M s - b|| / ||b||: refinement's last residual when
+    refinement solved the step, one more matvec otherwise. Raises
     LinearSolveFailure when M is non-finite or singular to working precision
-    (some pivot below PIVOT_RTOL * maxabs(M)).
+    (some pivot below PIVOT_RTOL * maxabs(M)), or b is non-finite.
     """
     M = as_model(M)
-    b = np.asarray(b, dtype=float)
     factors = lu_factor(M)
-    if isinstance(factors, _MixedLU):
+    b = _checked_rhs(b)
+    if isinstance(factors, _DenseLU):
         s, r = factors.refine(b)  # r is the achieved residual, or None
     else:
         s, r = factors.solve(b), None
@@ -364,15 +354,16 @@ def solve_inexact(M, b, eta):
     when M is scipy.sparse and unpreconditioned when M is dense. The
     contract is checked by recomputation and, should GMRES miss it or spilu
     fail, the direct solve is substituted (which satisfies any eta). Raises
-    LinearSolveFailure when M is non-finite or zero, whatever b is.
+    LinearSolveFailure when M is non-finite or zero, whatever b is, or when b
+    is non-finite, before GMRES runs.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
     if eta == 0.0:
         return solve_direct(M, b)
     M = as_model(M)
-    b = np.asarray(b, dtype=float)
     _checked_scale(M.data if sparse.issparse(M) else M)
+    b = _checked_rhs(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
@@ -428,6 +419,14 @@ def spectral_norm(A):
             return new_sigma
         sigma = new_sigma
     return sigma
+
+
+def _checked_rhs(b):
+    """b as a float array; LinearSolveFailure if it has a non-finite entry."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise LinearSolveFailure("right-hand side has non-finite entries")
+    return b
 
 
 def _checked_scale(values):

@@ -11,10 +11,12 @@ from newton_condg import (
     AdaptiveEta,
     ConstantEta,
     LinearSolveFailure,
+    TheoryParams,
     forcing_eta,
     solve_direct,
     solve_inexact,
     spectral_norm,
+    verify_mk_conditions,
 )
 from newton_condg.jacobian import _layout
 from newton_condg.linsolve import (
@@ -23,7 +25,6 @@ from newton_condg.linsolve import (
     _BandLU,
     _DenseLU,
     _FactorPlan,
-    _MixedLU,
     _SparseLU,
     _checked_scale,
     lu_factor,
@@ -120,6 +121,21 @@ class TestSolveInexact:
             with pytest.raises(LinearSolveFailure, match="^model matrix is zero$"):
                 solve()
 
+    @pytest.mark.parametrize("model", [3.0 * np.eye(3), sparse.csr_array(3.0 * np.eye(3))],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_fails_before_gmres(self, monkeypatch, model, bad):
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("GMRES ran on a non-finite right-hand side")
+
+        monkeypatch.setattr(newton_condg.linsolve, "gmres", no_gmres)
+        b = np.array([1.0, bad, 2.0])
+        for solve in (lambda: solve_inexact(model, b, 0.5), lambda: solve_inexact(model, b, 0.0),
+                      lambda: solve_direct(model, b)):
+            with pytest.raises(LinearSolveFailure,
+                               match="^right-hand side has non-finite entries$"):
+                solve()
+
     def test_contract_over_random_instances(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
@@ -159,7 +175,7 @@ class TestBandLU:
         dense = linalg.lu_factor(M.toarray())
         superlu = splu(sparse.csc_array(M))
         # the same partial pivoting: row kl + ku of the band factors is U's diagonal
-        np.testing.assert_allclose(band.pivots, np.diag(dense[0]), rtol=1e-9)
+        np.testing.assert_allclose(band.lu[kl + ku], np.diag(dense[0]), rtol=1e-9)
         cond = np.linalg.cond(M.toarray())
         for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             x = band.solve(b)
@@ -233,7 +249,8 @@ def _counting_sgetrs(monkeypatch):
 
 
 class TestMixedLU:
-    """Dense models of order >= MIXED_MIN_N: float32 LU, float64 refinement."""
+    """Dense models of order >= MIXED_MIN_N: float32 LU, float64 refinement
+    of one right-hand side, getrf for a block of them."""
 
     N = MIXED_MIN_N + 7
 
@@ -242,9 +259,9 @@ class TestMixedLU:
         M = rng.standard_normal((self.N, self.N)) + 2.0 * np.sqrt(self.N) * np.eye(self.N)
         b = rng.standard_normal(self.N)
         factors = lu_factor(M)
-        assert isinstance(factors, _MixedLU)
+        assert isinstance(factors, _DenseLU) and factors.lu32 is not None
         x, r = factors.refine(b)
-        assert r is not None and factors.fallback is None
+        assert r is not None and factors.lu32 is not None and factors.lu64 is None
         assert r.tobytes() == (b - M @ x).tobytes()
         assert _meets_stop_rule(M, x, b)
         assert _normwise_close(x, linalg.lu_solve(linalg.lu_factor(M), b), 1e-14)
@@ -258,26 +275,32 @@ class TestMixedLU:
         assert solve_direct(M, np.zeros(self.N)).eta_used == 0.0
 
     @pytest.mark.parametrize("nrhs", [1, 3])
-    def test_matrix_right_hand_side(self, nrhs):
+    def test_matrix_right_hand_side(self, monkeypatch, nrhs):
+        # a block goes to getrf, bit for bit, and leaves the float32 factors
+        # to later solves of one right-hand side
         rng = np.random.default_rng(13)
         M = _graded(self.N, 4, seed=13)
         B = rng.standard_normal((self.N, nrhs))
-        B[:, 0] *= 1e-6  # columns of very different sizes meet the rule together
+        B[:, 0] *= 1e-6
+        solves = _counting_sgetrs(monkeypatch)
         factors = lu_factor(M)
         X = factors.solve(B)
-        assert X.shape == B.shape and factors.fallback is None
-        assert _meets_stop_rule(M, X, B)
-        # cond(M) = 1e4: forward errors up to about cond * u
-        assert _normwise_close(X, linalg.lu_solve(linalg.lu_factor(M), B), 1e-11)
+        assert X.shape == B.shape
+        assert X.tobytes() == linalg.lu_solve(linalg.lu_factor(M), B).tobytes()
+        assert solves == [] and factors.lu32 is not None
         for j in range(nrhs):
-            assert _normwise_close(factors.solve(B[:, j]), X[:, j], 1e-11)
+            x, r = factors.refine(B[:, j])
+            assert r is not None and _meets_stop_rule(M, x, B[:, j])
+            # cond(M) = 1e4: forward errors up to about cond * u
+            assert _normwise_close(x, X[:, j], 1e-11)
+        assert len(solves) >= 2 * nrhs  # the first solve and a correction, at least
 
     def test_small_float32_pivot_takes_getrf(self):
         # cond 1e10: a float32 pivot is far below MIXED_PIVOT_RTOL * maxabs
         M = _graded(self.N, 10, seed=14)
         b = np.random.default_rng(14).standard_normal(self.N)
         factors = lu_factor(M)
-        assert isinstance(factors, _DenseLU)
+        assert factors.lu32 is None and factors.lu64 is not None
         reference = linalg.lu_solve(linalg.lu_factor(M), b)
         assert factors.solve(b).tobytes() == reference.tobytes()
         assert solve_direct(M, b).s.tobytes() == reference.tobytes()
@@ -289,22 +312,28 @@ class TestMixedLU:
         b = np.random.default_rng(15).standard_normal(self.N)
         monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 1)
         factors = lu_factor(M)
-        assert isinstance(factors, _MixedLU)
+        assert factors.lu32 is not None and factors.lu64 is None
         x, r = factors.refine(b)
-        assert r is None and isinstance(factors.fallback, _DenseLU)
-        reference = linalg.lu_solve(linalg.lu_factor(M), b)
-        assert x.tobytes() == reference.tobytes()
-        assert factors.solve(2.0 * b).tobytes() == (2.0 * reference).tobytes()
+        assert r is None and factors.lu32 is None and factors.lu64 is not None
+        reference = linalg.lu_factor(M)
+        assert x.tobytes() == linalg.lu_solve(reference, b).tobytes()
+        # every later solve takes getrf, one right-hand side or a block
+        solves = _counting_sgetrs(monkeypatch)
+        assert factors.solve(2.0 * b).tobytes() == (2.0 * linalg.lu_solve(reference, b)).tobytes()
+        B = np.column_stack([b, -b])
+        assert factors.solve(B).tobytes() == linalg.lu_solve(reference, B).tobytes()
+        assert solves == []
         out = solve_direct(M, b)
-        assert out.s.tobytes() == reference.tobytes()
+        assert out.s.tobytes() == linalg.lu_solve(reference, b).tobytes()
         assert out.eta_used == np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
 
     def test_growing_residual_takes_getrf_at_once(self, monkeypatch):
         # factors of another matrix: every correction makes the residual grow
         rng = np.random.default_rng(20)
         M, other = (rng.standard_normal((self.N, self.N)) for _ in range(2))
+        factors = _DenseLU(M, np.abs(M).max())
         lu, piv, _info = sgetrf(other.T.astype(np.float32, order="F"))
-        factors = _MixedLU(M, np.abs(M).max(), lu, piv)
+        factors.lu32 = (lu, piv)
         solves = _counting_sgetrs(monkeypatch)
         b = rng.standard_normal(self.N)
         x, r = factors.refine(b)
@@ -341,11 +370,12 @@ class TestMixedLU:
         for M in (_graded(self.N, 4, seed=18), np.asfortranarray(_graded(self.N, 4, seed=19))):
             before = M.tobytes()
             factors = lu_factor(M)
-            assert isinstance(factors, _MixedLU) and factors.M is M
-            factors.solve(np.ones((self.N, 2)))
+            assert factors.lu32 is not None and factors.M is M
+            factors.solve(np.ones(self.N))
+            factors.solve(np.ones((self.N, 2)))  # through getrf
             assert M.tobytes() == before
         monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 0)
-        lu_factor(M).solve(np.ones(self.N))  # through the getrf fallback
+        lu_factor(M).solve(np.ones(self.N))  # through getrf, once refinement failed
         assert M.tobytes() == before
 
     @pytest.mark.parametrize("n", [1, 40, MIXED_MIN_N - 1])
@@ -353,13 +383,25 @@ class TestMixedLU:
         rng = np.random.default_rng(n)
         M = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
         factors = lu_factor(M)
-        assert isinstance(factors, _DenseLU)
+        assert factors.lu32 is None and factors.lu64 is not None
         reference = linalg.lu_factor(M)
         for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
             assert factors.solve(b).tobytes() == linalg.lu_solve(reference, b).tobytes()
         b = rng.standard_normal(n)
         out = solve_direct(M, b)
         assert out.s.tobytes() == linalg.lu_solve(reference, b).tobytes()
+
+    def test_verify_mk_conditions_takes_getrf(self, monkeypatch):
+        # a block of right-hand sides, F', makes no float32 solve
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((self.N, self.N)) + 2.0 * np.sqrt(self.N) * np.eye(self.N)
+        J = M + 0.01 * rng.standard_normal(M.shape)
+        solves = _counting_sgetrs(monkeypatch)
+        check = verify_mk_conditions(M, J, TheoryParams(omega1=2.0, omega2=0.5))
+        assert solves == []
+        B = linalg.lu_solve(linalg.lu_factor(M), J)
+        assert check.norm_inv_jac == spectral_norm(B)
+        assert check.within_omega1 and check.within_omega2
 
 
 def _arrowhead(n):

@@ -1,8 +1,10 @@
-"""The library names that perfbench/tracing.py hooks by name still exist.
+"""The library names that perfbench/tracing.py hooks by name still exist,
+and the spans it charges them with still measure what their names say.
 
 A hook whose target is renamed or gone marks its layer "unmeasured" in the
 benchmark instead of failing, so these checks keep the contract in tier-1.
-The tracer module is only read here: no hook is installed.
+The tracer and workload modules are only read here: no tracer hook is
+installed.
 """
 
 import importlib
@@ -12,17 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from newton_condg import Box, EuclideanBall, Simplex, linsolve, make_problem, next_jacobian
 from newton_condg.jacobian import CSRModel
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _perfbench("tracing")
 
 
 def test_function_hook_targets_are_callable():
@@ -92,3 +100,53 @@ def test_refined_dense_solve_keeps_the_tracer_spans_apart(monkeypatch):
     assert out.eta_used < 1e-14
     assert len(factored) == 1 and factored[0] is M
     assert refined and not any(refined)  # every float32 solve ran outside lu_factor
+
+
+@pytest.mark.parametrize("workload", ["banded", "dense", "boundary"])
+def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
+    # the tracer's linsolve.lu_s is the time inside the hooked lu_factor. Every
+    # factorization kernel must run there: getrf below MIXED_MIN_N, sgetrf
+    # from it on (then getrf only when a float32 pivot is too small), gbtrf
+    # or SuperLU for a sparse model. Every solve, and a getrf that a solve
+    # derives, must run after it returns. On dense only the exact rows run:
+    # the FD and Schubert rows factorize models of the same orders.
+    workloads = _perfbench("workloads")
+    factorizations = []  # (model, float32 factors kept, kernels run inside)
+    calls = [[]]  # calls[0]: kernels run outside lu_factor; calls[-1]: the current ones
+    lu_factor = linsolve.lu_factor
+
+    def hooked_lu_factor(*args):
+        calls.append([])
+        try:
+            factors = lu_factor(*args)
+        finally:
+            inside = calls.pop()
+        factorizations.append((args[0], getattr(factors, "lu32", None) is not None, inside))
+        return factors
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[-1].append(name)
+            return kernel(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(linsolve, "lu_factor", hooked_lu_factor)
+    for name in ("sgetrf", "sgetrs", "dgbtrf", "dgbtrs", "splu"):
+        monkeypatch.setattr(linsolve, name, counted(name, getattr(linsolve, name)))
+    monkeypatch.setattr(linsolve.linalg, "lu_factor", counted("getrf", linsolve.linalg.lu_factor))
+    instances, _ = workloads.build(workload, seed=0)
+    for instance in instances:
+        if workload != "dense" or "/exact/" in instance.key:
+            outcome, _report = workloads.run_instance(instance)
+            assert outcome.solved, outcome.key
+    for M, kept, inside in factorizations:
+        if sparse.issparse(M):
+            assert inside in (["dgbtrf"], ["splu"])
+        elif M.shape[0] < linsolve.MIXED_MIN_N:
+            assert inside == ["getrf"]
+        else:
+            assert inside == (["sgetrf"] if kept else ["sgetrf", "getrf"])
+    assert set(calls[0]) <= {"sgetrs", "getrf", "dgbtrs"}
+    orders = {M.shape[0] for M, _kept, _inside in factorizations if not sparse.issparse(M)}
+    assert bool(orders) == (workload != "banded")
+    assert any(n >= linsolve.MIXED_MIN_N for n in orders) == ("sgetrs" in calls[0])

@@ -110,6 +110,24 @@ class TestSolve:
         report = solve(p, np.array([0.5]), SolverConfig(jacobian_strategy="exact"))
         assert report.status == "linear_solve_failure"
 
+    @pytest.mark.parametrize("linsolve", ["direct", "inexact"])
+    @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+    @pytest.mark.parametrize("x0, history", [(1.8, [2.24]), (1.0, [])], ids=["at x1", "at x0"])
+    def test_non_finite_residual_is_a_linear_solve_failure(self, strategy, linsolve, x0,
+                                                           history):
+        # F is nan below 1.2: from 1.8 the first step lands there, from 1.0
+        # the start does; the exact Jacobian stays finite either way
+        n = 4
+        p = Problem(
+            name="nan_below", n=n, fun=lambda x: np.where(x < 1.2, np.nan, x * x - 1.0),
+            jac=lambda x: np.diag(2.0 * x), feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
+        )
+        cfg = SolverConfig(jacobian_strategy=strategy, linsolve=linsolve)
+        report = solve(p, np.full(n, x0), cfg)
+        assert report.status == "linear_solve_failure"
+        assert report.residual_norms[:-1] == pytest.approx(history)
+        assert np.isnan(report.residual_norms[-1])
+
     def test_inexact_mode_converges(self):
         p = make_problem("synthetic_quadratic", 8)
         cfg = SolverConfig(jacobian_strategy="exact", linsolve="inexact")
