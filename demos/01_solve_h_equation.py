@@ -2,7 +2,9 @@
 
 The outer iteration builds a finite-difference Jacobian, solves the Newton
 system, and hands the step to the conditional-gradient procedure so every
-iterate stays inside the box.
+iterate stays inside the box. Each row prints the record of the step taken
+from x_k: ||s_k||, the achieved linear-solve residual eta_used (rounding
+level for a direct solve) and CondG's inner iterations.
 """
 
 import numpy as np
@@ -21,11 +23,13 @@ config = SolverConfig(
 report = solve(problem, x0, config)
 
 print(f"status: {report.status} after {report.iterations} outer iterations\n")
-print(f"{'k':>3}  {'||F(x_k)||_inf':>14}  {'||s_k||':>10}  {'inner':>5}")
+print(f"{'k':>3}  {'||F(x_k)||_inf':>14}  {'||s_k||':>10}  {'eta_used':>10}  {'inner':>5}")
 for k, res in enumerate(report.residual_norms):
-    step = f"{report.newton_steps[k]:10.3e}" if k < len(report.newton_steps) else " " * 10
-    inner = f"{report.condg_iters[k]:5d}" if k < len(report.condg_iters) else " " * 5
-    print(f"{k:3d}  {res:14.3e}  {step}  {inner}")
+    row = f"{k:3d}  {res:14.3e}"
+    if k < len(report.steps):  # the last iterate takes no step
+        step = report.steps[k]
+        row += f"  {step.step_norm:10.3e}  {step.eta_used:10.3e}  {step.inner_iters:5d}"
+    print(row)
 
 x = report.x
 print(f"\nfinal iterate range: [{x.min():.6f}, {x.max():.6f}] (interior of [0, 5])")

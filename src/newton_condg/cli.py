@@ -7,7 +7,8 @@ in scientific notation (6 significant digits); row order is lexicographic in
 (problem, gamma, method), so output bytes are stable apart from the wall_ms
 column. A row whose solve raised has status "error"; `solve --format json`
 and `solve --trace` also carry the exception as "error": "<type>: <message>".
-Both write strict JSON: a nan or infinite residual becomes null.
+`solve --trace` writes every RunReport field, `steps` as a list of objects.
+Both write strict JSON: a nan or infinite number becomes null.
 """
 
 import argparse
@@ -132,9 +133,15 @@ def _run_one(problem_id, n, gamma, method, config):
     return row, report
 
 
-def _json_float(value):
-    """value, or None (JSON null) when it is nan or infinite."""
-    return value if math.isfinite(value) else None
+def _strict_json(value):
+    """value with every nan or infinite float in it, at any depth, as None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return value
 
 
 def cmd_solve(args, parser):
@@ -144,9 +151,8 @@ def cmd_solve(args, parser):
         parser.error("--n must be >= 2")
     config = _config_from_args(args, parser)
     row, report = _run_one(args.problem, args.n, args.gamma, args.method, config)
-    fields = {**asdict(row), "final_norm_inf": _json_float(row.final_norm_inf)}
     out_text = (
-        json.dumps(fields, indent=2, allow_nan=False)
+        json.dumps(_strict_json(asdict(row)), indent=2, allow_nan=False)
         if args.format == "json"
         else CSV_HEADER + "\n" + row.to_csv() + "\n"
     )
@@ -158,16 +164,9 @@ def cmd_solve(args, parser):
     if args.trace:
         payload = {"status": row.status, "error": row.error}
         if report is not None:
-            payload.update(
-                x0_projected=report.x0_projected,
-                iterates=[list(map(float, it)) for it in report.iterates],
-                residual_norms=[_json_float(r) for r in report.residual_norms],
-                condg_iters=list(map(int, report.condg_iters)),
-                newton_steps=list(map(float, report.newton_steps)),
-                uncertified_steps=report.uncertified_steps,
-            )
+            payload.update(asdict(report), iterates=[it.tolist() for it in report.iterates])
         with open(args.trace, "w") as fh:
-            json.dump(payload, fh, allow_nan=False)
+            json.dump(_strict_json(payload), fh, allow_nan=False)
     return 0 if row.status == CONVERGED else 1
 
 
@@ -259,7 +258,7 @@ def build_parser():
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
     p_solve.add_argument("--trace", default=None,
-                         help="write the full iterate/residual history as JSON")
+                         help="write the run's iterates, residuals and steps as JSON")
 
     p_bench = subs.add_parser("benchmark", help="run a suite and emit a CSV table")
     p_bench.add_argument("--suite", choices=tuple(SUITES), default="paper-core")

@@ -10,8 +10,10 @@ A set with an exact Euclidean projection (Box clips, EuclideanBall rescales,
 Simplex subtracts a sort-based threshold) gets it in one step, certified by
 one LMO call. Any other FeasibleSet, whose `project` returns None, runs the
 Frank-Wolfe loop on its linear-minimization oracle alone; a call that ends
-at the iteration cap carries no certificate, and the solver counts such
-steps in RunReport.uncertified_steps.
+at the iteration cap carries no certificate. The solver records every
+step's inner_iters, final_gap and terminated_by in RunReport.steps, and
+counts the capped calls, the start's projection included, in
+RunReport.uncertified_steps.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ class CondGResult:
     terminated_by: str
 
 
-def condg(fset, y, x, eps, cap, trace=None):
+def condg(fset, y, x, eps, cap):
     """Approximate projection of y onto fset, started at the feasible point x.
 
     Parameters
@@ -52,7 +54,6 @@ def condg(fset, y, x, eps, cap, trace=None):
     eps : float >= 0, Wolfe-gap termination threshold.
     cap : int >= 1, iteration cap; when it binds the last iterate is returned
         with terminated_by="iteration_cap" and no gap certificate.
-    trace : optional list; when given, every iterate z_t is appended.
 
     A feasible y is its own Euclidean projection and has Wolfe gap exactly 0,
     so it is returned directly with the certificate 0 >= -eps. Otherwise the
@@ -74,10 +75,7 @@ def condg(fset, y, x, eps, cap, trace=None):
         raise ValueError("condg requires a feasible starting point")
 
     if fset.contains(y):
-        z = y.copy()
-        if trace is not None:
-            trace.append(z.copy())
-        return CondGResult(z=z, inner_iters=1, final_gap=0.0, terminated_by=GAP)
+        return CondGResult(z=y.copy(), inner_iters=1, final_gap=0.0, terminated_by=GAP)
 
     z = fset.project(y)
     if z is not None:
@@ -88,15 +86,11 @@ def condg(fset, y, x, eps, cap, trace=None):
             np.linalg.norm(d) * (np.linalg.norm(u) + np.linalg.norm(z))
         )
         if gap >= -eps - rounding:
-            if trace is not None:
-                trace.append(z.copy())
             return CondGResult(z=z, inner_iters=1, final_gap=gap, terminated_by=GAP)
 
     z = x.copy()
     gap = 0.0
     for t in range(1, cap + 1):
-        if trace is not None:
-            trace.append(z.copy())
         d = z - y
         u = fset.lmo(d)
         gap = float(d @ (u - z))
@@ -108,8 +102,6 @@ def condg(fset, y, x, eps, cap, trace=None):
             return CondGResult(z=z, inner_iters=t, final_gap=gap, terminated_by=GAP)
         alpha = min(1.0, -gap / denom)
         z = z + alpha * (u - z)
-    if trace is not None:
-        trace.append(z.copy())
     return CondGResult(z=z, inner_iters=cap, final_gap=gap, terminated_by=ITERATION_CAP)
 
 

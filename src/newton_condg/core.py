@@ -183,6 +183,24 @@ class SolverConfig:
                 raise ValueError("eta_policy applies to inexact solves only")
 
 
+@dataclass(frozen=True)
+class Step:
+    """Record of one outer step taken, x_k to x_{k+1}.
+
+    Attributes:
+        step_norm: ||s_k||_2 of the linear step.
+        eta_used: achieved relative residual ||M_k s_k + F(x_k)|| / ||F(x_k)||.
+        inner_iters, final_gap, terminated_by: the step's CondG call, as in
+            condg.CondGResult.
+    """
+
+    step_norm: float
+    eta_used: float
+    inner_iters: int
+    final_gap: float
+    terminated_by: str
+
+
 @dataclass
 class RunReport:
     """History of one solve.
@@ -192,21 +210,21 @@ class RunReport:
             "linear_solve_failure".
         iterates: x_0, x_1, ... (one entry per outer iterate, x_0 included).
         residual_norms: ||F(x_k)||_inf, one entry per iterate.
-        condg_iters: inner iterations spent per outer step.
-        newton_steps: ||s_k||_2 per outer step.
+        steps: one Step per outer step taken, so len(steps) == iterations; a
+            step the run stopped at (step floor, failed model or linear
+            solve) has none.
         x0_projected: True when the supplied start was infeasible and was
             returned to the set before iterating.
-        uncertified_steps: outer steps whose CondG call ended at its
-            iteration cap, without the Wolfe-gap certificate the local
-            theory assumes; a converged run with uncertified_steps > 0 is
-            outside the paper's guarantee.
+        uncertified_steps: CondG calls that ended at their iteration cap,
+            without the Wolfe-gap certificate the local theory assumes: the
+            start's projection and every step's call; a converged run with
+            uncertified_steps > 0 is outside the paper's guarantee.
     """
 
     status: str
     iterates: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
-    condg_iters: list = field(default_factory=list)
-    newton_steps: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     x0_projected: bool = False
     uncertified_steps: int = 0
 

@@ -282,8 +282,9 @@ def _check_pivots(pivots, scale):
     arithmetic can pass it: the product of default_rng(1) Gaussians of shape
     300 x 299 and 299 x 300 factorizes, and solve_direct with b = ones
     returns a step with eta_used 0.37 and ||s||_inf 2e12 (one BLAS thread;
-    0.24 and 1.3e12 with two). The solver does not read eta_used. A condition
-    estimate (LAPACK gecon) would catch such a model.
+    0.24 and 1.3e12 with two). The solver records eta_used in each
+    RunReport step but gates nothing on it. A condition estimate (LAPACK
+    gecon) would catch such a model.
     """
     if np.abs(pivots).min() < PIVOT_RTOL * scale:
         raise LinearSolveFailure("model matrix is singular to working precision")

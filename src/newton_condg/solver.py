@@ -47,8 +47,8 @@ def solve(problem, x0, config=None, theory=None):
     ----------
     problem : core.Problem
     x0 : array; an infeasible start is first returned to the set with a
-        zero-tolerance conditional-gradient projection and the report's
-        x0_projected flag is raised.
+        zero-tolerance conditional-gradient projection, which raises the
+        report's x0_projected flag and counts in uncertified_steps if capped.
     config : core.SolverConfig, defaults to SolverConfig().
     theory : optional core.TheoryParams; when given the configuration is
         validated against them before iterating (theta <= lambda^2/2).
@@ -64,17 +64,17 @@ def solve(problem, x0, config=None, theory=None):
     if x.shape != (problem.n,):
         raise ValueError("x0 must be an n-vector")
 
-    x0_projected = False
-    if not fset.contains(x, 1e-12):
+    x0_projected = not fset.contains(x, 1e-12)
+    uncertified_steps = 0
+    if x0_projected:
         start = fset.lmo(np.zeros(problem.n))
-        x = condg(fset, x, start, 0.0, config.max_condg).z
-        x0_projected = True
+        projection = condg(fset, x, start, 0.0, config.max_condg)
+        x = projection.z
+        uncertified_steps = int(projection.terminated_by == ITERATION_CAP)
 
     iterates = []
     residual_norms = []
-    condg_iters = []
-    newton_steps = []
-    uncertified_steps = 0
+    steps = []
     status = core.MAX_ITERATIONS
     jac_state = None
     prev_step = None
@@ -115,16 +115,15 @@ def solve(problem, x0, config=None, theory=None):
 
         s = outcome.s
         snorm = float(np.linalg.norm(s))
-        newton_steps.append(snorm)
         if snorm < STEP_FLOOR * max(1.0, float(np.linalg.norm(x))):
             status = core.NO_PROGRESS
             break
 
         y = x + s
         inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
-        condg_iters.append(inner.inner_iters)
-        if inner.terminated_by == ITERATION_CAP:
-            uncertified_steps += 1
+        steps.append(core.Step(snorm, outcome.eta_used, inner.inner_iters,
+                               inner.final_gap, inner.terminated_by))
+        uncertified_steps += inner.terminated_by == ITERATION_CAP
 
         z = inner.z
         fz = np.asarray(problem.fun(z), dtype=float)
@@ -135,8 +134,7 @@ def solve(problem, x0, config=None, theory=None):
         status=status,
         iterates=iterates,
         residual_norms=residual_norms,
-        condg_iters=condg_iters,
-        newton_steps=newton_steps,
+        steps=steps,
         x0_projected=x0_projected,
         uncertified_steps=uncertified_steps,
     )

@@ -62,7 +62,7 @@ def test_boundary_root_converges_with_certified_steps(kind, seed):
     assert report.status == "converged"
     assert np.abs(report.x - problem.known_root).max() <= 1e-5
     assert report.uncertified_steps == 0
-    assert max(report.condg_iters) < CONFIG.max_condg
+    assert max(step.inner_iters for step in report.steps) < CONFIG.max_condg
 
 
 def test_capped_inner_calls_are_reported():
@@ -73,4 +73,6 @@ def test_capped_inner_calls_are_reported():
     config = SolverConfig(jacobian_strategy="exact", max_condg=1, max_outer=20)
     report = solve(lmo_only, x0, config)
     assert report.uncertified_steps > 0
-    assert report.uncertified_steps <= len(report.condg_iters)
+    assert not report.x0_projected
+    capped = sum(step.terminated_by == "iteration_cap" for step in report.steps)
+    assert report.uncertified_steps == capped

@@ -74,6 +74,11 @@ class TestSolve:
         assert len(payload["iterates"]) == len(payload["residual_norms"])
         assert len(payload["iterates"][0]) == 10
         assert payload["uncertified_steps"] == 0
+        assert len(payload["steps"]) == len(payload["iterates"]) - 1
+        for step in payload["steps"]:
+            assert set(step) == {
+                "step_norm", "eta_used", "inner_iters", "final_gap", "terminated_by",
+            }
 
     def test_json_output_to_file(self, tmp_path):
         out_path = tmp_path / "row.json"

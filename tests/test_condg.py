@@ -103,6 +103,18 @@ def test_contraction_against_exact_projection():
         assert np.linalg.norm(res.z - box.project(ytilde)) <= bound + 1e-9
 
 
+class _DirectionLog(LmoOnly):
+    """An LMO-only view that keeps every direction d = z_t - y it is asked about."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.directions = []
+
+    def lmo(self, d):
+        self.directions.append(np.array(d, copy=True))
+        return super().lmo(d)
+
+
 def test_iterates_stay_feasible_and_objective_decreases():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -111,10 +123,12 @@ def test_iterates_stay_feasible_and_objective_decreases():
         width = box.capped_upper - box.lower
         y = box.lower + rng.uniform(-0.6, 1.6, n) * width
         x = box.sample(rng)
-        trace = []
-        condg(LmoOnly(box), y, x, 1e-4, 20000, trace=trace)
-        dists = [np.linalg.norm(z - y) for z in trace]
-        for z in trace:
+        view = _DirectionLog(box)
+        res = condg(view, y, x, 1e-4, 20000)
+        iterates = [d + y for d in view.directions] + [res.z]  # z_t = d + y
+        dists = [np.linalg.norm(d) for d in view.directions]  # ||z_t - y||
+        dists.append(np.linalg.norm(res.z - y))
+        for z in iterates:
             assert box.contains(z, 1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 

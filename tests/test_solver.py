@@ -14,9 +14,10 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.linsolve import LinearSolveFailure
+from newton_condg import linsolve, solver
+from newton_condg.linsolve import AdaptiveEta, ConstantEta, LinearSolveFailure, forcing_eta
 
-from oracles import scalar_newton_iterates
+from oracles import LmoOnly, scalar_newton_iterates
 
 
 def _scalar_problem(fun, dfun, lower, upper):
@@ -50,7 +51,7 @@ class TestSolve:
         assert report.status == "converged"
         assert report.iterations == 0
         assert report.residual_norms[-1] <= 1e-10
-        assert report.condg_iters == [] and report.newton_steps == []
+        assert report.steps == []
 
     def test_interior_run_matches_unconstrained_newton(self):
         # independent oracle: the scalar Newton recursion for x^2 - 1 on [0, 2]
@@ -161,6 +162,109 @@ class TestSolve:
             assert report.status == "converged"
             errs = [np.linalg.norm(it - p.known_root) for it in report.iterates]
             assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+def _stop_case(stop):
+    """(problem, x0, SolverConfig fields, status) of a run that ends the named way."""
+    if stop == "converged":
+        p = make_problem("synthetic_quadratic", 8)
+        return p, starting_point(p, 1), {}, "converged"
+    if stop == "step_floor":
+        p = make_problem("pb3_troesch", 50)
+        return p, starting_point(p, 1), {"tol_inf": 1e-300}, "no_progress"
+    if stop == "stagnation":  # x^2 + 1 never vanishes
+        p = _scalar_problem(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5, 2.0)
+        return p, np.array([1.0]), {}, "no_progress"
+    if stop == "max_iterations":
+        p = _scalar_problem(lambda x: x * x - 1.0, lambda x: 2.0 * x, 0.0, 2.0)
+        return p, np.array([1.9]), {"max_outer": 1, "tol_inf": 1e-12}, "max_iterations"
+    if stop == "singular_model":  # a zero Jacobian fails the first step
+        p = _scalar_problem(lambda x: x * x, lambda x: 0.0, -1.0, 1.0)
+        return p, np.array([0.5]), {}, "linear_solve_failure"
+    # F is nan below 1.2: the first step lands there, and the second fails
+    p = Problem(
+        name="nan_below", n=4, fun=lambda x: np.where(x < 1.2, np.nan, x * x - 1.0),
+        jac=lambda x: np.diag(2.0 * x), feasible_set=Box(np.zeros(4), np.full(4, 2.0)),
+    )
+    return p, np.full(4, 1.8), {}, "linear_solve_failure"
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("linsolve_mode", ["direct", "inexact"])
+    @pytest.mark.parametrize("stop", [
+        "converged", "step_floor", "stagnation", "max_iterations", "singular_model",
+        "non_finite_residual",
+    ])
+    def test_one_record_per_step_taken(self, stop, linsolve_mode):
+        p, x0, fields, status = _stop_case(stop)
+        cfg = SolverConfig(jacobian_strategy="exact", linsolve=linsolve_mode, **fields)
+        report = solve(p, x0, cfg)
+        assert report.status == status
+        assert len(report.steps) == report.iterations
+        if stop == "step_floor":  # too few iterates for the stagnation rule
+            assert report.iterations < solver.NO_PROGRESS_WINDOW
+        if linsolve_mode == "direct":
+            assert all(0.0 <= step.eta_used <= 1e-10 for step in report.steps)
+
+    @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+    @pytest.mark.parametrize("pid", [
+        "pb1_h_equation", "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear",
+    ])
+    def test_unreachable_tolerance_keeps_one_record_per_step(self, pid, strategy):
+        p = make_problem(pid, 30)
+        cfg = SolverConfig(jacobian_strategy=strategy, tol_inf=1e-300)
+        report = solve(p, starting_point(p, 1), cfg)
+        assert report.status == "no_progress"
+        assert len(report.steps) == report.iterations
+
+    def test_records_of_an_interior_run(self):
+        # theta = 0 and every y_k feasible: CondG returns y_k itself
+        p = _scalar_problem(lambda x: x * x - 1.0, lambda x: 2.0 * x, 0.0, 2.0)
+        report = solve(p, np.array([1.5]), SolverConfig(jacobian_strategy="exact", theta=0.0))
+        assert report.status == "converged"
+        for x, z, step in zip(report.iterates, report.iterates[1:], report.steps):
+            assert step.step_norm == pytest.approx(abs(z[0] - x[0]), rel=1e-12)
+            assert (step.inner_iters, step.final_gap, step.terminated_by) == (1, 0.0, "gap")
+
+    @pytest.mark.parametrize("policy", [ConstantEta(), AdaptiveEta()],
+                             ids=["constant", "adaptive"])
+    @pytest.mark.parametrize("pid", ["pb1_h_equation", "pb3_troesch"])  # dense, CSR model
+    def test_inexact_steps_record_eta_within_the_forcing_term(self, monkeypatch, pid, policy):
+        # a step whose GMRES missed its contract falls back to solve_direct
+        fallbacks, gmres_met = [], []
+        real_direct, real_inexact = linsolve.solve_direct, linsolve.solve_inexact
+
+        def direct(M, b):
+            fallbacks.append(1)
+            return real_direct(M, b)
+
+        def inexact(M, b, eta):
+            before = len(fallbacks)
+            outcome = real_inexact(M, b, eta)
+            gmres_met.append(len(fallbacks) == before)
+            return outcome
+
+        monkeypatch.setattr(linsolve, "solve_direct", direct)
+        monkeypatch.setattr(solver, "solve_inexact", inexact)
+        p = make_problem(pid, 50)
+        cfg = SolverConfig(jacobian_strategy="exact", linsolve="inexact", eta_policy=policy)
+        report = solve(p, starting_point(p, 1), cfg)
+        assert report.status == "converged"
+        assert len(gmres_met) == len(report.steps) and any(gmres_met)
+        for x, step, met in zip(report.iterates, report.steps, gmres_met):
+            if met:
+                assert step.eta_used <= forcing_eta(float(np.linalg.norm(p.fun(x))), policy)
+
+    def test_capped_start_projection_is_uncertified(self):
+        # the LMO-only box projects the start by Frank-Wolfe with eps = 0,
+        # which cannot certify and ends at the cap
+        p = make_problem("synthetic_quadratic", 10)
+        lmo_only = dataclasses.replace(p, feasible_set=LmoOnly(p.feasible_set))
+        x0 = np.array([3, 1.5, 3, 1.2, 0.5, 3, 1.1, 0.9, 2.5, 1.3])
+        report = solve(lmo_only, x0, SolverConfig(jacobian_strategy="exact"))
+        assert report.x0_projected and report.status == "converged"
+        capped = sum(step.terminated_by == "iteration_cap" for step in report.steps)
+        assert report.uncertified_steps == 1 + capped
 
 
 @pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
