@@ -16,12 +16,13 @@ from .core import (
     LINEAR_SOLVE_FAILURE,
     MAX_ITERATIONS,
     NO_PROGRESS,
+    AdaptiveEta,
+    ConstantEta,
     Problem,
     RunReport,
     SolverConfig,
-    TheoryParams,
     check_problem,
-    validate_config,
+    forcing_eta,
 )
 from .feasible_set import Box, EuclideanBall, FeasibleSet, Simplex
 from .jacobian import (
@@ -30,19 +31,11 @@ from .jacobian import (
     next_jacobian,
     schubert_update,
 )
-from .linsolve import (
-    AdaptiveEta,
-    ConstantEta,
-    LinearSolveFailure,
-    LinSolveOutcome,
-    forcing_eta,
-    solve_direct,
-    solve_inexact,
-    spectral_norm,
-)
-from .solver import condg_epsilon, solve, verify_mk_conditions
+from .linsolve import LinearSolveFailure, LinSolveOutcome, solve_direct, solve_inexact
+from .solver import condg_epsilon, solve
 from .theory import (
     MajorantFunction,
+    TheoryParams,
     holder_majorant,
     holder_radius,
     majorant_sequence,
@@ -50,6 +43,9 @@ from .theory import (
     rate_check,
     smale_majorant,
     smale_radius,
+    spectral_norm,
+    validate_config,
+    verify_mk_conditions,
 )
 
 __version__ = "0.1.0"

@@ -20,10 +20,9 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
-from .core import CONVERGED, LINSOLVE_MODES, SolverConfig, TheoryParams
-from .linsolve import AdaptiveEta, ConstantEta
+from .core import CONVERGED, LINSOLVE_MODES, AdaptiveEta, ConstantEta, SolverConfig
 from .solver import solve
-from .theory import holder_radius, smale_radius
+from .theory import TheoryParams, holder_radius, smale_radius
 
 CSV_HEADER = "problem,n,gamma,method,iters,final_norm_inf,status,wall_ms"
 

@@ -1,4 +1,5 @@
-"""Shared domain types: problem definitions, solver configuration, run reports.
+"""Shared domain types: problem definitions, solver configuration and its
+forcing policies, run reports.
 
 Everything here is immutable after construction and safe to share across
 threads; `Problem.fun` is expected to be pure.
@@ -11,48 +12,14 @@ import numpy as np
 from scipy import sparse
 
 from .feasible_set import FeasibleSet
-from .linsolve import AdaptiveEta, ConstantEta
+from .jacobian import FINITE_DIFFERENCE, JACOBIAN_STRATEGIES, canonical_pattern, fd_jacobian
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 NO_PROGRESS = "no_progress"
 LINEAR_SOLVE_FAILURE = "linear_solve_failure"
 
-JACOBIAN_STRATEGIES = ("exact", "finite_difference", "schubert")
 LINSOLVE_MODES = ("direct", "inexact")
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Constants (omega1, omega2, vartheta, lambda) of the local convergence theory.
-
-    omega1 bounds ||M_k^{-1} F'(x_k)||, omega2 bounds ||M_k^{-1} F'(x_k) - I||,
-    vartheta caps the preconditioned forcing term, and lam caps sqrt(2*theta).
-    Construction raises ValueError naming the first violated inequality.
-    """
-
-    omega1: float
-    omega2: float = 0.0
-    vartheta: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.vartheta < 1.0):
-            raise ValueError("violated: 0 <= vartheta < 1")
-        if not (0.0 <= self.omega2 < self.omega1):
-            raise ValueError("violated: 0 <= omega2 < omega1")
-        if not (self.omega1 * self.vartheta + self.omega2 < 1.0):
-            raise ValueError("violated: omega1*vartheta + omega2 < 1")
-        if not (0.0 <= self.lam < self.lambda_max()):
-            raise ValueError(
-                "violated: 0 <= lambda < (1 - omega2 - omega1*vartheta)"
-                "/(omega1*(1 + vartheta))"
-            )
-
-    def lambda_max(self):
-        return (1.0 - self.omega2 - self.omega1 * self.vartheta) / (
-            self.omega1 * (1.0 + self.vartheta)
-        )
 
 
 @dataclass(frozen=True)
@@ -67,10 +34,10 @@ class Problem:
         jac: optional analytic Jacobian callback x -> (n, n) array or
             scipy.sparse matrix.
         pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
-            scipy.sparse, stored as canonical_pattern(pattern): a boolean CSR
-            array with read-only arrays, kept as it is when it already is one
-            (so dataclasses.replace copies share it) and copied otherwise, so
-            the caller's mask stays writable. Declaring
+            scipy.sparse, stored as jacobian.canonical_pattern(pattern): a
+            boolean CSR array with read-only arrays, kept as it is when it
+            already is one (so dataclasses.replace copies share it) and copied
+            otherwise, so the caller's mask stays writable. Declaring
             one selects CSR model matrices under every Jacobian strategy
             (column-grouped finite differences, the Schubert update on the
             pattern); with None the models are dense and the secant update
@@ -116,23 +83,43 @@ class Problem:
                 raise ValueError("known_root must be an n-vector")
             object.__setattr__(self, "known_root", root)
 
-    def __getstate__(self):
-        # pickle the pattern's arrays alone: what the Jacobian layer caches
-        # on it (its layout, several times the pattern's size) would be
-        # dropped by the canonical copy __setstate__ makes anyway
-        state = dict(self.__dict__)
-        if self.pattern is not None:
-            P = self.pattern
-            state["pattern"] = sparse.csr_array((P.data, P.indices, P.indptr), shape=P.shape)
-        return state
 
-    def __setstate__(self, state):
-        # unpickling skips __post_init__ and numpy restores the pattern's
-        # arrays writable: store it in canonical form again, so that its
-        # Jacobian layout is derived once, not on every build
-        self.__dict__.update(state)
-        if self.pattern is not None:
-            object.__setattr__(self, "pattern", canonical_pattern(self.pattern))
+@dataclass(frozen=True)
+class ConstantEta:
+    """Forcing policy eta_k = value for every k."""
+
+    value: float = 0.1
+
+    def __post_init__(self):
+        if not (0.0 <= self.value < 1.0):
+            raise ValueError("constant eta must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class AdaptiveEta:
+    """Forcing policy eta_k = min(eta_max, c * ||F(x_k)||)."""
+
+    c: float = 1.0
+    eta_max: float = 0.1
+
+    def __post_init__(self):
+        if self.c < 0:
+            raise ValueError("c must be >= 0")
+        if not (0.0 <= self.eta_max < 1.0):
+            raise ValueError("eta_max must lie in [0, 1)")
+
+
+def forcing_eta(resnorm, policy):
+    """Forcing term eta_k of a policy at the residual norm ||F(x_k)||."""
+    if resnorm < 0:
+        raise ValueError("resnorm must be >= 0")
+    if isinstance(policy, ConstantEta):
+        eta = policy.value
+    elif isinstance(policy, AdaptiveEta):
+        eta = min(policy.eta_max, policy.c * resnorm)
+    else:
+        raise TypeError(f"unknown forcing policy {policy!r}")
+    return float(eta)
 
 
 @dataclass(frozen=True)
@@ -156,7 +143,7 @@ class SolverConfig:
     max_outer: int = 300
     theta: float = 1e-5
     max_condg: int = 300
-    jacobian_strategy: str = "finite_difference"
+    jacobian_strategy: str = FINITE_DIFFERENCE
     refresh_period: int = 5
     linsolve: str = "direct"
     eta_policy: object = None
@@ -237,18 +224,6 @@ class RunReport:
         return len(self.iterates) - 1
 
 
-def validate_config(config, theory):
-    """Check a SolverConfig against TheoryParams.
-
-    Accepts iff theta <= lam**2 / 2 (with lam = 0 this forces theta = 0);
-    raises ValueError otherwise. TheoryParams checks its own inequalities when
-    it is built.
-    """
-    if config.theta > theory.lam ** 2 / 2.0:
-        raise ValueError("violated: theta <= lambda**2/2")
-    return config
-
-
 def check_problem(problem, rng=None, samples=8):
     """Assert the Problem invariants on sampled feasible points.
 
@@ -272,8 +247,6 @@ def check_problem(problem, rng=None, samples=8):
             if problem.jac is not None:
                 jac = problem.jac(x)
             else:
-                from .jacobian import fd_jacobian
-
                 jac = fd_jacobian(problem.fun, x, fx, vectorized=problem.vectorized)
             off, scale = _off_pattern_max(jac, problem.pattern)
             if off > 1e-12 * scale:
@@ -295,35 +268,6 @@ def check_problem(problem, rng=None, samples=8):
         res = np.abs(problem.fun(problem.known_root)).max()
         if res > 1e-10:
             raise AssertionError(f"{problem.name}: known_root residual {res:.3e}")
-
-
-def canonical_pattern(pattern):
-    """A dense or sparse boolean mask as the canonical form Problem stores.
-
-    That form is a boolean scipy.sparse.csr_array with sorted, duplicate-free
-    indices, no explicit False, and read-only data, indices and indptr, so
-    that what is derived from it once (the Jacobian layer's colouring) cannot
-    go stale. A pattern already in that form is returned as it is; anything
-    else is copied.
-    """
-    if (
-        type(pattern) is sparse.csr_array
-        and pattern.dtype == bool
-        and not (
-            pattern.data.flags.writeable
-            or pattern.indices.flags.writeable
-            or pattern.indptr.flags.writeable
-        )
-        and pattern.has_canonical_format
-        and pattern.data.all()
-    ):
-        return pattern
-    patt = sparse.csr_array(pattern, dtype=bool, copy=True)
-    patt.eliminate_zeros()
-    patt.sum_duplicates()
-    for arr in (patt.data, patt.indices, patt.indptr):
-        arr.flags.writeable = False
-    return patt
 
 
 def _off_pattern_max(jac, pattern):

@@ -6,10 +6,11 @@ secant update (Schubert/Broyden) refreshed by finite differences every
 `refresh_period` iterations.
 
 The storage of M_k follows what the problem declares. When it declares a
-pattern (Problem stores every pattern as a read-only boolean CSR array), M_k is a
-CSRModel with the pattern's structure: finite differences perturb each group
-of structurally orthogonal columns in one residual call (Curtis, Powell and
-Reid 1974), and the Schubert update rewrites the CSR data array in O(nnz).
+pattern (Problem stores every pattern as canonical_pattern makes it, a
+read-only boolean CSR array), M_k is a CSRModel with the pattern's
+structure: finite differences perturb each group of structurally orthogonal
+columns in one residual call (Curtis, Powell and Reid 1974), and the
+Schubert update rewrites the CSR data array in O(nnz).
 A problem that declares no pattern gets a dense ndarray built column by
 column and the classical Broyden update, except that the exact strategy
 keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
@@ -26,7 +27,11 @@ pattern's structure once, not once per factorization. A Problem's layout is
 built on its first finite-difference or Schubert build and kept on
 problem.pattern, so every later solve reads it, and so do
 dataclasses.replace copies, which keep the same pattern object. A problem
-solved only with its exact Jacobian never builds one.
+solved only with its exact Jacobian never builds one. A canonical pattern
+pickles as its data, indices and indptr alone and unpickles through
+canonical_pattern, so its layout, several times the pattern's size, is not
+sent, and the unpickled pattern is canonical again: its first build derives
+one layout, not one per build.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -41,16 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import canonical_pattern
-from .linsolve import (  # noqa: F401 (CSRModel: the type of every sparse model)
-    CSRModel,
-    as_model,
-    canonical_csr,
-)
+from .linsolve import as_model, canonical_csr
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
 SCHUBERT = "schubert"
+JACOBIAN_STRATEGIES = (EXACT, FINITE_DIFFERENCE, SCHUBERT)
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # entries per residual call of a vectorized fd_jacobian (512 KB of float64);
@@ -67,6 +68,45 @@ class JacobianState:
     """Model matrix M of one outer iteration; the next secant update reads it."""
 
     M: object
+
+
+class _Pattern(sparse.csr_array):
+    """A canonical pattern; it pickles as its three arrays and unpickles
+    through canonical_pattern, leaving its cached _Layout behind."""
+
+    def __reduce__(self):
+        return canonical_pattern, (
+            sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape),
+        )
+
+
+def canonical_pattern(pattern):
+    """A dense or sparse boolean mask as the canonical form Problem stores.
+
+    That form is a boolean _Pattern (a scipy.sparse.csr_array) with sorted,
+    duplicate-free indices, no explicit False, and read-only data, indices
+    and indptr, so that what is derived from it once (its _Layout) cannot go
+    stale. A pattern already in that form is returned as it is; anything
+    else is copied.
+    """
+    if (
+        type(pattern) is _Pattern
+        and pattern.dtype == bool
+        and not (
+            pattern.data.flags.writeable
+            or pattern.indices.flags.writeable
+            or pattern.indptr.flags.writeable
+        )
+        and pattern.has_canonical_format
+        and pattern.data.all()
+    ):
+        return pattern
+    patt = _Pattern(pattern, dtype=bool, copy=True)
+    patt.eliminate_zeros()
+    patt.sum_duplicates()
+    for arr in (patt.data, patt.indices, patt.indptr):
+        arr.flags.writeable = False
+    return patt
 
 
 class _Layout:

@@ -33,7 +33,6 @@ fill factor); the contract is on the unpreconditioned residual either way.
 That contract is all an inexact solve guarantees: the theory's vartheta
 bound on the preconditioned residual M^{-1}(M s - b), which
 eta * cond(M) <= vartheta would imply, is not checked.
-spectral_norm, for the solver's model diagnostics, lives here too.
 """
 
 from dataclasses import dataclass
@@ -63,8 +62,6 @@ MIXED_PIVOT_RTOL = 1e-5
 # refinement corrections after which an unconverged solve goes to getrf
 MIXED_MAX_STEPS = 10
 UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2^-53
-POWER_RTOL = 1e-8
-POWER_MAX_ITER = 2000
 
 
 class LinearSolveFailure(Exception):
@@ -77,31 +74,6 @@ class LinSolveOutcome:
 
     s: np.ndarray
     eta_used: float
-
-
-@dataclass(frozen=True)
-class ConstantEta:
-    """Forcing policy eta_k = value for every k."""
-
-    value: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 <= self.value < 1.0):
-            raise ValueError("constant eta must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class AdaptiveEta:
-    """Forcing policy eta_k = min(eta_max, c * ||F(x_k)||)."""
-
-    c: float = 1.0
-    eta_max: float = 0.1
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("c must be >= 0")
-        if not (0.0 <= self.eta_max < 1.0):
-            raise ValueError("eta_max must lie in [0, 1)")
 
 
 class _DenseLU:
@@ -383,43 +355,6 @@ def solve_inexact(M, b, eta):
     if rnorm <= eta * bnorm:
         return LinSolveOutcome(s=s, eta_used=float(rnorm / bnorm))
     return solve_direct(M, b)
-
-
-def forcing_eta(resnorm, policy):
-    """Forcing term eta_k of a policy at the residual norm ||F(x_k)||."""
-    if resnorm < 0:
-        raise ValueError("resnorm must be >= 0")
-    if isinstance(policy, ConstantEta):
-        eta = policy.value
-    elif isinstance(policy, AdaptiveEta):
-        eta = min(policy.eta_max, policy.c * resnorm)
-    else:
-        raise TypeError(f"unknown forcing policy {policy!r}")
-    return float(eta)
-
-
-def spectral_norm(A):
-    """Largest singular value by power iteration on A^T A.
-
-    Stops once sigma moves by at most POWER_RTOL * sigma, or after
-    POWER_MAX_ITER iterations.
-    """
-    A = as_model(A)
-    n = A.shape[1]
-    v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_sigma = np.linalg.norm(A @ v)
-        if abs(new_sigma - sigma) <= POWER_RTOL * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
 
 
 def _checked_rhs(b):

@@ -7,23 +7,14 @@ so the iterate stays feasible. Pure local method: no line search and no
 globalization.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import sparse
 
-from . import core, linsolve
+from . import core
 from .condg import ITERATION_CAP, condg
-from .core import RunReport, SolverConfig, validate_config
+from .core import ConstantEta, RunReport, SolverConfig, forcing_eta
 from .jacobian import JacobianError, next_jacobian
-from .linsolve import (
-    ConstantEta,
-    LinearSolveFailure,
-    forcing_eta,
-    solve_direct,
-    solve_inexact,
-    spectral_norm,
-)
+from .linsolve import LinearSolveFailure, solve_direct, solve_inexact
+from .theory import validate_config
 
 STEP_FLOOR = 1e-15
 # stagnation: the best residual of the last NO_PROGRESS_WINDOW iterations is
@@ -50,7 +41,7 @@ def solve(problem, x0, config=None, theory=None):
         zero-tolerance conditional-gradient projection, which raises the
         report's x0_projected flag and counts in uncertified_steps if capped.
     config : core.SolverConfig, defaults to SolverConfig().
-    theory : optional core.TheoryParams; when given the configuration is
+    theory : optional theory.TheoryParams; when given the configuration is
         validated against them before iterating (theta <= lambda^2/2).
 
     Returns a RunReport; failures (iteration cap, stagnation, unusable model
@@ -147,33 +138,3 @@ def _stalled(residual_norms):
     recent = min(residual_norms[-w:])
     earlier = min(residual_norms[:-w])
     return recent > NO_PROGRESS_FACTOR * earlier
-
-
-@dataclass
-class MkConditionCheck:
-    """Diagnostic operator norms of M^{-1} F'(x) and M^{-1} F'(x) - I."""
-
-    norm_inv_jac: float
-    norm_inv_jac_minus_identity: float
-    within_omega1: bool
-    within_omega2: bool
-
-
-def verify_mk_conditions(M, fprime, theory):
-    """Measure how well a model matrix tracks the true Jacobian.
-
-    Computes ||M^{-1} F'|| and ||M^{-1} F' - I|| (spectral norms by power
-    iteration, tolerance 1e-8) and flags them against omega1 and omega2.
-    Diagnostic only; never gates the iteration. M and fprime may be dense or
-    scipy.sparse. Raises LinearSolveFailure for singular M.
-    """
-    fprime = fprime.toarray() if sparse.issparse(fprime) else np.asarray(fprime, dtype=float)
-    B = linsolve.lu_factor(M).solve(fprime)
-    norm_b = spectral_norm(B)
-    norm_bi = spectral_norm(B - np.eye(B.shape[0]))
-    return MkConditionCheck(
-        norm_inv_jac=norm_b,
-        norm_inv_jac_minus_identity=norm_bi,
-        within_omega1=norm_b <= theory.omega1 + 1e-8,
-        within_omega2=norm_bi <= theory.omega2 + 1e-8,
-    )

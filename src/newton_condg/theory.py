@@ -1,4 +1,10 @@
-"""Majorant-based convergence radii and rate diagnostics.
+"""The local convergence theory: its constants, majorant-based radii, and
+diagnostics of runs and model matrices against it.
+
+TheoryParams holds the constants omega1, omega2, vartheta and lambda, and
+validate_config checks a SolverConfig's theta against them.
+verify_mk_conditions measures, by power iteration (spectral_norm), the two
+operator norms that omega1 and omega2 bound.
 
 A majorant function is a scalar convex model f with f(0) = 0, f'(0) = -1
 whose derivative dominates the variation of the scaled Jacobian around the
@@ -18,6 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+
+from .linsolve import as_model, lu_factor
 
 HOLDER = "holder"
 SMALE = "smale"
@@ -25,6 +34,54 @@ SMALE = "smale"
 ENVELOPE_SLACK = 1e-12
 RATIO_SLACK = 0.1  # finite runs cannot realize a limsup; documented headroom
 ERROR_FLOOR = 1e-14
+POWER_RTOL = 1e-8
+POWER_MAX_ITER = 2000
+
+
+@dataclass(frozen=True)
+class TheoryParams:
+    """Constants (omega1, omega2, vartheta, lambda) of the local convergence theory.
+
+    omega1 bounds ||M_k^{-1} F'(x_k)||, omega2 bounds ||M_k^{-1} F'(x_k) - I||,
+    vartheta caps the preconditioned forcing term, and lam caps sqrt(2*theta).
+    Construction raises ValueError naming the first violated inequality.
+    """
+
+    omega1: float
+    omega2: float = 0.0
+    vartheta: float = 0.0
+    lam: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.vartheta < 1.0):
+            raise ValueError("violated: 0 <= vartheta < 1")
+        if not (0.0 <= self.omega2 < self.omega1):
+            raise ValueError("violated: 0 <= omega2 < omega1")
+        if not (self.omega1 * self.vartheta + self.omega2 < 1.0):
+            raise ValueError("violated: omega1*vartheta + omega2 < 1")
+        if not (0.0 <= self.lam < self.lambda_max()):
+            raise ValueError(
+                "violated: 0 <= lambda < (1 - omega2 - omega1*vartheta)"
+                "/(omega1*(1 + vartheta))"
+            )
+
+    def lambda_max(self):
+        return (1.0 - self.omega2 - self.omega1 * self.vartheta) / (
+            self.omega1 * (1.0 + self.vartheta)
+        )
+
+
+def validate_config(config, theory):
+    """Check a SolverConfig against TheoryParams.
+
+    Accepts iff theta <= lam**2 / 2 (with lam = 0 this forces theta = 0);
+    raises ValueError otherwise. TheoryParams checks its own inequalities when
+    it is built.
+    """
+    if config.theta > theory.lam ** 2 / 2.0:
+        raise ValueError("violated: theta <= lambda**2/2")
+    return config
+
 
 
 @dataclass(frozen=True)
@@ -145,7 +202,7 @@ def majorant_sequence(majorant, theory, theta, t0, kmax):
     else:
         rho = smale_radius(majorant.gamma, theory).rho
     if not (0.0 < t0 < rho):
-        raise ValueError("need 0 < t0 < sigma")
+        raise ValueError("need 0 < t0 < rho")
 
     sq = math.sqrt(2.0 * theta)
     newton_coeff = theory.omega1 * (1.0 + theory.vartheta) * (1.0 + sq)
@@ -245,3 +302,57 @@ def _linear_coeff(theory, lam):
         theory.omega1 * ((1.0 + theory.vartheta) * lam + theory.vartheta)
         + theory.omega2
     )
+
+
+@dataclass
+class MkConditionCheck:
+    """Diagnostic operator norms of M^{-1} F'(x) and M^{-1} F'(x) - I."""
+
+    norm_inv_jac: float
+    norm_inv_jac_minus_identity: float
+    within_omega1: bool
+    within_omega2: bool
+
+
+def verify_mk_conditions(M, fprime, theory):
+    """Measure how well a model matrix tracks the true Jacobian.
+
+    Computes ||M^{-1} F'|| and ||M^{-1} F' - I|| (spectral norms by power
+    iteration, tolerance 1e-8) and flags them against omega1 and omega2.
+    Diagnostic only; never gates the iteration. M and fprime may be dense or
+    scipy.sparse. Raises LinearSolveFailure for singular M.
+    """
+    fprime = fprime.toarray() if sparse.issparse(fprime) else np.asarray(fprime, dtype=float)
+    B = lu_factor(M).solve(fprime)
+    norm_b = spectral_norm(B)
+    norm_bi = spectral_norm(B - np.eye(B.shape[0]))
+    return MkConditionCheck(
+        norm_inv_jac=norm_b,
+        norm_inv_jac_minus_identity=norm_bi,
+        within_omega1=norm_b <= theory.omega1 + 1e-8,
+        within_omega2=norm_bi <= theory.omega2 + 1e-8,
+    )
+
+
+def spectral_norm(A):
+    """Largest singular value by power iteration on A^T A.
+
+    Stops once sigma moves by at most POWER_RTOL * sigma, or after
+    POWER_MAX_ITER iterations.
+    """
+    A = as_model(A)
+    n = A.shape[1]
+    v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(POWER_MAX_ITER):
+        w = A.T @ (A @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        new_sigma = np.linalg.norm(A @ v)
+        if abs(new_sigma - sigma) <= POWER_RTOL * max(new_sigma, 1e-300):
+            return new_sigma
+        sigma = new_sigma
+    return sigma

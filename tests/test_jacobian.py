@@ -12,7 +12,8 @@ from newton_condg import (
     schubert_update,
     starting_point,
 )
-from newton_condg.jacobian import FD_BLOCK_ENTRIES, CSRModel, JacobianError
+from newton_condg.jacobian import FD_BLOCK_ENTRIES, JacobianError
+from newton_condg.linsolve import CSRModel
 
 
 class TestFDJacobian:

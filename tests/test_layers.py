@@ -1,0 +1,79 @@
+"""The package's layering, read from its source with ast: no import inside a
+function, an acyclic import graph, and leaf modules that import nothing from
+the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "newton_condg"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+LEAVES = ("linsolve", "feasible_set", "condg")
+
+
+def _imported(node):
+    """The package modules an import statement names; __init__ for the package."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.level == 0:
+        names = [node.module]
+    elif node.module:  # from .core import x
+        names = ["newton_condg." + node.module]
+    else:  # from . import core
+        names = ["newton_condg." + alias.name for alias in node.names]
+    return {
+        (name.split(".") + ["__init__"])[1]
+        for name in names
+        if name.split(".")[0] == "newton_condg"
+    }
+
+
+def _graph():
+    return {
+        name: sorted({
+            dep
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for dep in _imported(node)
+        })
+        for name, tree in MODULES.items()
+    }
+
+
+def test_no_function_imports():
+    found = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{name}.{func.name} (line {node.lineno})"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, "imports inside functions: " + ", ".join(found)
+
+
+def test_import_graph_is_acyclic():
+    graph = _graph()
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            cycle = path[path.index(name):] + [name]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        path.append(name)
+        for dep in graph.get(name, ()):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_leaf_module_imports_nothing_from_the_package(leaf):
+    assert _graph()[leaf] == []

@@ -17,7 +17,7 @@ import pytest
 from scipy import sparse
 
 from newton_condg import Box, EuclideanBall, Simplex, linsolve, make_problem, next_jacobian
-from newton_condg.jacobian import CSRModel
+from newton_condg.linsolve import CSRModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

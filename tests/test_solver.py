@@ -15,7 +15,7 @@ from newton_condg import (
     verify_mk_conditions,
 )
 from newton_condg import linsolve, solver
-from newton_condg.linsolve import AdaptiveEta, ConstantEta, LinearSolveFailure, forcing_eta
+from newton_condg import AdaptiveEta, ConstantEta, LinearSolveFailure, forcing_eta
 
 from oracles import LmoOnly, scalar_newton_iterates
 

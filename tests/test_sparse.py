@@ -32,8 +32,8 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import CSRModel, JacobianError, as_model, column_colouring
-from newton_condg.linsolve import _BandLU, lu_factor
+from newton_condg.jacobian import JacobianError, column_colouring
+from newton_condg.linsolve import CSRModel, _BandLU, as_model, lu_factor
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",

@@ -205,6 +205,12 @@ class TestMajorantSequence:
         with pytest.raises(ValueError, match="theta"):
             majorant_sequence(m, EXACT_NEWTON, 1e-5, 0.5, 10)  # theta > lam^2/2 = 0
 
+    def test_t0_at_rho_names_rho(self):
+        m = smale_majorant(1.0)
+        rho = smale_radius(1.0, EXACT_NEWTON).rho
+        with pytest.raises(ValueError, match="t0 < rho"):
+            majorant_sequence(m, EXACT_NEWTON, 0.0, rho, 10)
+
 
 class TestRateCheck:
     def _exact_run(self, theta=0.0):
