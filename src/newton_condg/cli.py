@@ -21,16 +21,13 @@ from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
 from .core import CONVERGED, LINSOLVE_MODES, AdaptiveEta, ConstantEta, SolverConfig
+from .jacobian import EXACT, FINITE_DIFFERENCE, SCHUBERT
 from .solver import solve
 from .theory import TheoryParams, holder_radius, smale_radius
 
 CSV_HEADER = "problem,n,gamma,method,iters,final_norm_inf,status,wall_ms"
 
-METHOD_TO_STRATEGY = {
-    "exact": "exact",
-    "fd": "finite_difference",
-    "schubert": "schubert",
-}
+METHOD_TO_STRATEGY = {"exact": EXACT, "fd": FINITE_DIFFERENCE, "schubert": SCHUBERT}
 
 SUITES = {"paper-core": PAPER_CORE, "all": tuple(REGISTRY), "synthetic": SYNTHETIC}
 

@@ -27,12 +27,15 @@ reduce the residual. solve_direct solves with that factorization, and its
 achieved residual is refinement's last one when refinement ran.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
-GMRES runs on a dense M as it is and on a sparse M with an incomplete-LU
-preconditioner (scipy.sparse.linalg.spilu at its default drop tolerance and
-fill factor); the contract is on the unpreconditioned residual either way.
-That contract is all an inexact solve guarantees: the theory's vartheta
-bound on the preconditioned residual M^{-1}(M s - b), which
-eta * cond(M) <= vartheta would imply, is not checked.
+The storage picks GMRES's preconditioner: a band model (its _FactorPlan.band)
+gets its banded LU from lu_factor, which is exact, so GMRES stops after one
+iteration; any other sparse model gets an incomplete LU
+(scipy.sparse.linalg.spilu at its default drop tolerance and fill factor); a
+dense model gets none. The contract is on the unpreconditioned residual
+either way. That contract is all an inexact solve guarantees: the theory's
+vartheta bound on the preconditioned residual M^{-1}(M s - b), which
+eta * cond(M) <= vartheta would imply, is not checked. On a band model the
+step is the direct step to rounding, so that caveat is moot there.
 """
 
 from dataclasses import dataclass
@@ -323,12 +326,14 @@ def solve_inexact(M, b, eta):
     """Return s with ||M s - b|| <= eta * ||b|| (Euclidean norms).
 
     eta = 0 behaves as solve_direct. Otherwise GMRES is run to relative
-    residual eta, preconditioned by the incomplete LU factors of M (spilu)
-    when M is scipy.sparse and unpreconditioned when M is dense. The
-    contract is checked by recomputation and, should GMRES miss it or spilu
-    fail, the direct solve is substituted (which satisfies any eta). Raises
-    LinearSolveFailure when M is non-finite or zero, whatever b is, or when b
-    is non-finite, before GMRES runs.
+    residual eta, preconditioned by lu_factor's banded LU of M when
+    as_model(M) is a band model (exact, so one iteration), by the incomplete
+    LU factors of M (spilu) when M is any other scipy.sparse matrix, and
+    unpreconditioned when M is dense. The contract is checked by
+    recomputation and, should GMRES miss it or the preconditioner fail to
+    factorize, the direct solve is substituted (which satisfies any eta).
+    Raises LinearSolveFailure when M is non-finite or zero, whatever b is, or
+    when b is non-finite, before GMRES runs.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
@@ -344,10 +349,10 @@ def solve_inexact(M, b, eta):
     precond = None
     if sparse.issparse(M):
         try:
-            ilu = spilu(sparse.csc_array(M, dtype=float))
-        except RuntimeError:  # spilu met an exactly zero pivot
+            factors = lu_factor(M) if M._factor_plan.band else spilu(sparse.csc_array(M))
+        except (LinearSolveFailure, RuntimeError):  # lu_factor's singular band, spilu's zero pivot
             return solve_direct(M, b)
-        precond = LinearOperator(M.shape, matvec=ilu.solve, dtype=float)
+        precond = LinearOperator(M.shape, matvec=factors.solve, dtype=float)
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
     )

@@ -5,7 +5,8 @@ import pytest
 
 import newton_condg.cli
 from newton_condg import Box, Problem, make_problem
-from newton_condg.cli import CSV_HEADER, main, suite_runs
+from newton_condg.cli import CSV_HEADER, METHOD_TO_STRATEGY, main, suite_runs
+from newton_condg.jacobian import JACOBIAN_STRATEGIES
 
 
 def _strip_wall(text):
@@ -187,6 +188,11 @@ def test_bad_solver_flag_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_every_method_names_a_jacobian_strategy():
+    assert all(s in JACOBIAN_STRATEGIES for s in METHOD_TO_STRATEGY.values())
+    assert sorted(METHOD_TO_STRATEGY.values()) == sorted(JACOBIAN_STRATEGIES)
 
 
 def _strict_json(text):

@@ -48,6 +48,13 @@ def _tridiagonal(lower, diag, upper):
     )
 
 
+def _laplacian(m):
+    """The 5-point Laplacian on an m x m grid, n = m * m: not a band model."""
+    T = _tridiagonal(-1.0, np.full(m, 2.0), -1.0)
+    eye = sparse.eye_array(m)
+    return sparse.csr_array(sparse.kron(T, eye) + sparse.kron(eye, T))
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -58,6 +65,19 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _lu_factors(monkeypatch):
+    """(M, factors) of every linsolve.lu_factor call, in call order."""
+    factored = []
+    original = newton_condg.linsolve.lu_factor
+
+    def recorded(M):
+        factored.append((M, original(M)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(newton_condg.linsolve, "lu_factor", recorded)
+    return factored
 
 
 def _chain_residual(x):
@@ -396,48 +416,62 @@ class TestSparseLinsolve:
                 solve_direct(to_matrix(M), np.ones(n))
 
     def test_tridiagonal_ilu_step_is_the_direct_step(self, monkeypatch):
-        # the incomplete LU of a tridiagonal matrix drops no fill: it is exact
+        # a band model is preconditioned by its banded LU, which is exact
         preconditioners = _gmres_preconditioners(monkeypatch)
+        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
+        factored = _lu_factors(monkeypatch)
         rng = np.random.default_rng(11)
         n = 300
         M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), 0.5)
         b = rng.standard_normal(n)
         out = solve_inexact(M, b, 0.1)
         assert np.linalg.norm(M @ out.s - b) <= 0.1 * np.linalg.norm(b)
-        np.testing.assert_allclose(out.s, solve_direct(M, b).s, rtol=0.0, atol=1e-12)
+        assert ilu_calls == []
+        assert len(factored) == 1
+        factors = factored[0][1]
+        assert isinstance(factors, _BandLU)
         assert len(preconditioners) == 1
         assert isinstance(preconditioners[0], LinearOperator)
+        assert preconditioners[0].matvec(b).tobytes() == factors.solve(b).tobytes()
+        np.testing.assert_allclose(out.s, solve_direct(M, b).s, rtol=0.0, atol=1e-12)
 
     def test_laplacian_meets_the_contract_with_an_inexact_ilu(self, monkeypatch):
-        m = 30  # 5-point Laplacian on a 30 x 30 grid: n = 900
-        T = _tridiagonal(-1.0, np.full(m, 2.0), -1.0)
-        eye = sparse.eye_array(m)
-        M = sparse.csr_array(sparse.kron(T, eye) + sparse.kron(eye, T))
+        m = 30  # n = 900; its band storage does not fit, so it is no band model
+        M = _laplacian(m)
+        assert not as_model(M)._factor_plan.band
         b = np.random.default_rng(12).standard_normal(m * m)
         ilu = spilu(sparse.csc_array(M))
         assert np.linalg.norm(M @ ilu.solve(b) - b) > 1e-4 * np.linalg.norm(b)
         preconditioners = _gmres_preconditioners(monkeypatch)
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
         for eta in (0.5, 0.1, 1e-3, 1e-8):
             out = solve_inexact(M, b, eta)
             assert np.linalg.norm(M @ out.s - b) <= eta * np.linalg.norm(b)
         assert direct == []
+        assert len(ilu_calls) == 4
         assert len(preconditioners) == 4
         assert all(isinstance(P, LinearOperator) for P in preconditioners)
 
-    def test_failed_ilu_falls_back_to_the_direct_solve(self, monkeypatch):
-        n = 8
-        M = _tridiagonal(-1.0, np.full(n, 4.0), -1.0).tolil()
+    @pytest.mark.parametrize("band", [True, False], ids=["tridiagonal", "laplacian"])
+    def test_failed_ilu_falls_back_to_the_direct_solve(self, monkeypatch, band):
+        # a zeroed row: gbtrf fails on the band model, spilu on the other
+        M = _tridiagonal(-1.0, np.full(8, 4.0), -1.0) if band else _laplacian(30)
+        M = M.tolil()
         M[3, :] = 0.0
         M = sparse.csr_array(M)
+        n = M.shape[0]
+        assert as_model(M)._factor_plan.band == band
         with pytest.raises(RuntimeError):
             spilu(sparse.csc_array(M))
         gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
         with pytest.raises(LinearSolveFailure):
             solve_inexact(M, np.ones(n), 0.1)
         assert len(direct) == 1
         assert gmres_calls == []
+        assert len(ilu_calls) == (0 if band else 1)
 
     def test_diagnostics_accept_sparse_models(self):
         M = _tridiagonal(-1.0, np.full(30, 4.0), -1.0)
@@ -447,14 +481,7 @@ class TestSparseLinsolve:
 
     @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
     def test_sparse_solve_factorizes_through_lu_factor(self, monkeypatch, strategy):
-        factored = []  # (M, factors) of every lu_factor call
-        original = newton_condg.linsolve.lu_factor
-
-        def recorded(M):
-            factored.append((M, original(M)))
-            return factored[-1][1]
-
-        monkeypatch.setattr(newton_condg.linsolve, "lu_factor", recorded)
+        factored = _lu_factors(monkeypatch)
         models = _counting(monkeypatch, newton_condg.solver, "solve_direct")
         for pid in ("pb2_discrete_boundary", "pb3_troesch", "synthetic_quadratic"):
             factored.clear()
