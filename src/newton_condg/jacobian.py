@@ -17,21 +17,25 @@ keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
 Every model goes through linsolve.as_model, which owns CSRModel and gives
-each sparse model its factorization plan. What both builds need of a
-pattern (the greedy column colouring and its group order, the row of every
-stored entry, and a template, the as_model of the pattern, whose indptr,
-indices and plan every model shares) lives in one _Layout per pattern. Each
-model is a shallow copy of the template with its own data array, so no
-model pays the sparse constructor's checks and lu_factor analyses the
-pattern's structure once, not once per factorization. A Problem's layout is
-built on its first finite-difference or Schubert build and kept on
-problem.pattern, so every later solve reads it, and so do
-dataclasses.replace copies, which keep the same pattern object. A problem
-solved only with its exact Jacobian never builds one. A canonical pattern
-pickles as its data, indices and indptr alone and unpickles through
-canonical_pattern, so its layout, several times the pattern's size, is not
-sent, and the unpickled pattern is canonical again: its first build derives
-one layout, not one per build.
+each sparse model its factorization plan. What the builds need of a
+pattern (the row of every stored entry, a template, the as_model of the
+pattern, whose indptr, indices and plan every model shares, and for finite
+differences the greedy column colouring and its group order) lives in one
+_Layout per pattern. Each model is a shallow copy of the template with its
+own data array, so no model pays the sparse constructor's checks and
+lu_factor analyses the pattern's structure once, not once per
+factorization. An exact Jacobian that is a float CSR matrix storing exactly
+the pattern's indptr and indices (the registry's sparse problems return
+one) becomes such a model too; any other exact Jacobian goes through
+as_model. A Problem's layout is built on its first finite-difference,
+Schubert or sparse exact build and kept on problem.pattern, so every later
+solve reads it, and so do dataclasses.replace copies, which keep the same
+pattern object. The colouring is derived on the first finite-difference
+build, so a problem solved only with its exact Jacobian never colours its
+pattern. A canonical pattern pickles as its data, indices and indptr alone
+and unpickles through canonical_pattern, so its layout, several times the
+pattern's size, is not sent, and the unpickled pattern is canonical again:
+its first build derives one layout, not one per build.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -42,6 +46,7 @@ entries, and the model is bit-identical to the one built point by point.
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -110,37 +115,52 @@ def canonical_pattern(pattern):
 
 
 class _Layout:
-    """What finite differences and the Schubert update need of a canonical
-    boolean CSR pattern P, derived once.
+    """What every sparse model of a canonical boolean CSR pattern P needs of
+    it, derived once.
 
-    colour is column_colouring(P), order and start give the columns of group
-    g as order[start[g]:start[g + 1]] (ascending: the sort is stable), and
-    entry_colour gives the column's group of every stored entry. template is
-    as_model of P's structure, built and checked once by scipy; indptr and
-    indices are its read-only arrays, and plan its linsolve._FactorPlan,
-    which every model built by model() shares; plan.rows is the row of every
+    template is as_model of P's structure, built and checked once by scipy;
+    indptr and indices are its read-only arrays, and plan its
+    linsolve._FactorPlan, which every model built by model() shares;
+    plan.rows is the row of every stored entry. groups, the column groups of
+    finite differences, is derived on its first use, so that an exact-only
+    solve never colours P: colour is column_colouring(P), order and start
+    give the columns of group g as order[start[g]:start[g + 1]] (ascending:
+    the sort is stable), and entry_colour gives the column's group of every
     stored entry.
     """
 
     def __init__(self, P):
-        self.shape = P.shape
+        self.pattern, self.shape = P, P.shape
         data = np.zeros(P.nnz)
         data.flags.writeable = False  # every model gets its own data array
         self.template = as_model(sparse.csr_array((data, P.indices, P.indptr), shape=P.shape))
         self.indptr, self.indices = self.template.indptr, self.template.indices
         self.plan = self.template._factor_plan
-        self.colour = column_colouring(P)
-        self.order = np.argsort(self.colour, kind="stable")
-        self.start = np.searchsorted(
-            self.colour[self.order], np.arange(self.colour.max() + 2)
-        ).tolist()
-        self.entry_colour = self.colour[P.indices]
+
+    @cached_property
+    def groups(self):
+        """(colour, order, start, entry_colour), derived on first use."""
+        colour = column_colouring(self.pattern)
+        order = np.argsort(colour, kind="stable")
+        start = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
+        return colour, order, start, colour[self.indices]
 
     def model(self, data):
         """The CSRModel storing the float array data at the pattern's entries."""
         M = copy.copy(self.template)
         M.data = data
         return M
+
+    def stores(self, M):
+        """True when M is a float CSR matrix storing exactly the pattern's
+        indptr and indices (by value), so that model(M.data) holds M."""
+        return (
+            M.format == "csr"
+            and M.dtype == np.float64
+            and M.shape == self.shape
+            and np.array_equal(M.indptr, self.indptr)
+            and np.array_equal(M.indices, self.indices)
+        )
 
 
 def _layout(pattern):
@@ -219,7 +239,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
         start = range(n + 1)
     else:
         layout = _layout(pattern)
-        colour, order, start = layout.colour, layout.order, layout.start
+        colour, order, start, entry_colour = layout.groups
         diffs = np.empty((len(start) - 1, n))
     groups_per_block = max(1, FD_BLOCK_ENTRIES // n) if vectorized else 1
     # group g perturbs the columns order[start[g]:start[g + 1]] in row
@@ -242,7 +262,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     if pattern is None:
         jac /= h
         return jac
-    return layout.model(diffs[layout.entry_colour, layout.plan.rows] / h[layout.indices])
+    return layout.model(diffs[entry_colour, layout.plan.rows] / h[layout.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):
@@ -288,9 +308,7 @@ def _schubert_update_csr(M, s, yvec, pattern):
     rows, indices = layout.plan.rows, layout.indices
     if not layout.plan.fits(M):  # M was not built from this layout
         M = canonical_csr(M)  # compared and embedded only: no plan is derived for it
-        if not (
-            np.array_equal(M.indptr, layout.indptr) and np.array_equal(M.indices, indices)
-        ):
+        if not layout.stores(M):
             data = M[rows, indices]  # embed M, which may store only part of the pattern
             if np.count_nonzero(data) != np.count_nonzero(M.data):
                 raise JacobianError("M has entries outside the sparsity pattern")
@@ -314,9 +332,11 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
     problem.pattern every finite-difference build is column-grouped and the
     model is CSR; both builds read the pattern's layout (colouring, group
-    order, entry rows, CSR template), which the problem's first
-    finite-difference or Schubert build derives and problem.pattern keeps for
-    every later solve of the problem or of a dataclasses.replace copy.
+    order, entry rows, CSR template), which the problem's first build that
+    needs it derives and problem.pattern keeps for every later solve of the
+    problem or of a dataclasses.replace copy; an exact Jacobian that stores
+    exactly the pattern's CSR structure is a model of that template too, and
+    shares its factorization plan.
     Without a pattern, the builds are column by column and the secant update
     is Broyden's. A problem that declares vectorized=True has fd_jacobian
     evaluate its perturbed points in blocks. fx = F(x), when given, spares
@@ -327,7 +347,12 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     if strategy == EXACT:
         if problem.jac is None:
             raise JacobianError("exact strategy needs an analytic Jacobian")
-        return JacobianState(M=as_model(problem.jac(x)))
+        J = problem.jac(x)
+        if problem.pattern is not None and sparse.issparse(J):
+            layout = _layout(problem.pattern)
+            if layout.stores(J):
+                return JacobianState(M=layout.model(J.data))
+        return JacobianState(M=as_model(J))
     if strategy not in (FINITE_DIFFERENCE, SCHUBERT):
         raise ValueError(f"unknown jacobian strategy {strategy!r}")
 

@@ -4,14 +4,17 @@ as_model is the one conversion of a model matrix: a float ndarray, or a
 canonical float CSRModel that carries its _FactorPlan, the symbolic half of
 its factorization (the row of every entry, kl and ku, the kernel, where each
 entry goes in the band storage). A sparse matrix is sorted in a copy, never
-in place, and every model built from a declared pattern already carries the
+in place, and every model built from a declared pattern (an exact Jacobian
+that stores the pattern's very structure included) already carries the
 pattern's plan, so that analysis runs once per pattern. Every factorization
 goes through lu_factor, which checks the model once (finite, non-zero) and
 picks the kernel by storage; each kernel is one class that factorizes with
 partial pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
-_BandLU (LAPACK gbtrf) takes a sparse model whose band, read from its stored
-structure, fits in BAND_STORAGE_RATIO times its stored entries; _SparseLU
-(scipy.sparse.linalg.splu) any other sparse one; _DenseLU a dense one, by
+_BandLU takes a sparse model whose band, read from its stored structure,
+fits in BAND_STORAGE_RATIO times its stored entries: LAPACK gttrf when it is
+tridiagonal (kl == ku == 1, the split scipy.linalg.solve_banded makes too),
+gbtrf for a wider band; _SparseLU (scipy.sparse.linalg.splu) takes any
+other sparse one; _DenseLU a dense one, by
 LAPACK getrf below order MIXED_MIN_N (250, where the float32 factors stop
 costing more than they save) and by sgetrf on a float32 copy above it, with
 mixed-precision iterative refinement (Buttari et al., ACM TOMS 2008; Carson
@@ -29,20 +32,21 @@ solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
 The storage picks GMRES's preconditioner: a band model (its _FactorPlan.band)
 gets its banded LU from lu_factor, which is exact, so GMRES stops after one
-iteration; any other sparse model gets an incomplete LU
-(scipy.sparse.linalg.spilu at its default drop tolerance and fill factor); a
-dense model gets none. The contract is on the unpreconditioned residual
-either way. That contract is all an inexact solve guarantees: the theory's
-vartheta bound on the preconditioned residual M^{-1}(M s - b), which
-eta * cond(M) <= vartheta would imply, is not checked. On a band model the
-step is the direct step to rounding, so that caveat is moot there.
+iteration, and a model that LU fails on fails the solve; any other sparse
+model gets an incomplete LU (scipy.sparse.linalg.spilu at its default drop
+tolerance and fill factor); a dense model gets none. The contract is on
+the unpreconditioned residual either way. That contract is all an inexact
+solve guarantees: the theory's vartheta bound on the preconditioned
+residual M^{-1}(M s - b), which eta * cond(M) <= vartheta would imply, is
+not checked. On a band model the step is the direct step to rounding, so
+that caveat is moot there.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dlange, sgetrf, sgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dlange, sgetrf, sgetrs
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 PIVOT_RTOL = 1e-14
@@ -169,22 +173,36 @@ class _SparseLU:
 
 
 class _BandLU:
-    """LAPACK banded LU factors (gbtrf) of a sparse model whose _FactorPlan
-    says its band storage fits."""
+    """LAPACK LU factors of a sparse model whose _FactorPlan says its band
+    storage fits: gttrf's for a tridiagonal plan (kl == ku == 1, n >= 3),
+    gbtrf's for any other band. u_diagonal is U's diagonal, whose pivots
+    are checked."""
 
     def __init__(self, A, maxabs):
-        plan = A._factor_plan
-        self.kl, self.ku = kl, ku = plan.kl, plan.ku
-        ab = np.zeros((2 * kl + ku + 1, A.shape[0]), order="F")
-        ab.reshape(-1, order="F")[plan.flat] = A.data
-        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        self.plan = plan = A._factor_plan
+        storage = np.zeros(plan.storage_shape, order="F")
+        storage.reshape(-1, order="F")[plan.flat] = A.data
+        if plan.tridiagonal:  # storage is dl | d | du, the sub-, main and superdiagonal
+            n = A.shape[0]
+            *self.lu, self.piv, info = dgttrf(
+                storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:],
+                overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+            )  # self.lu is (dl, d, du, du2): the multipliers and U's three diagonals
+            self.u_diagonal = self.lu[1]
+        else:
+            self.lu, self.piv, info = dgbtrf(storage, plan.kl, plan.ku, overwrite_ab=True)
+            self.u_diagonal = self.lu[plan.kl + plan.ku]
         if info > 0:  # an exactly zero pivot
             raise LinearSolveFailure("model matrix is singular")
-        _check_pivots(self.lu[kl + ku], maxabs)  # the diagonal of U
+        _check_pivots(self.u_diagonal, maxabs)
 
     def solve(self, b):
         """x with M x = b."""
-        x, _info = dgbtrs(self.lu, self.kl, self.ku, np.asarray(b, dtype=float), self.piv)
+        b = np.asarray(b, dtype=float)
+        if self.plan.tridiagonal:
+            x, _info = dgttrs(*self.lu, self.piv, b)
+        else:
+            x, _info = dgbtrs(self.lu, self.plan.kl, self.plan.ku, b, self.piv)
         return x
 
 
@@ -232,7 +250,8 @@ def lu_factor(M):
     as_model; each kernel is one class that factorizes it and checks its own
     pivots. A sparse model gets LAPACK's banded LU (_BandLU) when its band
     storage is at most BAND_STORAGE_RATIO times its stored entries (kl and ku
-    come from the stored structure, never from values) and SuperLU
+    come from the stored structure, never from values), which is gttrf for a
+    tridiagonal band (kl == ku == 1) and gbtrf for a wider one, and SuperLU
     (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets _DenseLU:
     getrf below order MIXED_MIN_N, above it sgetrf on a float32 copy, whose
     solves of one right-hand side are refined against M, while a block of
@@ -240,8 +259,8 @@ def lu_factor(M):
     which must not change while the factors are in use; it is never written.
     Raises LinearSolveFailure when M has a non-finite entry, is zero, or is
     singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)
-    in getrf, gbtrf or SuperLU); with float32 factors, the getrf check runs
-    in the .solve(b) that first takes getrf.
+    in getrf, gttrf, gbtrf or SuperLU); with float32 factors, the getrf
+    check runs in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
     if not sparse.issparse(A):
@@ -271,10 +290,16 @@ class _FactorPlan:
 
     rows is the row of every stored entry, kl and ku the band's sub- and
     superdiagonals, band whether the band storage fits (BAND_STORAGE_RATIO),
-    and, for a band, flat the position of every entry in the Fortran-ordered
-    gbtrf storage, A[i, j] at ab[kl + ku + i - j, j]. The plan keeps the
-    arrays it was derived from and fits only a matrix that stores those very
-    arrays, so it cannot be applied to a structure it was not derived from.
+    and tridiagonal whether that band is kl == ku == 1 with n >= 3 (scipy's
+    gttrf wrapper rejects n = 2, so that order keeps gbtrf). For a band,
+    storage_shape is the shape of _BandLU's storage and flat the position of
+    every entry in it, Fortran-ordered: A[i, j] at ab[kl + ku + i - j, j]
+    for gbtrf, and for gttrf in the three diagonals dl | d | du laid end
+    to end, A[i + 1, i] at i, A[i, i] at n - 1 + i and A[i, i + 1] at
+    2n - 1 + i.
+    The plan keeps the arrays it was derived from and fits only a matrix
+    that stores those very arrays, so it cannot be applied to a structure it
+    was not derived from.
     """
 
     def __init__(self, indptr, indices):
@@ -286,9 +311,15 @@ class _FactorPlan:
         self.ku = max(int(offsets.max()), 0) if offsets.size else 0
         ldab = 2 * self.kl + self.ku + 1
         self.band = ldab * n <= BAND_STORAGE_RATIO * indices.size
-        self.flat = (
-            (self.kl + self.ku - offsets) + ldab * indices.astype(np.intp) if self.band else None
-        )
+        self.tridiagonal = self.band and self.kl == self.ku == 1 and n >= 3
+        self.storage_shape = self.flat = None
+        if self.tridiagonal:
+            self.storage_shape = 3 * n - 2
+            start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
+            self.flat = start[offsets + 1] + np.minimum(self.rows, indices)
+        elif self.band:
+            self.storage_shape = (ldab, n)
+            self.flat = (self.kl + self.ku - offsets) + ldab * indices.astype(np.intp)
 
     def fits(self, M):
         """True when M is a float CSR matrix storing this plan's own arrays."""
@@ -330,10 +361,11 @@ def solve_inexact(M, b, eta):
     as_model(M) is a band model (exact, so one iteration), by the incomplete
     LU factors of M (spilu) when M is any other scipy.sparse matrix, and
     unpreconditioned when M is dense. The contract is checked by
-    recomputation and, should GMRES miss it or the preconditioner fail to
-    factorize, the direct solve is substituted (which satisfies any eta).
-    Raises LinearSolveFailure when M is non-finite or zero, whatever b is, or
-    when b is non-finite, before GMRES runs.
+    recomputation and, should GMRES miss it or spilu fail to factorize, the
+    direct solve is substituted (which satisfies any eta). Raises
+    LinearSolveFailure when M is non-finite or zero, whatever b is, when b
+    is non-finite, before GMRES runs, and when the banded LU of a band model
+    fails, as solve_direct would on it.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
@@ -348,10 +380,13 @@ def solve_inexact(M, b, eta):
     n = b.size
     precond = None
     if sparse.issparse(M):
-        try:
-            factors = lu_factor(M) if M._factor_plan.band else spilu(sparse.csc_array(M))
-        except (LinearSolveFailure, RuntimeError):  # lu_factor's singular band, spilu's zero pivot
-            return solve_direct(M, b)
+        if M._factor_plan.band:
+            factors = lu_factor(M)  # exact: its LinearSolveFailure is solve_direct's too
+        else:
+            try:
+                factors = spilu(sparse.csc_array(M))
+            except RuntimeError:  # an incomplete-LU zero pivot; the full LU may have none
+                return solve_direct(M, b)
         precond = LinearOperator(M.shape, matvec=factors.solve, dtype=float)
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond

@@ -27,6 +27,7 @@ from newton_condg.linsolve import (
     _FactorPlan,
     _SparseLU,
     _checked_scale,
+    as_model,
     lu_factor,
 )
 
@@ -162,6 +163,23 @@ class TestSolveInexact:
                 np.testing.assert_array_equal(solve_inexact(M, b, eta).s, plain)
 
 
+def _assert_same_lu_as_lapack(band, M, rng, rhs=((), (3,))):
+    """band's factors and solves agree with dense getrf's and SuperLU's."""
+    n = M.shape[0]
+    dense = linalg.lu_factor(M.toarray())
+    superlu = splu(sparse.csc_array(M))
+    # the same partial pivoting gives the same diagonal of U
+    np.testing.assert_allclose(band.u_diagonal, np.diag(dense[0]), rtol=1e-9)
+    cond = np.linalg.cond(M.toarray())
+    for shape in rhs:
+        b = rng.standard_normal((n, *shape))
+        x = band.solve(b)
+        assert x.shape == b.shape
+        for reference in (linalg.lu_solve(dense, b), superlu.solve(b)):
+            err = np.linalg.norm(x - reference)
+            assert err <= 1e-13 * cond * np.linalg.norm(reference)
+
+
 class TestBandLU:
     @pytest.mark.parametrize(
         "n, kl, ku",
@@ -172,17 +190,71 @@ class TestBandLU:
         M = _random_band(rng, n, kl, ku)
         band = lu_factor(M)
         assert isinstance(band, _BandLU)
-        dense = linalg.lu_factor(M.toarray())
-        superlu = splu(sparse.csc_array(M))
-        # the same partial pivoting: row kl + ku of the band factors is U's diagonal
-        np.testing.assert_allclose(band.lu[kl + ku], np.diag(dense[0]), rtol=1e-9)
-        cond = np.linalg.cond(M.toarray())
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            x = band.solve(b)
-            assert x.shape == b.shape
-            for reference in (linalg.lu_solve(dense, b), superlu.solve(b)):
-                err = np.linalg.norm(x - reference)
-                assert err <= 1e-13 * cond * np.linalg.norm(reference)
+        assert band.plan.tridiagonal == (kl == ku == 1)
+        _assert_same_lu_as_lapack(band, M, rng)
+
+    def test_order_two_keeps_gbtrf(self):
+        # scipy's gttrf wrapper rejects n = 2, so a full 2 x 2 model takes gbtrf
+        rng = np.random.default_rng(2)
+        M = _random_band(rng, 2, 1, 1)
+        band = lu_factor(M)
+        assert isinstance(band, _BandLU) and not band.plan.tridiagonal
+        _assert_same_lu_as_lapack(band, M, rng)
+
+    def test_tridiagonal_row_interchanges(self):
+        # every subdiagonal entry outweighs its diagonal, so every step swaps rows
+        n = 30
+        rng = np.random.default_rng(3)
+        M = _random_band(rng, n, 1, 1).tolil()
+        for i in range(n - 1):
+            M[i, i] = 0.1 * rng.uniform(0.5, 1.0)
+            M[i + 1, i] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        M = sparse.csr_array(M)
+        band = lu_factor(M)
+        assert band.plan.tridiagonal
+        np.testing.assert_array_equal(band.piv - 1, linalg.lu_factor(M.toarray())[1])
+        np.testing.assert_array_equal(band.piv[:-1], np.arange(2, n + 1))  # 1-based
+        _assert_same_lu_as_lapack(band, M, rng)
+
+    @pytest.mark.parametrize("unstored", [(5, 4), (5, 6), (0, 1), (11, 10)])
+    def test_tridiagonal_pattern_with_an_unstored_entry(self, unstored):
+        n = 12
+        rng = np.random.default_rng(4)
+        A = _random_band(rng, n, 1, 1).toarray()
+        A[unstored] = 0.0
+        M = sparse.csr_array(A)  # drops the zero, so the pattern misses one entry
+        assert M.nnz == 3 * n - 3
+        band = lu_factor(M)
+        assert band.plan.tridiagonal
+        _assert_same_lu_as_lapack(band, M, rng)
+
+    def test_tridiagonal_matrix_right_hand_sides(self):
+        n = 50
+        rng = np.random.default_rng(5)
+        M = _random_band(rng, n, 1, 1)
+        band = lu_factor(M)
+        assert band.plan.tridiagonal
+        _assert_same_lu_as_lapack(band, M, rng, rhs=((1,), (4,)))
+        B = rng.standard_normal((n, 6))
+        for b in (B[:, ::2], np.asfortranarray(B), B.T.copy().T):
+            before = b.copy()
+            np.testing.assert_array_equal(band.solve(b), band.solve(np.ascontiguousarray(b)))
+            np.testing.assert_array_equal(b, before)  # the right-hand side is not written
+
+    def test_exactly_singular_tridiagonal_model_fails(self):
+        # rows 0 and 1 are equal: gttrf meets an exactly zero pivot (info > 0)
+        M = sparse.csr_array(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert as_model(M)._factor_plan.tridiagonal
+        with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
+            lu_factor(M)
+
+    def test_tridiagonal_pivot_below_the_relative_floor_fails(self):
+        M = sparse.csr_array(
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
+        )
+        assert as_model(M)._factor_plan.tridiagonal
+        with pytest.raises(LinearSolveFailure, match="working precision"):
+            lu_factor(M)
 
     def test_exactly_singular_band_model_fails(self):
         # two equal rows: gbtrf meets an exactly zero pivot (info > 0)

@@ -106,10 +106,11 @@ def test_refined_dense_solve_keeps_the_tracer_spans_apart(monkeypatch):
 def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     # the tracer's linsolve.lu_s is the time inside the hooked lu_factor. Every
     # factorization kernel must run there: getrf below MIXED_MIN_N, sgetrf
-    # from it on (then getrf only when a float32 pivot is too small), gbtrf
-    # or SuperLU for a sparse model. Every solve, and a getrf that a solve
-    # derives, must run after it returns. On dense only the exact rows run:
-    # the FD and Schubert rows factorize models of the same orders.
+    # from it on (then getrf only when a float32 pivot is too small), gttrf
+    # (tridiagonal), gbtrf or SuperLU for a sparse model. Every solve, and a
+    # getrf that a solve derives, must run after it returns. On dense only
+    # the exact rows run: the FD and Schubert rows factorize models of the
+    # same orders.
     workloads = _perfbench("workloads")
     factorizations = []  # (model, float32 factors kept, kernels run inside)
     calls = [[]]  # calls[0]: kernels run outside lu_factor; calls[-1]: the current ones
@@ -131,7 +132,7 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
         return call
 
     monkeypatch.setattr(linsolve, "lu_factor", hooked_lu_factor)
-    for name in ("sgetrf", "sgetrs", "dgbtrf", "dgbtrs", "splu"):
+    for name in ("sgetrf", "sgetrs", "dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "splu"):
         monkeypatch.setattr(linsolve, name, counted(name, getattr(linsolve, name)))
     monkeypatch.setattr(linsolve.linalg, "lu_factor", counted("getrf", linsolve.linalg.lu_factor))
     instances, _ = workloads.build(workload, seed=0)
@@ -141,12 +142,16 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
             assert outcome.solved, outcome.key
     for M, kept, inside in factorizations:
         if sparse.issparse(M):
-            assert inside in (["dgbtrf"], ["splu"])
+            assert inside in (["dgttrf"], ["dgbtrf"], ["splu"])
         elif M.shape[0] < linsolve.MIXED_MIN_N:
             assert inside == ["getrf"]
         else:
             assert inside == (["sgetrf"] if kept else ["sgetrf", "getrf"])
-    assert set(calls[0]) <= {"sgetrs", "getrf", "dgbtrs"}
+    assert set(calls[0]) <= {"sgetrs", "getrf", "dgbtrs", "dgttrs"}
     orders = {M.shape[0] for M, _kept, _inside in factorizations if not sparse.issparse(M)}
     assert bool(orders) == (workload != "banded")
     assert any(n >= linsolve.MIXED_MIN_N for n in orders) == ("sgetrs" in calls[0])
+    # the tridiagonal pb2 and pb3 rows of banded factorize with gttrf
+    assert any(inside == ["dgttrf"] for _M, _kept, inside in factorizations) == (
+        workload == "banded"
+    )

@@ -194,7 +194,8 @@ class TestColouring:
         p = make_problem("pb3_troesch", 100)
         x0 = starting_point(p, 1)
         assert solve(p, x0, SolverConfig(jacobian_strategy="exact")).status == "converged"
-        assert calls == []  # built on the first finite-difference or Schubert build
+        assert calls == []  # derived on the first finite-difference or Schubert build
+        assert hasattr(p.pattern, "_jacobian_layout")  # the exact models' template and plan
         copy = dataclasses.replace(p, fun=lambda x: p.fun(x))  # as a tracer wraps fun
         assert copy.pattern is p.pattern
         for problem, strategy in (
@@ -235,11 +236,47 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
     assert len(derived_in_lu) > 3
     assert len(plans) == 1
     assert plans[0] is p.pattern._jacobian_layout.plan
-    # every exact model gets its plan when it is built, not when it is factorized
+    # an exact Jacobian that stores the pattern's structure is a model of
+    # the pattern's layout, so it shares the one plan too
     report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
     assert report.status == "converged" and report.iterations > 1
-    assert len(plans) == 1 + report.iterations
+    assert len(plans) == 1
     assert not any(derived_in_lu)
+
+
+@pytest.mark.parametrize("pid", SPARSE_IDS)
+def test_exact_jacobian_on_the_pattern_is_a_model_of_its_layout(monkeypatch, pid):
+    colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+    p = make_problem(pid, 50)
+    x = starting_point(p, 1)
+    J = p.jac(x)
+    M = next_jacobian(None, 0, p, x, "exact").M
+    layout = p.pattern._jacobian_layout
+    assert isinstance(M, CSRModel) and M._factor_plan is layout.plan
+    assert M.indptr is layout.indptr and M.indices is layout.indices
+    assert M.data.tobytes() == J.data.tobytes()
+    assert colourings == []
+
+
+@pytest.mark.parametrize("structure", ["part_of_the_pattern", "dense", "integer"])
+def test_exact_jacobian_off_the_pattern_layout_goes_through_as_model(structure):
+    p = make_problem("pb3_troesch", 20)
+    x = starting_point(p, 1)
+    J = p.jac(x).toarray()
+    if structure == "part_of_the_pattern":
+        J[4, 5] = 0.0
+        J = sparse.csr_array(J)  # stores 3n - 3 of the pattern's 3n - 2 entries
+    elif structure == "integer":
+        J = sparse.csr_array(np.rint(J).astype(int))
+    M = next_jacobian(None, 0, dataclasses.replace(p, jac=lambda x: J), x, "exact").M
+    np.testing.assert_array_equal(np.asarray(M.toarray() if sparse.issparse(M) else M),
+                                  J.toarray() if sparse.issparse(J) else J)
+    if structure == "dense":
+        assert isinstance(M, np.ndarray)
+    else:
+        layout = p.pattern._jacobian_layout
+        assert isinstance(M, CSRModel) and M.dtype == np.float64
+        assert M._factor_plan.fits(M) and M._factor_plan is not layout.plan
 
 
 def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
@@ -467,9 +504,13 @@ class TestSparseLinsolve:
         gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
         ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
-        with pytest.raises(LinearSolveFailure):
+        factored = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
+        with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
             solve_inexact(M, np.ones(n), 0.1)
-        assert len(direct) == 1
+        # the banded LU is the direct solve's factorization too, so its
+        # failure is final; only a failed spilu is worth a direct solve
+        assert len(direct) == (0 if band else 1)
+        assert len(factored) == 1
         assert gmres_calls == []
         assert len(ilu_calls) == (0 if band else 1)
 
