@@ -30,16 +30,15 @@ reduce the residual. solve_direct solves with that factorization, and its
 achieved residual is refinement's last one when refinement ran.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
-The storage picks GMRES's preconditioner: a band model (its _FactorPlan.band)
-gets its banded LU from lu_factor, which is exact, so GMRES stops after one
-iteration, and a model that LU fails on fails the solve; any other sparse
-model gets an incomplete LU (scipy.sparse.linalg.spilu at its default drop
-tolerance and fill factor); a dense model gets none. The contract is on
-the unpreconditioned residual either way. That contract is all an inexact
-solve guarantees: the theory's vartheta bound on the preconditioned
-residual M^{-1}(M s - b), which eta * cond(M) <= vartheta would imply, is
-not checked. On a band model the step is the direct step to rounding, so
-that caveat is moot there.
+A sparse model gets GMRES's preconditioner from lu_factor (_BandLU or
+_SparseLU, as its _FactorPlan says), which is exact, so GMRES stops after
+one iteration, and a model that LU fails on fails the solve; a dense model
+gets none. The contract is on the unpreconditioned residual either way.
+That contract is all an inexact solve guarantees: the theory's vartheta
+bound on the preconditioned residual M^{-1}(M s - b), which
+eta * cond(M) <= vartheta would imply, is not checked for a dense model.
+On a sparse model the step is the direct step to rounding, so that caveat
+is moot there.
 """
 
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dlange, sgetrf, sgetrs
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 PIVOT_RTOL = 1e-14
 # a sparse matrix goes to the banded LU when its LAPACK band storage,
@@ -357,15 +356,13 @@ def solve_inexact(M, b, eta):
     """Return s with ||M s - b|| <= eta * ||b|| (Euclidean norms).
 
     eta = 0 behaves as solve_direct. Otherwise GMRES is run to relative
-    residual eta, preconditioned by lu_factor's banded LU of M when
-    as_model(M) is a band model (exact, so one iteration), by the incomplete
-    LU factors of M (spilu) when M is any other scipy.sparse matrix, and
-    unpreconditioned when M is dense. The contract is checked by
-    recomputation and, should GMRES miss it or spilu fail to factorize, the
+    residual eta, preconditioned by lu_factor's LU of M when as_model(M) is
+    sparse (exact, so one iteration) and unpreconditioned when M is dense.
+    The contract is checked by recomputation and, should GMRES miss it, the
     direct solve is substituted (which satisfies any eta). Raises
     LinearSolveFailure when M is non-finite or zero, whatever b is, when b
-    is non-finite, before GMRES runs, and when the banded LU of a band model
-    fails, as solve_direct would on it.
+    is non-finite, before GMRES runs, and when lu_factor fails on a sparse
+    model, as solve_direct would on it.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
@@ -379,15 +376,8 @@ def solve_inexact(M, b, eta):
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
     n = b.size
     precond = None
-    if sparse.issparse(M):
-        if M._factor_plan.band:
-            factors = lu_factor(M)  # exact: its LinearSolveFailure is solve_direct's too
-        else:
-            try:
-                factors = spilu(sparse.csc_array(M))
-            except RuntimeError:  # an incomplete-LU zero pivot; the full LU may have none
-                return solve_direct(M, b)
-        precond = LinearOperator(M.shape, matvec=factors.solve, dtype=float)
+    if sparse.issparse(M):  # exact: its LinearSolveFailure is solve_direct's too
+        precond = LinearOperator(M.shape, matvec=lu_factor(M).solve, dtype=float)
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
     )

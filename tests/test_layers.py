@@ -77,3 +77,32 @@ def test_import_graph_is_acyclic():
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_leaf_module_imports_nothing_from_the_package(leaf):
     assert _graph()[leaf] == []
+
+
+def _linear_algebra_imports(tree):
+    """The scipy.linalg and scipy.sparse.linalg modules, or their submodules,
+    that a module's import statements name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return sorted({
+        name for name in names
+        for prefix in ("scipy.linalg", "scipy.sparse.linalg")
+        if name == prefix or name.startswith(prefix + ".")
+    })
+
+
+def test_only_linsolve_imports_scipy_linear_algebra():
+    # one factorization path: an LU or a preconditioner anywhere else would
+    # be a second one
+    found = {
+        name: imported
+        for name, tree in MODULES.items()
+        if name != "linsolve" and (imported := _linear_algebra_imports(tree))
+    }
+    assert found == {}
+    assert _linear_algebra_imports(MODULES["linsolve"])  # the check sees linsolve's

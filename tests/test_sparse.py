@@ -1,5 +1,5 @@
 """The sparse model path: grouped finite differences, CSR secant updates,
-banded LU and SuperLU factorizations, ILU-preconditioned GMRES, and the
+banded LU and SuperLU factorizations, GMRES preconditioned by them, and the
 registry problems that declare sparse patterns."""
 
 import dataclasses
@@ -9,12 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, spilu
+from scipy.sparse.linalg import LinearOperator
 
 import newton_condg.jacobian
 import newton_condg.linsolve
 import newton_condg.solver
 from newton_condg import (
+    AdaptiveEta,
     Box,
     ConstantEta,
     LinearSolveFailure,
@@ -33,7 +34,7 @@ from newton_condg import (
     verify_mk_conditions,
 )
 from newton_condg.jacobian import JacobianError, column_colouring
-from newton_condg.linsolve import CSRModel, _BandLU, as_model, lu_factor
+from newton_condg.linsolve import CSRModel, _BandLU, _SparseLU, as_model, lu_factor
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
@@ -452,67 +453,66 @@ class TestSparseLinsolve:
             with pytest.raises(LinearSolveFailure):
                 solve_direct(to_matrix(M), np.ones(n))
 
-    def test_tridiagonal_ilu_step_is_the_direct_step(self, monkeypatch):
-        # a band model is preconditioned by its banded LU, which is exact
-        preconditioners = _gmres_preconditioners(monkeypatch)
-        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
-        factored = _lu_factors(monkeypatch)
+    @pytest.mark.parametrize("band", [True, False], ids=["tridiagonal", "laplacian"])
+    def test_sparse_step_is_the_direct_step(self, monkeypatch, band):
+        # every sparse model is preconditioned by its exact LU from lu_factor
         rng = np.random.default_rng(11)
-        n = 300
-        M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), 0.5)
+        if band:
+            n = 300
+            M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), 0.5)
+        else:
+            M = _laplacian(30)  # n = 900; its band storage does not fit
+            n = M.shape[0]
         b = rng.standard_normal(n)
+        preconditioners = _gmres_preconditioners(monkeypatch)
+        factored = _lu_factors(monkeypatch)
         out = solve_inexact(M, b, 0.1)
         assert np.linalg.norm(M @ out.s - b) <= 0.1 * np.linalg.norm(b)
-        assert ilu_calls == []
         assert len(factored) == 1
         factors = factored[0][1]
-        assert isinstance(factors, _BandLU)
+        assert isinstance(factors, _BandLU if band else _SparseLU)
         assert len(preconditioners) == 1
         assert isinstance(preconditioners[0], LinearOperator)
         assert preconditioners[0].matvec(b).tobytes() == factors.solve(b).tobytes()
         np.testing.assert_allclose(out.s, solve_direct(M, b).s, rtol=0.0, atol=1e-12)
 
-    def test_laplacian_meets_the_contract_with_an_inexact_ilu(self, monkeypatch):
+    def test_laplacian_meets_the_contract_with_its_superlu(self, monkeypatch):
         m = 30  # n = 900; its band storage does not fit, so it is no band model
         M = _laplacian(m)
         assert not as_model(M)._factor_plan.band
         b = np.random.default_rng(12).standard_normal(m * m)
-        ilu = spilu(sparse.csc_array(M))
-        assert np.linalg.norm(M @ ilu.solve(b) - b) > 1e-4 * np.linalg.norm(b)
         preconditioners = _gmres_preconditioners(monkeypatch)
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
-        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
+        factored = _lu_factors(monkeypatch)
         for eta in (0.5, 0.1, 1e-3, 1e-8):
             out = solve_inexact(M, b, eta)
             assert np.linalg.norm(M @ out.s - b) <= eta * np.linalg.norm(b)
+            assert out.eta_used <= 1e-12  # the exact LU leaves rounding only
         assert direct == []
-        assert len(ilu_calls) == 4
+        assert len(factored) == 4
+        assert all(isinstance(factors, _SparseLU) for _M, factors in factored)
         assert len(preconditioners) == 4
         assert all(isinstance(P, LinearOperator) for P in preconditioners)
 
     @pytest.mark.parametrize("band", [True, False], ids=["tridiagonal", "laplacian"])
-    def test_failed_ilu_falls_back_to_the_direct_solve(self, monkeypatch, band):
-        # a zeroed row: gbtrf fails on the band model, spilu on the other
+    def test_singular_sparse_model_fails_its_inexact_step(self, monkeypatch, band):
+        # a zeroed row: gttrf fails on the band model, SuperLU on the other
         M = _tridiagonal(-1.0, np.full(8, 4.0), -1.0) if band else _laplacian(30)
         M = M.tolil()
         M[3, :] = 0.0
         M = sparse.csr_array(M)
         n = M.shape[0]
         assert as_model(M)._factor_plan.band == band
-        with pytest.raises(RuntimeError):
-            spilu(sparse.csc_array(M))
         gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
-        ilu_calls = _counting(monkeypatch, newton_condg.linsolve, "spilu")
         factored = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
         with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
             solve_inexact(M, np.ones(n), 0.1)
-        # the banded LU is the direct solve's factorization too, so its
-        # failure is final; only a failed spilu is worth a direct solve
-        assert len(direct) == (0 if band else 1)
+        # the preconditioner's LU is the direct solve's factorization too,
+        # so its failure is final
+        assert direct == []
         assert len(factored) == 1
         assert gmres_calls == []
-        assert len(ilu_calls) == (0 if band else 1)
 
     def test_diagnostics_accept_sparse_models(self):
         M = _tridiagonal(-1.0, np.full(30, 4.0), -1.0)
@@ -562,6 +562,49 @@ def test_troesch_inexact_steps_meet_the_contract_without_fallback(monkeypatch):
     for M, b, eta, s in steps:
         assert sparse.issparse(M)
         assert np.linalg.norm(M @ s - b) <= eta * np.linalg.norm(b)
+
+
+def _bratu(m, lam=6.0):
+    """The 2-D Bratu problem on an m x m grid, n = m * m (MINPACK-2's solid-fuel
+    ignition problem): A u - h^2 lam exp(u) = 0 with A = _laplacian(m),
+    h = 1 / (m + 1), its 5-point pattern declared, in the box [0, 10]."""
+    A = _laplacian(m)
+    n = m * m
+    h2lam = lam / (m + 1) ** 2
+    return Problem(
+        name=f"bratu{m}",
+        n=n,
+        fun=lambda x: A @ x - h2lam * np.exp(x),
+        jac=lambda x: sparse.csr_array(A - sparse.diags_array(h2lam * np.exp(x))),
+        pattern=A != 0,
+        feasible_set=Box(np.zeros(n), np.full(n, 10.0)),
+    )
+
+
+@pytest.mark.parametrize("policy", [ConstantEta(0.1), AdaptiveEta()], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+def test_bratu_inexact_steps_are_superlu_preconditioned(monkeypatch, strategy, policy):
+    # the 5-point pattern is no band model, so every step's LU is SuperLU's
+    p = _bratu(20)
+    factored = _lu_factors(monkeypatch)
+    direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
+    etas = []
+    original = newton_condg.solver.solve_inexact
+
+    def recorded(M, b, eta):
+        etas.append(eta)
+        return original(M, b, eta)
+
+    monkeypatch.setattr(newton_condg.solver, "solve_inexact", recorded)
+    config = SolverConfig(jacobian_strategy=strategy, linsolve="inexact", eta_policy=policy)
+    report = solve(p, np.zeros(p.n), config)
+    assert report.status == "converged"
+    assert 0.7 < report.x.max() < 0.9  # the interior root, max u about 0.79
+    assert len(factored) == len(etas) == len(report.steps) == report.iterations
+    assert all(isinstance(factors, _SparseLU) for _M, factors in factored)
+    assert direct == []
+    for step, eta in zip(report.steps, etas):
+        assert step.eta_used <= min(1e-12, 1e-3 * eta)
 
 
 def test_fd_build_reuses_the_residual_at_the_iterate():
