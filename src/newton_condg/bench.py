@@ -20,9 +20,14 @@ The banded and diagonal problems (pb2, pb3 and both synthetic ones) declare
 scipy.sparse patterns and return sparse analytic Jacobians, so the solver
 keeps their model matrices in CSR form and building them at any n allocates
 no n-by-n array; pb1 and pb4 have full Jacobians, declare no pattern and
-stay dense. They declare vectorized residuals instead (rows of a 2-D input
-are points), so a finite-difference Jacobian evaluates many columns per
-residual call.
+stay dense. pb1, pb2, pb3 and pb4 declare vectorized residuals (rows of a
+2-D input are points), so a finite-difference Jacobian evaluates many
+columns per residual call: pb1 and pb4 blocks of single columns, pb2 and
+pb3 all three column groups of their tridiagonal pattern at once, one call
+per Jacobian (a traced pass of the benchmark's banded workload makes 184
+residual calls, against 308 with one call per group). The exact pb2 and
+pb3 Jacobians share one CSR structure per problem (_TridiagonalJacobian),
+so a call computes only its data.
 
 The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
 copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
@@ -47,6 +52,7 @@ from scipy import sparse
 
 from .core import Problem
 from .feasible_set import Box
+from .linsolve import with_data
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,26 @@ def _tridiagonal(diagonal, off_diagonal):
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
+class _TridiagonalJacobian:
+    """The matrices _tridiagonal(diagonal, off_diagonal) of one order n.
+
+    The template is built, and checked by scipy, once; a call is
+    linsolve.with_data of it and a fresh data array, so it builds no index
+    array and runs no constructor check. Every matrix shares the template's
+    index arrays, which are read-only.
+    """
+
+    def __init__(self, n, off_diagonal):
+        self.template = _tridiagonal(np.zeros(n), off_diagonal)
+        for arr in (self.template.indices, self.template.indptr):
+            arr.flags.writeable = False
+
+    def __call__(self, diagonal):
+        data = self.template.data.copy()  # the off-diagonal entries
+        data[::3] = diagonal  # entry 3i is (i, i)
+        return with_data(self.template, data)
+
+
 def _tridiagonal_mask(n):
     return _tridiagonal(np.ones(n, dtype=bool), True)
 
@@ -89,6 +115,20 @@ def _cube(g):
     np.power(a, 3, out=a)
     np.copysign(a, g, out=a)
     return a
+
+
+def _second_difference(x):
+    """2 x_i - x_{i-1} - x_{i+1} along the last axis, zero past either end.
+
+    Subtracting in place takes one temporary; the same numbers are
+    subtracted in the same order as from the shifted copies
+    concatenate((0, x[:-1])) and concatenate((x[1:], 0)), so the result is
+    the same bits (v - 0.0 is v, -0.0 included).
+    """
+    d = 2.0 * x
+    d[..., 1:] -= x[..., :-1]
+    d[..., :-1] -= x[..., 1:]
+    return d
 
 
 def _h_equation(n, c=0.99):
@@ -115,16 +155,18 @@ def _discrete_boundary(n):
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
 
+    jacobian = _TridiagonalJacobian(n, -1.0)
+
     def fun(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [0.0]))
-        return 2.0 * x - xm - xp + h * h * _cube(x + t + 1.0) / 2.0
+        d = _second_difference(x)
+        d += h * h * _cube(x + t + 1.0) / 2.0
+        return d
 
     def jac(x):
-        return _tridiagonal(2.0 + 1.5 * h * h * (x + t + 1.0) ** 2, -1.0)
+        return jacobian(2.0 + 1.5 * h * h * (x + t + 1.0) ** 2)
 
     return Problem(
-        name="pb2_discrete_boundary", n=n, fun=fun, jac=jac,
+        name="pb2_discrete_boundary", n=n, fun=fun, jac=jac, vectorized=True,
         pattern=_tridiagonal_mask(n),
         feasible_set=Box(np.full(n, -100.0), np.full(n, 100.0)),
     )
@@ -133,16 +175,19 @@ def _discrete_boundary(n):
 def _troesch(n, lam=10.0):
     h = 1.0 / (n + 1)
 
+    jacobian = _TridiagonalJacobian(n, -1.0)
+
     def fun(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [1.0]))  # right boundary value 1
-        return 2.0 * x - xm - xp + lam * h * h * np.sinh(lam * x)
+        d = _second_difference(x)
+        d[..., -1] -= 1.0  # right boundary value 1
+        d += lam * h * h * np.sinh(lam * x)
+        return d
 
     def jac(x):
-        return _tridiagonal(2.0 + lam * lam * h * h * np.cosh(lam * x), -1.0)
+        return jacobian(2.0 + lam * lam * h * h * np.cosh(lam * x))
 
     return Problem(
-        name="pb3_troesch", n=n, fun=fun, jac=jac,
+        name="pb3_troesch", n=n, fun=fun, jac=jac, vectorized=True,
         pattern=_tridiagonal_mask(n),
         feasible_set=Box(np.full(n, -1.0), np.full(n, 1.0)),
     )

@@ -44,14 +44,13 @@ as many perturbed points, stacked as rows, as fit in FD_BLOCK_ENTRIES
 entries, and the model is bit-identical to the one built point by point.
 """
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .linsolve import as_model, canonical_csr
+from .linsolve import as_model, canonical_csr, with_data
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -125,8 +124,9 @@ class _Layout:
     finite differences, is derived on its first use, so that an exact-only
     solve never colours P: colour is column_colouring(P), order and start
     give the columns of group g as order[start[g]:start[g + 1]] (ascending:
-    the sort is stable), and entry_colour gives the column's group of every
-    stored entry.
+    the sort is stable), and entry_flat gives every stored entry's position
+    in the flattened (groups, n) differences, colour[j] * n + i for entry
+    (i, j), so that the model's data is one 1-D take.
     """
 
     def __init__(self, P):
@@ -139,17 +139,15 @@ class _Layout:
 
     @cached_property
     def groups(self):
-        """(colour, order, start, entry_colour), derived on first use."""
+        """(colour, order, start, entry_flat), derived on first use."""
         colour = column_colouring(self.pattern)
         order = np.argsort(colour, kind="stable")
         start = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
-        return colour, order, start, colour[self.indices]
+        return colour, order, start, colour[self.indices] * self.shape[1] + self.plan.rows
 
     def model(self, data):
         """The CSRModel storing the float array data at the pattern's entries."""
-        M = copy.copy(self.template)
-        M.data = data
-        return M
+        return with_data(self.template, data)
 
     def stores(self, M):
         """True when M is a float CSR matrix storing exactly the pattern's
@@ -239,7 +237,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
         start = range(n + 1)
     else:
         layout = _layout(pattern)
-        colour, order, start, entry_colour = layout.groups
+        colour, order, start, entry_flat = layout.groups
         diffs = np.empty((len(start) - 1, n))
     groups_per_block = max(1, FD_BLOCK_ENTRIES // n) if vectorized else 1
     # group g perturbs the columns order[start[g]:start[g + 1]] in row
@@ -262,7 +260,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     if pattern is None:
         jac /= h
         return jac
-    return layout.model(diffs[entry_colour, layout.plan.rows] / h[layout.indices])
+    return layout.model(diffs.reshape(-1).take(entry_flat) / h[layout.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):

@@ -179,8 +179,11 @@ class _BandLU:
 
     def __init__(self, A, maxabs):
         self.plan = plan = A._factor_plan
-        storage = np.zeros(plan.storage_shape, order="F")
-        storage.reshape(-1, order="F")[plan.flat] = A.data
+        if plan.gather is not None:  # every storage entry is a stored entry
+            storage = A.data.take(plan.gather)
+        else:
+            storage = np.zeros(plan.storage_shape, order="F")
+            storage.reshape(-1, order="F")[plan.flat] = A.data
         if plan.tridiagonal:  # storage is dl | d | du, the sub-, main and superdiagonal
             n = A.shape[0]
             *self.lu, self.piv, info = dgttrf(
@@ -211,6 +214,19 @@ class CSRModel(sparse.csr_array):
     @property
     def nbytes(self):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def with_data(M, data):
+    """The sparse matrix M storing data in place of M.data.
+
+    A shallow copy, as copy.copy(M) followed by setting .data makes it, but
+    without copy's __reduce_ex__ round trip or the sparse constructor's
+    checks: it shares M's index arrays and carries whatever M carries, its
+    _FactorPlan and cached format flags included.
+    """
+    A = object.__new__(type(M))
+    A.__dict__ = {**M.__dict__, "data": data}
+    return A
 
 
 def as_model(M):
@@ -295,7 +311,9 @@ class _FactorPlan:
     every entry in it, Fortran-ordered: A[i, j] at ab[kl + ku + i - j, j]
     for gbtrf, and for gttrf in the three diagonals dl | d | du laid end
     to end, A[i + 1, i] at i, A[i, i] at n - 1 + i and A[i, i + 1] at
-    2n - 1 + i.
+    2n - 1 + i. When a tridiagonal plan stores all 3n - 2 entries, flat is a
+    permutation, and gather, its inverse, fills the storage with one take of
+    the data; otherwise gather is None.
     The plan keeps the arrays it was derived from and fits only a matrix
     that stores those very arrays, so it cannot be applied to a structure it
     was not derived from.
@@ -311,11 +329,13 @@ class _FactorPlan:
         ldab = 2 * self.kl + self.ku + 1
         self.band = ldab * n <= BAND_STORAGE_RATIO * indices.size
         self.tridiagonal = self.band and self.kl == self.ku == 1 and n >= 3
-        self.storage_shape = self.flat = None
+        self.storage_shape = self.flat = self.gather = None
         if self.tridiagonal:
             self.storage_shape = 3 * n - 2
             start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
             self.flat = start[offsets + 1] + np.minimum(self.rows, indices)
+            if indices.size == self.storage_shape:
+                self.gather = np.argsort(self.flat)
         elif self.band:
             self.storage_shape = (ldab, n)
             self.flat = (self.kl + self.ku - offsets) + ldab * indices.astype(np.intp)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from newton_condg import (
     check_problem,
     fd_jacobian,
     make_problem,
+    next_jacobian,
     solve,
     starting_point,
 )
-from newton_condg.bench import REGISTRY, _cube
+from newton_condg.bench import REGISTRY, _cube, _tridiagonal
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -192,6 +195,85 @@ def test_fd_jacobian_is_tridiagonal(pid):
     fd = fd_jacobian(p.fun, x)
     off = np.abs(fd[~p.pattern.toarray()]).max()
     assert off <= 1e-10 * np.abs(fd).max()
+
+
+TRIDIAGONAL_CASES = [
+    (pid, n) for pid in ("pb2_discrete_boundary", "pb3_troesch") for n in (2, 3, 500)
+]
+
+
+def _shifted_second_difference(x, right):
+    """2 x_i - x_{i-1} - x_{i+1} from concatenated shifts, x_{n+1} = right."""
+    xm = np.concatenate(([0.0], x[:-1]))
+    xp = np.concatenate((x[1:], [right]))
+    return 2.0 * x - xm - xp
+
+
+def _tridiagonal_points(p):
+    rng = np.random.default_rng(8)
+    points = [starting_point(p, gamma) for gamma in (0, 1, 2, 3)]
+    points += [p.feasible_set.sample(rng) for _ in range(3)]
+    return np.stack(points)
+
+
+@pytest.mark.parametrize("pid, n", TRIDIAGONAL_CASES)
+def test_tridiagonal_problems_declare_vectorized_residuals(pid, n):
+    p = make_problem(pid, n)
+    assert p.vectorized
+    check_problem(p)
+    points = _tridiagonal_points(p)
+    rows = [p.fun(x) for x in points]
+    for m in (1, len(points)):
+        stacked = p.fun(points[:m])
+        assert stacked.shape == (m, n)
+        assert stacked.tobytes() == np.stack(rows[:m]).tobytes()
+    # the 1-D residual is the same bits as the shifted-copy formula
+    h = 1.0 / (n + 1)
+    for x, fx in zip(points, rows):
+        if pid == "pb3_troesch":
+            lam = 10.0
+            expected = _shifted_second_difference(x, 1.0) + lam * h * h * np.sinh(lam * x)
+        else:
+            t = np.arange(1, n + 1) * h
+            expected = _shifted_second_difference(x, 0.0) + h * h * _cube(x + t + 1.0) / 2.0
+        assert fx.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pid, n", TRIDIAGONAL_CASES)
+def test_vectorized_fd_model_is_the_per_colour_model(pid, n):
+    p = make_problem(pid, n)
+    per_colour = dataclasses.replace(p, vectorized=False)
+    for gamma in (0, 1, 2, 3):
+        x = starting_point(p, gamma)
+        batched = next_jacobian(None, 0, p, x, "finite_difference").M
+        looped = next_jacobian(None, 0, per_colour, x, "finite_difference").M
+        assert batched.data.tobytes() == looped.data.tobytes()
+
+
+@pytest.mark.parametrize("pid, n", TRIDIAGONAL_CASES)
+def test_exact_tridiagonal_jacobian_is_a_fresh_matrix_of_one_structure(pid, n):
+    p = make_problem(pid, n)
+    h = 1.0 / (n + 1)
+    t = np.arange(1, n + 1) * h
+    for x in _tridiagonal_points(p):
+        if pid == "pb3_troesch":
+            lam = 10.0
+            diagonal = 2.0 + lam * lam * h * h * np.cosh(lam * x)
+        else:
+            diagonal = 2.0 + 1.5 * h * h * (x + t + 1.0) ** 2
+        expected = _tridiagonal(diagonal, -1.0)
+        first, second = p.jac(x), p.jac(x)
+        for J in (first, second):
+            assert J.format == "csr" and J.shape == (n, n)
+            assert J.data.tobytes() == expected.data.tobytes()
+            assert J.indices.dtype == expected.indices.dtype
+            assert J.indptr.dtype == expected.indptr.dtype
+            np.testing.assert_array_equal(J.indices, expected.indices)
+            np.testing.assert_array_equal(J.indptr, expected.indptr)
+            assert J.has_canonical_format
+        assert not np.shares_memory(first.data, second.data)
+        first.data[:] = 0.0  # a caller may write its own matrix's data
+        assert second.data.tobytes() == expected.data.tobytes()
 
 
 def test_starting_points():

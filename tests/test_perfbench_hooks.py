@@ -3,8 +3,8 @@ and the spans it charges them with still measure what their names say.
 
 A hook whose target is renamed or gone marks its layer "unmeasured" in the
 benchmark instead of failing, so these checks keep the contract in tier-1.
-The tracer and workload modules are only read here: no tracer hook is
-installed.
+The perfbench modules are only read here, never edited; the last test
+installs the tracer's hooks for one pass of each workload.
 """
 
 import importlib
@@ -155,3 +155,37 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     assert any(inside == ["dgttrf"] for _M, _kept, inside in factorizations) == (
         workload == "banded"
     )
+
+
+# dense rows that reach every span of REACHED_SPANS["dense"] (a Schubert
+# solve: residuals, FD, secant updates, LU; an inexact solve: the analytic
+# Jacobian and GMRES; both: CondG and contains) without pb4's n = 1000 builds
+DENSE_TRACED_ROWS = (
+    "pb1_h_equation/n400/g1/schubert/direct",
+    "pb1_h_equation/n400/g1/exact/inexact",
+)
+
+
+@pytest.mark.parametrize("workload", ["banded", "dense", "boundary"])
+def test_traced_pass_reaches_every_required_span(monkeypatch, workload):
+    # run.py --trace 1 reports INCORRECT when a span of REACHED_SPANS gets no
+    # call in a traced pass, which is what a solver path that bypasses a
+    # hooked name looks like; this runs the same tracer over one pass
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets these on import; restored after
+    required = _perfbench("run").REACHED_SPANS[workload]
+    tracing, workloads = _tracing(), _perfbench("workloads")
+    instances, _ = workloads.build(workload, seed=0)
+    if workload == "dense":
+        instances = [inst for inst in instances if inst.key in DENSE_TRACED_ROWS]
+        assert len(instances) == len(DENSE_TRACED_ROWS)
+    tracer = tracing.Tracer()
+    solve = tracer.traced_solve()
+    with tracer.installed():
+        for instance in instances:
+            problem = tracer.traced_problem(instance.problem)
+            outcome, _report = workloads.run_instance(instance, problem, solve)
+            assert outcome.error is None and outcome.check_error is None, outcome.key
+    assert not tracer.unmeasured
+    unreached = [span for span in required if tracer.trace.calls(span) == 0]
+    assert not unreached, f"{workload}: spans not reached: {unreached}"

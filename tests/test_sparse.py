@@ -607,20 +607,33 @@ def test_bratu_inexact_steps_are_superlu_preconditioned(monkeypatch, strategy, p
         assert step.eta_used <= min(1e-12, 1e-3 * eta)
 
 
-def test_fd_build_reuses_the_residual_at_the_iterate():
-    # one residual per iterate plus one per colour (3) per FD build
-    p = make_problem("pb2_discrete_boundary", 500)
+def _residual_calls_of_a_solve(p):
+    """(outer iterations, residual calls) of a default solve of p from gamma = 1."""
     calls = []
 
     def fun(x):
         calls.append(1)
         return p.fun(x)
 
-    counted = dataclasses.replace(p, fun=fun)
-    report = solve(counted, starting_point(p, 1), SolverConfig())
-    k = report.iterations
+    report = solve(dataclasses.replace(p, fun=fun), starting_point(p, 1), SolverConfig())
     assert report.status == "converged"
-    assert len(calls) == (k + 1) + 3 * k
+    return report.iterations, len(calls)
+
+
+def test_fd_build_reuses_the_residual_at_the_iterate():
+    # one residual per iterate plus one call per FD build: pb2 declares a
+    # vectorized residual, so its three colours are evaluated together
+    p = make_problem("pb2_discrete_boundary", 500)
+    assert p.vectorized
+    k, calls = _residual_calls_of_a_solve(p)
+    assert calls == (k + 1) + k
+
+
+def test_fd_build_without_vectorized_residual_calls_once_per_colour():
+    # the same solve with the per-colour loop: one call per colour (3) per build
+    p = dataclasses.replace(make_problem("pb2_discrete_boundary", 500), vectorized=False)
+    k, calls = _residual_calls_of_a_solve(p)
+    assert calls == (k + 1) + 3 * k
 
 
 class TestSparseProblems:
