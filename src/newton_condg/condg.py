@@ -16,6 +16,7 @@ counts the capped calls, the start's projection included, in
 RunReport.uncertified_steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,7 @@ def condg(fset, y, x, eps, cap):
         raise ValueError("cap must be >= 1")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    # 1e-12 at unit scale; relative so that ulp-level drift of huge
-    # coordinates (capped boxes) is not mistaken for infeasibility
-    start_tol = 1e-12 * max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    if not fset.contains(x, start_tol):
+    if not fset.contains(x, _start_tolerance(x)):
         raise ValueError("condg requires a feasible starting point")
 
     if fset.contains(y):
@@ -82,8 +80,8 @@ def condg(fset, y, x, eps, cap):
         d = z - y
         u = fset.lmo(d)
         gap = float(d @ (u - z))
-        rounding = PROJECTION_GAP_RTOL * float(
-            np.linalg.norm(d) * (np.linalg.norm(u) + np.linalg.norm(z))
+        rounding = PROJECTION_GAP_RTOL * (
+            math.sqrt(d @ d) * (math.sqrt(u @ u) + math.sqrt(z @ z))
         )
         if gap >= -eps - rounding:
             return CondGResult(z=z, inner_iters=1, final_gap=gap, terminated_by=GAP)
@@ -103,6 +101,17 @@ def condg(fset, y, x, eps, cap):
         alpha = min(1.0, -gap / denom)
         z = z + alpha * (u - z)
     return CondGResult(z=z, inner_iters=cap, final_gap=gap, terminated_by=ITERATION_CAP)
+
+
+def _start_tolerance(x):
+    """Slack of condg's feasibility test of its start x: 1e-12 at unit
+    scale, relative to maxabs(x) so that ulp-level drift of huge coordinates
+    (capped boxes) is not mistaken for infeasibility.
+
+    max(x.max(), -x.min()) is np.abs(x).max(), a nan included, without the
+    n-vector np.abs allocates.
+    """
+    return 1e-12 * max(1.0, float(max(x.max(), -x.min())) if x.size else 1.0)
 
 
 def wolfe_gap(fset, y, z):

@@ -9,6 +9,7 @@ uses that projection, certified by one LMO call; a `FeasibleSet` whose
 Frank-Wolfe loop. All operations are stateless and thread-safe.
 """
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -81,7 +82,7 @@ class Box(FeasibleSet):
     def contains(self, x, tol=0.0):
         x = np.asarray(x, dtype=float)
         return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.capped_upper + tol)
+            (x >= self.lower - tol).all() and (x <= self.capped_upper + tol).all()
         )
 
     def project(self, y):
@@ -115,21 +116,21 @@ class EuclideanBall(FeasibleSet):
         d = np.asarray(d, dtype=float)
         if not np.all(np.isfinite(d)):
             raise ValueError("lmo direction must be finite")
-        nd = np.linalg.norm(d)
+        nd = math.sqrt(d @ d)
         if nd == 0.0:
             return self.center.copy()
         return self.center - self.radius * d / nd
 
     def contains(self, x, tol=0.0):
         """||x - center|| <= radius + tol + CONTAINS_RTOL*(radius + ||center||)."""
-        return bool(np.linalg.norm(np.asarray(x, dtype=float) - self.center)
-                    <= self.radius + tol + self._rounding)
+        v = np.asarray(x, dtype=float) - self.center
+        return math.sqrt(v @ v) <= self.radius + tol + self._rounding
 
     def project(self, y):
         """Exact Euclidean projection: rescale y - center onto the sphere."""
         y = np.asarray(y, dtype=float)
         v = y - self.center
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v @ v)
         if nv <= self.radius:
             return y.copy()
         return self.center + (self.radius / nv) * v
@@ -166,7 +167,7 @@ class Simplex(FeasibleSet):
         """x >= -tol and |sum(x) - scale| <= tol + CONTAINS_RTOL*scale."""
         x = np.asarray(x, dtype=float)
         return bool(
-            np.all(x >= -tol)
+            (x >= -tol).all()
             and abs(x.sum() - self.scale) <= tol + CONTAINS_RTOL * self.scale
         )
 

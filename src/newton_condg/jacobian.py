@@ -20,7 +20,8 @@ Every model goes through linsolve.as_model, which owns CSRModel and gives
 each sparse model its factorization plan. What the builds need of a
 pattern (the row of every stored entry, a template, the as_model of the
 pattern, whose indptr, indices and plan every model shares, and for finite
-differences the greedy column colouring and its group order) lives in one
+differences the greedy column colouring, its group order and, per block
+size, where each column's step goes in a block's points) lives in one
 _Layout per pattern. Each model is a shallow copy of the template with its
 own data array, so no model pays the sparse constructor's checks and
 lu_factor analyses the pattern's structure once, not once per
@@ -136,6 +137,7 @@ class _Layout:
         self.template = as_model(sparse.csr_array((data, P.indices, P.indptr), shape=P.shape))
         self.indptr, self.indices = self.template.indptr, self.template.indices
         self.plan = self.template._factor_plan
+        self._scatter = {}
 
     @cached_property
     def groups(self):
@@ -144,6 +146,17 @@ class _Layout:
         order = np.argsort(colour, kind="stable")
         start = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
         return colour, order, start, colour[self.indices] * self.shape[1] + self.plan.rows
+
+    def scatter(self, groups_per_block):
+        """colour[order] % groups_per_block * n + order, derived once per
+        block size: group g perturbs its columns in row g % groups_per_block
+        of its block's points."""
+        flat = self._scatter.get(groups_per_block)
+        if flat is None:
+            colour, order = self.groups[:2]
+            flat = colour[order] % groups_per_block * self.shape[1] + order
+            self._scatter[groups_per_block] = flat
+        return flat
 
     def model(self, data):
         """The CSRModel storing the float array data at the pattern's entries."""
@@ -225,25 +238,26 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     n = x.size
     if f0 is None:
         f0 = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise JacobianError("residual is non-finite at the base point")
     h = _SQRT_EPS * np.maximum(np.abs(x), 1.0)
-    h[x < 0] *= -1.0
+    h = np.where(x < 0, -h, h)  # not copysign, which would negate at x = -0.0
 
-    if pattern is None:
-        jac = np.empty((n, n))
-        diffs = jac.T  # row j of diffs is column j of jac
-        colour = order = np.arange(n)
-        start = range(n + 1)
-    else:
-        layout = _layout(pattern)
-        colour, order, start, entry_flat = layout.groups
-        diffs = np.empty((len(start) - 1, n))
     groups_per_block = max(1, FD_BLOCK_ENTRIES // n) if vectorized else 1
     # group g perturbs the columns order[start[g]:start[g + 1]] in row
     # g % groups_per_block of its block's points; flat holds those positions
     # in the flattened points
-    flat = colour[order] % groups_per_block * n + order
+    if pattern is None:
+        jac = np.empty((n, n))
+        diffs = jac.T  # row j of diffs is column j of jac
+        order = np.arange(n)
+        start = range(n + 1)
+        flat = order % groups_per_block * n + order
+    else:
+        layout = _layout(pattern)
+        order, start, entry_flat = layout.groups[1:]
+        flat = layout.scatter(groups_per_block)
+        diffs = np.empty((len(start) - 1, n))
     step = h[order]
     for g0 in range(0, len(diffs), groups_per_block):
         block = diffs[g0:g0 + groups_per_block]

@@ -41,6 +41,7 @@ On a sparse model the step is the direct step to rounding, so that caveat
 is moot there.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,8 +368,9 @@ def solve_direct(M, b):
         s, r = factors.solve(b), None
     if r is None:
         r = M @ s - b
-    bnorm = np.linalg.norm(b)
-    eta_used = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else 0.0
+    # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
+    bnorm = math.sqrt(b @ b)
+    eta_used = math.sqrt(r @ r) / bnorm if bnorm > 0 else 0.0
     return LinSolveOutcome(s=s, eta_used=eta_used)
 
 
@@ -391,7 +393,7 @@ def solve_inexact(M, b, eta):
     M = as_model(M)
     _checked_scale(M.data if sparse.issparse(M) else M)
     b = _checked_rhs(b)
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
     n = b.size
@@ -401,9 +403,10 @@ def solve_inexact(M, b, eta):
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
     )
-    rnorm = np.linalg.norm(M @ s - b)
+    r = M @ s - b
+    rnorm = math.sqrt(r @ r)
     if rnorm <= eta * bnorm:
-        return LinSolveOutcome(s=s, eta_used=float(rnorm / bnorm))
+        return LinSolveOutcome(s=s, eta_used=rnorm / bnorm)
     return solve_direct(M, b)
 
 
@@ -420,7 +423,7 @@ def _checked_scale(values):
     # max and min copy nothing, unlike np.abs(values); a nan makes both nan,
     # +inf the max and -inf the min, so checking both catches every one
     high, low = (values.max(), values.min()) if values.size else (0.0, 0.0)
-    if not (np.isfinite(high) and np.isfinite(low)):
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise LinearSolveFailure("model matrix has non-finite entries")
     scale = max(high, -low)
     if scale == 0.0:

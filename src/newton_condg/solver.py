@@ -7,12 +7,14 @@ so the iterate stays feasible. Pure local method: no line search and no
 globalization.
 """
 
+import math
+
 import numpy as np
 
 from . import core
 from .condg import ITERATION_CAP, condg
 from .core import ConstantEta, RunReport, SolverConfig, forcing_eta
-from .jacobian import JacobianError, next_jacobian
+from .jacobian import SCHUBERT, JacobianError, next_jacobian
 from .linsolve import LinearSolveFailure, solve_direct, solve_inexact
 from .theory import validate_config
 
@@ -98,15 +100,16 @@ def solve(problem, x0, config=None, theory=None):
                 outcome = solve_direct(jac_state.M, -fx)
             else:
                 policy = config.eta_policy or ConstantEta()
-                eta = forcing_eta(float(np.linalg.norm(fx)), policy)
+                eta = forcing_eta(math.sqrt(fx @ fx), policy)
                 outcome = solve_inexact(jac_state.M, -fx, eta)
         except LinearSolveFailure:
             status = core.LINEAR_SOLVE_FAILURE
             break
 
         s = outcome.s
-        snorm = float(np.linalg.norm(s))
-        if snorm < STEP_FLOOR * max(1.0, float(np.linalg.norm(x))):
+        # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
+        snorm = math.sqrt(s @ s)
+        if snorm < STEP_FLOOR * max(1.0, math.sqrt(x @ x)):
             status = core.NO_PROGRESS
             break
 
@@ -118,7 +121,8 @@ def solve(problem, x0, config=None, theory=None):
 
         z = inner.z
         fz = np.asarray(problem.fun(z), dtype=float)
-        prev_step = (z - x, fz - fx)
+        if config.jacobian_strategy == SCHUBERT:  # the only reader of the step
+            prev_step = (z - x, fz - fx)
         x, fx = z, fz
 
     return RunReport(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from newton_condg import Box, EuclideanBall, condg, wolfe_gap
+from newton_condg.condg import _start_tolerance
 
 from oracles import LmoOnly, random_set_and_point
 
@@ -45,6 +46,18 @@ def test_infeasible_start_rejected():
         condg(box, np.array([0.5]), np.array([0.5]), -1.0, 10)
     with pytest.raises(ValueError):
         condg(box, np.array([0.5]), np.array([0.5]), 0.0, 0)
+
+    with pytest.raises(ValueError, match="feasible"):
+        condg(box, np.array([0.5]), np.array([np.nan]), 0.0, 10)
+
+
+@pytest.mark.parametrize("x", [
+    [0.5, np.nan, -3.0], [np.nan], [-0.0], [-0.0, 0.0], [-5e6, 3.0, 2e6], [-0.25, 7e5], [],
+])
+def test_start_tolerance_is_the_abs_max_form(x):
+    x = np.array(x)
+    expected = 1e-12 * max(1.0, float(np.abs(x).max()) if x.size else 1.0)
+    assert np.float64(_start_tolerance(x)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_outside_y_matches_exact_projection():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, solve
+from newton_condg.feasible_set import BOX_CAP
 
 from oracles import random_set_and_point, simplex_threshold_bisection
 
@@ -122,6 +123,54 @@ class TestContains:
         assert s.contains(np.array([5e5, 5e5 + 1e-7]))
         assert not s.contains(np.array([5e5, 5e5 + 1e-5]))
         assert not Simplex(2, scale=1e-3).contains(np.array([5e-4, 5e-4 + 1e-13]))
+
+
+# each set with a point on its boundary whose first coordinate is 0.0 on a
+# lower bound (or at the centre's height, for the ball), and a unit
+# direction that leaves the set from it
+BOUNDARY_POINTS = {
+    "box": (Box([0.0, -1.0], [1.0, 2.0]), [0.0, 2.0], [0.0, 1.0]),
+    "simplex": (Simplex(2, scale=1.0), [0.0, 1.0], [-1.0, 0.0]),
+    "ball": (EuclideanBall(np.zeros(2), 1.0), [0.0, 1.0], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_POINTS))
+class TestContainsSemantics:
+    def test_nan_coordinate_is_rejected(self, kind):
+        fset, point, _ = BOUNDARY_POINTS[kind]
+        for i in range(2):
+            x = np.array(point)
+            x[i] = np.nan
+            assert not fset.contains(x, tol=0.0)
+            assert not fset.contains(x, tol=1e-12)
+
+    def test_point_on_the_boundary_is_accepted_at_tol_0(self, kind):
+        fset, point, _ = BOUNDARY_POINTS[kind]
+        assert fset.contains(np.array(point), tol=0.0)
+
+    def test_point_outside_by_less_than_tol_is_accepted(self, kind):
+        fset, point, out = BOUNDARY_POINTS[kind]
+        tol = 1e-6
+        near = np.array(point) + 0.5 * tol * np.array(out)
+        assert fset.contains(near, tol=tol)
+        assert not fset.contains(near, tol=0.0)
+        assert not fset.contains(np.array(point) + 2.0 * tol * np.array(out), tol=tol)
+
+    def test_negative_zero_on_a_zero_bound_is_accepted(self, kind):
+        fset, point, _ = BOUNDARY_POINTS[kind]
+        x = np.array(point)
+        x[0] = -0.0
+        assert np.signbit(x[0])
+        assert fset.contains(x, tol=0.0)
+
+
+def test_contains_caps_an_infinite_upper_bound():
+    box = Box([0.0, 0.0], [np.inf, 1.0])
+    assert box.contains(np.array([BOX_CAP, 1.0]), tol=0.0)
+    assert not box.contains(np.array([np.nextafter(BOX_CAP, np.inf), 1.0]), tol=0.0)
+    assert not box.contains(np.array([np.inf, 1.0]), tol=1e-12)
+    assert box.contains(np.array([BOX_CAP + 0.5, 1.0]), tol=1.0)
 
 
 def test_sampled_start_on_a_large_simplex_is_kept():

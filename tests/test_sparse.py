@@ -33,7 +33,12 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import JacobianError, column_colouring
+from newton_condg.jacobian import (
+    FD_BLOCK_ENTRIES,
+    JacobianError,
+    canonical_pattern,
+    column_colouring,
+)
 from newton_condg.linsolve import CSRModel, _BandLU, _SparseLU, as_model, lu_factor
 
 SPARSE_IDS = (
@@ -158,6 +163,44 @@ class TestGroupedFD:
         grouped = fd_jacobian(fun, x, pattern=mask)
         assert grouped.nnz == 4
         assert np.array_equal(grouped.toarray(), fd_jacobian(fun, x))
+
+    def test_cached_scatter_serves_every_block_size(self):
+        p = make_problem("pb3_troesch", 500)
+        x = starting_point(p, 1)
+        fx = p.fun(x)
+        for vectorized in (True, False, True):
+            built = fd_jacobian(p.fun, x, fx, p.pattern, vectorized)
+            fresh = canonical_pattern(sparse.csr_array(p.pattern))
+            assert fresh is not p.pattern
+            reference = fd_jacobian(p.fun, x, fx, fresh, vectorized)
+            assert built.data.tobytes() == reference.data.tobytes()
+        assert sorted(p.pattern._jacobian_layout._scatter) == [1, FD_BLOCK_ENTRIES // 500]
+        q = pickle.loads(pickle.dumps(p.pattern))
+        assert not hasattr(q, "_jacobian_layout")
+        assert canonical_pattern(q) is q
+
+    def test_steps_are_negated_where_x_is_negative_only(self):
+        # the masked negation the steps are defined by: -0.0 steps forward
+        def fun(v):
+            f = np.exp(v)
+            f[1:] += v[:-1]
+            f[:-1] += v[1:]
+            return f
+
+        x = np.array([-1.0, -0.0, 0.0, 1.0])
+        f0 = fun(x)
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(x), 1.0)
+        h[x < 0] *= -1.0
+        columns = []
+        for j in range(x.size):
+            X = x.copy()
+            X[j] += h[j]
+            columns.append(fun(X) - f0)
+        reference = np.column_stack(columns) / h
+        assert fd_jacobian(fun, x, f0).tobytes() == reference.tobytes()
+        grouped = fd_jacobian(fun, x, f0, _tridiagonal(1.0, np.ones(4), 1.0))
+        rows = np.repeat(np.arange(4), np.diff(grouped.indptr))
+        assert grouped.data.tobytes() == reference[rows, grouped.indices].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_residual_raises(self):
@@ -434,6 +477,27 @@ class TestSparseLinsolve:
             assert sparse_out.eta_used <= 1e-13
             inexact = solve_inexact(M, b, 0.1)
             assert np.linalg.norm(M @ inexact.s - b) <= 0.1 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kernel", ["gttrf", "gbtrf", "superlu"])
+    def test_eta_used_is_numpys_norm_ratio_bit_for_bit(self, kernel):
+        rng = np.random.default_rng(12)
+        n = 64
+        if kernel == "superlu":
+            M = _laplacian(8)
+        else:
+            offsets = [-1, 0, 1] if kernel == "gttrf" else [-2, -1, 0, 1, 2]
+            M = sparse.diags_array(
+                [(4.0 if k == 0 else -1.0) + rng.uniform(0.0, 1.0, n - abs(k)) for k in offsets],
+                offsets=offsets, format="csr",
+            )
+        factors = lu_factor(M)
+        assert isinstance(factors, _SparseLU if kernel == "superlu" else _BandLU)
+        if kernel != "superlu":
+            assert factors.plan.tridiagonal == (kernel == "gttrf")
+        for b in rng.standard_normal((16, n)):
+            out = solve_direct(M, b)
+            expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+            assert np.float64(out.eta_used).tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize(
