@@ -138,8 +138,13 @@ def _h_equation(n, c=0.99):
 
     def fun(h):
         # a stacked matrix-vector product per row: H @ A.T would be one GEMM,
-        # whose sums differ in their last bits from A @ h
-        return h - 1.0 / (1.0 - np.matmul(A, h[..., None])[..., 0])
+        # whose sums differ in their last bits from A @ h; the rest of
+        # h - 1 / (1 - A h) is computed in the product's buffer
+        d = np.matmul(A, h[..., None])[..., 0]
+        np.subtract(1.0, d, out=d)
+        np.divide(1.0, d, out=d)
+        np.subtract(h, d, out=d)
+        return d
 
     def jac(h):
         w = 1.0 / (1.0 - A @ h) ** 2
@@ -193,26 +198,56 @@ def _troesch(n, lam=10.0):
     )
 
 
+# rows per block of pb4's n-by-n set-up and Jacobian (256 KB at n = 1000)
+_ROW_BLOCK = 32
+
+
 def _discrete_integral(n):
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
-    # weights w_ij = (1 - t_i) t_j for j <= i, t_i (1 - t_j) for j > i
-    weights = np.where(
-        t[None, :] <= t[:, None],
-        (1.0 - t)[:, None] * t[None, :],
-        t[:, None] * (1.0 - t)[None, :],
-    )
+    u = 1.0 - t
+    # weights w_ij = (1 - t_i) t_j for j <= i, t_i (1 - t_j) for j > i (t
+    # increases strictly, so t_j <= t_i is j <= i): the lower formula
+    # everywhere, then the upper triangle a block of rows at a time, so that
+    # no second n-by-n array is made
+    weights = np.multiply.outer(u, t)
+    cols = np.arange(n)
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        upper = cols > cols[rows, None]
+        np.copyto(weights[rows], np.multiply.outer(t[rows], u), where=upper)
 
     def fun(x):
-        g = _cube(x + t + 1.0)
-        s1 = np.cumsum(t * g, axis=-1)
-        tail = (1.0 - t) * g
-        rest = np.sum(tail, axis=-1, keepdims=True) - np.cumsum(tail, axis=-1)
-        return x + h * ((1.0 - t) * s1 + t * rest) / 2.0
+        # x + h ((1 - t) s1 + t (sum(tail) - cumsum(tail))) / 2 with
+        # s1 = cumsum(t g), tail = (1 - t) g and g = (x + t + 1)^3: the
+        # operations of that expression in its order, in three buffers, so
+        # the same bits (the sums run along the last axis, and
+        # multiplication and addition commute bit for bit)
+        g = x + t
+        g += 1.0
+        g, s1 = _cube(g), g
+        np.multiply(t, g, out=s1)
+        np.cumsum(s1, axis=-1, out=s1)
+        tail = np.multiply(u, g, out=g)
+        total = np.sum(tail, axis=-1, keepdims=True)
+        np.cumsum(tail, axis=-1, out=tail)
+        np.subtract(total, tail, out=tail)
+        tail *= t
+        s1 *= u
+        s1 += tail
+        s1 *= h
+        s1 /= 2.0
+        s1 += x
+        return s1
 
     def jac(x):
-        J = np.multiply(weights, 1.5 * h)
-        J *= ((x + t + 1.0) ** 2)[None, :]
+        # a block of rows is scaled twice while it is in cache
+        c = (x + t + 1.0) ** 2
+        J = np.empty((n, n))
+        for r0 in range(0, n, _ROW_BLOCK):
+            rows = slice(r0, r0 + _ROW_BLOCK)
+            np.multiply(weights[rows], 1.5 * h, out=J[rows])
+            J[rows] *= c
         J.flat[::n + 1] += 1.0
         return J
 

@@ -248,8 +248,10 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     # g % groups_per_block of its block's points; flat holds those positions
     # in the flattened points
     if pattern is None:
+        # a block's differences go to one contiguous buffer, are checked and
+        # divided by their steps there, and are then stored as columns of jac
         jac = np.empty((n, n))
-        diffs = jac.T  # row j of diffs is column j of jac
+        buf = np.empty((min(groups_per_block, n), n))
         order = np.arange(n)
         start = range(n + 1)
         flat = order % groups_per_block * n + order
@@ -259,9 +261,11 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
         flat = layout.scatter(groups_per_block)
         diffs = np.empty((len(start) - 1, n))
     step = h[order]
-    for g0 in range(0, len(diffs), groups_per_block):
-        block = diffs[g0:g0 + groups_per_block]
-        s0, s1 = start[g0], start[g0 + len(block)]
+    n_groups = len(start) - 1
+    for g0 in range(0, n_groups, groups_per_block):
+        g1 = min(g0 + groups_per_block, n_groups)
+        block = buf[:g1 - g0] if pattern is None else diffs[g0:g1]
+        s0, s1 = start[g0], start[g1]
         X = x[None, :].repeat(len(block), axis=0)
         X.reshape(-1)[flat[s0:s1]] += step[s0:s1]
         F = fun(X) if vectorized else fun(X[0])
@@ -271,8 +275,10 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
             raise JacobianError(
                 f"residual is non-finite at a point perturbed in x[{order[start[g]]}]"
             )
+        if pattern is None:
+            block /= step[g0:g1, None]
+            jac.T[g0:g1] = block  # row j of jac.T is column j of jac
     if pattern is None:
-        jac /= h
         return jac
     return layout.model(diffs.reshape(-1).take(entry_flat) / h[layout.indices])
 
@@ -299,7 +305,9 @@ def schubert_update(M, s, yvec, pattern=None):
         denom = np.sum(s * s)
         if denom == 0.0:
             return M
-        return M + np.outer((yvec - M @ s) / denom, s)
+        update = np.outer((yvec - M @ s) / denom, s)
+        update += M  # one n-by-n temporary; addition commutes bit for bit
+        return update
     pattern = np.asarray(pattern.toarray() if sparse.issparse(pattern) else pattern, dtype=bool)
     if M.shape != pattern.shape:
         raise ValueError("M and pattern shapes differ")

@@ -86,6 +86,10 @@ def solve(problem, x0, config=None, theory=None):
             status = core.MAX_ITERATIONS
             break
 
+        if config.jacobian_strategy != SCHUBERT:
+            # only a secant update reads the previous model: let it go before
+            # the next one is built, so that one model is held at a time
+            jac_state = None
         try:
             jac_state = next_jacobian(
                 jac_state, k, problem, x, config.jacobian_strategy,

@@ -15,6 +15,7 @@ from newton_condg import (
     starting_point,
 )
 from newton_condg.bench import REGISTRY, _cube, _tridiagonal
+from newton_condg.jacobian import FD_BLOCK_ENTRIES
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -274,6 +275,89 @@ def test_exact_tridiagonal_jacobian_is_a_fresh_matrix_of_one_structure(pid, n):
         assert not np.shares_memory(first.data, second.data)
         first.data[:] = 0.0  # a caller may write its own matrix's data
         assert second.data.tobytes() == expected.data.tobytes()
+
+
+def _h_equation_expression(n, c=0.99):
+    """pb1's residual as one expression, with a temporary per operation."""
+    mu = (np.arange(1, n + 1) - 0.5) / n
+    A = (c / (2.0 * n)) * (mu[:, None] / (mu[:, None] + mu[None, :]))
+    return lambda h: h - 1.0 / (1.0 - np.matmul(A, h[..., None])[..., 0])
+
+
+def _discrete_integral_expression(n):
+    """pb4's residual as expressions, with a temporary per operation."""
+    h = 1.0 / (n + 1)
+    t = np.arange(1, n + 1) * h
+
+    def fun(x):
+        g = _cube(x + t + 1.0)
+        s1 = np.cumsum(t * g, axis=-1)
+        tail = (1.0 - t) * g
+        rest = np.sum(tail, axis=-1, keepdims=True) - np.cumsum(tail, axis=-1)
+        return x + h * ((1.0 - t) * s1 + t * rest) / 2.0
+
+    return fun
+
+
+DENSE_RESIDUAL_CASES = [
+    ("pb1_h_equation", n, _h_equation_expression) for n in (2, 3, 400)
+] + [
+    ("pb4_discrete_integral", n, _discrete_integral_expression) for n in (2, 3, 1000)
+]
+
+
+@pytest.mark.parametrize("pid, n, expression", DENSE_RESIDUAL_CASES)
+def test_dense_residuals_in_place_keep_their_bits(pid, n, expression):
+    # pb1 and pb4 compute in their own buffers; every stack of points and
+    # every point gives the bits of the expression, and nothing is shared
+    p = make_problem(pid, n)
+    reference = expression(n)
+    t = np.arange(1, n + 1) / (n + 1)
+    rng = np.random.default_rng(9)
+    points = [starting_point(p, gamma) for gamma in (0, 1, 2, 3)]
+    points.append(-t - 2.0)  # every cube base x + t + 1 is negative
+    full_block = max(1, FD_BLOCK_ENTRIES // n)
+    for x in points:
+        x.flags.writeable = False  # the residual must not write its input
+        fx = p.fun(x)
+        assert fx.flags.c_contiguous and fx.dtype == np.float64 and fx.shape == (n,)
+        assert fx.tobytes() == reference(x).tobytes()
+        again = p.fun(x)
+        assert again.tobytes() == fx.tobytes()
+        assert not np.shares_memory(fx, again)
+        for m in (1, 7, full_block):
+            X = x + rng.uniform(-1e-3, 1e-3, (m, n))
+            X[0] = x
+            X.flags.writeable = False
+            F = p.fun(X)
+            assert F.shape == (m, n)
+            assert F.tobytes() == reference(X).tobytes()
+            assert F[0].tobytes() == fx.tobytes()
+            for i in rng.choice(m, min(m, 3), replace=False):
+                assert F[i].tobytes() == p.fun(X[i]).tobytes()
+            assert not np.shares_memory(F, p.fun(X))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_discrete_integral_jacobian_keeps_the_where_weights(n):
+    # the weights are built by an outer product and blocks of rows; J is the
+    # product of the np.where weights with the column scales, bit for bit
+    p = make_problem("pb4_discrete_integral", n)
+    h = 1.0 / (n + 1)
+    t = np.arange(1, n + 1) * h
+    weights = np.where(
+        t[None, :] <= t[:, None],
+        (1.0 - t)[:, None] * t[None, :],
+        t[:, None] * (1.0 - t)[None, :],
+    )
+    rng = np.random.default_rng(10)
+    for x in (starting_point(p, 0), starting_point(p, 3), p.feasible_set.sample(rng)):
+        expected = np.multiply(weights, 1.5 * h)
+        expected *= ((x + t + 1.0) ** 2)[None, :]
+        expected.flat[::n + 1] += 1.0
+        J = p.jac(x)
+        assert J.flags.c_contiguous and J.dtype == np.float64
+        assert J.tobytes() == expected.tobytes()
 
 
 def test_starting_points():

@@ -110,6 +110,65 @@ class TestVectorizedFD:
                 fd_jacobian(fun, x, vectorized=vectorized)
 
 
+def _column_by_column(fun, x):
+    """Forward differences one column and one 1-D call at a time."""
+    n = x.size
+    f0 = fun(x)
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = np.sqrt(np.finfo(float).eps) * max(abs(x[j]), 1.0)
+        h = -h if x[j] < 0 else h
+        point = x.copy()
+        point[j] += h
+        jac[:, j] = (fun(point) - f0) / h
+    return jac
+
+
+class TestDenseFD:
+    # one-row blocks, a partial last block (blocks of 4 of 13 columns) and a
+    # single block
+    @pytest.mark.parametrize("groups_per_block", [1, 4, 13, 100])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_model_is_the_column_by_column_model(self, monkeypatch, groups_per_block,
+                                                 vectorized):
+        n = 13
+        monkeypatch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", groups_per_block * n)
+        rng = np.random.default_rng(11)
+        # every entry of the Jacobian is non-zero, and the rows of a stack
+        # are the 1-D values bit for bit (sums along the last axis only)
+        def fun(v):
+            ahead = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+            return np.sin(np.cumsum(v, axis=-1)) * ahead
+        for x in (np.zeros(n), rng.uniform(-3.0, 3.0, n)):
+            jac = fd_jacobian(fun, x, vectorized=vectorized)
+            assert type(jac) is np.ndarray and jac.dtype == np.float64
+            assert jac.flags.c_contiguous  # linsolve casts it to float32 without a copy
+            assert jac.tobytes() == _column_by_column(fun, x).tobytes()
+
+    @pytest.mark.parametrize("pid, n", [("pb1_h_equation", 40), ("pb4_discrete_integral", 50)])
+    def test_registry_models_are_the_column_by_column_models(self, monkeypatch, pid, n):
+        monkeypatch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", 7 * n)
+        p = make_problem(pid, n)
+        for gamma in (0, 3):
+            x = starting_point(p, gamma)
+            jac = fd_jacobian(p.fun, x, vectorized=True)
+            assert jac.flags.c_contiguous
+            assert jac.tobytes() == _column_by_column(p.fun, x).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0, 6, 12])
+    def test_non_finite_column_is_named(self, monkeypatch, bad):
+        n = 13
+        monkeypatch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", 4 * n)
+        x = np.ones(n)
+        x[bad] = 2.0
+        # finite at x, non-finite only where x[bad] has been stepped past 2
+        fun = lambda v: np.where(v[..., bad:bad + 1] > 2.0, np.nan, 1.0) * v
+        for vectorized in (False, True):
+            with pytest.raises(JacobianError, match=rf"x\[{bad}\]"):
+                fd_jacobian(fun, x, vectorized=vectorized)
+
+
 class TestSchubertUpdate:
     def test_one_dimensional_secant(self):
         M = schubert_update(
@@ -117,6 +176,18 @@ class TestSchubertUpdate:
             np.ones((1, 1), dtype=bool),
         )
         np.testing.assert_allclose(M, [[3.0]])
+
+    def test_dense_broyden_is_the_rank_one_expression(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 300):
+            M = rng.standard_normal((n, n))
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            before = M.copy()
+            updated = schubert_update(M, s, y)
+            expected = M + np.outer((y - M @ s) / np.sum(s * s), s)
+            assert updated.tobytes() == expected.tobytes()
+            assert M.tobytes() == before.tobytes()
+            assert not np.shares_memory(updated, M)
 
     def test_zero_step_is_identity(self):
         M0 = np.diag([1.0, 2.0])

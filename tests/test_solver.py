@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +283,35 @@ def test_vectorized_fd_keeps_every_history_bit_for_bit(pid, n, strategy):
         assert len(batched.iterates) == len(per_point.iterates)
         for a, b in zip(batched.iterates, per_point.iterates):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["finite_difference", "exact", "schubert"])
+@pytest.mark.parametrize("pid, n", [("pb4_discrete_integral", 50), ("pb2_discrete_boundary", 50)])
+def test_one_model_is_held_at_a_time(monkeypatch, pid, n, strategy):
+    # the solver lets the previous model go before the next build, unless a
+    # secant update is to read it; weak references see which models live
+    p = make_problem(pid, n)
+    built = []  # (k, weak reference to the model next_jacobian returned)
+    original = solver.next_jacobian
+
+    def tracked(state, k, *args):
+        if built:
+            previous = built[-1][1]()
+            if strategy == "schubert":
+                assert state is not None and state.M is previous
+            else:
+                assert state is None and previous is None
+        new = original(state, k, *args)
+        built.append((k, weakref.ref(new.M)))
+        return new
+
+    monkeypatch.setattr(solver, "next_jacobian", tracked)
+    report = solve(p, starting_point(p, 3), SolverConfig(jacobian_strategy=strategy))
+    assert report.status == "converged"
+    iters = [k for k, _ in built]
+    assert iters == list(range(len(report.steps)))
+    if strategy == "schubert":
+        assert 2 in iters  # a secant update ran
 
 
 class TestVerifyMkConditions:
