@@ -7,7 +7,9 @@ in scientific notation (6 significant digits); row order is lexicographic in
 (problem, gamma, method), so output bytes are stable apart from the wall_ms
 column. A row whose solve raised has status "error"; `solve --format json`
 and `solve --trace` also carry the exception as "error": "<type>: <message>".
-`solve --trace` writes every RunReport field, `steps` as a list of objects.
+`solve --format json` also lists the model of every step taken ("exact",
+"finite_difference" or "secant") as "models". `solve --trace` writes every
+RunReport field, `steps` as a list of objects, each with its "model".
 Both write strict JSON: a nan or infinite number becomes null.
 """
 
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
@@ -34,7 +36,8 @@ SUITES = {"paper-core": PAPER_CORE, "all": tuple(REGISTRY), "synthetic": SYNTHET
 
 @dataclass
 class RunRow:
-    """One benchmark-table row; error is the exception of a raised solve."""
+    """One benchmark-table row; error is the exception of a raised solve,
+    models the model of each step taken (not a CSV column)."""
 
     problem: str
     n: int
@@ -45,6 +48,7 @@ class RunRow:
     status: str
     wall_ms: float
     error: Optional[str] = None
+    models: list = field(default_factory=list)
 
     def to_csv(self):
         return (
@@ -117,14 +121,15 @@ def _run_one(problem_id, n, gamma, method, config):
         iters = report.iterations
         final = report.residual_norms[-1]
         error = None
+        models = [step.model for step in report.steps]
     except Exception as exc:
-        status, iters, final, report = "error", 0, math.nan, None
+        status, iters, final, report, models = "error", 0, math.nan, None, []
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = 1000.0 * (time.perf_counter() - start)
     row = RunRow(
         problem=problem_id, n=n, gamma=gamma, method=method,
         iters=iters, final_norm_inf=final, status=status, wall_ms=wall_ms,
-        error=error,
+        error=error, models=models,
     )
     return row, report
 

@@ -179,6 +179,8 @@ class Step:
         eta_used: achieved relative residual ||M_k s_k + F(x_k)|| / ||F(x_k)||.
         inner_iters, final_gap, terminated_by: the step's CondG call, as in
             condg.CondGResult.
+        model: the step's model M_k, "exact", "finite_difference" or
+            "secant", as jacobian.model_kind schedules it.
     """
 
     step_norm: float
@@ -186,6 +188,7 @@ class Step:
     inner_iters: int
     final_gap: float
     terminated_by: str
+    model: str
 
 
 @dataclass

@@ -57,6 +57,7 @@ EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
 SCHUBERT = "schubert"
 JACOBIAN_STRATEGIES = (EXACT, FINITE_DIFFERENCE, SCHUBERT)
+SECANT = "secant"  # the model of a schubert step between refreshes (model_kind)
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # entries per residual call of a vectorized fd_jacobian (512 KB of float64);
@@ -341,14 +342,30 @@ def _schubert_update_csr(M, s, yvec, pattern):
     return layout.model(M.data + scale[rows] * s_at)
 
 
+def model_kind(k, strategy, refresh_period=5):
+    """The model outer iteration k gets under strategy: EXACT, FINITE_DIFFERENCE
+    or SECANT.
+
+    exact: the analytic Jacobian every iteration. finite_difference: a
+    finite-difference build every iteration. schubert: a finite-difference
+    refresh at k == 0 and whenever (k - 1) mod refresh_period == 0, a secant
+    update of the previous model otherwise.
+    """
+    if strategy not in JACOBIAN_STRATEGIES:
+        raise ValueError(f"unknown jacobian strategy {strategy!r}")
+    if strategy == SCHUBERT and k >= 1 and (k - 1) % refresh_period != 0:
+        return SECANT
+    return EXACT if strategy == EXACT else FINITE_DIFFERENCE
+
+
 def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, fx=None):
     """Model matrix for outer iteration k, given the state of iteration k - 1.
 
-    state is None on the first call. exact: analytic Jacobian every
-    iteration (JacobianError if the problem has none). finite_difference:
-    fd_jacobian every iteration. schubert: fd_jacobian at k == 0 and
-    whenever (k - 1) mod refresh_period == 0,
-    otherwise the rowwise secant update of the previous matrix using
+    state is None on the first call. model_kind(k, strategy, refresh_period)
+    says which model iteration k gets: exact, the analytic Jacobian
+    (JacobianError if the problem has none); finite_difference,
+    fd_jacobian (also when a secant step has no state to update); secant,
+    the rowwise secant update of the previous matrix using
     step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
     problem.pattern every finite-difference build is column-grouped and the
     model is CSR; both builds read the pattern's layout (colouring, group
@@ -364,7 +381,8 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     Finiteness of M is left to the linear solve, which checks it once.
     """
     x = np.asarray(x, dtype=float)
-    if strategy == EXACT:
+    kind = model_kind(k, strategy, refresh_period)
+    if kind == EXACT:
         if problem.jac is None:
             raise JacobianError("exact strategy needs an analytic Jacobian")
         J = problem.jac(x)
@@ -373,11 +391,7 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
             if layout.stores(J):
                 return JacobianState(M=layout.model(J.data))
         return JacobianState(M=as_model(J))
-    if strategy not in (FINITE_DIFFERENCE, SCHUBERT):
-        raise ValueError(f"unknown jacobian strategy {strategy!r}")
-
-    refresh = k == 0 or (k >= 1 and (k - 1) % refresh_period == 0)
-    if strategy == FINITE_DIFFERENCE or refresh or state is None:
+    if kind == FINITE_DIFFERENCE or state is None:
         return JacobianState(
             M=fd_jacobian(problem.fun, x, fx, problem.pattern, problem.vectorized)
         )

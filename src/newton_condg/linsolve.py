@@ -27,7 +27,11 @@ one); a solve takes it for a block of right-hand sides (as
 verify_mk_conditions sends) and, from then on, once refinement has not met
 its stop rule after MIXED_MAX_STEPS corrections or a correction does not
 reduce the residual. solve_direct solves with that factorization, and its
-achieved residual is refinement's last one when refinement ran.
+achieved residual is refinement's last one when refinement ran. A dense
+Broyden step (solve_direct's prev_step) keeps the float32 factors of the
+model it updates and adds one Sherman-Morrison term of the inverse update
+to every correction, so it costs O(n^2), not sgetrf's O(n^3); refinement,
+against the updated model, keeps its stop rule and its getrf fallback.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
 A sparse model gets GMRES's preconditioner from lu_factor (_BandLU or
@@ -68,6 +72,11 @@ MIXED_MIN_N = 250
 MIXED_PIVOT_RTOL = 1e-5
 # refinement corrections after which an unconverged solve goes to getrf
 MIXED_MAX_STEPS = 10
+# a Broyden update whose Sherman-Morrison denominator s^T z (z = P y, P the
+# inverse the kept float32 factors apply) is below this times ||s|| ||z||
+# gets a fresh factorization: the updated model is then near singular, and
+# the rounding of z, relative u_32 = 2^-24, would grow by the inverse of it
+SECANT_DENOM_RTOL = 1e-4
 UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2^-53
 
 
@@ -77,10 +86,16 @@ class LinearSolveFailure(Exception):
 
 @dataclass
 class LinSolveOutcome:
-    """Step s and its achieved relative residual ||M s - b|| / ||b||."""
+    """Step s and its achieved relative residual ||M s - b|| / ||b||.
+
+    factors is the factorization a direct solve used (what solve_direct's
+    prev_step takes for the next secant step); None for an inexact step that
+    met its contract.
+    """
 
     s: np.ndarray
     eta_used: float
+    factors: object = None
 
 
 class _DenseLU:
@@ -94,19 +109,50 @@ class _DenseLU:
     below MIXED_MIN_N or when a float32 pivot is too small, else on the first
     solve of a 2-D b or once refinement has failed. M is kept by reference,
     never written, and must not change while the factors are used.
+
+    Given lu32, the float32 factors of another model M0, and terms, the
+    factors serve M through the inverse updates of the secant steps from M0
+    to M (secant_successor), with no sgetrf: each correction applies the
+    float32 solve and then, in order, every term (u, s) as d += u (s^T d).
     """
 
-    def __init__(self, M, maxabs):
+    def __init__(self, M, maxabs, lu32=None, terms=()):
         self.M, self.maxabs = M, maxabs
-        self.lu32 = self.lu64 = None  # (lu, piv) of sgetrf and of getrf
-        if M.shape[0] >= MIXED_MIN_N:
+        self.lu32, self.lu64, self.terms = lu32, None, terms  # (lu, piv) of sgetrf and of getrf
+        if lu32 is None and M.shape[0] >= MIXED_MIN_N:
             lu, piv, info = sgetrf(M.T.astype(np.float32, order="F"), overwrite_a=True)
             # written so that a nan pivot (a float32 overflow) goes to getrf too
             if info == 0 and np.abs(np.diag(lu)).min() >= MIXED_PIVOT_RTOL * maxabs:
                 self.lu32 = (lu, piv)
-                self.norm_inf = dlange("1", M.T)  # ||M^T||_1 = ||M||_inf, with no temporary
-                return
-        self._getrf()
+        if self.lu32 is None:
+            self._getrf()
+        else:
+            self.norm_inf = dlange("1", M.T)  # ||M^T||_1 = ||M||_inf, with no temporary
+
+    def secant_successor(self, M, s, y):
+        """The factors of M = M0 + (y - M0 s) s^T / (s^T s), the Broyden
+        update of the model M0 these factors hold, without factorizing M;
+        None when M needs lu_factor.
+
+        The float32 factors are kept and the inverse update, in its s/y form
+        (Sherman-Morrison), becomes one more term of every correction:
+        P+ r = P r + (s - z) (s^T P r) / (s^T z), with P the inverse these
+        factors apply and z = P y. Refinement runs against the explicit M,
+        with its stop rule and its getrf fallback, so a solve meets what it
+        meets with fresh factors. M is checked as lu_factor checks it
+        (LinearSolveFailure when non-finite or zero). None when these
+        factors hold no float32 ones or |s^T z| < SECANT_DENOM_RTOL ||s|| ||z||.
+        """
+        if self.lu32 is None:
+            return None
+        maxabs = _checked_scale(M)
+        s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+        z = self._correction(y, np.abs(y).max())
+        denom = s @ z
+        # written so that a nan denominator takes lu_factor too
+        if not abs(denom) >= SECANT_DENOM_RTOL * math.sqrt((s @ s) * (z @ z)):
+            return None
+        return _DenseLU(M, maxabs, self.lu32, self.terms + (((s - z) / denom, s),))
 
     def _getrf(self):
         """The getrf factors, derived and pivot-checked on first use."""
@@ -149,12 +195,16 @@ class _DenseLU:
         return linalg.lu_solve(self._getrf(), b, check_finite=False), None
 
     def _correction(self, r, rnorm):
-        """The float32 solve of M d = r, in float64. r is divided by its
-        max-norm rnorm first, so that no finite r overflows float32."""
+        """The float32 solve of M d = r, in float64, followed by the secant
+        terms. r is divided by its max-norm rnorm first, so that no finite r
+        overflows float32."""
         scale = np.float64(rnorm if rnorm > 0.0 else 1.0)  # so that scale * d is float64
         d, _info = sgetrs(*self.lu32, (r / scale).astype(np.float32), trans=1,
                           overwrite_b=True)
-        return scale * d
+        d = scale * d
+        for u, s in self.terms:
+            d += (s @ d) * u
+        return d
 
 
 class _SparseLU:
@@ -351,16 +401,29 @@ class _FactorPlan:
         )
 
 
-def solve_direct(M, b):
+def solve_direct(M, b, prev_step=None):
     """Solve M s = b with the factorization of lu_factor.
 
+    prev_step = (factors, s, y), when given, says that a dense M is the
+    Broyden update M0 + (y - M0 s) s^T / (s^T s) of the model M0 that
+    factors (the .factors of M0's solve_direct outcome) hold. When those are
+    float32 factors, M gets them with one more inverse-update term
+    (_DenseLU.secant_successor) instead of a factorization: an O(n^2) step
+    whose refinement against M meets the stop rule of a fresh one. M gets
+    lu_factor when they are not, or the update's denominator is too near 0.
+    The outcome's factors are the factorization the step used.
     eta_used is ||M s - b|| / ||b||: refinement's last residual when
     refinement solved the step, one more matvec otherwise. Raises
     LinearSolveFailure when M is non-finite or singular to working precision
     (some pivot below PIVOT_RTOL * maxabs(M)), or b is non-finite.
     """
     M = as_model(M)
-    factors = lu_factor(M)
+    factors = None
+    if prev_step is not None:
+        previous, s, y = prev_step
+        factors = previous.secant_successor(M, s, y)
+    if factors is None:
+        factors = lu_factor(M)
     b = _checked_rhs(b)
     if isinstance(factors, _DenseLU):
         s, r = factors.refine(b)  # r is the achieved residual, or None
@@ -371,7 +434,7 @@ def solve_direct(M, b):
     # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
     bnorm = math.sqrt(b @ b)
     eta_used = math.sqrt(r @ r) / bnorm if bnorm > 0 else 0.0
-    return LinSolveOutcome(s=s, eta_used=eta_used)
+    return LinSolveOutcome(s=s, eta_used=eta_used, factors=factors)
 
 
 def solve_inexact(M, b, eta):

@@ -5,6 +5,12 @@ solves M_k s_k = -F(x_k) (exactly or to a relative-residual contract),
 forms y_k = x_k + s_k, and takes x_{k+1} = condg(y_k, x_k, theta*||s_k||^2)
 so the iterate stays feasible. Pure local method: no line search and no
 globalization.
+
+A dense Broyden step solved directly at an order of at least MIXED_MIN_N
+reuses the previous step's float32 factorization (solve_direct's
+prev_step): the solver keeps that factorization, and the previous model,
+only until the next finite-difference refresh, whose build starts without
+either, so at most two models and one factorization are alive at once.
 """
 
 import math
@@ -14,8 +20,8 @@ import numpy as np
 from . import core
 from .condg import ITERATION_CAP, condg
 from .core import ConstantEta, RunReport, SolverConfig, forcing_eta
-from .jacobian import SCHUBERT, JacobianError, next_jacobian
-from .linsolve import LinearSolveFailure, solve_direct, solve_inexact
+from .jacobian import SCHUBERT, SECANT, JacobianError, model_kind, next_jacobian
+from .linsolve import MIXED_MIN_N, LinearSolveFailure, solve_direct, solve_inexact
 from .theory import validate_config
 
 STEP_FLOOR = 1e-15
@@ -69,8 +75,15 @@ def solve(problem, x0, config=None, theory=None):
     residual_norms = []
     steps = []
     status = core.MAX_ITERATIONS
-    jac_state = None
+    jac_state = factors = None
     prev_step = None
+    # the dense Broyden steps that update the previous step's float32 factors
+    keep_factors = (
+        config.jacobian_strategy == SCHUBERT
+        and problem.pattern is None
+        and config.linsolve == "direct"
+        and problem.n >= MIXED_MIN_N
+    )
 
     fx = np.asarray(problem.fun(x), dtype=float)
     for k in range(config.max_outer + 1):
@@ -86,10 +99,11 @@ def solve(problem, x0, config=None, theory=None):
             status = core.MAX_ITERATIONS
             break
 
-        if config.jacobian_strategy != SCHUBERT:
-            # only a secant update reads the previous model: let it go before
-            # the next one is built, so that one model is held at a time
-            jac_state = None
+        model = model_kind(k, config.jacobian_strategy, config.refresh_period)
+        if model != SECANT:
+            # only a secant update reads the previous model and its factors:
+            # let them go before the next model is built
+            jac_state = factors = None
         try:
             jac_state = next_jacobian(
                 jac_state, k, problem, x, config.jacobian_strategy,
@@ -100,17 +114,15 @@ def solve(problem, x0, config=None, theory=None):
             break
 
         try:
-            if config.linsolve == "direct":
-                outcome = solve_direct(jac_state.M, -fx)
-            else:
-                policy = config.eta_policy or ConstantEta()
-                eta = forcing_eta(math.sqrt(fx @ fx), policy)
-                outcome = solve_inexact(jac_state.M, -fx, eta)
+            s, eta_used, factors = _linear_step(
+                jac_state.M, fx, config, None if factors is None else (factors, *prev_step)
+            )
         except LinearSolveFailure:
             status = core.LINEAR_SOLVE_FAILURE
             break
+        if not keep_factors:
+            factors = None
 
-        s = outcome.s
         # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
         snorm = math.sqrt(s @ s)
         if snorm < STEP_FLOOR * max(1.0, math.sqrt(x @ x)):
@@ -119,8 +131,8 @@ def solve(problem, x0, config=None, theory=None):
 
         y = x + s
         inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
-        steps.append(core.Step(snorm, outcome.eta_used, inner.inner_iters,
-                               inner.final_gap, inner.terminated_by))
+        steps.append(core.Step(snorm, eta_used, inner.inner_iters,
+                               inner.final_gap, inner.terminated_by, model))
         uncertified_steps += inner.terminated_by == ITERATION_CAP
 
         z = inner.z
@@ -137,6 +149,18 @@ def solve(problem, x0, config=None, theory=None):
         x0_projected=x0_projected,
         uncertified_steps=uncertified_steps,
     )
+
+
+def _linear_step(M, fx, config, prev_step):
+    """(s, eta_used, factors) of the step M s = -F(x): direct, given the
+    previous step's factors and (s, y) as prev_step when M is their secant
+    update, or inexact to the configured forcing term."""
+    if config.linsolve == "direct":
+        outcome = solve_direct(M, -fx, prev_step=prev_step)
+    else:
+        policy = config.eta_policy or ConstantEta()
+        outcome = solve_inexact(M, -fx, forcing_eta(math.sqrt(fx @ fx), policy))
+    return outcome.s, outcome.eta_used, outcome.factors
 
 
 def _stalled(residual_norms):

@@ -79,7 +79,9 @@ class TestSolve:
         for step in payload["steps"]:
             assert set(step) == {
                 "step_norm", "eta_used", "inner_iters", "final_gap", "terminated_by",
+                "model",
             }
+            assert step["model"] == "exact"
 
     def test_json_output_to_file(self, tmp_path):
         out_path = tmp_path / "row.json"
@@ -91,6 +93,22 @@ class TestSolve:
         row = json.loads(out_path.read_text())
         assert row["status"] == "converged"
         assert row["final_norm_inf"] <= 1e-6
+        assert row["models"] == ["finite_difference"] * row["iters"]
+
+    def test_step_models_follow_the_refresh_schedule(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        code = main([
+            "solve", "--problem", "pb1_h_equation", "--n", "30", "--gamma", "3",
+            "--method", "schubert", "--refresh", "2", "--format", "json",
+            "--trace", str(trace),
+        ])
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)
+        steps = json.loads(trace.read_text())["steps"]
+        assert row["models"] == [step["model"] for step in steps]
+        # refresh at k = 0, 1, 3, 5, ...; a secant update between
+        assert row["models"][:4] == ["finite_difference", "finite_difference", "secant",
+                                     "finite_difference"]
 
     def test_failure_exit_code_1(self):
         code = main([

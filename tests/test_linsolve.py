@@ -18,7 +18,7 @@ from newton_condg import (
     spectral_norm,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import _layout
+from newton_condg.jacobian import _layout, schubert_update
 from newton_condg.linsolve import (
     MIXED_MIN_N,
     UNIT_ROUNDOFF,
@@ -474,6 +474,98 @@ class TestMixedLU:
         B = linalg.lu_solve(linalg.lu_factor(M), J)
         assert check.norm_inv_jac == spectral_norm(B)
         assert check.within_omega1 and check.within_omega2
+
+
+def _counting(monkeypatch, name):
+    """The calls of newton_condg.linsolve.<name>, recorded as their args[0]."""
+    calls = []
+    original = getattr(newton_condg.linsolve, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(newton_condg.linsolve, name, counted)
+    return calls
+
+
+def _broyden_pair(rng, M):
+    """(s, y) of a secant step whose y departs from M s by a random change."""
+    s = rng.standard_normal(M.shape[0])
+    return s, M @ s + np.sqrt(M.shape[0]) * rng.standard_normal(M.shape[0])
+
+
+class TestSecantSolve:
+    """solve_direct's prev_step: a dense Broyden update solved with the kept
+    float32 factors and one inverse-update term per secant step."""
+
+    @pytest.mark.parametrize("n", [MIXED_MIN_N, 400])
+    @pytest.mark.parametrize("updates", [1, 2, 3, 4])
+    def test_chain_meets_the_stop_rule_without_sgetrf(self, monkeypatch, n, updates):
+        rng = np.random.default_rng(n + updates)
+        M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        factors = solve_direct(M, rng.standard_normal(n)).factors
+        assert factors.lu32 is not None and factors.terms == ()
+        sgetrf_calls = _counting(monkeypatch, "sgetrf")
+        sgetrs_calls = _counting(monkeypatch, "sgetrs")
+        for j in range(1, updates + 1):
+            s, y = _broyden_pair(rng, M)
+            M = schubert_update(M, s, y)
+            b = rng.standard_normal(n)
+            sgetrs_calls.clear()
+            out = solve_direct(M, b, (factors, s, y))
+            # z = P y, then the solve and the two corrections fresh factors take here
+            assert len(sgetrs_calls) <= 4
+            assert out.factors.M is M and out.factors.lu32 is factors.lu32
+            assert len(out.factors.terms) == j
+            assert _meets_stop_rule(M, out.s, b)
+            assert out.eta_used == np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+            factors = out.factors
+        assert sgetrf_calls == []
+        fresh = solve_direct(M, b).s
+        assert _normwise_close(out.s, fresh, 1e-10)
+
+    def test_zero_denominator_takes_a_fresh_factorization(self, monkeypatch):
+        # s^T M^-1 y = 0 makes the update singular: M+ (M^-1 y - s) = 0
+        n = MIXED_MIN_N
+        rng = np.random.default_rng(30)
+        M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        factors = lu_factor(M)
+        s, w = rng.standard_normal(n), rng.standard_normal(n)
+        w -= (s @ w) / (s @ s) * s  # s^T w = 0
+        y = M @ w
+        assert factors.secant_successor(schubert_update(M, s, y), s, y) is None
+        factored = _counting(monkeypatch, "lu_factor")
+        updated = schubert_update(M, s, y)
+        with pytest.raises(LinearSolveFailure, match="^model matrix is singular"):
+            solve_direct(updated, np.ones(n), (factors, s, y))
+        assert len(factored) == 1 and factored[0] is updated
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_fails(self, bad):
+        n = MIXED_MIN_N
+        rng = np.random.default_rng(31)
+        M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        factors = lu_factor(M)
+        s, y = _broyden_pair(rng, M)
+        updated = schubert_update(M, s, y)
+        updated[3, 7] = bad
+        with pytest.raises(LinearSolveFailure, match="^model matrix has non-finite entries$"):
+            solve_direct(updated, np.ones(n), (factors, s, y))
+
+    def test_getrf_factors_take_a_fresh_factorization(self, monkeypatch):
+        # below MIXED_MIN_N there are no float32 factors to update
+        n = MIXED_MIN_N - 1
+        rng = np.random.default_rng(32)
+        M = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        factors = lu_factor(M)
+        s, y = _broyden_pair(rng, M)
+        updated = schubert_update(M, s, y)
+        factored = _counting(monkeypatch, "lu_factor")
+        b = rng.standard_normal(n)
+        out = solve_direct(updated, b, (factors, s, y))
+        assert len(factored) == 1 and factored[0] is updated and out.factors.terms == ()
+        assert out.s.tobytes() == solve_direct(updated, b).s.tobytes()
 
 
 def _arrowhead(n):

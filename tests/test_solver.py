@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from newton_condg import (
     verify_mk_conditions,
 )
 from newton_condg import linsolve, solver
+from newton_condg.jacobian import model_kind
 from newton_condg import AdaptiveEta, ConstantEta, LinearSolveFailure, forcing_eta
 
 from oracles import LmoOnly, scalar_newton_iterates
@@ -286,10 +288,15 @@ def test_vectorized_fd_keeps_every_history_bit_for_bit(pid, n, strategy):
 
 
 @pytest.mark.parametrize("strategy", ["finite_difference", "exact", "schubert"])
-@pytest.mark.parametrize("pid, n", [("pb4_discrete_integral", 50), ("pb2_discrete_boundary", 50)])
+@pytest.mark.parametrize("pid, n", [
+    ("pb4_discrete_integral", 50),
+    ("pb2_discrete_boundary", 50),
+    ("pb4_discrete_integral", linsolve.MIXED_MIN_N),  # secant steps keep float32 factors
+])
 def test_one_model_is_held_at_a_time(monkeypatch, pid, n, strategy):
-    # the solver lets the previous model go before the next build, unless a
-    # secant update is to read it; weak references see which models live
+    # the solver lets the previous model (and the factors that hold it) go
+    # before every build but a secant update, which reads it; weak
+    # references see which models live
     p = make_problem(pid, n)
     built = []  # (k, weak reference to the model next_jacobian returned)
     original = solver.next_jacobian
@@ -297,7 +304,7 @@ def test_one_model_is_held_at_a_time(monkeypatch, pid, n, strategy):
     def tracked(state, k, *args):
         if built:
             previous = built[-1][1]()
-            if strategy == "schubert":
+            if model_kind(k, strategy, refresh_period=2) == "secant":
                 assert state is not None and state.M is previous
             else:
                 assert state is None and previous is None
@@ -306,12 +313,60 @@ def test_one_model_is_held_at_a_time(monkeypatch, pid, n, strategy):
         return new
 
     monkeypatch.setattr(solver, "next_jacobian", tracked)
-    report = solve(p, starting_point(p, 3), SolverConfig(jacobian_strategy=strategy))
+    config = SolverConfig(jacobian_strategy=strategy, refresh_period=2)
+    report = solve(p, starting_point(p, 3), config)
     assert report.status == "converged"
     iters = [k for k, _ in built]
     assert iters == list(range(len(report.steps)))
     if strategy == "schubert":
-        assert 2 in iters  # a secant update ran
+        assert {2, 3} <= set(iters)  # a secant update ran, and a refresh after it
+    assert [step.model for step in report.steps] == [
+        model_kind(k, strategy, refresh_period=2) for k in iters
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+@pytest.mark.parametrize("pid, n, gamma", [
+    ("pb1_h_equation", 400, 3), ("pb4_discrete_integral", 1000, 1),
+])
+def test_secant_steps_factorize_nothing(monkeypatch, pid, n, gamma, strategy):
+    # a dense Broyden step of order >= MIXED_MIN_N updates the previous
+    # step's float32 factors: lu_factor runs once per exact or FD step only
+    factored = []
+    lu_factor = linsolve.lu_factor
+
+    def counted(M):
+        factored.append(M.shape[0])
+        return lu_factor(M)
+
+    monkeypatch.setattr(linsolve, "lu_factor", counted)
+    p = make_problem(pid, n)
+    report = solve(p, starting_point(p, gamma), SolverConfig(jacobian_strategy=strategy))
+    assert report.status == "converged"
+    models = [step.model for step in report.steps]
+    assert models == [model_kind(k, strategy) for k in range(len(models))]
+    assert len(factored) == sum(model != "secant" for model in models)
+    if strategy == "schubert":
+        assert "secant" in models
+    else:
+        assert len(factored) == len(models)
+
+
+def test_dense_secant_solve_holds_two_models_and_one_factorization():
+    # at most two n-by-n float64 models (the previous and its secant update)
+    # and one float32 factorization are alive at once; 2 MiB covers the rest
+    n = 1000
+    p = make_problem("pb4_discrete_integral", n)
+    x0 = starting_point(p, 1)
+    config = SolverConfig(jacobian_strategy="schubert")
+    tracemalloc.start()
+    try:
+        report = solve(p, x0, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "converged" and "secant" in [s.model for s in report.steps]
+    assert peak <= 2 * 8 * n * n + 4 * n * n + 2 * 2 ** 20
 
 
 class TestVerifyMkConditions:
