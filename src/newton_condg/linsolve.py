@@ -404,13 +404,13 @@ class _FactorPlan:
 def solve_direct(M, b, prev_step=None):
     """Solve M s = b with the factorization of lu_factor.
 
-    prev_step = (factors, s, y), when given, says that a dense M is the
-    Broyden update M0 + (y - M0 s) s^T / (s^T s) of the model M0 that
-    factors (the .factors of M0's solve_direct outcome) hold. When those are
-    float32 factors, M gets them with one more inverse-update term
-    (_DenseLU.secant_successor) instead of a factorization: an O(n^2) step
-    whose refinement against M meets the stop rule of a fresh one. M gets
-    lu_factor when they are not, or the update's denominator is too near 0.
+    prev_step = (factors, s, y), when given, says that M is the secant
+    update of the model M0 that factors (the .factors of M0's solve_direct
+    outcome, of any kernel) hold. Only dense float32 ones serve it: the
+    Broyden update M0 + (y - M0 s) s^T / (s^T s) gets them with one more
+    inverse-update term (_DenseLU.secant_successor), an O(n^2) step whose
+    refinement against M meets a fresh one's stop rule. M gets lu_factor
+    after band, SuperLU or getrf factors, or a denominator too near 0.
     The outcome's factors are the factorization the step used.
     eta_used is ||M s - b|| / ||b||: refinement's last residual when
     refinement solved the step, one more matvec otherwise. Raises
@@ -421,7 +421,8 @@ def solve_direct(M, b, prev_step=None):
     factors = None
     if prev_step is not None:
         previous, s, y = prev_step
-        factors = previous.secant_successor(M, s, y)
+        if isinstance(previous, _DenseLU):
+            factors = previous.secant_successor(M, s, y)
     if factors is None:
         factors = lu_factor(M)
     b = _checked_rhs(b)

@@ -6,11 +6,11 @@ forms y_k = x_k + s_k, and takes x_{k+1} = condg(y_k, x_k, theta*||s_k||^2)
 so the iterate stays feasible. Pure local method: no line search and no
 globalization.
 
-A dense Broyden step solved directly at an order of at least MIXED_MIN_N
-reuses the previous step's float32 factorization (solve_direct's
-prev_step): the solver keeps that factorization, and the previous model,
-only until the next finite-difference refresh, whose build starts without
-either, so at most two models and one factorization are alive at once.
+A direct step keeps the factorization it used, and each secant step hands
+it with its (s, y) to solve_direct (prev_step), which alone decides whether
+it serves the update. The model and its factors are dropped before every
+build that is not a secant update, so at most two models and one
+factorization are alive at once.
 """
 
 import math
@@ -21,7 +21,7 @@ from . import core
 from .condg import ITERATION_CAP, condg
 from .core import ConstantEta, RunReport, SolverConfig, forcing_eta
 from .jacobian import SCHUBERT, SECANT, JacobianError, model_kind, next_jacobian
-from .linsolve import MIXED_MIN_N, LinearSolveFailure, solve_direct, solve_inexact
+from .linsolve import LinearSolveFailure, solve_direct, solve_inexact
 from .theory import validate_config
 
 STEP_FLOOR = 1e-15
@@ -77,13 +77,6 @@ def solve(problem, x0, config=None, theory=None):
     status = core.MAX_ITERATIONS
     jac_state = factors = None
     prev_step = None
-    # the dense Broyden steps that update the previous step's float32 factors
-    keep_factors = (
-        config.jacobian_strategy == SCHUBERT
-        and problem.pattern is None
-        and config.linsolve == "direct"
-        and problem.n >= MIXED_MIN_N
-    )
 
     fx = np.asarray(problem.fun(x), dtype=float)
     for k in range(config.max_outer + 1):
@@ -120,8 +113,6 @@ def solve(problem, x0, config=None, theory=None):
         except LinearSolveFailure:
             status = core.LINEAR_SOLVE_FAILURE
             break
-        if not keep_factors:
-            factors = None
 
         # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
         snorm = math.sqrt(s @ s)

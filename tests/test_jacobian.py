@@ -255,6 +255,12 @@ class TestSchubertUpdate:
         with pytest.raises(ValueError, match="pattern"):
             schubert_update(sparse.eye_array(2, format="csr"), np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("model", ["dense", "csr"])
+    def test_pattern_of_another_shape_raises(self, model):
+        M = np.eye(3) if model == "dense" else sparse.eye_array(3, format="csr")
+        with pytest.raises(ValueError, match="^M and pattern shapes differ$"):
+            schubert_update(M, np.ones(3), np.ones(3), np.eye(4, dtype=bool))
+
     def test_pattern_violation_rejected(self):
         M = np.ones((2, 2))
         with pytest.raises(JacobianError, match="pattern"):
@@ -313,6 +319,13 @@ class TestNextJacobian:
         for k in range(13):
             state = next_jacobian(state, k, p, x, "schubert", refresh_period=5, step=step)
         assert builds == [0, 1, 6, 11]
+
+    def test_secant_step_needs_the_step_data(self):
+        p = _problem()
+        x = np.array([1.0, 1.5, 0.5])
+        state = next_jacobian(None, 0, p, x, "schubert")
+        with pytest.raises(ValueError, match="^schubert update needs the previous step data$"):
+            next_jacobian(state, 2, p, x, "schubert")
 
     def test_schubert_without_pattern_is_unmasked_broyden(self):
         n = 3

@@ -106,3 +106,14 @@ def test_only_linsolve_imports_scipy_linear_algebra():
     }
     assert found == {}
     assert _linear_algebra_imports(MODULES["linsolve"])  # the check sees linsolve's
+
+
+def test_solver_imports_only_linsolve_entry_points():
+    # the outer loop solves and catches failures; kernel constants and
+    # classes stay in linsolve, which alone decides how a step is factorized
+    imported = set()
+    for node in ast.walk(MODULES["solver"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "linsolve" in _imported(node):
+            assert isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linsolve")
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"LinearSolveFailure", "solve_direct", "solve_inexact"}

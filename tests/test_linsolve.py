@@ -13,9 +13,12 @@ from newton_condg import (
     LinearSolveFailure,
     TheoryParams,
     forcing_eta,
+    make_problem,
+    next_jacobian,
     solve_direct,
     solve_inexact,
     spectral_norm,
+    starting_point,
     verify_mk_conditions,
 )
 from newton_condg.jacobian import _layout, schubert_update
@@ -150,6 +153,23 @@ class TestSolveInexact:
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
             solve_inexact(np.eye(2), np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("model", ["dense", "csr"])
+    def test_missed_contract_takes_the_direct_step(self, monkeypatch, model):
+        # a GMRES step that misses the contract is replaced by solve_direct's
+        rng = np.random.default_rng(41)
+        n = 60
+        if model == "dense":
+            M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        else:
+            M = sparse.csr_array(_random_band(rng, n, 1, 1) + 4.0 * sparse.eye_array(n))
+        b = rng.standard_normal(n)
+        monkeypatch.setattr(newton_condg.linsolve, "gmres",
+                            lambda A, rhs, **kwargs: (np.zeros_like(rhs), 0))
+        out = solve_inexact(M, b, 0.1)
+        direct = solve_direct(M, b)
+        assert out.s.tobytes() == direct.s.tobytes()
+        assert out.eta_used == direct.eta_used <= 0.1
 
     def test_dense_model_runs_plain_gmres(self):
         # no preconditioner on a dense M: the step is scipy's own GMRES step
@@ -566,6 +586,42 @@ class TestSecantSolve:
         out = solve_direct(updated, b, (factors, s, y))
         assert len(factored) == 1 and factored[0] is updated and out.factors.terms == ()
         assert out.s.tobytes() == solve_direct(updated, b).s.tobytes()
+
+    @pytest.mark.parametrize("kind", ["band", "getrf", "unconverged"])
+    def test_factors_without_float32_ones_give_a_fresh_solve(self, monkeypatch, kind):
+        # prev_step takes the factors of any kernel; band factors, getrf-only
+        # ones and those whose refinement failed leave the update to lu_factor
+        rng = np.random.default_rng(33)
+        if kind == "band":
+            p = make_problem("pb3_troesch", 500)
+            x = starting_point(p, 1)
+            M0 = next_jacobian(None, 0, p, x, "exact").M
+            s = 1e-3 * rng.standard_normal(p.n)
+            y = p.fun(x + s) - p.fun(x)
+            M = schubert_update(M0, s, y, p.pattern)
+            previous = lu_factor(M0)
+            assert isinstance(previous, _BandLU)
+        else:
+            if kind == "getrf":
+                n = MIXED_MIN_N - 1
+                M0 = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+                previous = lu_factor(M0)
+            else:  # as in TestMixedLU.test_unconverged_refinement_takes_getrf
+                monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 1)
+                M0 = _graded(TestMixedLU.N, 6, seed=15)
+                previous = lu_factor(M0)
+                assert previous.refine(rng.standard_normal(TestMixedLU.N))[1] is None
+            assert isinstance(previous, _DenseLU) and previous.lu32 is None
+            s, y = _broyden_pair(rng, M0)
+            M = schubert_update(M0, s, y)
+        b = rng.standard_normal(M.shape[0])
+        factored = _counting(monkeypatch, "lu_factor")
+        out = solve_direct(M, b, (previous, s, y))
+        fresh = solve_direct(M, b)
+        assert len(factored) == 2 and all(A is M for A in factored)
+        assert type(out.factors) is type(previous)
+        assert out.s.tobytes() == fresh.s.tobytes()
+        assert out.eta_used == fresh.eta_used
 
 
 def _arrowhead(n):

@@ -145,6 +145,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="theta"):
             solve(p, starting_point(p, 1), SolverConfig(theta=1e-5), theory=tp)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), ()])
+    def test_x0_of_the_wrong_shape_raises(self, shape):
+        p = make_problem("synthetic_quadratic", 4)
+        with pytest.raises(ValueError, match="^x0 must be an n-vector$"):
+            solve(p, np.ones(shape))
+
     def test_deterministic_replay(self):
         p = make_problem("pb2_discrete_boundary", 60)
         x0 = starting_point(p, 1)
@@ -352,6 +358,32 @@ def test_secant_steps_factorize_nothing(monkeypatch, pid, n, gamma, strategy):
         assert len(factored) == len(models)
 
 
+@pytest.mark.parametrize("pid, n, linsolve_mode, per_step, steps", [
+    ("pb3_troesch", 500, "direct", 1, 8),
+    ("pb4_discrete_integral", linsolve.MIXED_MIN_N - 1, "direct", 1, 7),
+    ("pb4_discrete_integral", 1000, "inexact", 0, 7),
+])
+def test_secant_steps_without_float32_factors(monkeypatch, pid, n, linsolve_mode,
+                                             per_step, steps):
+    # the solver hands every secant step its factors; band and getrf-only
+    # factors serve no update, so a direct step factorizes every time, and
+    # an inexact dense step never does
+    factored = []
+    lu_factor = linsolve.lu_factor
+
+    def counted(M):
+        factored.append(M.shape[0])
+        return lu_factor(M)
+
+    monkeypatch.setattr(linsolve, "lu_factor", counted)
+    p = make_problem(pid, n)
+    config = SolverConfig(jacobian_strategy="schubert", linsolve=linsolve_mode)
+    report = solve(p, starting_point(p, 1), config)
+    assert report.status == "converged" and len(report.steps) == steps
+    assert "secant" in [step.model for step in report.steps]
+    assert len(factored) == per_step * steps
+
+
 def test_dense_secant_solve_holds_two_models_and_one_factorization():
     # at most two n-by-n float64 models (the previous and its secant update)
     # and one float32 factorization are alive at once; 2 MiB covers the rest
@@ -367,6 +399,24 @@ def test_dense_secant_solve_holds_two_models_and_one_factorization():
         tracemalloc.stop()
     assert report.status == "converged" and "secant" in [s.model for s in report.steps]
     assert peak <= 2 * 8 * n * n + 4 * n * n + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("strategy", ["exact", "finite_difference"])
+def test_dense_solve_holds_one_model_and_one_factorization(strategy):
+    # a step's float32 factors outlive it until the next build, which starts
+    # without them and without the model: one n-by-n float64 model and one
+    # float32 factorization are alive at once; 2 MiB covers the rest
+    n = 1000
+    p = make_problem("pb4_discrete_integral", n)
+    x0 = starting_point(p, 1)
+    tracemalloc.start()
+    try:
+        report = solve(p, x0, SolverConfig(jacobian_strategy=strategy))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "converged"
+    assert peak <= 8 * n * n + 4 * n * n + 2 * 2 ** 20
 
 
 class TestVerifyMkConditions:
