@@ -2,19 +2,20 @@
 
 as_model is the one conversion of a model matrix: a float ndarray, or a
 canonical float CSRModel that carries its _FactorPlan, the symbolic half of
-its factorization (the row of every entry, kl and ku, the kernel, where each
-entry goes in the band storage). A sparse matrix is sorted in a copy, never
-in place, and every model built from a declared pattern (an exact Jacobian
-that stores the pattern's very structure included) already carries the
-pattern's plan, so that analysis runs once per pattern. Every factorization
-goes through lu_factor, which checks the model once (finite, non-zero) and
-picks the kernel by storage; each kernel is one class that factorizes with
-partial pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
-_BandLU takes a sparse model whose band, read from its stored structure,
-fits in BAND_STORAGE_RATIO times its stored entries: LAPACK gttrf when it is
-tridiagonal (kl == ku == 1, the split scipy.linalg.solve_banded makes too),
-gbtrf for a wider band; _SparseLU (scipy.sparse.linalg.splu) takes any
-other sparse one; _DenseLU a dense one, by
+its factorization (the row of every entry, the kernel, where each entry goes
+in the kernel's storage). A sparse matrix is sorted in a copy, never in
+place, and every model built from a declared pattern (an exact Jacobian that
+stores the pattern's very structure included) already carries the pattern's
+plan, so that analysis runs once per pattern. Every factorization goes
+through lu_factor, which checks the model once (finite, non-zero) and picks
+the kernel by storage; each kernel is one class that factorizes with partial
+pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
+_TridiagonalLU (LAPACK gttrf, which scipy.linalg.solve_banded picks for a
+tridiagonal band too) takes a sparse model of order n >= 3 whose stored
+entries all lie within one diagonal of the main one (|j - i| <= 1, read
+from its stored structure: a diagonal, bidiagonal or tridiagonal model);
+_SparseLU (scipy.sparse.linalg.splu) takes every other sparse one;
+_DenseLU a dense one, by
 LAPACK getrf below order MIXED_MIN_N (250, where the float32 factors stop
 costing more than they save) and by sgetrf on a float32 copy above it, with
 mixed-precision iterative refinement (Buttari et al., ACM TOMS 2008; Carson
@@ -34,8 +35,8 @@ to every correction, so it costs O(n^2), not sgetrf's O(n^3); refinement,
 against the updated model, keeps its stop rule and its getrf fallback.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
-A sparse model gets GMRES's preconditioner from lu_factor (_BandLU or
-_SparseLU, as its _FactorPlan says), which is exact, so GMRES stops after
+A sparse model gets GMRES's preconditioner from lu_factor (_TridiagonalLU
+or _SparseLU, as its _FactorPlan says), which is exact, so GMRES stops after
 one iteration, and a model that LU fails on fails the solve; a dense model
 gets none. The contract is on the unpreconditioned residual either way.
 That contract is all an inexact solve guarantees: the theory's vartheta
@@ -50,17 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dlange, sgetrf, sgetrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dlange, sgetrf, sgetrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 PIVOT_RTOL = 1e-14
-# a sparse matrix goes to the banded LU when its LAPACK band storage,
-# (2*kl + ku + 1) * n, is at most this many times its stored entries. A fully
-# stored band with kl + ku much below n stays below 2 (tridiagonal: 4n
-# against 3n - 2), so 3 keeps every band-shaped model with room for a few
-# empty diagonals inside the band, while a wide pattern (an arrowhead:
-# (3n - 2) * n against 3n - 2) goes to SuperLU, which keeps its fill small.
-BAND_STORAGE_RATIO = 3
 # a dense model of at least this order gets the float32 LU with float64
 # refinement (_DenseLU); below it the refinement's matvecs cost about what the
 # faster factorization saves. One solve_direct with one BLAS thread, random,
@@ -222,40 +216,30 @@ class _SparseLU:
         return self.superlu.solve(np.asarray(b, dtype=float))
 
 
-class _BandLU:
-    """LAPACK LU factors of a sparse model whose _FactorPlan says its band
-    storage fits: gttrf's for a tridiagonal plan (kl == ku == 1, n >= 3),
-    gbtrf's for any other band. u_diagonal is U's diagonal, whose pivots
-    are checked."""
+class _TridiagonalLU:
+    """LAPACK gttrf's LU factors of a sparse model whose _FactorPlan is
+    tridiagonal. lu is (dl, d, du, du2): the multipliers and U's three
+    diagonals, d being the pivots, which are checked."""
 
     def __init__(self, A, maxabs):
-        self.plan = plan = A._factor_plan
-        if plan.gather is not None:  # every storage entry is a stored entry
+        plan, n = A._factor_plan, A.shape[0]
+        # storage is dl | d | du, the sub-, main and superdiagonal
+        if plan.gather is not None:  # every entry of the three is stored
             storage = A.data.take(plan.gather)
         else:
-            storage = np.zeros(plan.storage_shape, order="F")
-            storage.reshape(-1, order="F")[plan.flat] = A.data
-        if plan.tridiagonal:  # storage is dl | d | du, the sub-, main and superdiagonal
-            n = A.shape[0]
-            *self.lu, self.piv, info = dgttrf(
-                storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:],
-                overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-            )  # self.lu is (dl, d, du, du2): the multipliers and U's three diagonals
-            self.u_diagonal = self.lu[1]
-        else:
-            self.lu, self.piv, info = dgbtrf(storage, plan.kl, plan.ku, overwrite_ab=True)
-            self.u_diagonal = self.lu[plan.kl + plan.ku]
+            storage = np.zeros(3 * n - 2)
+            storage[plan.flat] = A.data
+        *self.lu, self.piv, info = dgttrf(
+            storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:],
+            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+        )
         if info > 0:  # an exactly zero pivot
             raise LinearSolveFailure("model matrix is singular")
-        _check_pivots(self.u_diagonal, maxabs)
+        _check_pivots(self.lu[1], maxabs)
 
     def solve(self, b):
         """x with M x = b."""
-        b = np.asarray(b, dtype=float)
-        if self.plan.tridiagonal:
-            x, _info = dgttrs(*self.lu, self.piv, b)
-        else:
-            x, _info = dgbtrs(self.lu, self.plan.kl, self.plan.ku, b, self.piv)
+        x, _info = dgttrs(*self.lu, self.piv, np.asarray(b, dtype=float))
         return x
 
 
@@ -314,24 +298,23 @@ def lu_factor(M):
 
     b may be a vector or a matrix of right-hand sides. M goes through
     as_model; each kernel is one class that factorizes it and checks its own
-    pivots. A sparse model gets LAPACK's banded LU (_BandLU) when its band
-    storage is at most BAND_STORAGE_RATIO times its stored entries (kl and ku
-    come from the stored structure, never from values), which is gttrf for a
-    tridiagonal band (kl == ku == 1) and gbtrf for a wider one, and SuperLU
-    (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets _DenseLU:
-    getrf below order MIXED_MIN_N, above it sgetrf on a float32 copy, whose
-    solves of one right-hand side are refined against M, while a block of
-    right-hand sides is solved by getrf. _DenseLU keeps a reference to M,
-    which must not change while the factors are in use; it is never written.
-    Raises LinearSolveFailure when M has a non-finite entry, is zero, or is
-    singular to working precision (some pivot below PIVOT_RTOL * maxabs(M)
-    in getrf, gttrf, gbtrf or SuperLU); with float32 factors, the getrf
+    pivots. A sparse model gets LAPACK's gttrf (_TridiagonalLU) when its
+    order is at least 3 and every stored entry lies within one diagonal of
+    the main one (read from the stored structure, never from values), and
+    SuperLU (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets
+    _DenseLU: getrf below order MIXED_MIN_N, above it sgetrf on a float32
+    copy, whose solves of one right-hand side are refined against M, while a
+    block of right-hand sides is solved by getrf. _DenseLU keeps a reference
+    to M, which must not change while the factors are in use; it is never
+    written. Raises LinearSolveFailure when M has a non-finite entry, is
+    zero, or is singular to working precision (some pivot below PIVOT_RTOL *
+    maxabs(M) in getrf, gttrf or SuperLU); with float32 factors, the getrf
     check runs in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
     if not sparse.issparse(A):
         return _DenseLU(A, _checked_scale(A))
-    kernel = _BandLU if A._factor_plan.band else _SparseLU
+    kernel = _TridiagonalLU if A._factor_plan.tridiagonal else _SparseLU
     return kernel(A, _checked_scale(A.data))
 
 
@@ -354,17 +337,15 @@ class _FactorPlan:
     """The structure of a canonical CSR matrix's factorization, from its
     indptr and indices alone.
 
-    rows is the row of every stored entry, kl and ku the band's sub- and
-    superdiagonals, band whether the band storage fits (BAND_STORAGE_RATIO),
-    and tridiagonal whether that band is kl == ku == 1 with n >= 3 (scipy's
-    gttrf wrapper rejects n = 2, so that order keeps gbtrf). For a band,
-    storage_shape is the shape of _BandLU's storage and flat the position of
-    every entry in it, Fortran-ordered: A[i, j] at ab[kl + ku + i - j, j]
-    for gbtrf, and for gttrf in the three diagonals dl | d | du laid end
-    to end, A[i + 1, i] at i, A[i, i] at n - 1 + i and A[i, i + 1] at
-    2n - 1 + i. When a tridiagonal plan stores all 3n - 2 entries, flat is a
-    permutation, and gather, its inverse, fills the storage with one take of
-    the data; otherwise gather is None.
+    rows is the row of every stored entry, and tridiagonal whether every
+    entry lies within one diagonal of the main one (|j - i| <= 1) with
+    n >= 3 (scipy's gttrf wrapper rejects n = 2, so that order takes
+    SuperLU). For a tridiagonal plan, flat is the position of every entry in
+    _TridiagonalLU's storage, the three diagonals dl | d | du laid end to
+    end: A[i + 1, i] at i, A[i, i] at n - 1 + i and A[i, i + 1] at
+    2n - 1 + i. When it stores all 3n - 2 entries, flat is a permutation,
+    and gather, its inverse, fills the storage with one take of the data;
+    otherwise gather is None.
     The plan keeps the arrays it was derived from and fits only a matrix
     that stores those very arrays, so it cannot be applied to a structure it
     was not derived from.
@@ -375,21 +356,13 @@ class _FactorPlan:
         n = len(indptr) - 1
         self.rows = np.repeat(np.arange(n), np.diff(indptr))
         offsets = indices - self.rows  # j - i
-        self.kl = max(-int(offsets.min()), 0) if offsets.size else 0
-        self.ku = max(int(offsets.max()), 0) if offsets.size else 0
-        ldab = 2 * self.kl + self.ku + 1
-        self.band = ldab * n <= BAND_STORAGE_RATIO * indices.size
-        self.tridiagonal = self.band and self.kl == self.ku == 1 and n >= 3
-        self.storage_shape = self.flat = self.gather = None
+        self.tridiagonal = n >= 3 and bool((np.abs(offsets) <= 1).all())
+        self.flat = self.gather = None
         if self.tridiagonal:
-            self.storage_shape = 3 * n - 2
             start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
             self.flat = start[offsets + 1] + np.minimum(self.rows, indices)
-            if indices.size == self.storage_shape:
+            if indices.size == 3 * n - 2:
                 self.gather = np.argsort(self.flat)
-        elif self.band:
-            self.storage_shape = (ldab, n)
-            self.flat = (self.kl + self.ku - offsets) + ldab * indices.astype(np.intp)
 
     def fits(self, M):
         """True when M is a float CSR matrix storing this plan's own arrays."""
@@ -410,7 +383,7 @@ def solve_direct(M, b, prev_step=None):
     Broyden update M0 + (y - M0 s) s^T / (s^T s) gets them with one more
     inverse-update term (_DenseLU.secant_successor), an O(n^2) step whose
     refinement against M meets a fresh one's stop rule. M gets lu_factor
-    after band, SuperLU or getrf factors, or a denominator too near 0.
+    after gttrf, SuperLU or getrf factors, or a denominator too near 0.
     The outcome's factors are the factorization the step used.
     eta_used is ||M s - b|| / ||b||: refinement's last residual when
     refinement solved the step, one more matvec otherwise. Raises

@@ -117,3 +117,27 @@ def test_solver_imports_only_linsolve_entry_points():
             assert isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linsolve")
             imported |= {alias.name for alias in node.names}
     assert imported == {"LinearSolveFailure", "solve_direct", "solve_inexact"}
+
+
+def _unused_imports(tree):
+    """The names a module's import statements bind that no expression reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a; an import with "as" binds its alias
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_module_uses_every_name_it_imports(name):
+    # __init__ imports to re-export; any other module imports to use
+    assert _unused_imports(MODULES[name]) == []
+
+
+def test_unused_import_check_sees_an_unused_name():
+    source = "import math, numpy as np\nfrom scipy.linalg.lapack import dgbtrf\nnp.ones(math.pi)"
+    assert _unused_imports(ast.parse(source)) == ["dgbtrf (line 2)"]

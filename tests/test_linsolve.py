@@ -7,14 +7,17 @@ from scipy.linalg.lapack import sgetrf
 from scipy.sparse.linalg import gmres, splu
 
 import newton_condg.linsolve
+import newton_condg.solver
 from newton_condg import (
     AdaptiveEta,
     ConstantEta,
     LinearSolveFailure,
+    SolverConfig,
     TheoryParams,
     forcing_eta,
     make_problem,
     next_jacobian,
+    solve,
     solve_direct,
     solve_inexact,
     spectral_norm,
@@ -25,13 +28,14 @@ from newton_condg.jacobian import _layout, schubert_update
 from newton_condg.linsolve import (
     MIXED_MIN_N,
     UNIT_ROUNDOFF,
-    _BandLU,
     _DenseLU,
     _FactorPlan,
     _SparseLU,
+    _TridiagonalLU,
     _checked_scale,
     as_model,
     lu_factor,
+    with_data,
 )
 
 
@@ -183,42 +187,32 @@ class TestSolveInexact:
                 np.testing.assert_array_equal(solve_inexact(M, b, eta).s, plain)
 
 
-def _assert_same_lu_as_lapack(band, M, rng, rhs=((), (3,))):
-    """band's factors and solves agree with dense getrf's and SuperLU's."""
+def _assert_same_lu_as_lapack(factors, M, rng, rhs=((), (3,))):
+    """gttrf's factors and solves agree with dense getrf's and SuperLU's."""
     n = M.shape[0]
     dense = linalg.lu_factor(M.toarray())
     superlu = splu(sparse.csc_array(M))
     # the same partial pivoting gives the same diagonal of U
-    np.testing.assert_allclose(band.u_diagonal, np.diag(dense[0]), rtol=1e-9)
+    np.testing.assert_allclose(factors.lu[1], np.diag(dense[0]), rtol=1e-9)
     cond = np.linalg.cond(M.toarray())
     for shape in rhs:
         b = rng.standard_normal((n, *shape))
-        x = band.solve(b)
+        x = factors.solve(b)
         assert x.shape == b.shape
         for reference in (linalg.lu_solve(dense, b), superlu.solve(b)):
             err = np.linalg.norm(x - reference)
             assert err <= 1e-13 * cond * np.linalg.norm(reference)
 
 
-class TestBandLU:
+class TestTridiagonalLU:
     @pytest.mark.parametrize(
-        "n, kl, ku",
-        [(1, 0, 0), (9, 0, 0), (40, 1, 1), (40, 2, 5), (40, 4, 1), (25, 0, 3), (25, 3, 0)],
+        "n, kl, ku", [(3, 0, 0), (9, 0, 0), (40, 1, 1), (40, 1, 0), (40, 0, 1)]
     )
     def test_matches_superlu_and_dense_lapack(self, n, kl, ku):
         rng = np.random.default_rng(1000 * n + 10 * kl + ku)
         M = _random_band(rng, n, kl, ku)
         band = lu_factor(M)
-        assert isinstance(band, _BandLU)
-        assert band.plan.tridiagonal == (kl == ku == 1)
-        _assert_same_lu_as_lapack(band, M, rng)
-
-    def test_order_two_keeps_gbtrf(self):
-        # scipy's gttrf wrapper rejects n = 2, so a full 2 x 2 model takes gbtrf
-        rng = np.random.default_rng(2)
-        M = _random_band(rng, 2, 1, 1)
-        band = lu_factor(M)
-        assert isinstance(band, _BandLU) and not band.plan.tridiagonal
+        assert isinstance(band, _TridiagonalLU)
         _assert_same_lu_as_lapack(band, M, rng)
 
     def test_tridiagonal_row_interchanges(self):
@@ -231,7 +225,7 @@ class TestBandLU:
             M[i + 1, i] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
         M = sparse.csr_array(M)
         band = lu_factor(M)
-        assert band.plan.tridiagonal
+        assert isinstance(band, _TridiagonalLU)
         np.testing.assert_array_equal(band.piv - 1, linalg.lu_factor(M.toarray())[1])
         np.testing.assert_array_equal(band.piv[:-1], np.arange(2, n + 1))  # 1-based
         _assert_same_lu_as_lapack(band, M, rng)
@@ -245,7 +239,7 @@ class TestBandLU:
         M = sparse.csr_array(A)  # drops the zero, so the pattern misses one entry
         assert M.nnz == 3 * n - 3
         band = lu_factor(M)
-        assert band.plan.tridiagonal
+        assert isinstance(band, _TridiagonalLU)
         _assert_same_lu_as_lapack(band, M, rng)
 
     def test_tridiagonal_matrix_right_hand_sides(self):
@@ -253,7 +247,7 @@ class TestBandLU:
         rng = np.random.default_rng(5)
         M = _random_band(rng, n, 1, 1)
         band = lu_factor(M)
-        assert band.plan.tridiagonal
+        assert isinstance(band, _TridiagonalLU)
         _assert_same_lu_as_lapack(band, M, rng, rhs=((1,), (4,)))
         B = rng.standard_normal((n, 6))
         for b in (B[:, ::2], np.asfortranarray(B), B.T.copy().T):
@@ -276,8 +270,8 @@ class TestBandLU:
         with pytest.raises(LinearSolveFailure, match="working precision"):
             lu_factor(M)
 
-    def test_exactly_singular_band_model_fails(self):
-        # two equal rows: gbtrf meets an exactly zero pivot (info > 0)
+    def test_exactly_singular_order_two_model_fails(self):
+        # two equal rows: SuperLU, which takes order 2, meets an exactly zero pivot
         M = sparse.csr_array(np.ones((2, 2)))
         with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
             lu_factor(M)
@@ -288,17 +282,6 @@ class TestBandLU:
         with pytest.raises(LinearSolveFailure, match="working precision"):
             lu_factor(M)
 
-    def test_wide_pattern_goes_to_superlu(self):
-        n = 20
-        A = np.diag(np.full(n, 4.0))
-        A[0, :] = A[:, 0] = 1.0  # arrowhead: band storage (3n - 2) * n, 3n - 2 entries
-        A[0, 0] = 4.0
-        M = sparse.csr_array(A)
-        factors = lu_factor(M)
-        assert isinstance(factors, _SparseLU)
-        b = np.arange(1.0, n + 1.0)
-        np.testing.assert_allclose(factors.solve(b), np.linalg.solve(A, b), rtol=1e-12)
-
     def test_duplicates_are_summed_without_touching_the_input(self):
         data, indices = np.array([1.0, 2.0, 3.0, 5.0]), np.array([1, 0, 0, 1])
         M = sparse.csr_array((data, indices, [0, 3, 4]), shape=(2, 2))  # [[5, 1], [0, 5]]
@@ -306,6 +289,95 @@ class TestBandLU:
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
         np.testing.assert_array_equal(M.indices, [1, 0, 0, 1])
         np.testing.assert_array_equal(M.data, [1.0, 2.0, 3.0, 5.0])
+
+
+def _diagonals(rng, n, offsets):
+    """A diagonally dominant CSR matrix storing the diagonals at offsets."""
+    return sparse.diags_array(
+        [(4.0 * len(offsets) if k == 0 else 0.0) + rng.uniform(-1.0, 1.0, n - abs(k))
+         for k in offsets],
+        offsets=offsets, format="csr",
+    )
+
+
+def _unstored_tridiagonal(rng, n):
+    A = _diagonals(rng, n, [-1, 0, 1]).toarray()
+    A[[0, 5, 5, n - 1], [1, 4, 6, n - 2]] = 0.0
+    return sparse.csr_array(A)  # drops the zeros: four entries of the band unstored
+
+
+# (the model, built from an rng, and the kernel lu_factor takes for it): every
+# entry within one diagonal of the main one at n >= 3 is gttrf's, any other SuperLU's
+KERNEL_RULE = {
+    "diagonal": (lambda rng: _diagonals(rng, 10, [0]), _TridiagonalLU),
+    "lower-bidiagonal": (lambda rng: _diagonals(rng, 10, [-1, 0]), _TridiagonalLU),
+    "upper-bidiagonal": (lambda rng: _diagonals(rng, 10, [0, 1]), _TridiagonalLU),
+    "tridiagonal": (lambda rng: _diagonals(rng, 40, [-1, 0, 1]), _TridiagonalLU),
+    "tridiagonal-unstored": (lambda rng: _unstored_tridiagonal(rng, 12), _TridiagonalLU),
+    "order-one": (lambda rng: _diagonals(rng, 1, [0]), _SparseLU),
+    "order-two": (lambda rng: _diagonals(rng, 2, [-1, 0, 1]), _SparseLU),
+    "pentadiagonal": (lambda rng: _diagonals(rng, 40, [-2, -1, 0, 1, 2]), _SparseLU),
+    "upper-band": (lambda rng: _diagonals(rng, 25, [0, 1, 2, 3]), _SparseLU),
+    "lower-band": (lambda rng: _diagonals(rng, 25, [-3, -2, -1, 0]), _SparseLU),
+    "wide-upper-band": (lambda rng: _diagonals(rng, 40, range(-2, 6)), _SparseLU),
+    "wide-lower-band": (lambda rng: _diagonals(rng, 40, range(-4, 2)), _SparseLU),
+    "arrowhead": (lambda rng: sparse.csr_array(_arrowhead(20)), _SparseLU),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_RULE)
+def test_kernel_rule(case):
+    build, kernel = KERNEL_RULE[case]
+    rng = np.random.default_rng(0)
+    M = build(rng)
+    n = M.shape[0]
+    assert type(lu_factor(M)) is kernel
+    for b in rng.standard_normal((4, n)):
+        out = solve_direct(M, b)
+        reference = linalg.lu_solve(linalg.lu_factor(M.toarray()), b)
+        assert np.linalg.norm(out.s - reference) <= 1e-12 * np.linalg.norm(reference)
+        expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+        assert np.float64(out.eta_used).tobytes() == expected.tobytes()
+    # a zeroed last row, its entries kept as stored zeros: the same plan, so the same kernel
+    A = as_model(M)
+    singular = with_data(A, A.data.copy())
+    singular.data[A.indptr[-2]:A.indptr[-1]] = 0.0
+    # the zeroed row of a 1 x 1 model is the whole model
+    message = "^model matrix is zero$" if n == 1 else "^model matrix is singular$"
+    with pytest.raises(LinearSolveFailure, match=message):
+        lu_factor(singular)
+
+
+@pytest.mark.parametrize("n", [3, 10, 2000])
+def test_diagonal_model_step_is_b_over_d(n):
+    # gttrf's step on a diagonal model is b / d, bit for bit
+    rng = np.random.default_rng(n)
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    b = rng.standard_normal(n)
+    out = solve_direct(sparse.diags_array(d, format="csr"), b)
+    assert isinstance(out.factors, _TridiagonalLU)
+    assert out.s.tobytes() == (b / d).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 10, 2000])
+@pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
+def test_synthetic_quadratic_steps_are_b_over_d(monkeypatch, n, strategy):
+    # the registry's one diagonal model: every direct step is -F(x) / diag(M)
+    steps = []
+    original = newton_condg.solver.solve_direct
+
+    def recorded(M, b, **kwargs):
+        out = original(M, b, **kwargs)
+        steps.append((M, b, out))
+        return out
+
+    monkeypatch.setattr(newton_condg.solver, "solve_direct", recorded)
+    p = make_problem("synthetic_quadratic", n)
+    report = solve(p, starting_point(p, 1), SolverConfig(jacobian_strategy=strategy))
+    assert report.status == "converged" and len(steps) == report.iterations
+    for M, b, out in steps:
+        assert isinstance(out.factors, _TridiagonalLU)
+        assert out.s.tobytes() == (b / M.diagonal()).tobytes()
 
 
 def _graded(n, decades, seed):
@@ -600,7 +672,7 @@ class TestSecantSolve:
             y = p.fun(x + s) - p.fun(x)
             M = schubert_update(M0, s, y, p.pattern)
             previous = lu_factor(M0)
-            assert isinstance(previous, _BandLU)
+            assert isinstance(previous, _TridiagonalLU)
         else:
             if kind == "getrf":
                 n = MIXED_MIN_N - 1
@@ -660,7 +732,7 @@ class TestFactorPlan:
 
     @pytest.mark.parametrize(
         "A, kind",
-        [(_random_band(np.random.default_rng(3), 40, 1, 1).toarray(), _BandLU),
+        [(_random_band(np.random.default_rng(3), 40, 1, 1).toarray(), _TridiagonalLU),
          (_arrowhead(20), _SparseLU)],
         ids=["tridiagonal", "arrowhead"],
     )

@@ -107,10 +107,9 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     # the tracer's linsolve.lu_s is the time inside the hooked lu_factor. Every
     # factorization kernel must run there: getrf below MIXED_MIN_N, sgetrf
     # from it on (then getrf only when a float32 pivot is too small), gttrf
-    # (tridiagonal), gbtrf or SuperLU for a sparse model. Every solve, and a
-    # getrf that a solve derives, must run after it returns. On dense only
-    # the exact rows run: the FD and Schubert rows factorize models of the
-    # same orders.
+    # or SuperLU for a sparse model. Every solve, and a getrf that a solve
+    # derives, must run after it returns. On dense only the exact rows run:
+    # the FD and Schubert rows factorize models of the same orders.
     workloads = _perfbench("workloads")
     factorizations = []  # (model, float32 factors kept, kernels run inside)
     calls = [[]]  # calls[0]: kernels run outside lu_factor; calls[-1]: the current ones
@@ -132,7 +131,7 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
         return call
 
     monkeypatch.setattr(linsolve, "lu_factor", hooked_lu_factor)
-    for name in ("sgetrf", "sgetrs", "dgbtrf", "dgbtrs", "dgttrf", "dgttrs", "splu"):
+    for name in ("sgetrf", "sgetrs", "dgttrf", "dgttrs", "splu"):
         monkeypatch.setattr(linsolve, name, counted(name, getattr(linsolve, name)))
     monkeypatch.setattr(linsolve.linalg, "lu_factor", counted("getrf", linsolve.linalg.lu_factor))
     instances, _ = workloads.build(workload, seed=0)
@@ -142,12 +141,12 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
             assert outcome.solved, outcome.key
     for M, kept, inside in factorizations:
         if sparse.issparse(M):
-            assert inside in (["dgttrf"], ["dgbtrf"], ["splu"])
+            assert inside in (["dgttrf"], ["splu"])
         elif M.shape[0] < linsolve.MIXED_MIN_N:
             assert inside == ["getrf"]
         else:
             assert inside == (["sgetrf"] if kept else ["sgetrf", "getrf"])
-    assert set(calls[0]) <= {"sgetrs", "getrf", "dgbtrs", "dgttrs"}
+    assert set(calls[0]) <= {"sgetrs", "getrf", "dgttrs"}
     orders = {M.shape[0] for M, _kept, _inside in factorizations if not sparse.issparse(M)}
     assert bool(orders) == (workload != "banded")
     assert any(n >= linsolve.MIXED_MIN_N for n in orders) == ("sgetrs" in calls[0])

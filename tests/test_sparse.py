@@ -1,5 +1,5 @@
 """The sparse model path: grouped finite differences, CSR secant updates,
-banded LU and SuperLU factorizations, GMRES preconditioned by them, and the
+tridiagonal LU and SuperLU factorizations, GMRES preconditioned by them, and the
 registry problems that declare sparse patterns."""
 
 import dataclasses
@@ -39,7 +39,7 @@ from newton_condg.jacobian import (
     canonical_pattern,
     column_colouring,
 )
-from newton_condg.linsolve import CSRModel, _BandLU, _SparseLU, as_model, lu_factor
+from newton_condg.linsolve import CSRModel, _SparseLU, _TridiagonalLU, as_model, lu_factor
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
@@ -55,7 +55,7 @@ def _tridiagonal(lower, diag, upper):
 
 
 def _laplacian(m):
-    """The 5-point Laplacian on an m x m grid, n = m * m: not a band model."""
+    """The 5-point Laplacian on an m x m grid, n = m * m: not a tridiagonal model."""
     T = _tridiagonal(-1.0, np.full(m, 2.0), -1.0)
     eye = sparse.eye_array(m)
     return sparse.csr_array(sparse.kron(T, eye) + sparse.kron(eye, T))
@@ -478,8 +478,9 @@ class TestSparseLinsolve:
             inexact = solve_inexact(M, b, 0.1)
             assert np.linalg.norm(M @ inexact.s - b) <= 0.1 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("kernel", ["gttrf", "gbtrf", "superlu"])
+    @pytest.mark.parametrize("kernel", ["gttrf", "pentadiagonal", "superlu"])
     def test_eta_used_is_numpys_norm_ratio_bit_for_bit(self, kernel):
+        # a pentadiagonal model is no tridiagonal one, so SuperLU takes it too
         rng = np.random.default_rng(12)
         n = 64
         if kernel == "superlu":
@@ -491,9 +492,7 @@ class TestSparseLinsolve:
                 offsets=offsets, format="csr",
             )
         factors = lu_factor(M)
-        assert isinstance(factors, _SparseLU if kernel == "superlu" else _BandLU)
-        if kernel != "superlu":
-            assert factors.plan.tridiagonal == (kernel == "gttrf")
+        assert isinstance(factors, _TridiagonalLU if kernel == "gttrf" else _SparseLU)
         for b in rng.standard_normal((16, n)):
             out = solve_direct(M, b)
             expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
@@ -517,15 +516,15 @@ class TestSparseLinsolve:
             with pytest.raises(LinearSolveFailure):
                 solve_direct(to_matrix(M), np.ones(n))
 
-    @pytest.mark.parametrize("band", [True, False], ids=["tridiagonal", "laplacian"])
-    def test_sparse_step_is_the_direct_step(self, monkeypatch, band):
+    @pytest.mark.parametrize("tridiagonal", [True, False], ids=["tridiagonal", "laplacian"])
+    def test_sparse_step_is_the_direct_step(self, monkeypatch, tridiagonal):
         # every sparse model is preconditioned by its exact LU from lu_factor
         rng = np.random.default_rng(11)
-        if band:
+        if tridiagonal:
             n = 300
             M = _tridiagonal(-1.0, 4.0 + rng.uniform(0.0, 1.0, n), 0.5)
         else:
-            M = _laplacian(30)  # n = 900; its band storage does not fit
+            M = _laplacian(30)  # n = 900
             n = M.shape[0]
         b = rng.standard_normal(n)
         preconditioners = _gmres_preconditioners(monkeypatch)
@@ -534,16 +533,16 @@ class TestSparseLinsolve:
         assert np.linalg.norm(M @ out.s - b) <= 0.1 * np.linalg.norm(b)
         assert len(factored) == 1
         factors = factored[0][1]
-        assert isinstance(factors, _BandLU if band else _SparseLU)
+        assert isinstance(factors, _TridiagonalLU if tridiagonal else _SparseLU)
         assert len(preconditioners) == 1
         assert isinstance(preconditioners[0], LinearOperator)
         assert preconditioners[0].matvec(b).tobytes() == factors.solve(b).tobytes()
         np.testing.assert_allclose(out.s, solve_direct(M, b).s, rtol=0.0, atol=1e-12)
 
     def test_laplacian_meets_the_contract_with_its_superlu(self, monkeypatch):
-        m = 30  # n = 900; its band storage does not fit, so it is no band model
+        m = 30  # n = 900
         M = _laplacian(m)
-        assert not as_model(M)._factor_plan.band
+        assert not as_model(M)._factor_plan.tridiagonal
         b = np.random.default_rng(12).standard_normal(m * m)
         preconditioners = _gmres_preconditioners(monkeypatch)
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
@@ -558,15 +557,15 @@ class TestSparseLinsolve:
         assert len(preconditioners) == 4
         assert all(isinstance(P, LinearOperator) for P in preconditioners)
 
-    @pytest.mark.parametrize("band", [True, False], ids=["tridiagonal", "laplacian"])
-    def test_singular_sparse_model_fails_its_inexact_step(self, monkeypatch, band):
-        # a zeroed row: gttrf fails on the band model, SuperLU on the other
-        M = _tridiagonal(-1.0, np.full(8, 4.0), -1.0) if band else _laplacian(30)
+    @pytest.mark.parametrize("tridiagonal", [True, False], ids=["tridiagonal", "laplacian"])
+    def test_singular_sparse_model_fails_its_inexact_step(self, monkeypatch, tridiagonal):
+        # a zeroed row: gttrf fails on the tridiagonal model, SuperLU on the other
+        M = _tridiagonal(-1.0, np.full(8, 4.0), -1.0) if tridiagonal else _laplacian(30)
         M = M.tolil()
         M[3, :] = 0.0
         M = sparse.csr_array(M)
         n = M.shape[0]
-        assert as_model(M)._factor_plan.band == band
+        assert as_model(M)._factor_plan.tridiagonal == tridiagonal
         gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
         factored = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
@@ -600,7 +599,7 @@ class TestSparseLinsolve:
                 assert M.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
             for M, factors in factored:
                 assert sparse.issparse(M)
-                assert isinstance(factors, _BandLU)
+                assert isinstance(factors, _TridiagonalLU)
 
 
 def test_troesch_inexact_steps_meet_the_contract_without_fallback(monkeypatch):
@@ -648,7 +647,7 @@ def _bratu(m, lam=6.0):
 @pytest.mark.parametrize("policy", [ConstantEta(0.1), AdaptiveEta()], ids=["constant", "adaptive"])
 @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])
 def test_bratu_inexact_steps_are_superlu_preconditioned(monkeypatch, strategy, policy):
-    # the 5-point pattern is no band model, so every step's LU is SuperLU's
+    # the 5-point pattern is no tridiagonal model, so every step's LU is SuperLU's
     p = _bratu(20)
     factored = _lu_factors(monkeypatch)
     direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
