@@ -25,9 +25,11 @@ stay dense. pb1, pb2, pb3 and pb4 declare vectorized residuals (rows of a
 columns per residual call: pb1 and pb4 blocks of single columns, pb2 and
 pb3 all three column groups of their tridiagonal pattern at once, one call
 per Jacobian (a traced pass of the benchmark's banded workload makes 184
-residual calls, against 308 with one call per group). The exact pb2 and
-pb3 Jacobians share one CSR structure per problem (_TridiagonalJacobian),
-so a call computes only its data.
+residual calls, against 308 with one call per group). The exact Jacobians
+of the four sparse problems are built on one template per problem
+(_SparseJacobian), linsolve.as_model of its structure, analysed once in
+make_problem: a call computes only its data, and the solver's as_model
+returns it as it is, factorization plan included.
 
 The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
 copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
@@ -52,7 +54,7 @@ from scipy import sparse
 
 from .core import Problem
 from .feasible_set import Box
-from .linsolve import with_data
+from .linsolve import as_model, with_data
 
 
 @dataclass(frozen=True)
@@ -77,23 +79,28 @@ def _tridiagonal(diagonal, off_diagonal):
     return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
-class _TridiagonalJacobian:
-    """The matrices _tridiagonal(diagonal, off_diagonal) of one order n.
+class _SparseJacobian:
+    """The exact Jacobians of one problem: a CSR matrix A with a new main
+    diagonal on each call.
 
-    The template is built, and checked by scipy, once; a call is
-    linsolve.with_data of it and a fresh data array, so it builds no index
-    array and runs no constructor check. Every matrix shares the template's
-    index arrays, which are read-only.
+    The template is linsolve.as_model of A, built once, in make_problem: it
+    is checked by scipy and carries the factorization plan of its index
+    arrays, which are read-only. A call is linsolve.with_data of the
+    template and a fresh data array, A's entries with the given diagonal
+    (every (i, i) must be stored), so it builds no index array, runs no
+    constructor check, and as_model returns it as it is.
     """
 
-    def __init__(self, n, off_diagonal):
-        self.template = _tridiagonal(np.zeros(n), off_diagonal)
+    def __init__(self, A):
+        self.template = as_model(A)
         for arr in (self.template.indices, self.template.indptr):
             arr.flags.writeable = False
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(self.template.indptr))
+        self.diagonal = np.flatnonzero(self.template.indices == rows)  # where (i, i) is
 
     def __call__(self, diagonal):
-        data = self.template.data.copy()  # the off-diagonal entries
-        data[::3] = diagonal  # entry 3i is (i, i)
+        data = self.template.data.copy()
+        data[self.diagonal] = diagonal
         return with_data(self.template, data)
 
 
@@ -160,7 +167,7 @@ def _discrete_boundary(n):
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
 
-    jacobian = _TridiagonalJacobian(n, -1.0)
+    jacobian = _SparseJacobian(_tridiagonal(np.zeros(n), -1.0))
 
     def fun(x):
         d = _second_difference(x)
@@ -180,7 +187,7 @@ def _discrete_boundary(n):
 def _troesch(n, lam=10.0):
     h = 1.0 / (n + 1)
 
-    jacobian = _TridiagonalJacobian(n, -1.0)
+    jacobian = _SparseJacobian(_tridiagonal(np.zeros(n), -1.0))
 
     def fun(x):
         d = _second_difference(x)
@@ -258,11 +265,13 @@ def _discrete_integral(n):
 
 
 def _synthetic_quadratic(n):
+    jacobian = _SparseJacobian(_diagonal(np.zeros(n)))
+
     def fun(x):
         return x * x - 1.0
 
     def jac(x):
-        return _diagonal(2.0 * x)
+        return jacobian(2.0 * x)
 
     return Problem(
         name="synthetic_quadratic", n=n, fun=fun, jac=jac,
@@ -274,13 +283,14 @@ def _synthetic_quadratic(n):
 
 def _synthetic_linear(n):
     A = _tridiagonal(np.full(n, 4.0), -1.0)
+    jacobian = _SparseJacobian(A)
     xbar = 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
     def fun(x):
         return A @ (x - xbar)
 
     def jac(x):
-        return A.copy()
+        return jacobian(4.0)  # A
 
     return Problem(
         name="synthetic_linear", n=n, fun=fun, jac=jac,

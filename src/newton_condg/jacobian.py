@@ -17,22 +17,23 @@ keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
 Every model goes through linsolve.as_model, which owns CSRModel and gives
-each sparse model its factorization plan. What the builds need of a
-pattern (the row of every stored entry, a template, the as_model of the
-pattern, whose indptr, indices and plan every model shares, and for finite
-differences the greedy column colouring, its group order and, per block
-size, where each column's step goes in a block's points) lives in one
-_Layout per pattern. Each model is a shallow copy of the template with its
-own data array, so no model pays the sparse constructor's checks and
+each sparse model its factorization plan. What the finite-difference and
+Schubert builds need of a pattern (the row of every stored entry, a
+template, the as_model of the pattern, whose indptr, indices and plan every
+such model shares, and for finite differences the greedy column colouring,
+its group order and, per block size, where each column's step goes in a
+block's points) lives in one _Layout per pattern. Each such model is a
+shallow copy of the template with its own data array, so no model pays the
+sparse constructor's checks and
 lu_factor analyses the pattern's structure once, not once per
-factorization. An exact Jacobian that is a float CSR matrix storing exactly
-the pattern's indptr and indices (the registry's sparse problems return
-one) becomes such a model too; any other exact Jacobian goes through
-as_model. A Problem's layout is built on its first finite-difference,
-Schubert or sparse exact build and kept on problem.pattern, so every later
-solve reads it, and so do dataclasses.replace copies, which keep the same
-pattern object. The colouring is derived on the first finite-difference
-build, so a problem solved only with its exact Jacobian never colours its
+factorization. An exact Jacobian is as_model(problem.jac(x)) and never
+reads the layout: a sparse one that carries the plan of its own arrays (the
+registry's sparse problems build every Jacobian on one template of their
+structure) is the model as it is, and any other gets its plan from as_model.
+A Problem's layout is built on its first finite-difference or Schubert
+build and kept on problem.pattern, so every later solve reads it, and so do
+dataclasses.replace copies, which keep the same pattern object; a problem
+solved only with its exact Jacobian builds none and never colours its
 pattern. A canonical pattern pickles as its data, indices and indptr alone
 and unpickles through canonical_pattern, so its layout, several times the
 pattern's size, is not sent, and the unpickled pattern is canonical again:
@@ -123,12 +124,13 @@ class _Layout:
     indptr and indices are its read-only arrays, and plan its
     linsolve._FactorPlan, which every model built by model() shares;
     plan.rows is the row of every stored entry. groups, the column groups of
-    finite differences, is derived on its first use, so that an exact-only
-    solve never colours P: colour is column_colouring(P), order and start
-    give the columns of group g as order[start[g]:start[g + 1]] (ascending:
-    the sort is stable), and entry_flat gives every stored entry's position
-    in the flattened (groups, n) differences, colour[j] * n + i for entry
-    (i, j), so that the model's data is one 1-D take.
+    finite differences, is derived on its first use, so that a layout that
+    serves only Schubert updates never colours P: colour is
+    column_colouring(P), order and start give the columns of group g as
+    order[start[g]:start[g + 1]] (ascending: the sort is stable), and
+    entry_flat gives every stored entry's position in the flattened
+    (groups, n) differences, colour[j] * n + i for entry (i, j), so that the
+    model's data is one 1-D take.
     """
 
     def __init__(self, P):
@@ -162,17 +164,6 @@ class _Layout:
     def model(self, data):
         """The CSRModel storing the float array data at the pattern's entries."""
         return with_data(self.template, data)
-
-    def stores(self, M):
-        """True when M is a float CSR matrix storing exactly the pattern's
-        indptr and indices (by value), so that model(M.data) holds M."""
-        return (
-            M.format == "csr"
-            and M.dtype == np.float64
-            and M.shape == self.shape
-            and np.array_equal(M.indptr, self.indptr)
-            and np.array_equal(M.indices, self.indices)
-        )
 
 
 def _layout(pattern):
@@ -327,13 +318,12 @@ def _schubert_update_csr(M, s, yvec, pattern):
     if M.shape != layout.shape:
         raise ValueError("M and pattern shapes differ")
     rows, indices = layout.plan.rows, layout.indices
-    if not layout.plan.fits(M):  # M was not built from this layout
-        M = canonical_csr(M)  # compared and embedded only: no plan is derived for it
-        if not layout.stores(M):
-            data = M[rows, indices]  # embed M, which may store only part of the pattern
-            if np.count_nonzero(data) != np.count_nonzero(M.data):
-                raise JacobianError("M has entries outside the sparsity pattern")
-            M = layout.model(data)
+    if not layout.plan.fits(M):  # M was not built from this layout: embed it
+        M = canonical_csr(M)  # read only: no plan is derived for it
+        data = M[rows, indices]  # M may store only part of the pattern
+        if np.count_nonzero(data) != np.count_nonzero(M.data):
+            raise JacobianError("M has entries outside the sparsity pattern")
+        M = layout.model(data)
     s_at = s[indices]
     denom = np.bincount(rows, weights=s_at * s_at, minlength=layout.shape[0])
     resid = yvec - M @ s
@@ -371,9 +361,9 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     model is CSR; both builds read the pattern's layout (colouring, group
     order, entry rows, CSR template), which the problem's first build that
     needs it derives and problem.pattern keeps for every later solve of the
-    problem or of a dataclasses.replace copy; an exact Jacobian that stores
-    exactly the pattern's CSR structure is a model of that template too, and
-    shares its factorization plan.
+    problem or of a dataclasses.replace copy. The exact model is
+    as_model(problem.jac(x)), which returns a sparse Jacobian that carries
+    the plan of its own arrays unchanged and analyses any other one.
     Without a pattern, the builds are column by column and the secant update
     is Broyden's. A problem that declares vectorized=True has fd_jacobian
     evaluate its perturbed points in blocks. fx = F(x), when given, spares
@@ -385,12 +375,7 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     if kind == EXACT:
         if problem.jac is None:
             raise JacobianError("exact strategy needs an analytic Jacobian")
-        J = problem.jac(x)
-        if problem.pattern is not None and sparse.issparse(J):
-            layout = _layout(problem.pattern)
-            if layout.stores(J):
-                return JacobianState(M=layout.model(J.data))
-        return JacobianState(M=as_model(J))
+        return JacobianState(M=as_model(problem.jac(x)))
     if kind == FINITE_DIFFERENCE or state is None:
         return JacobianState(
             M=fd_jacobian(problem.fun, x, fx, problem.pattern, problem.vectorized)

@@ -4,9 +4,10 @@ as_model is the one conversion of a model matrix: a float ndarray, or a
 canonical float CSRModel that carries its _FactorPlan, the symbolic half of
 its factorization (the row of every entry, the kernel, where each entry goes
 in the kernel's storage). A sparse matrix is sorted in a copy, never in
-place, and every model built from a declared pattern (an exact Jacobian that
-stores the pattern's very structure included) already carries the pattern's
-plan, so that analysis runs once per pattern. Every factorization goes
+place. A model that carries the plan of its own arrays is returned as it is:
+every model built from a declared pattern carries the pattern's, and every
+sparse registry Jacobian the plan of its problem's structure, so that
+analysis runs once per structure. Every factorization goes
 through lu_factor, which checks the model once (finite, non-zero) and picks
 the kernel by storage; each kernel is one class that factorizes with partial
 pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
@@ -219,19 +220,23 @@ class _SparseLU:
 class _TridiagonalLU:
     """LAPACK gttrf's LU factors of a sparse model whose _FactorPlan is
     tridiagonal. lu is (dl, d, du, du2): the multipliers and U's three
-    diagonals, d being the pivots, which are checked."""
+    diagonals, d being the pivots, which are checked.
+
+    A model that stores the whole band has, in canonical CSR order, its
+    diagonal at entries 0, 3, 6, ..., its superdiagonal at 1, 4, ... and its
+    subdiagonal at 2, 5, ..., so gttrf's input is three strided copies of
+    its data; any other is scattered by its plan's flat into zeros."""
 
     def __init__(self, A, maxabs):
         plan, n = A._factor_plan, A.shape[0]
-        # storage is dl | d | du, the sub-, main and superdiagonal
-        if plan.gather is not None:  # every entry of the three is stored
-            storage = A.data.take(plan.gather)
-        else:
+        if plan.flat is None:  # all 3n - 2 entries, stored d u l d u l ... d
+            dl, d, du = A.data[2::3].copy(), A.data[::3].copy(), A.data[1::3].copy()
+        else:  # storage is dl | d | du, the sub-, main and superdiagonal
             storage = np.zeros(3 * n - 2)
             storage[plan.flat] = A.data
+            dl, d, du = storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:]
         *self.lu, self.piv, info = dgttrf(
-            storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:],
-            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+            dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True,
         )
         if info > 0:  # an exactly zero pivot
             raise LinearSolveFailure("model matrix is singular")
@@ -268,10 +273,12 @@ def as_model(M):
     """M as a model matrix: a float ndarray, or a canonical float CSRModel.
 
     A scipy.sparse M that carries the _FactorPlan of its own indptr and
-    indices (every model built from a Problem's pattern does) is returned as
-    it is. Any other sparse M becomes a CSRModel with sorted, summed entries,
-    made in a copy when M is not canonical, and gets its plan here. Copies of
-    the result (copy.copy) carry the plan too.
+    indices (every model built from a Problem's pattern and every sparse
+    registry Jacobian does) is returned as it is. Any other sparse M becomes
+    a CSRModel with sorted, summed entries, made in a copy when M is not
+    canonical, and gets its plan here: a user jac that returns a fresh CSR
+    matrix pays that analysis on every call. Copies of the result
+    (copy.copy, with_data) carry the plan too.
     """
     if not sparse.issparse(M):
         return np.asarray(M, dtype=float)
@@ -340,12 +347,12 @@ class _FactorPlan:
     rows is the row of every stored entry, and tridiagonal whether every
     entry lies within one diagonal of the main one (|j - i| <= 1) with
     n >= 3 (scipy's gttrf wrapper rejects n = 2, so that order takes
-    SuperLU). For a tridiagonal plan, flat is the position of every entry in
-    _TridiagonalLU's storage, the three diagonals dl | d | du laid end to
-    end: A[i + 1, i] at i, A[i, i] at n - 1 + i and A[i, i + 1] at
-    2n - 1 + i. When it stores all 3n - 2 entries, flat is a permutation,
-    and gather, its inverse, fills the storage with one take of the data;
-    otherwise gather is None.
+    SuperLU). For a tridiagonal plan that stores only part of the band,
+    flat is the position of every entry in _TridiagonalLU's storage, the
+    three diagonals dl | d | du laid end to end: A[i + 1, i] at i, A[i, i]
+    at n - 1 + i and A[i, i + 1] at 2n - 1 + i. It is None for any other
+    plan, one storing all 3n - 2 entries included: _TridiagonalLU reads
+    those diagonals from the data by strides.
     The plan keeps the arrays it was derived from and fits only a matrix
     that stores those very arrays, so it cannot be applied to a structure it
     was not derived from.
@@ -357,12 +364,10 @@ class _FactorPlan:
         self.rows = np.repeat(np.arange(n), np.diff(indptr))
         offsets = indices - self.rows  # j - i
         self.tridiagonal = n >= 3 and bool((np.abs(offsets) <= 1).all())
-        self.flat = self.gather = None
-        if self.tridiagonal:
+        self.flat = None
+        if self.tridiagonal and indices.size < 3 * n - 2:
             start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
             self.flat = start[offsets + 1] + np.minimum(self.rows, indices)
-            if indices.size == 3 * n - 2:
-                self.gather = np.argsort(self.flat)
 
     def fits(self, M):
         """True when M is a float CSR matrix storing this plan's own arrays."""

@@ -5,6 +5,7 @@ import pytest
 
 from newton_condg import (
     Box,
+    EuclideanBall,
     Problem,
     SolverConfig,
     check_problem,
@@ -367,6 +368,12 @@ def test_starting_points():
     np.testing.assert_allclose(starting_point(p3, 2), np.zeros(50))
     with pytest.raises(ValueError):
         starting_point(p1, 4)
+
+
+def test_starting_point_needs_a_box():
+    p = Problem(name="ball", n=2, fun=lambda x: x, feasible_set=EuclideanBall(np.zeros(2), 1.0))
+    with pytest.raises(TypeError, match="starting_point needs a box feasible set"):
+        starting_point(p, 1)
 
 
 def test_starting_point_infinite_bound_rule():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import newton_condg.cli
-from newton_condg import Box, Problem, make_problem
-from newton_condg.cli import CSV_HEADER, METHOD_TO_STRATEGY, main, suite_runs
+from newton_condg import AdaptiveEta, Box, Problem, make_problem
+from newton_condg.cli import CSV_HEADER, METHOD_TO_STRATEGY, build_parser, main, suite_runs
 from newton_condg.jacobian import JACOBIAN_STRATEGIES
 
 
@@ -40,6 +40,12 @@ class TestRadius:
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--kind", "holder"])
         assert exc.value.code == 2
+
+    def test_smale_without_gamma_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--kind", "smale"])
+        assert exc.value.code == 2
+        assert "--kind smale needs --gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kappa", ["-1", "0", "nan"])
     @pytest.mark.parametrize(
@@ -181,6 +187,12 @@ class TestBenchmark:
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--suite", "synthetic", "--methods", "bogus"])
         assert exc.value.code == 2
+
+    def test_bare_adaptive_eta_policy_takes_the_defaults(self):
+        args = build_parser().parse_args(
+            ["solve", "--problem", "synthetic_linear", "--linsolve", "inexact",
+             "--eta-policy", "adaptive"])
+        assert args.eta_policy == AdaptiveEta()
 
     def test_bad_eta_policy_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from newton_condg import (
     SolverConfig,
     TheoryParams,
     check_problem,
+    forcing_eta,
     validate_config,
 )
 
@@ -170,9 +171,29 @@ def test_problem_shape_validation():
             name="x", n=2, fun=lambda x: x, pattern=np.eye(3, dtype=bool),
             feasible_set=Box([0.0, 0.0], [1.0, 1.0]),
         )
+    with pytest.raises(ValueError, match="known_root must be an n-vector"):
+        Problem(name="x", n=2, fun=lambda x: x, feasible_set=Box([0.0, 0.0], [1.0, 1.0]),
+                known_root=np.zeros(3))
 
 
 def test_problem_rejects_a_feasible_set_of_another_dimension():
     for fset in (Box(np.zeros(5), np.ones(5)), Box([0.0], [1.0])):
         with pytest.raises(ValueError, match=rf"n={fset.n}\b.*n=3\b"):
             Problem(name="x", n=3, fun=lambda x: x, feasible_set=fset)
+
+
+def test_adaptive_eta_rejects_a_negative_c():
+    with pytest.raises(ValueError, match="c must be >= 0"):
+        AdaptiveEta(c=-1)
+
+
+def test_forcing_eta_rejects_a_negative_residual_norm():
+    with pytest.raises(ValueError, match="resnorm must be >= 0"):
+        forcing_eta(-1.0, ConstantEta())
+
+
+def test_check_problem_flags_a_residual_of_the_wrong_shape():
+    bad = Problem(name="short", n=3, fun=lambda x: x[:2],
+                  feasible_set=Box(np.zeros(3), np.ones(3)))
+    with pytest.raises(AssertionError, match=r"short: fun\(x\) has shape \(2,\)"):
+        check_problem(bad)

@@ -260,6 +260,8 @@ class TestExactProjections:
 def test_box_invariant_validation():
     with pytest.raises(ValueError):
         Box([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        Box([0.0, 0.0], [1.0])
     with pytest.raises(ValueError):
         Box([2e6], [np.inf])  # lower above the cap
     with pytest.raises(ValueError):
@@ -268,6 +270,8 @@ def test_box_invariant_validation():
         EuclideanBall(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         Simplex(3, scale=0.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        Simplex(0)
 
 
 @pytest.mark.parametrize(
@@ -286,3 +290,24 @@ def test_non_compact_sets_are_rejected(build, argument):
     # would hold and lmo would return -inf entries
     with pytest.raises(ValueError, match=argument):
         build()
+
+
+@pytest.mark.parametrize("fset", [EuclideanBall(np.zeros(2), 1.0), Simplex(2)],
+                         ids=["ball", "simplex"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lmo_rejects_a_non_finite_direction(fset, bad):
+    with pytest.raises(ValueError, match="lmo direction must be finite"):
+        fset.lmo(np.array([1.0, bad]))
+
+
+def test_ball_lmo_of_a_zero_direction_is_the_centre():
+    ball = EuclideanBall([1.0, -2.0], 0.5)
+    vertex = ball.lmo(np.zeros(2))
+    np.testing.assert_array_equal(vertex, [1.0, -2.0])
+    vertex[0] = 7.0  # a copy: the ball's centre is not handed out
+    np.testing.assert_array_equal(ball.center, [1.0, -2.0])
+
+
+def test_simplex_projection_rejects_a_non_finite_point():
+    with pytest.raises(ValueError, match="simplex projection needs a finite point"):
+        Simplex(3).project(np.array([0.2, np.nan, 0.3]))

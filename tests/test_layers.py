@@ -141,3 +141,52 @@ def test_module_uses_every_name_it_imports(name):
 def test_unused_import_check_sees_an_unused_name():
     source = "import math, numpy as np\nfrom scipy.linalg.lapack import dgbtrf\nnp.ones(math.pi)"
     assert _unused_imports(ast.parse(source)) == ["dgbtrf (line 2)"]
+
+
+MODEL_BUILDERS = ("_FactorPlan", "CSRModel")
+
+
+def _model_matrix_builds(tree):
+    """Where a module builds a model matrix by hand: a call of _FactorPlan or
+    CSRModel, by name or as an attribute, or a store to an attribute named
+    _factor_plan."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in MODEL_BUILDERS:
+                found.append(f"{name}() (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_factor_plan"
+            and isinstance(node.ctx, ast.Store)
+        ):
+            found.append(f"._factor_plan = (line {node.lineno})")
+    return sorted(found)
+
+
+def test_only_linsolve_builds_model_matrices():
+    # one way to build a model matrix: everywhere else a sparse model comes
+    # from as_model or with_data, which carry the plan of the model's arrays
+    found = {
+        name: builds
+        for name, tree in MODULES.items()
+        if name != "linsolve" and (builds := _model_matrix_builds(tree))
+    }
+    assert found == {}
+    assert _model_matrix_builds(MODULES["linsolve"])  # the check sees linsolve's
+
+
+def test_model_build_check_sees_a_plan_built_by_hand():
+    source = (
+        "from .linsolve import CSRModel, _FactorPlan\n"
+        "import newton_condg.linsolve as ls\n"
+        "A = CSRModel(J)\n"
+        "A._factor_plan = _FactorPlan(A.indptr, A.indices)\n"
+        "B, B._factor_plan = J, ls._FactorPlan(J.indptr, J.indices)\n"
+    )
+    assert _model_matrix_builds(ast.parse(source)) == [
+        "._factor_plan = (line 4)", "._factor_plan = (line 5)",
+        "CSRModel() (line 3)", "_FactorPlan() (line 4)", "_FactorPlan() (line 5)",
+    ]

@@ -73,6 +73,19 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _instances(monkeypatch, cls):
+    """Every instance of cls made from now on, in order."""
+    made = []
+    original = cls.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
 def _lu_factors(monkeypatch):
     """(M, factors) of every linsolve.lu_factor call, in call order."""
     factored = []
@@ -239,7 +252,7 @@ class TestColouring:
         x0 = starting_point(p, 1)
         assert solve(p, x0, SolverConfig(jacobian_strategy="exact")).status == "converged"
         assert calls == []  # derived on the first finite-difference or Schubert build
-        assert hasattr(p.pattern, "_jacobian_layout")  # the exact models' template and plan
+        assert not hasattr(p.pattern, "_jacobian_layout")  # exact models never read it
         copy = dataclasses.replace(p, fun=lambda x: p.fun(x))  # as a tracer wraps fun
         assert copy.pattern is p.pattern
         for problem, strategy in (
@@ -251,14 +264,7 @@ class TestColouring:
 
 
 def test_factor_plan_derived_once_per_problem(monkeypatch):
-    plans = []
-    original = newton_condg.linsolve._FactorPlan.__init__
-
-    def counted(self, *args):
-        plans.append(self)
-        original(self, *args)
-
-    monkeypatch.setattr(newton_condg.linsolve._FactorPlan, "__init__", counted)
+    plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
     derived_in_lu = []
     lu_factor = newton_condg.linsolve.lu_factor
 
@@ -271,6 +277,7 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
     monkeypatch.setattr(newton_condg.linsolve, "lu_factor", factor)
     p = make_problem("pb3_troesch", 100)
     x0 = starting_point(p, 1)
+    assert len(plans) == 1 and p.jac(x0)._factor_plan is plans[0]  # the exact template's
     copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
     for problem, strategy in (
         (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
@@ -278,27 +285,46 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
         report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
         assert report.status == "converged" and report.iterations > 1
     assert len(derived_in_lu) > 3
-    assert len(plans) == 1
-    assert plans[0] is p.pattern._jacobian_layout.plan
-    # an exact Jacobian that stores the pattern's structure is a model of
-    # the pattern's layout, so it shares the one plan too
+    assert len(plans) == 2
+    assert plans[1] is p.pattern._jacobian_layout.plan
+    # every exact Jacobian is a model of the template's plan
     report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
     assert report.status == "converged" and report.iterations > 1
-    assert len(plans) == 1
+    assert len(plans) == 2
     assert not any(derived_in_lu)
 
 
+@pytest.mark.parametrize("n", [2, 200])
 @pytest.mark.parametrize("pid", SPARSE_IDS)
-def test_exact_jacobian_on_the_pattern_is_a_model_of_its_layout(monkeypatch, pid):
+def test_exact_jacobians_share_the_plan_made_with_the_problem(monkeypatch, pid, n):
+    plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
+    layouts = _instances(monkeypatch, newton_condg.jacobian._Layout)
+    colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+    p = make_problem(pid, n)
+    assert len(plans) == 1  # the exact template's
+    x0 = starting_point(p, 1)
+    first, second = p.jac(x0), p.jac(starting_point(p, 2))
+    for J in (first, second):
+        assert type(J) is CSRModel and as_model(J) is J and J._factor_plan is plans[0]
+    assert first.data is not second.data
+    report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
+    assert report.status == "converged"
+    assert len(plans) == 1 and layouts == [] and colourings == []
+    assert not hasattr(p.pattern, "_jacobian_layout")
+
+
+@pytest.mark.parametrize("pid", SPARSE_IDS)
+def test_exact_jacobian_on_the_pattern_is_its_own_model(monkeypatch, pid):
     colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
     p = make_problem(pid, 50)
     x = starting_point(p, 1)
     J = p.jac(x)
     M = next_jacobian(None, 0, p, x, "exact").M
-    layout = p.pattern._jacobian_layout
-    assert isinstance(M, CSRModel) and M._factor_plan is layout.plan
-    assert M.indptr is layout.indptr and M.indices is layout.indices
+    assert isinstance(M, CSRModel) and M._factor_plan is J._factor_plan
+    assert M.indptr is J.indptr and M.indices is J.indices
     assert M.data.tobytes() == J.data.tobytes()
+    assert next_jacobian(None, 0, dataclasses.replace(p, jac=lambda x: J), x, "exact").M is J
+    assert not hasattr(p.pattern, "_jacobian_layout")
     assert colourings == []
 
 
@@ -318,9 +344,9 @@ def test_exact_jacobian_off_the_pattern_layout_goes_through_as_model(structure):
     if structure == "dense":
         assert isinstance(M, np.ndarray)
     else:
-        layout = p.pattern._jacobian_layout
         assert isinstance(M, CSRModel) and M.dtype == np.float64
-        assert M._factor_plan.fits(M) and M._factor_plan is not layout.plan
+        assert M._factor_plan.fits(M) and M._factor_plan is not p.jac(x)._factor_plan
+    assert not hasattr(p.pattern, "_jacobian_layout")
 
 
 def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
@@ -441,25 +467,19 @@ class TestSparseSchubert:
             )
 
     def test_a_model_off_the_layout_derives_no_plan(self, monkeypatch):
-        plans = []
-        original = newton_condg.linsolve._FactorPlan.__init__
-
-        def counted(self, *args):
-            plans.append(self)
-            original(self, *args)
-
-        monkeypatch.setattr(newton_condg.linsolve._FactorPlan, "__init__", counted)
+        plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
         p = make_problem("pb3_troesch", 500)
         x = starting_point(p, 1)
         s = 1e-3 * np.linspace(-1.0, 1.0, p.n)
         y = p.fun(x + s) - p.fun(x)
-        J = p.jac(x)
+        J = p.jac(x)  # a model of the exact template's plan, not of the layout's
+        before = len(plans)
         updated = schubert_update(J, s, y, p.pattern)
         layout = p.pattern._jacobian_layout
-        assert plans == [layout.plan]  # the layout's, derived once
+        assert plans[before:] == [layout.plan]  # the layout's, derived once
         assert updated._factor_plan is layout.plan
         schubert_update(J, s, y, p.pattern)
-        assert len(plans) == 1
+        assert len(plans) == before + 1
         start = layout.model(J[layout.plan.rows, layout.indices])
         assert updated.data.tobytes() == schubert_update(start, s, y, p.pattern).data.tobytes()
 

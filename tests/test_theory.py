@@ -272,3 +272,28 @@ class TestRateCheck:
         with pytest.raises(ValueError, match="converged"):
             rate_check(report, p.known_root, holder_majorant(1.0, 1.0),
                        EXACT_NEWTON, 0.0)
+
+
+@pytest.mark.parametrize("K, p, message", [
+    (0.0, 1.0, "K must be positive"),
+    (-1.0, 0.5, "K must be positive"),
+    (1.0, 0.0, r"p must lie in \(0, 1\]"),
+    (1.0, 1.5, r"p must lie in \(0, 1\]"),
+])
+def test_holder_majorant_rejects_its_constants(K, p, message):
+    with pytest.raises(ValueError, match=message):
+        holder_majorant(K, p)
+
+
+def test_smale_majorant_rejects_a_non_positive_gamma():
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        smale_majorant(0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0], ids=["at_nu", "beyond_nu"])
+def test_rate_check_rejects_a_start_outside_the_majorant_domain(scale):
+    majorant = holder_majorant(1.0, 1.0)
+    report = RunReport(status="converged",
+                       iterates=[np.array([scale * majorant.nu]), np.zeros(1)])
+    with pytest.raises(ValueError, match=r"starting error outside the majorant domain"):
+        rate_check(report, np.zeros(1), majorant, EXACT_NEWTON, 0.0)
