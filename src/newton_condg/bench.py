@@ -29,7 +29,9 @@ residual calls, against 308 with one call per group). The exact Jacobians
 of the four sparse problems are built on one template per problem
 (_SparseJacobian), linsolve.as_model of its structure, analysed once in
 make_problem: a call computes only its data, and the solver's as_model
-returns it as it is, factorization plan included.
+returns it as it is, factorization plan included. The declared pattern is
+that template's structure with every entry True, so make_problem builds
+each structure once.
 
 The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
 copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
@@ -88,7 +90,9 @@ class _SparseJacobian:
     arrays, which are read-only. A call is linsolve.with_data of the
     template and a fresh data array, A's entries with the given diagonal
     (every (i, i) must be stored), so it builds no index array, runs no
-    constructor check, and as_model returns it as it is.
+    constructor check, and as_model returns it as it is. pattern is the
+    problem's sparsity pattern: every stored entry of A, True, on the
+    template's index arrays, so the structure is built once.
     """
 
     def __init__(self, A):
@@ -103,9 +107,12 @@ class _SparseJacobian:
         data[self.diagonal] = diagonal
         return with_data(self.template, data)
 
-
-def _tridiagonal_mask(n):
-    return _tridiagonal(np.ones(n, dtype=bool), True)
+    @property
+    def pattern(self):
+        A = self.template
+        return sparse.csr_array(
+            (np.ones(A.indices.size, dtype=bool), A.indices, A.indptr), shape=A.shape
+        )
 
 
 def _diagonal(values):
@@ -179,7 +186,7 @@ def _discrete_boundary(n):
 
     return Problem(
         name="pb2_discrete_boundary", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=_tridiagonal_mask(n),
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -100.0), np.full(n, 100.0)),
     )
 
@@ -200,7 +207,7 @@ def _troesch(n, lam=10.0):
 
     return Problem(
         name="pb3_troesch", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=_tridiagonal_mask(n),
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -1.0), np.full(n, 1.0)),
     )
 
@@ -275,7 +282,7 @@ def _synthetic_quadratic(n):
 
     return Problem(
         name="synthetic_quadratic", n=n, fun=fun, jac=jac,
-        pattern=_diagonal(np.ones(n, dtype=bool)),
+        pattern=jacobian.pattern,
         feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         known_root=np.ones(n),
     )
@@ -294,7 +301,7 @@ def _synthetic_linear(n):
 
     return Problem(
         name="synthetic_linear", n=n, fun=fun, jac=jac,
-        pattern=_tridiagonal_mask(n),
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -5.0), np.full(n, 5.0)),
         known_root=xbar,
     )

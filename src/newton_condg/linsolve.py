@@ -17,7 +17,7 @@ entries all lie within one diagonal of the main one (|j - i| <= 1, read
 from its stored structure: a diagonal, bidiagonal or tridiagonal model);
 _SparseLU (scipy.sparse.linalg.splu) takes every other sparse one;
 _DenseLU a dense one, by
-LAPACK getrf below order MIXED_MIN_N (250, where the float32 factors stop
+LAPACK dgetrf below order MIXED_MIN_N (250, where the float32 factors stop
 costing more than they save) and by sgetrf on a float32 copy above it, with
 mixed-precision iterative refinement (Buttari et al., ACM TOMS 2008; Carson
 & Higham, SIAM J. Sci. Comput. 2018) for one right-hand side: sgetrs steps
@@ -28,8 +28,13 @@ pivot is below MIXED_PIVOT_RTOL * maxabs (or sgetrf meets an exactly zero
 one); a solve takes it for a block of right-hand sides (as
 verify_mk_conditions sends) and, from then on, once refinement has not met
 its stop rule after MIXED_MAX_STEPS corrections or a correction does not
-reduce the residual. solve_direct solves with that factorization, and its
-achieved residual is refinement's last one when refinement ran. A dense
+reduce the residual. Every LAPACK kernel is a scipy.linalg.lapack routine
+called directly (dgetrf/dgetrs, sgetrf/sgetrs, dgttrf/dgttrs), never a
+wrapper such as scipy.linalg.lu_factor: each class reads the info it
+returns, so an exactly singular dense model raises LinearSolveFailure and
+no warning (lu_factor would emit LinAlgWarning first, an exception under
+-W error). solve_direct solves with that factorization, and its achieved
+residual is refinement's last one when refinement ran. A dense
 Broyden step (solve_direct's prev_step) keeps the float32 factors of the
 model it updates and adds one Sherman-Morrison term of the inverse update
 to every correction, so it costs O(n^2), not sgetrf's O(n^3); refinement,
@@ -51,8 +56,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.linalg.lapack import dgttrf, dgttrs, dlange, sgetrf, sgetrs
+from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs, dlange, sgetrf, sgetrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 PIVOT_RTOL = 1e-14
@@ -95,15 +100,19 @@ class LinSolveOutcome:
 
 class _DenseLU:
     """LU factors of a dense model M: sgetrf's of a float32 copy, refined
-    against M, from order MIXED_MIN_N on, and getrf's where those do not serve.
+    against M, from order MIXED_MIN_N on, and dgetrf's where those do not
+    serve, solved with dgetrs.
 
     The float32 factors are those of M^T, so that a C-ordered M is cast
     without a transposing copy; sgetrs solves with their transpose. They are
     kept when every float32 pivot is at least MIXED_PIVOT_RTOL * maxabs. The
     pivot-checked getrf factors are derived where needed: in the constructor
     below MIXED_MIN_N or when a float32 pivot is too small, else on the first
-    solve of a 2-D b or once refinement has failed. M is kept by reference,
-    never written, and must not change while the factors are used.
+    solve of a 2-D b or once refinement has failed. An exactly zero pivot of
+    either kernel (info > 0) warns of nothing: sgetrf's sends M to getrf,
+    and getrf's fails the pivot check (LinearSolveFailure). M is kept by
+    reference, never written, and must not change while the factors are
+    used.
 
     Given lu32, the float32 factors of another model M0, and terms, the
     factors serve M through the inverse updates of the secant steps from M0
@@ -150,9 +159,13 @@ class _DenseLU:
         return _DenseLU(M, maxabs, self.lu32, self.terms + (((s - z) / denom, s),))
 
     def _getrf(self):
-        """The getrf factors, derived and pivot-checked on first use."""
+        """The getrf factors, derived and pivot-checked on first use.
+
+        An exactly zero pivot (dgetrf's info > 0) is below any positive
+        PIVOT_RTOL * maxabs, so _check_pivots raises for it too.
+        """
         if self.lu64 is None:
-            lu, piv = linalg.lu_factor(self.M, check_finite=False)
+            lu, piv, _info = dgetrf(self.M)
             _check_pivots(np.diag(lu), self.maxabs)
             self.lu64 = (lu, piv)
         return self.lu64
@@ -187,7 +200,8 @@ class _DenseLU:
                 previous = rnorm
                 x += self._correction(r, rnorm)
             self.lu32 = None
-        return linalg.lu_solve(self._getrf(), b, check_finite=False), None
+        x, _info = dgetrs(*self._getrf(), b)
+        return x, None
 
     def _correction(self, r, rnorm):
         """The float32 solve of M d = r, in float64, followed by the secant
@@ -309,14 +323,15 @@ def lu_factor(M):
     order is at least 3 and every stored entry lies within one diagonal of
     the main one (read from the stored structure, never from values), and
     SuperLU (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets
-    _DenseLU: getrf below order MIXED_MIN_N, above it sgetrf on a float32
-    copy, whose solves of one right-hand side are refined against M, while a
-    block of right-hand sides is solved by getrf. _DenseLU keeps a reference
-    to M, which must not change while the factors are in use; it is never
-    written. Raises LinearSolveFailure when M has a non-finite entry, is
+    _DenseLU: LAPACK dgetrf below order MIXED_MIN_N, above it sgetrf on a
+    float32 copy, whose solves of one right-hand side are refined against M,
+    while a block of right-hand sides is solved by dgetrs. _DenseLU keeps a
+    reference to M, which must not change while the factors are in use; it
+    is never written. Raises LinearSolveFailure when M has a non-finite entry, is
     zero, or is singular to working precision (some pivot below PIVOT_RTOL *
-    maxabs(M) in getrf, gttrf or SuperLU); with float32 factors, the getrf
-    check runs in the .solve(b) that first takes getrf.
+    maxabs(M) in getrf, gttrf or SuperLU; an exactly singular dense M
+    raises it with no warning); with float32 factors, the getrf check runs
+    in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
     if not sparse.issparse(A):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from newton_condg import (
     Box,
@@ -401,3 +402,56 @@ def test_h_equation_has_interior_root():
     assert report.residual_norms[-1] <= 1e-6
     x = report.x
     assert np.all(x > p.feasible_set.lower) and np.all(x < p.feasible_set.capped_upper)
+
+
+@pytest.mark.parametrize("pid", [
+    "pb2_discrete_boundary", "pb3_troesch", "synthetic_quadratic", "synthetic_linear",
+])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_sparse_pattern_is_every_entry_of_the_exact_jacobian(pid, n):
+    # the pattern is the exact Jacobian's structure, every entry True: the
+    # band |i - j| <= 1, or the diagonal of synthetic_quadratic
+    p = make_problem(pid, n)
+    width = 0 if pid == "synthetic_quadratic" else 1
+    i, j = np.indices((n, n))
+    assert p.pattern.dtype == bool and p.pattern.data.all()
+    np.testing.assert_array_equal(p.pattern.toarray(), np.abs(i - j) <= width)
+    J = p.jac(starting_point(p, 1))
+    np.testing.assert_array_equal(J.indptr, p.pattern.indptr)
+    np.testing.assert_array_equal(J.indices, p.pattern.indices)
+
+
+def test_h_equation_starts_reach_its_two_roots():
+    # the H-equation has two solutions for 0 < c < 1 (Kelley, Solving
+    # Nonlinear Equations with Newton's Method, SIAM 2003), both in the box:
+    # the start of gamma = 1 reaches the first, those of gamma = 2 and 3 the
+    # second. MINPACK's hybr, judged by its iterate, finds the same roots
+    # from gamma = 1 and 2; from gamma = 3 it leaves the box, so that row is
+    # compared with the second root from gamma = 2
+    p = make_problem("pb1_h_equation", 100)
+    config = SolverConfig(jacobian_strategy="exact", linsolve="direct", tol_inf=1e-13)
+    roots = {}
+    for gamma in (1, 2, 3):
+        report = solve(p, starting_point(p, gamma), config)
+        assert report.status == "converged"
+        roots[gamma] = report.x
+    assert roots[1].max() == pytest.approx(2.467, abs=1e-3)
+    assert roots[2].max() == pytest.approx(3.490, abs=1e-3)
+    hybr = {
+        gamma: optimize.root(
+            p.fun, starting_point(p, gamma), jac=p.jac, method="hybr", options={"xtol": 1e-14}
+        ).x
+        for gamma in (1, 2)
+    }
+    for gamma, reference in ((1, 1), (2, 2), (3, 2)):
+        assert np.abs(roots[gamma] - hybr[reference]).max() <= 1e-12
+
+
+def test_h_equation_schubert_run_from_gamma_3_ends_at_the_first_root():
+    # the paper-core row pb1_h_equation,400,3,schubert: its secant models
+    # drift between refreshes and the run converges to the first root, where
+    # the exact and FD runs from the same start reach the second
+    p = make_problem("pb1_h_equation", 400)
+    report = solve(p, starting_point(p, 3), SolverConfig(jacobian_strategy="schubert"))
+    assert report.status == "converged"
+    assert report.x.max() == pytest.approx(2.471, abs=1e-3)

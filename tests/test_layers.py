@@ -108,6 +108,53 @@ def test_only_linsolve_imports_scipy_linear_algebra():
     assert _linear_algebra_imports(MODULES["linsolve"])  # the check sees linsolve's
 
 
+def _scipy_linalg_wrappers(tree):
+    """What a module reaches in scipy.linalg other than its lapack routines:
+    the scipy.linalg names its imports bind outside scipy.linalg.lapack, and
+    its calls of linalg.<name> or scipy.linalg.<name>."""
+    found = [
+        name for name in _linear_algebra_imports(tree)
+        if name.startswith("scipy.linalg") and not name.startswith("scipy.linalg.lapack")
+    ]
+    found += [
+        f"linalg.{node.func.attr}() (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) in ("linalg", "scipy.linalg")
+    ]
+    return sorted(found)
+
+
+def test_linsolve_calls_lapack_only_through_its_routines():
+    # one way to call LAPACK: every dense kernel is a scipy.linalg.lapack
+    # routine, whose info the kernel reads, never a wrapper that warns on it
+    assert _scipy_linalg_wrappers(MODULES["linsolve"]) == []
+    lapack = {
+        alias.name
+        for node in ast.walk(MODULES["linsolve"])
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg.lapack"
+        for alias in node.names
+    }
+    assert {"dgetrf", "dgetrs", "sgetrf", "sgetrs"} <= lapack
+
+
+def test_lapack_check_sees_a_wrapper():
+    source = (
+        "from scipy import linalg, sparse\n"
+        "import scipy.linalg, scipy.linalg.lapack\n"
+        "from scipy.linalg import lu_solve\n"
+        "from scipy.linalg.lapack import dgetrf\n"
+        "lu = linalg.lu_factor(M)\n"
+        "x = scipy.linalg.solve(M, b) + scipy.linalg.lapack.dgetrs(lu, piv, b)[0]\n"
+        "y = np.linalg.norm(x) + sparse.linalg.norm(M)\n"
+    )
+    assert _scipy_linalg_wrappers(ast.parse(source)) == [
+        "linalg.lu_factor() (line 5)", "linalg.solve() (line 6)",
+        "scipy.linalg", "scipy.linalg.lu_solve",
+    ]
+
+
 def test_solver_imports_only_linsolve_entry_points():
     # the outer loop solves and catches failures; kernel constants and
     # classes stay in linsolve, which alone decides how a step is factorized

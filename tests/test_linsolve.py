@@ -62,7 +62,6 @@ class TestSolveDirect:
         np.testing.assert_allclose(out.s, [-5.0, -3.0])
         np.testing.assert_allclose(M @ out.s, [-3.0, -5.0], atol=1e-14)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_raises(self):
         with pytest.raises(LinearSolveFailure):
             solve_direct(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
@@ -513,7 +512,6 @@ class TestMixedLU:
         assert r is not None and _meets_stop_rule(M, x, b)
         assert _normwise_close(x, linalg.lu_solve(linalg.lu_factor(M), b), 1e-14)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # getrf's exact zero
     @pytest.mark.parametrize("offset", [0.0, 1e-16], ids=["equal rows", "rows 1e-16 apart"])
     def test_singular_model_fails(self, offset):
         rng = np.random.default_rng(17)

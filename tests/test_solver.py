@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -113,6 +114,31 @@ class TestSolve:
         p = _scalar_problem(lambda x: x * x, lambda x: 0.0, -1.0, 1.0)  # wrong jac
         report = solve(p, np.array([0.5]), SolverConfig(jacobian_strategy="exact"))
         assert report.status == "linear_solve_failure"
+
+    @pytest.mark.parametrize(
+        "n, singular",
+        [(4, "ones"), (linsolve.MIXED_MIN_N, "zero column"), (400, "zero column")],
+    )
+    def test_exactly_singular_model_fails_without_a_warning(self, n, singular):
+        # an exactly zero pivot: getrf's below MIXED_MIN_N, above it sgetrf's
+        # first and then getrf's; solve reports it under any warning filter
+        def jac(x):
+            if singular == "ones":
+                return np.ones((n, n))
+            J = np.diag(2.0 * x)
+            J[:, 0] = 0.0
+            return J
+
+        p = Problem(
+            name="singular", n=n, fun=lambda x: x * x - 1.0, jac=jac,
+            feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            report = solve(p, np.full(n, 0.5), SolverConfig(jacobian_strategy="exact"))
+        assert report.status == "linear_solve_failure"
+        assert report.steps == []
+        assert caught == []
 
     @pytest.mark.parametrize("linsolve", ["direct", "inexact"])
     @pytest.mark.parametrize("strategy", ["exact", "finite_difference", "schubert"])

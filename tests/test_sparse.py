@@ -518,7 +518,6 @@ class TestSparseLinsolve:
             expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
             assert np.float64(out.eta_used).tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize(
         "to_matrix", [lambda M: M, lambda M: M.toarray()], ids=["sparse", "dense"]
     )
