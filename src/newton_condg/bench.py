@@ -25,13 +25,13 @@ stay dense. pb1, pb2, pb3 and pb4 declare vectorized residuals (rows of a
 columns per residual call: pb1 and pb4 blocks of single columns, pb2 and
 pb3 all three column groups of their tridiagonal pattern at once, one call
 per Jacobian (a traced pass of the benchmark's banded workload makes 184
-residual calls, against 308 with one call per group). The exact Jacobians
-of the four sparse problems are built on one template per problem
-(_SparseJacobian), linsolve.as_model of its structure, analysed once in
-make_problem: a call computes only its data, and the solver's as_model
-returns it as it is, factorization plan included. The declared pattern is
-that template's structure with every entry True, so make_problem builds
-each structure once.
+residual calls, against 308 with one call per group). Each of the four
+sparse problems has one layout (jacobian.layout of the canonical pattern it
+declares, made in make_problem), and its exact Jacobians are that layout's
+models (_SparseJacobian), as its finite-difference and Schubert models are:
+every model of the problem shares one set of read-only index arrays and one
+factorization plan, a call computes only its data, and the solver's
+as_model returns it as it is.
 
 The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
 copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
@@ -56,7 +56,7 @@ from scipy import sparse
 
 from .core import Problem
 from .feasible_set import Box
-from .linsolve import as_model, with_data
+from .jacobian import canonical_pattern, layout
 
 
 @dataclass(frozen=True)
@@ -67,57 +67,33 @@ class BenchEntry:
     description: str
 
 
-def _tridiagonal(diagonal, off_diagonal):
-    """CSR matrix with the given main diagonal and a constant off-diagonal value.
-
-    Every one of the 3n - 2 band entries is stored, whatever its value.
-    """
-    n = diagonal.size
-    idx = np.arange(n)
-    off = np.full(n, off_diagonal, dtype=diagonal.dtype)
-    data = np.column_stack((off, diagonal, off)).ravel()[1:-1]
-    indices = np.column_stack((idx - 1, idx, idx + 1)).ravel()[1:-1]
-    indptr = np.concatenate(([0], np.arange(2, 3 * n - 1, 3), [3 * n - 2]))
-    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+def _tridiagonal(n):
+    """The boolean band of an n-by-n tridiagonal matrix: its 3n - 2 entries."""
+    return sparse.diags_array([1, 1, 1], offsets=[-1, 0, 1], shape=(n, n), dtype=bool)
 
 
 class _SparseJacobian:
-    """The exact Jacobians of one problem: a CSR matrix A with a new main
-    diagonal on each call.
+    """The exact Jacobians of one problem: models of its pattern's layout
+    storing the values with a new main diagonal on each call.
 
-    The template is linsolve.as_model of A, built once, in make_problem: it
-    is checked by scipy and carries the factorization plan of its index
-    arrays, which are read-only. A call is linsolve.with_data of the
-    template and a fresh data array, A's entries with the given diagonal
-    (every (i, i) must be stored), so it builds no index array, runs no
-    constructor check, and as_model returns it as it is. pattern is the
-    problem's sparsity pattern: every stored entry of A, True, on the
-    template's index arrays, so the structure is built once.
+    The layout (jacobian.layout of the canonical pattern the Problem keeps)
+    is the one the finite-difference and Schubert models of the problem are
+    built on, so every model of the problem shares its index arrays and its
+    factorization plan. A call stores a fresh data array, values everywhere
+    and the given diagonal at (i, i) (every (i, i) must be in the pattern),
+    so it builds no index array, runs no constructor check, and the solver's
+    as_model returns it as it is.
     """
 
-    def __init__(self, A):
-        self.template = as_model(A)
-        for arr in (self.template.indices, self.template.indptr):
-            arr.flags.writeable = False
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(self.template.indptr))
-        self.diagonal = np.flatnonzero(self.template.indices == rows)  # where (i, i) is
+    def __init__(self, pattern, values):
+        lay = self.layout = layout(pattern)
+        self.values = values
+        self.diagonal = np.flatnonzero(lay.indices == lay.plan.rows)  # where (i, i) is
 
     def __call__(self, diagonal):
-        data = self.template.data.copy()
+        data = np.full(self.layout.indices.size, self.values)
         data[self.diagonal] = diagonal
-        return with_data(self.template, data)
-
-    @property
-    def pattern(self):
-        A = self.template
-        return sparse.csr_array(
-            (np.ones(A.indices.size, dtype=bool), A.indices, A.indptr), shape=A.shape
-        )
-
-
-def _diagonal(values):
-    n = values.size
-    return sparse.csr_array((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
+        return self.layout.model(data)
 
 
 def _cube(g):
@@ -174,7 +150,8 @@ def _discrete_boundary(n):
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
 
-    jacobian = _SparseJacobian(_tridiagonal(np.zeros(n), -1.0))
+    pattern = canonical_pattern(_tridiagonal(n))
+    jacobian = _SparseJacobian(pattern, -1.0)
 
     def fun(x):
         d = _second_difference(x)
@@ -186,7 +163,7 @@ def _discrete_boundary(n):
 
     return Problem(
         name="pb2_discrete_boundary", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=jacobian.pattern,
+        pattern=pattern,
         feasible_set=Box(np.full(n, -100.0), np.full(n, 100.0)),
     )
 
@@ -194,7 +171,8 @@ def _discrete_boundary(n):
 def _troesch(n, lam=10.0):
     h = 1.0 / (n + 1)
 
-    jacobian = _SparseJacobian(_tridiagonal(np.zeros(n), -1.0))
+    pattern = canonical_pattern(_tridiagonal(n))
+    jacobian = _SparseJacobian(pattern, -1.0)
 
     def fun(x):
         d = _second_difference(x)
@@ -207,7 +185,7 @@ def _troesch(n, lam=10.0):
 
     return Problem(
         name="pb3_troesch", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=jacobian.pattern,
+        pattern=pattern,
         feasible_set=Box(np.full(n, -1.0), np.full(n, 1.0)),
     )
 
@@ -272,7 +250,8 @@ def _discrete_integral(n):
 
 
 def _synthetic_quadratic(n):
-    jacobian = _SparseJacobian(_diagonal(np.zeros(n)))
+    pattern = canonical_pattern(sparse.eye_array(n, dtype=bool))
+    jacobian = _SparseJacobian(pattern, 0.0)
 
     def fun(x):
         return x * x - 1.0
@@ -282,26 +261,27 @@ def _synthetic_quadratic(n):
 
     return Problem(
         name="synthetic_quadratic", n=n, fun=fun, jac=jac,
-        pattern=jacobian.pattern,
+        pattern=pattern,
         feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         known_root=np.ones(n),
     )
 
 
 def _synthetic_linear(n):
-    A = _tridiagonal(np.full(n, 4.0), -1.0)
-    jacobian = _SparseJacobian(A)
+    pattern = canonical_pattern(_tridiagonal(n))
+    jacobian = _SparseJacobian(pattern, -1.0)
+    A = jacobian(4.0)
     xbar = 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
     def fun(x):
         return A @ (x - xbar)
 
     def jac(x):
-        return jacobian(4.0)  # A
+        return jacobian(4.0)  # A, in a fresh data array
 
     return Problem(
         name="synthetic_linear", n=n, fun=fun, jac=jac,
-        pattern=jacobian.pattern,
+        pattern=pattern,
         feasible_set=Box(np.full(n, -5.0), np.full(n, 5.0)),
         known_root=xbar,
     )

@@ -63,7 +63,7 @@ def condg(fset, y, x, eps, cap):
     d = z - y; the Frank-Wolfe loop from x runs for sets without a
     projection and when that check fails.
     """
-    if eps < 0:
+    if not eps >= 0:  # nan too
         raise ValueError("eps must be >= 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")

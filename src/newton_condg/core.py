@@ -103,7 +103,7 @@ class AdaptiveEta:
     eta_max: float = 0.1
 
     def __post_init__(self):
-        if self.c < 0:
+        if not self.c >= 0:  # nan too
             raise ValueError("c must be >= 0")
         if not (0.0 <= self.eta_max < 1.0):
             raise ValueError("eta_max must lie in [0, 1)")

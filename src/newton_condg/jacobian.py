@@ -17,27 +17,33 @@ keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
 Every model goes through linsolve.as_model, which owns CSRModel and gives
-each sparse model its factorization plan. What the finite-difference and
-Schubert builds need of a pattern (the row of every stored entry, a
+each sparse model its factorization plan. One layout per pattern: what a
+sparse model needs of its pattern (the row of every stored entry, a
 template, the as_model of the pattern, whose indptr, indices and plan every
-such model shares, and for finite differences the greedy column colouring,
-its group order and, per block size, where each column's step goes in a
-block's points) lives in one _Layout per pattern. Each such model is a
-shallow copy of the template with its own data array, so no model pays the
-sparse constructor's checks and
-lu_factor analyses the pattern's structure once, not once per
-factorization. An exact Jacobian is as_model(problem.jac(x)) and never
-reads the layout: a sparse one that carries the plan of its own arrays (the
-registry's sparse problems build every Jacobian on one template of their
-structure) is the model as it is, and any other gets its plan from as_model.
-A Problem's layout is built on its first finite-difference or Schubert
-build and kept on problem.pattern, so every later solve reads it, and so do
-dataclasses.replace copies, which keep the same pattern object; a problem
-solved only with its exact Jacobian builds none and never colours its
-pattern. A canonical pattern pickles as its data, indices and indptr alone
-and unpickles through canonical_pattern, so its layout, several times the
-pattern's size, is not sent, and the unpickled pattern is canonical again:
-its first build derives one layout, not one per build.
+model of the pattern shares, and for finite differences the greedy column
+colouring, its group order and, per block size, where each column's step
+goes in a block's points) lives in the pattern's one _Layout, which
+layout(pattern) returns. Each model is a shallow copy of the template with
+its own data array (_Layout.model), so no model pays the sparse
+constructor's checks and lu_factor analyses the pattern's structure once,
+not once per factorization. The finite-difference and Schubert builds make
+such models, and so do the registry's sparse problems for their exact
+Jacobians (bench._SparseJacobian), so exact, finite-difference and secant
+models of one pattern share one template and one plan. The solver's exact
+model is as_model(problem.jac(x)) and never reads the layout: a sparse
+Jacobian that carries the plan of its own arrays, a layout's model
+included, is the model as it is, and any other gets its plan from as_model.
+A Problem's layout is built on its first request (in make_problem for a
+registry problem, else on the first finite-difference or Schubert build)
+and kept on problem.pattern, so every later solve reads it, and so do
+dataclasses.replace copies, which keep the same pattern object; the
+colouring waits for the first finite-difference build, so a problem solved
+only with its exact Jacobian never colours its pattern, and a user problem
+so solved builds no layout. A canonical pattern pickles as its data,
+indices and indptr alone and unpickles through canonical_pattern, so its
+layout, several times the pattern's size, is not sent, and the unpickled
+pattern is canonical again: its first build derives one layout, not one
+per build.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -166,7 +172,7 @@ class _Layout:
         return with_data(self.template, data)
 
 
-def _layout(pattern):
+def layout(pattern):
     """The _Layout of a dense or sparse boolean pattern.
 
     It is kept on the canonical pattern, so a Problem's pattern, which is
@@ -248,9 +254,9 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
         start = range(n + 1)
         flat = order % groups_per_block * n + order
     else:
-        layout = _layout(pattern)
-        order, start, entry_flat = layout.groups[1:]
-        flat = layout.scatter(groups_per_block)
+        lay = layout(pattern)
+        order, start, entry_flat = lay.groups[1:]
+        flat = lay.scatter(groups_per_block)
         diffs = np.empty((len(start) - 1, n))
     step = h[order]
     n_groups = len(start) - 1
@@ -272,7 +278,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
             jac.T[g0:g1] = block  # row j of jac.T is column j of jac
     if pattern is None:
         return jac
-    return layout.model(diffs.reshape(-1).take(entry_flat) / h[layout.indices])
+    return lay.model(diffs.reshape(-1).take(entry_flat) / h[lay.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):
@@ -314,22 +320,22 @@ def schubert_update(M, s, yvec, pattern=None):
 
 
 def _schubert_update_csr(M, s, yvec, pattern):
-    layout = _layout(pattern)
-    if M.shape != layout.shape:
+    lay = layout(pattern)
+    if M.shape != lay.shape:
         raise ValueError("M and pattern shapes differ")
-    rows, indices = layout.plan.rows, layout.indices
-    if not layout.plan.fits(M):  # M was not built from this layout: embed it
+    rows, indices = lay.plan.rows, lay.indices
+    if not lay.plan.fits(M):  # M was not built from this layout: embed it
         M = canonical_csr(M)  # read only: no plan is derived for it
         data = M[rows, indices]  # M may store only part of the pattern
         if np.count_nonzero(data) != np.count_nonzero(M.data):
             raise JacobianError("M has entries outside the sparsity pattern")
-        M = layout.model(data)
+        M = lay.model(data)
     s_at = s[indices]
-    denom = np.bincount(rows, weights=s_at * s_at, minlength=layout.shape[0])
+    denom = np.bincount(rows, weights=s_at * s_at, minlength=lay.shape[0])
     resid = yvec - M @ s
     safe = np.where(denom > 0.0, denom, 1.0)
     scale = np.where(denom > 0.0, resid / safe, 0.0)
-    return layout.model(M.data + scale[rows] * s_at)
+    return lay.model(M.data + scale[rows] * s_at)
 
 
 def model_kind(k, strategy, refresh_period=5):
@@ -359,8 +365,8 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
     problem.pattern every finite-difference build is column-grouped and the
     model is CSR; both builds read the pattern's layout (colouring, group
-    order, entry rows, CSR template), which the problem's first build that
-    needs it derives and problem.pattern keeps for every later solve of the
+    order, entry rows, CSR template), which the problem's first request
+    derives and problem.pattern keeps for every later solve of the
     problem or of a dataclasses.replace copy. The exact model is
     as_model(problem.jac(x)), which returns a sparse Jacobian that carries
     the plan of its own arrays unchanged and analyses any other one.

@@ -5,9 +5,9 @@ canonical float CSRModel that carries its _FactorPlan, the symbolic half of
 its factorization (the row of every entry, the kernel, where each entry goes
 in the kernel's storage). A sparse matrix is sorted in a copy, never in
 place. A model that carries the plan of its own arrays is returned as it is:
-every model built from a declared pattern carries the pattern's, and every
-sparse registry Jacobian the plan of its problem's structure, so that
-analysis runs once per structure. Every factorization goes
+every model built on a declared pattern's one layout (jacobian.layout), the
+sparse registry problems' exact Jacobians included, carries the pattern's,
+so that analysis runs once per pattern. Every factorization goes
 through lu_factor, which checks the model once (finite, non-zero) and picks
 the kernel by storage; each kernel is one class that factorizes with partial
 pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
@@ -287,8 +287,8 @@ def as_model(M):
     """M as a model matrix: a float ndarray, or a canonical float CSRModel.
 
     A scipy.sparse M that carries the _FactorPlan of its own indptr and
-    indices (every model built from a Problem's pattern and every sparse
-    registry Jacobian does) is returned as it is. Any other sparse M becomes
+    indices (every model of a pattern's layout does, the sparse registry
+    Jacobians included) is returned as it is. Any other sparse M becomes
     a CSRModel with sorted, summed entries, made in a copy when M is not
     canonical, and gets its plan here: a user jac that returns a fresh CSR
     matrix pays that analysis on every call. Copies of the result

@@ -3,8 +3,8 @@ diagnostics of runs and model matrices against it.
 
 TheoryParams holds the constants omega1, omega2, vartheta and lambda, and
 validate_config checks a SolverConfig's theta against them.
-verify_mk_conditions measures, by power iteration (spectral_norm), the two
-operator norms that omega1 and omega2 bound.
+verify_mk_conditions measures the two operator norms that omega1 and omega2
+bound, exactly (spectral_norm, LAPACK's 2-norm).
 
 A majorant function is a scalar convex model f with f(0) = 0, f'(0) = -1
 whose derivative dominates the variation of the scaled Jacobian around the
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .linsolve import as_model, lu_factor
+from .linsolve import lu_factor
 
 HOLDER = "holder"
 SMALE = "smale"
@@ -34,8 +34,6 @@ SMALE = "smale"
 ENVELOPE_SLACK = 1e-12
 RATIO_SLACK = 0.1  # finite runs cannot realize a limsup; documented headroom
 ERROR_FLOOR = 1e-14
-POWER_RTOL = 1e-8
-POWER_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def nf(majorant, t):
     Accepts scalars or arrays.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t >= majorant.nu):
+    if not np.all((t > 0.0) & (t < majorant.nu)):  # nan fails it too
         raise ValueError("nf is defined on (0, nu)")
     out = t - majorant.f(t) / majorant.fprime(t)
     return float(out) if out.ndim == 0 else out
@@ -317,8 +315,8 @@ class MkConditionCheck:
 def verify_mk_conditions(M, fprime, theory):
     """Measure how well a model matrix tracks the true Jacobian.
 
-    Computes ||M^{-1} F'|| and ||M^{-1} F' - I|| (spectral norms by power
-    iteration, tolerance 1e-8) and flags them against omega1 and omega2.
+    Computes ||M^{-1} F'|| and ||M^{-1} F' - I|| (exact spectral norms,
+    spectral_norm) and flags them against omega1 and omega2.
     Diagnostic only; never gates the iteration. M and fprime may be dense or
     scipy.sparse. Raises LinearSolveFailure for singular M.
     """
@@ -335,24 +333,6 @@ def verify_mk_conditions(M, fprime, theory):
 
 
 def spectral_norm(A):
-    """Largest singular value by power iteration on A^T A.
-
-    Stops once sigma moves by at most POWER_RTOL * sigma, or after
-    POWER_MAX_ITER iterations.
-    """
-    A = as_model(A)
-    n = A.shape[1]
-    v = np.ones(n) + np.arange(n) / max(n, 2)  # deterministic, unlikely orthogonal
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_sigma = np.linalg.norm(A @ v)
-        if abs(new_sigma - sigma) <= POWER_RTOL * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    """Largest singular value of A: LAPACK's exact 2-norm, A densified if sparse."""
+    A = A.toarray() if sparse.issparse(A) else np.asarray(A, dtype=float)
+    return float(np.linalg.norm(A, 2))

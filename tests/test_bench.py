@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from newton_condg import (
     Box,
@@ -16,8 +16,8 @@ from newton_condg import (
     solve,
     starting_point,
 )
-from newton_condg.bench import REGISTRY, _cube, _tridiagonal
-from newton_condg.jacobian import FD_BLOCK_ENTRIES
+from newton_condg.bench import REGISTRY, _cube
+from newton_condg.jacobian import FD_BLOCK_ENTRIES, layout
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -256,18 +256,21 @@ def test_vectorized_fd_model_is_the_per_colour_model(pid, n):
 @pytest.mark.parametrize("pid, n", TRIDIAGONAL_CASES)
 def test_exact_tridiagonal_jacobian_is_a_fresh_matrix_of_one_structure(pid, n):
     p = make_problem(pid, n)
+    lay = layout(p.pattern)  # the structure every model of the problem stores
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
+    off = np.full(n - 1, -1.0)
     for x in _tridiagonal_points(p):
         if pid == "pb3_troesch":
             lam = 10.0
             diagonal = 2.0 + lam * lam * h * h * np.cosh(lam * x)
         else:
             diagonal = 2.0 + 1.5 * h * h * (x + t + 1.0) ** 2
-        expected = _tridiagonal(diagonal, -1.0)
+        expected = sparse.diags_array([off, diagonal, off], offsets=[-1, 0, 1], format="csr")
         first, second = p.jac(x), p.jac(x)
         for J in (first, second):
             assert J.format == "csr" and J.shape == (n, n)
+            assert J.indptr is lay.indptr and J.indices is lay.indices
             assert J.data.tobytes() == expected.data.tobytes()
             assert J.indices.dtype == expected.indices.dtype
             assert J.indptr.dtype == expected.indptr.dtype

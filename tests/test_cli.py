@@ -211,8 +211,10 @@ class TestBenchmark:
     ["benchmark", "--suite", "synthetic", "--methods", ""],
     ["benchmark", "--suite", "synthetic", "--eta-policy", "constant:2"],
     ["solve", "--problem", "pb1_h_equation", "--gamma", "3", "--theta", "nan"],
+    ["solve", "--problem", "pb3_troesch", "--n", "50", "--linsolve", "inexact",
+     "--eta-policy", "adaptive:nan,0.1"],
 ], ids=["refresh", "tol", "max-condg", "gammas-range", "gammas-int", "gammas-empty",
-        "methods-empty", "eta-range", "theta-nan"])
+        "methods-empty", "eta-range", "theta-nan", "adaptive-c-nan"])
 def test_bad_solver_flag_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

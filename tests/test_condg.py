@@ -42,8 +42,9 @@ def test_infeasible_start_rejected():
     box = Box([0.0], [1.0])
     with pytest.raises(ValueError, match="feasible"):
         condg(box, np.array([0.5]), np.array([2.0]), 0.0, 10)
-    with pytest.raises(ValueError):
-        condg(box, np.array([0.5]), np.array([0.5]), -1.0, 10)
+    for eps in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            condg(box, np.array([0.5]), np.array([0.5]), eps, 10)
     with pytest.raises(ValueError):
         condg(box, np.array([0.5]), np.array([0.5]), 0.0, 0)
 

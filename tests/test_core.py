@@ -183,8 +183,9 @@ def test_problem_rejects_a_feasible_set_of_another_dimension():
 
 
 def test_adaptive_eta_rejects_a_negative_c():
-    with pytest.raises(ValueError, match="c must be >= 0"):
-        AdaptiveEta(c=-1)
+    for c in (-1, np.nan):
+        with pytest.raises(ValueError, match="c must be >= 0"):
+            AdaptiveEta(c=c)
 
 
 def test_forcing_eta_rejects_a_negative_residual_norm():

@@ -237,3 +237,46 @@ def test_model_build_check_sees_a_plan_built_by_hand():
         "._factor_plan = (line 4)", "._factor_plan = (line 5)",
         "CSRModel() (line 3)", "_FactorPlan() (line 4)", "_FactorPlan() (line 5)",
     ]
+
+
+def _with_data_references(tree):
+    """Where a module references linsolve.with_data: an import of it, or a
+    name or an attribute so called."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "with_data" for a in node.names):
+            found.append(f"import with_data (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Name) and node.id == "with_data"
+            or isinstance(node, ast.Attribute) and node.attr == "with_data"
+        ):
+            found.append(f"with_data (line {node.lineno})")
+    return sorted(found)
+
+
+def test_only_linsolve_and_jacobian_reference_with_data():
+    # one template per structure: a sparse model is a copy of its pattern's
+    # _Layout template, which jacobian alone copies; any other module that
+    # wants a model of a pattern asks jacobian.layout(pattern).model(data)
+    found = {
+        name: refs
+        for name, tree in MODULES.items()
+        if name not in ("linsolve", "jacobian") and (refs := _with_data_references(tree))
+    }
+    assert found == {}
+    assert _with_data_references(MODULES["jacobian"])  # the check sees jacobian's
+
+
+def test_with_data_check_sees_a_planted_use():
+    source = (
+        "from .linsolve import as_model, with_data\n"
+        "import newton_condg.linsolve as ls\n"
+        "T = as_model(A)\n"
+        "J = with_data(T, data)\n"
+        "K = ls.with_data(T, data)\n"
+        "copy = with_data\n"
+    )
+    assert _with_data_references(ast.parse(source)) == [
+        "import with_data (line 1)",
+        "with_data (line 4)", "with_data (line 5)", "with_data (line 6)",
+    ]

@@ -24,7 +24,7 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import _layout, schubert_update
+from newton_condg.jacobian import layout, schubert_update
 from newton_condg.linsolve import (
     MIXED_MIN_N,
     UNIT_ROUNDOFF,
@@ -703,8 +703,7 @@ def _arrowhead(n):
 
 def _layout_model(A):
     """A model of A built as finite differences build one: from its pattern's layout."""
-    layout = _layout(sparse.csr_array(A != 0))
-    return layout.model(sparse.csr_array(A).data.copy())
+    return layout(sparse.csr_array(A != 0)).model(sparse.csr_array(A).data.copy())
 
 
 def _plain(M):
@@ -791,13 +790,13 @@ class TestFactorPlan:
         np.testing.assert_allclose(x, np.linalg.solve(_plain(moved).toarray(), b), rtol=1e-12)
 
     def test_models_own_their_data(self):
-        layout = _layout(sparse.csr_array(_arrowhead(6) != 0))
-        first = layout.model(np.ones(layout.plan.rows.size))
-        second = layout.model(np.full(layout.plan.rows.size, 2.0))
+        lay = layout(sparse.csr_array(_arrowhead(6) != 0))
+        first = lay.model(np.ones(lay.plan.rows.size))
+        second = lay.model(np.full(lay.plan.rows.size, 2.0))
         first.data[0] = 7.0
         assert first[0, 0] == 7.0 and second[0, 0] == 2.0
-        assert not layout.template.data.any()
-        assert first.indices is second.indices is layout.template.indices
+        assert not lay.template.data.any()
+        assert first.indices is second.indices is lay.template.indices
 
 
 class TestCheckedScale:
@@ -865,3 +864,16 @@ def test_spectral_norm_matches_svd():
             spectral_norm(A), np.linalg.norm(A, 2), rtol=1e-6, atol=1e-10
         )
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_mk_check_reads_the_exact_norm():
+    # a power iteration read ||M^{-1} F'|| = 1.000198 on this model and so
+    # passed omega1 = 1.00025; the norm is 1.000298
+    p = make_problem("pb1_h_equation", 100)
+    x0 = starting_point(p, 3)
+    M = next_jacobian(None, 0, p, x0, "finite_difference").M
+    check = verify_mk_conditions(M, p.jac(x0), TheoryParams(omega1=1.00025))
+    sigma = np.linalg.svd(np.linalg.solve(M, p.jac(x0)), compute_uv=False)[0]
+    assert check.norm_inv_jac == pytest.approx(sigma, rel=1e-12)
+    assert check.norm_inv_jac > 1.00029 and not check.within_omega1
+    assert spectral_norm(sparse.csr_array(M)) == spectral_norm(M)

@@ -38,6 +38,7 @@ from newton_condg.jacobian import (
     JacobianError,
     canonical_pattern,
     column_colouring,
+    layout,
 )
 from newton_condg.linsolve import CSRModel, _SparseLU, _TridiagonalLU, as_model, lu_factor
 
@@ -252,7 +253,7 @@ class TestColouring:
         x0 = starting_point(p, 1)
         assert solve(p, x0, SolverConfig(jacobian_strategy="exact")).status == "converged"
         assert calls == []  # derived on the first finite-difference or Schubert build
-        assert not hasattr(p.pattern, "_jacobian_layout")  # exact models never read it
+        assert "groups" not in vars(layout(p.pattern))  # exact models never colour it
         copy = dataclasses.replace(p, fun=lambda x: p.fun(x))  # as a tracer wraps fun
         assert copy.pattern is p.pattern
         for problem, strategy in (
@@ -277,31 +278,27 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
     monkeypatch.setattr(newton_condg.linsolve, "lu_factor", factor)
     p = make_problem("pb3_troesch", 100)
     x0 = starting_point(p, 1)
-    assert len(plans) == 1 and p.jac(x0)._factor_plan is plans[0]  # the exact template's
+    assert plans == [layout(p.pattern).plan]  # the pattern's, made with the problem
+    assert p.jac(x0)._factor_plan is plans[0]
     copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
     for problem, strategy in (
-        (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
+        (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"), (p, "exact"),
     ):
         report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
         assert report.status == "converged" and report.iterations > 1
     assert len(derived_in_lu) > 3
-    assert len(plans) == 2
-    assert plans[1] is p.pattern._jacobian_layout.plan
-    # every exact Jacobian is a model of the template's plan
-    report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
-    assert report.status == "converged" and report.iterations > 1
-    assert len(plans) == 2
+    assert len(plans) == 1  # exact, FD and Schubert models all carry the pattern's
     assert not any(derived_in_lu)
 
 
-@pytest.mark.parametrize("n", [2, 200])
+@pytest.mark.parametrize("n", [2, 3, 200])
 @pytest.mark.parametrize("pid", SPARSE_IDS)
 def test_exact_jacobians_share_the_plan_made_with_the_problem(monkeypatch, pid, n):
     plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
     layouts = _instances(monkeypatch, newton_condg.jacobian._Layout)
     colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
     p = make_problem(pid, n)
-    assert len(plans) == 1  # the exact template's
+    assert layouts == [layout(p.pattern)] and plans == [layouts[0].plan]
     x0 = starting_point(p, 1)
     first, second = p.jac(x0), p.jac(starting_point(p, 2))
     for J in (first, second):
@@ -309,8 +306,19 @@ def test_exact_jacobians_share_the_plan_made_with_the_problem(monkeypatch, pid, 
     assert first.data is not second.data
     report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
     assert report.status == "converged"
-    assert len(plans) == 1 and layouts == [] and colourings == []
-    assert not hasattr(p.pattern, "_jacobian_layout")
+    assert colourings == []  # an exact-only solve colours nothing
+    s = 1e-3 * np.linspace(-1.0, 1.0, n)
+    fd = fd_jacobian(p.fun, x0, pattern=p.pattern, vectorized=p.vectorized)
+    secant = schubert_update(first, s, p.fun(x0 + s) - p.fun(x0), p.pattern)
+    for M in (fd, secant):
+        assert M.indptr is first.indptr and M.indices is first.indices
+        assert M._factor_plan is plans[0]
+    copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
+    for problem, strategy in (
+        (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
+    ):
+        solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
+    assert len(plans) == 1 and len(layouts) == 1 and len(colourings) <= 1
 
 
 @pytest.mark.parametrize("pid", SPARSE_IDS)
@@ -324,7 +332,7 @@ def test_exact_jacobian_on_the_pattern_is_its_own_model(monkeypatch, pid):
     assert M.indptr is J.indptr and M.indices is J.indices
     assert M.data.tobytes() == J.data.tobytes()
     assert next_jacobian(None, 0, dataclasses.replace(p, jac=lambda x: J), x, "exact").M is J
-    assert not hasattr(p.pattern, "_jacobian_layout")
+    assert M._factor_plan is layout(p.pattern).plan  # the one the FD and Schubert models carry
     assert colourings == []
 
 
@@ -346,7 +354,7 @@ def test_exact_jacobian_off_the_pattern_layout_goes_through_as_model(structure):
     else:
         assert isinstance(M, CSRModel) and M.dtype == np.float64
         assert M._factor_plan.fits(M) and M._factor_plan is not p.jac(x)._factor_plan
-    assert not hasattr(p.pattern, "_jacobian_layout")
+    assert "groups" not in vars(layout(p.pattern))  # the exact route never reads the layout
 
 
 def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
@@ -472,15 +480,14 @@ class TestSparseSchubert:
         x = starting_point(p, 1)
         s = 1e-3 * np.linspace(-1.0, 1.0, p.n)
         y = p.fun(x + s) - p.fun(x)
-        J = p.jac(x)  # a model of the exact template's plan, not of the layout's
+        J = sparse.csr_array(p.jac(x).toarray())  # a foreign CSR matrix, not a layout model
         before = len(plans)
         updated = schubert_update(J, s, y, p.pattern)
-        layout = p.pattern._jacobian_layout
-        assert plans[before:] == [layout.plan]  # the layout's, derived once
-        assert updated._factor_plan is layout.plan
+        lay = layout(p.pattern)
+        assert updated._factor_plan is lay.plan  # the layout's, made with the problem
         schubert_update(J, s, y, p.pattern)
-        assert len(plans) == before + 1
-        start = layout.model(J[layout.plan.rows, layout.indices])
+        assert len(plans) == before  # embedding J derives no plan
+        start = lay.model(J[lay.plan.rows, lay.indices])
         assert updated.data.tobytes() == schubert_update(start, s, y, p.pattern).data.tobytes()
 
 

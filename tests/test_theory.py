@@ -64,7 +64,7 @@ class TestNewtonMap:
 
     def test_domain_enforced(self):
         m = holder_majorant(1.0, 1.0)
-        for bad in (0.0, -0.1, 1.0, 2.0):
+        for bad in (0.0, -0.1, 1.0, 2.0, np.nan, [0.5, np.nan]):
             with pytest.raises(ValueError):
                 nf(m, bad)
 
