@@ -26,12 +26,12 @@ columns per residual call: pb1 and pb4 blocks of single columns, pb2 and
 pb3 all three column groups of their tridiagonal pattern at once, one call
 per Jacobian (a traced pass of the benchmark's banded workload makes 184
 residual calls, against 308 with one call per group). Each of the four
-sparse problems has one layout (jacobian.layout of the canonical pattern it
-declares, made in make_problem), and its exact Jacobians are that layout's
-models (_SparseJacobian), as its finite-difference and Schubert models are:
-every model of the problem shares one set of read-only index arrays and one
-factorization plan, a call computes only its data, and the solver's
-as_model returns it as it is.
+sparse problems makes its canonical pattern (linsolve.canonical_pattern)
+in make_problem, and its exact Jacobians are that pattern's models
+(_SparseJacobian), as its finite-difference and Schubert models are: every
+model of the problem shares the pattern's read-only index arrays and its
+analysis, a call computes only its data, and the solver's as_model returns
+it as it is.
 
 The cubes of pb2 and pb4 go through _cube, which cubes |g| in place and
 copies the sign of g back. numpy's `g ** 3` falls back to scalar code,
@@ -56,7 +56,7 @@ from scipy import sparse
 
 from .core import Problem
 from .feasible_set import Box
-from .jacobian import canonical_pattern, layout
+from .linsolve import canonical_pattern
 
 
 @dataclass(frozen=True)
@@ -73,27 +73,27 @@ def _tridiagonal(n):
 
 
 class _SparseJacobian:
-    """The exact Jacobians of one problem: models of its pattern's layout
+    """The exact Jacobians of one problem: models of its canonical pattern
     storing the values with a new main diagonal on each call.
 
-    The layout (jacobian.layout of the canonical pattern the Problem keeps)
-    is the one the finite-difference and Schubert models of the problem are
-    built on, so every model of the problem shares its index arrays and its
-    factorization plan. A call stores a fresh data array, values everywhere
-    and the given diagonal at (i, i) (every (i, i) must be in the pattern),
-    so it builds no index array, runs no constructor check, and the solver's
-    as_model returns it as it is.
+    The pattern (the one the Problem keeps) is the one the finite-difference
+    and Schubert models of the problem are built on, so every model of the
+    problem shares its index arrays, its template and its analysis. A call
+    stores a fresh data array, values everywhere and the given diagonal at
+    (i, i) (every (i, i) must be in the pattern), so it builds no index
+    array, runs no constructor check, and the solver's as_model returns it
+    as it is.
     """
 
     def __init__(self, pattern, values):
-        lay = self.layout = layout(pattern)
+        P = self.pattern = canonical_pattern(pattern)
         self.values = values
-        self.diagonal = np.flatnonzero(lay.indices == lay.plan.rows)  # where (i, i) is
+        self.diagonal = np.flatnonzero(P.indices == P.rows)  # where (i, i) is
 
     def __call__(self, diagonal):
-        data = np.full(self.layout.indices.size, self.values)
+        data = np.full(self.pattern.indices.size, self.values)
         data[self.diagonal] = diagonal
-        return self.layout.model(data)
+        return self.pattern.model(data)
 
 
 def _cube(g):
@@ -150,8 +150,7 @@ def _discrete_boundary(n):
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
 
-    pattern = canonical_pattern(_tridiagonal(n))
-    jacobian = _SparseJacobian(pattern, -1.0)
+    jacobian = _SparseJacobian(_tridiagonal(n), -1.0)
 
     def fun(x):
         d = _second_difference(x)
@@ -163,7 +162,7 @@ def _discrete_boundary(n):
 
     return Problem(
         name="pb2_discrete_boundary", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=pattern,
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -100.0), np.full(n, 100.0)),
     )
 
@@ -171,8 +170,7 @@ def _discrete_boundary(n):
 def _troesch(n, lam=10.0):
     h = 1.0 / (n + 1)
 
-    pattern = canonical_pattern(_tridiagonal(n))
-    jacobian = _SparseJacobian(pattern, -1.0)
+    jacobian = _SparseJacobian(_tridiagonal(n), -1.0)
 
     def fun(x):
         d = _second_difference(x)
@@ -185,7 +183,7 @@ def _troesch(n, lam=10.0):
 
     return Problem(
         name="pb3_troesch", n=n, fun=fun, jac=jac, vectorized=True,
-        pattern=pattern,
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -1.0), np.full(n, 1.0)),
     )
 
@@ -250,8 +248,7 @@ def _discrete_integral(n):
 
 
 def _synthetic_quadratic(n):
-    pattern = canonical_pattern(sparse.eye_array(n, dtype=bool))
-    jacobian = _SparseJacobian(pattern, 0.0)
+    jacobian = _SparseJacobian(sparse.eye_array(n, dtype=bool), 0.0)
 
     def fun(x):
         return x * x - 1.0
@@ -261,15 +258,14 @@ def _synthetic_quadratic(n):
 
     return Problem(
         name="synthetic_quadratic", n=n, fun=fun, jac=jac,
-        pattern=pattern,
+        pattern=jacobian.pattern,
         feasible_set=Box(np.zeros(n), np.full(n, 2.0)),
         known_root=np.ones(n),
     )
 
 
 def _synthetic_linear(n):
-    pattern = canonical_pattern(_tridiagonal(n))
-    jacobian = _SparseJacobian(pattern, -1.0)
+    jacobian = _SparseJacobian(_tridiagonal(n), -1.0)
     A = jacobian(4.0)
     xbar = 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -281,7 +277,7 @@ def _synthetic_linear(n):
 
     return Problem(
         name="synthetic_linear", n=n, fun=fun, jac=jac,
-        pattern=pattern,
+        pattern=jacobian.pattern,
         feasible_set=Box(np.full(n, -5.0), np.full(n, 5.0)),
         known_root=xbar,
     )

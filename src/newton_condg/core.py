@@ -6,13 +6,15 @@ threads; `Problem.fun` is expected to be pure.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 
 from .feasible_set import FeasibleSet
-from .jacobian import FINITE_DIFFERENCE, JACOBIAN_STRATEGIES, canonical_pattern, fd_jacobian
+from .jacobian import FINITE_DIFFERENCE, JACOBIAN_STRATEGIES, fd_jacobian
+from .linsolve import canonical_pattern
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -28,21 +30,27 @@ class Problem:
 
     Attributes:
         name: identifier of the problem instance.
-        n: dimension (F maps n-vectors to n-vectors).
+        n: dimension, an integer >= 1 (F maps n-vectors to n-vectors).
         fun: residual callback x -> F(x), pure.
         feasible_set: the constraint set (provides the LMO), of dimension n.
         jac: optional analytic Jacobian callback x -> (n, n) array or
             scipy.sparse matrix.
         pattern: optional boolean (n, n) Jacobian sparsity mask, dense or
-            scipy.sparse, stored as jacobian.canonical_pattern(pattern): a
+            scipy.sparse, stored as linsolve.canonical_pattern(pattern): a
             boolean CSR array with read-only arrays, kept as it is when it
             already is one (so dataclasses.replace copies share it) and copied
-            otherwise, so the caller's mask stays writable. Declaring
-            one selects CSR model matrices under every Jacobian strategy
-            (column-grouped finite differences, the Schubert update on the
-            pattern); with None the models are dense and the secant update
-            is Broyden's. A sparse analytic Jacobian alone keeps the model
-            sparse only for the exact strategy.
+            otherwise, so the caller's mask stays writable. It is the one
+            object of the structure: when canonical_pattern makes it, it
+            derives in O(nnz) the row of every entry, the LU kernel and the
+            template every model of the pattern copies, so a problem solved
+            only with its exact Jacobian pays that once too; the
+            finite-difference colouring waits for the first
+            finite-difference build. Declaring one selects CSR
+            model matrices under every Jacobian strategy (column-grouped
+            finite differences, the Schubert update on the pattern); with
+            None the models are dense and the secant update is Broyden's. A
+            sparse analytic Jacobian alone keeps the model sparse only for
+            the exact strategy.
         known_root: optional root, used by diagnostics and tests only.
         vectorized: True declares that fun also takes an (m, n) array whose
             rows are points and returns the (m, n) array of their residuals,
@@ -64,7 +72,7 @@ class Problem:
     vectorized: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _is_count(self.n):
             raise ValueError("n must be a positive integer")
         if not isinstance(self.vectorized, bool):
             raise TypeError("vectorized must be a bool")
@@ -82,6 +90,11 @@ class Problem:
             if root.shape != (self.n,):
                 raise ValueError("known_root must be an n-vector")
             object.__setattr__(self, "known_root", root)
+
+
+def _is_count(value):
+    """True for an integer (a Python or numpy one) >= 1; False for 2.0 or nan."""
+    return isinstance(value, Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ class AdaptiveEta:
 
 def forcing_eta(resnorm, policy):
     """Forcing term eta_k of a policy at the residual norm ||F(x_k)||."""
-    if resnorm < 0:
+    if not resnorm >= 0:  # nan too
         raise ValueError("resnorm must be >= 0")
     if isinstance(policy, ConstantEta):
         eta = policy.value
@@ -125,6 +138,9 @@ def forcing_eta(resnorm, policy):
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunables of the outer iteration.
+
+    max_outer, max_condg and refresh_period are integers (Python or numpy)
+    >= 1; anything else, 2.0 included, raises ValueError.
 
     Attributes:
         tol_inf: stop when ||F(x_k)||_inf <= tol_inf.
@@ -151,12 +167,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol_inf > 0:
             raise ValueError("tol_inf must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.max_condg < 1:
-            raise ValueError("max_condg must be >= 1")
-        if self.refresh_period < 1:
-            raise ValueError("refresh_period must be >= 1")
+        for name in ("max_outer", "max_condg", "refresh_period"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.jacobian_strategy not in JACOBIAN_STRATEGIES:
             raise ValueError(f"unknown jacobian_strategy {self.jacobian_strategy!r}")
         if self.linsolve not in LINSOLVE_MODES:

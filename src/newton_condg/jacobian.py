@@ -6,44 +6,38 @@ secant update (Schubert/Broyden) refreshed by finite differences every
 `refresh_period` iterations.
 
 The storage of M_k follows what the problem declares. When it declares a
-pattern (Problem stores every pattern as canonical_pattern makes it, a
-read-only boolean CSR array), M_k is a CSRModel with the pattern's
-structure: finite differences perturb each group of structurally orthogonal
-columns in one residual call (Curtis, Powell and Reid 1974), and the
-Schubert update rewrites the CSR data array in O(nnz).
+pattern (Problem stores every pattern as linsolve.canonical_pattern makes
+it), M_k is a CSRModel with the pattern's structure: finite differences
+perturb each group of structurally orthogonal columns in one residual call
+(Curtis, Powell and Reid 1974), and the Schubert update rewrites the CSR
+data array in O(nnz).
 A problem that declares no pattern gets a dense ndarray built column by
 column and the classical Broyden update, except that the exact strategy
 keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
 values.
 
-Every model goes through linsolve.as_model, which owns CSRModel and gives
-each sparse model its factorization plan. One layout per pattern: what a
-sparse model needs of its pattern (the row of every stored entry, a
-template, the as_model of the pattern, whose indptr, indices and plan every
-model of the pattern shares, and for finite differences the greedy column
-colouring, its group order and, per block size, where each column's step
-goes in a block's points) lives in the pattern's one _Layout, which
-layout(pattern) returns. Each model is a shallow copy of the template with
-its own data array (_Layout.model), so no model pays the sparse
-constructor's checks and lu_factor analyses the pattern's structure once,
-not once per factorization. The finite-difference and Schubert builds make
-such models, and so do the registry's sparse problems for their exact
-Jacobians (bench._SparseJacobian), so exact, finite-difference and secant
-models of one pattern share one template and one plan. The solver's exact
-model is as_model(problem.jac(x)) and never reads the layout: a sparse
-Jacobian that carries the plan of its own arrays, a layout's model
-included, is the model as it is, and any other gets its plan from as_model.
-A Problem's layout is built on its first request (in make_problem for a
-registry problem, else on the first finite-difference or Schubert build)
-and kept on problem.pattern, so every later solve reads it, and so do
-dataclasses.replace copies, which keep the same pattern object; the
-colouring waits for the first finite-difference build, so a problem solved
-only with its exact Jacobian never colours its pattern, and a user problem
-so solved builds no layout. A canonical pattern pickles as its data,
-indices and indptr alone and unpickles through canonical_pattern, so its
-layout, several times the pattern's size, is not sent, and the unpickled
-pattern is canonical again: its first build derives one layout, not one
-per build.
+Every model goes through linsolve.as_model. One object per sparse
+structure: the canonical pattern (linsolve._Pattern) carries the row of
+every stored entry, the template every model copies (pattern.model(data)),
+the analysis lu_factor reads, and for finite differences the column groups
+and, per block size, where each column's step goes in a block's points.
+fd_jacobian and the Schubert update read them from
+canonical_pattern(pattern), which returns a Problem's pattern as it is, so
+each is derived once per problem: the structure when the Problem is made,
+the colouring on the first finite-difference build (a problem solved only
+with its exact Jacobian never colours its pattern), the scatter on the
+first build of each block size. dataclasses.replace copies keep the same
+pattern object and so read the same derivations. The registry's sparse
+problems make their exact Jacobians as models of the same pattern
+(bench._SparseJacobian), so exact, finite-difference and secant models of
+one problem share one template and one analysis. The solver's exact model
+is as_model(problem.jac(x)): a sparse Jacobian that carries the pattern of
+its own arrays is the model as it is, and any other gets a pattern of its
+own from as_model. A canonical pattern pickles as its data, indices and
+indptr alone and unpickles through canonical_pattern, so what it derived,
+several times the pattern's size, is not sent: the unpickled pattern
+derives its structure when it is made and its colouring on its first
+finite-difference build, once each.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -53,12 +47,11 @@ entries, and the model is bit-identical to the one built point by point.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .linsolve import as_model, canonical_csr, with_data
+from .linsolve import as_model, canonical_csr, canonical_pattern
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -83,134 +76,6 @@ class JacobianState:
     M: object
 
 
-class _Pattern(sparse.csr_array):
-    """A canonical pattern; it pickles as its three arrays and unpickles
-    through canonical_pattern, leaving its cached _Layout behind."""
-
-    def __reduce__(self):
-        return canonical_pattern, (
-            sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape),
-        )
-
-
-def canonical_pattern(pattern):
-    """A dense or sparse boolean mask as the canonical form Problem stores.
-
-    That form is a boolean _Pattern (a scipy.sparse.csr_array) with sorted,
-    duplicate-free indices, no explicit False, and read-only data, indices
-    and indptr, so that what is derived from it once (its _Layout) cannot go
-    stale. A pattern already in that form is returned as it is; anything
-    else is copied.
-    """
-    if (
-        type(pattern) is _Pattern
-        and pattern.dtype == bool
-        and not (
-            pattern.data.flags.writeable
-            or pattern.indices.flags.writeable
-            or pattern.indptr.flags.writeable
-        )
-        and pattern.has_canonical_format
-        and pattern.data.all()
-    ):
-        return pattern
-    patt = _Pattern(pattern, dtype=bool, copy=True)
-    patt.eliminate_zeros()
-    patt.sum_duplicates()
-    for arr in (patt.data, patt.indices, patt.indptr):
-        arr.flags.writeable = False
-    return patt
-
-
-class _Layout:
-    """What every sparse model of a canonical boolean CSR pattern P needs of
-    it, derived once.
-
-    template is as_model of P's structure, built and checked once by scipy;
-    indptr and indices are its read-only arrays, and plan its
-    linsolve._FactorPlan, which every model built by model() shares;
-    plan.rows is the row of every stored entry. groups, the column groups of
-    finite differences, is derived on its first use, so that a layout that
-    serves only Schubert updates never colours P: colour is
-    column_colouring(P), order and start give the columns of group g as
-    order[start[g]:start[g + 1]] (ascending: the sort is stable), and
-    entry_flat gives every stored entry's position in the flattened
-    (groups, n) differences, colour[j] * n + i for entry (i, j), so that the
-    model's data is one 1-D take.
-    """
-
-    def __init__(self, P):
-        self.pattern, self.shape = P, P.shape
-        data = np.zeros(P.nnz)
-        data.flags.writeable = False  # every model gets its own data array
-        self.template = as_model(sparse.csr_array((data, P.indices, P.indptr), shape=P.shape))
-        self.indptr, self.indices = self.template.indptr, self.template.indices
-        self.plan = self.template._factor_plan
-        self._scatter = {}
-
-    @cached_property
-    def groups(self):
-        """(colour, order, start, entry_flat), derived on first use."""
-        colour = column_colouring(self.pattern)
-        order = np.argsort(colour, kind="stable")
-        start = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
-        return colour, order, start, colour[self.indices] * self.shape[1] + self.plan.rows
-
-    def scatter(self, groups_per_block):
-        """colour[order] % groups_per_block * n + order, derived once per
-        block size: group g perturbs its columns in row g % groups_per_block
-        of its block's points."""
-        flat = self._scatter.get(groups_per_block)
-        if flat is None:
-            colour, order = self.groups[:2]
-            flat = colour[order] % groups_per_block * self.shape[1] + order
-            self._scatter[groups_per_block] = flat
-        return flat
-
-    def model(self, data):
-        """The CSRModel storing the float array data at the pattern's entries."""
-        return with_data(self.template, data)
-
-
-def layout(pattern):
-    """The _Layout of a dense or sparse boolean pattern.
-
-    It is kept on the canonical pattern, so a Problem's pattern, which is
-    already canonical, builds one layout in its lifetime; any other pattern
-    is copied to a canonical one, and its layout goes with that copy.
-    """
-    P = canonical_pattern(pattern)
-    layout = getattr(P, "_jacobian_layout", None)
-    if layout is None:
-        layout = P._jacobian_layout = _Layout(P)
-    return layout
-
-
-def column_colouring(pattern):
-    """Greedy colouring of the columns of a sparsity pattern.
-
-    Columns j and k get different colours whenever some row i has both
-    (i, j) and (i, k) in the pattern, so the columns of one colour can be
-    perturbed together. Returns colour[j] for every column; a full pattern
-    needs n colours, a tridiagonal one 3. The colours are 0, 1, ..., k - 1:
-    a column takes the smallest colour none of its neighbours has.
-    """
-    P = sparse.csr_array(pattern, dtype=float)
-    # columns that share a row are the neighbours in P^T P
-    graph = sparse.csr_array(P.T @ P)
-    indptr = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    n = P.shape[1]
-    colour = [-1] * n
-    for j in range(n):
-        taken = {colour[k] for k in indices[indptr[j]:indptr[j + 1]]}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[j] = c
-    return np.asarray(colour, dtype=np.intp)
-
-
 def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     """Forward-difference Jacobian of fun at x.
 
@@ -218,10 +83,11 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
     sign of x_j (positive when x_j == 0). A group of columns is perturbed
     together at one point. Without a pattern each column is a group and the
     result is a dense ndarray. With a sparsity pattern (dense or
-    scipy.sparse) the groups are the colours of column_colouring(pattern),
-    computed once per Problem pattern, and the result is a CSRModel with
-    exactly the pattern's structure, bit-identical to the dense one when fun
-    honours the pattern.
+    scipy.sparse, of shape (n, n), else ValueError) the groups are the
+    colours of linsolve.column_colouring, derived once per Problem pattern
+    (canonical_pattern(pattern).groups), and the result is the pattern's
+    model, a CSRModel with exactly the pattern's structure, bit-identical to
+    the dense one when fun honours the pattern.
 
     One loop runs over blocks of groups and makes one residual call per
     block. A block is one group, unless vectorized is true: then fun takes an
@@ -254,9 +120,11 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
         start = range(n + 1)
         flat = order % groups_per_block * n + order
     else:
-        lay = layout(pattern)
-        order, start, entry_flat = lay.groups[1:]
-        flat = lay.scatter(groups_per_block)
+        P = canonical_pattern(pattern)
+        if P.shape != (n, n):
+            raise ValueError("x and pattern shapes differ")
+        order, start, entry_flat = P.groups[1:]
+        flat = P.scatter(groups_per_block)
         diffs = np.empty((len(start) - 1, n))
     step = h[order]
     n_groups = len(start) - 1
@@ -278,7 +146,7 @@ def fd_jacobian(fun, x, f0=None, pattern=None, vectorized=False):
             jac.T[g0:g1] = block  # row j of jac.T is column j of jac
     if pattern is None:
         return jac
-    return lay.model(diffs.reshape(-1).take(entry_flat) / h[lay.indices])
+    return P.model(diffs.reshape(-1).take(entry_flat) / h[P.indices])
 
 
 def schubert_update(M, s, yvec, pattern=None):
@@ -320,22 +188,22 @@ def schubert_update(M, s, yvec, pattern=None):
 
 
 def _schubert_update_csr(M, s, yvec, pattern):
-    lay = layout(pattern)
-    if M.shape != lay.shape:
+    P = canonical_pattern(pattern)
+    if M.shape != P.shape:
         raise ValueError("M and pattern shapes differ")
-    rows, indices = lay.plan.rows, lay.indices
-    if not lay.plan.fits(M):  # M was not built from this layout: embed it
-        M = canonical_csr(M)  # read only: no plan is derived for it
+    rows, indices = P.rows, P.indices
+    if not P.fits(M):  # M is not a model of this pattern: embed it
+        M = canonical_csr(M)  # read only: no pattern is derived for it
         data = M[rows, indices]  # M may store only part of the pattern
         if np.count_nonzero(data) != np.count_nonzero(M.data):
             raise JacobianError("M has entries outside the sparsity pattern")
-        M = lay.model(data)
+        M = P.model(data)
     s_at = s[indices]
-    denom = np.bincount(rows, weights=s_at * s_at, minlength=lay.shape[0])
+    denom = np.bincount(rows, weights=s_at * s_at, minlength=P.shape[0])
     resid = yvec - M @ s
     safe = np.where(denom > 0.0, denom, 1.0)
     scale = np.where(denom > 0.0, resid / safe, 0.0)
-    return lay.model(M.data + scale[rows] * s_at)
+    return P.model(M.data + scale[rows] * s_at)
 
 
 def model_kind(k, strategy, refresh_period=5):
@@ -364,12 +232,12 @@ def next_jacobian(state, k, problem, x, strategy, refresh_period=5, step=None, f
     the rowwise secant update of the previous matrix using
     step = (x_k - x_{k-1}, F(x_k) - F(x_{k-1})). With a declared
     problem.pattern every finite-difference build is column-grouped and the
-    model is CSR; both builds read the pattern's layout (colouring, group
-    order, entry rows, CSR template), which the problem's first request
-    derives and problem.pattern keeps for every later solve of the
-    problem or of a dataclasses.replace copy. The exact model is
-    as_model(problem.jac(x)), which returns a sparse Jacobian that carries
-    the plan of its own arrays unchanged and analyses any other one.
+    model is CSR; both builds read what problem.pattern derived (entry
+    rows, CSR template, and the colouring and group order on the first
+    finite-difference build) for every later solve of the problem or of a
+    dataclasses.replace copy. The exact model is as_model(problem.jac(x)),
+    which returns a sparse Jacobian that carries the pattern of its own
+    arrays unchanged and analyses any other one.
     Without a pattern, the builds are column by column and the secant update
     is Broyden's. A problem that declares vectorized=True has fd_jacobian
     evaluate its perturbed points in blocks. fx = F(x), when given, spares

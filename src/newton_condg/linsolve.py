@@ -1,13 +1,24 @@
 """Linear step solves with an explicit residual contract.
 
+One object describes a sparse structure: its _Pattern, a boolean CSR
+array. canonical_pattern makes the form Problem stores (read-only arrays,
+no explicit False) and derives, once, what every model of the structure
+needs: the row of every entry, the LU kernel and where each entry goes in
+its storage (the symbolic half of the factorization), and a read-only zero
+CSRModel template on the pattern's own indptr and indices. The greedy
+column colouring of finite differences (column_colouring) and its group
+order wait for the first finite-difference build (groups), so a pattern
+that serves only exact or secant models is never coloured. A sparse model
+is pattern.model(data), a shallow copy of the template (with_data) that
+shares its index arrays and carries the pattern as _pattern.
 as_model is the one conversion of a model matrix: a float ndarray, or a
-canonical float CSRModel that carries its _FactorPlan, the symbolic half of
-its factorization (the row of every entry, the kernel, where each entry goes
-in the kernel's storage). A sparse matrix is sorted in a copy, never in
-place. A model that carries the plan of its own arrays is returned as it is:
-every model built on a declared pattern's one layout (jacobian.layout), the
-sparse registry problems' exact Jacobians included, carries the pattern's,
-so that analysis runs once per pattern. Every factorization goes
+canonical float CSRModel that carries its _pattern. A sparse matrix is
+sorted in a copy, never in place. A model that carries the pattern of its
+own arrays is returned as it is: the finite-difference and Schubert models
+of a declared pattern and the sparse registry problems' exact Jacobians all
+carry the Problem's, so its analysis runs once per pattern; any other
+sparse matrix gets a pattern of its own, from its stored entries (explicit
+zeros included). Every factorization goes
 through lu_factor, which checks the model once (finite, non-zero) and picks
 the kernel by storage; each kernel is one class that factorizes with partial
 pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
@@ -42,7 +53,7 @@ against the updated model, keeps its stop rule and its getrf fallback.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
 norm, produced by GMRES with the contract re-verified by recomputation.
 A sparse model gets GMRES's preconditioner from lu_factor (_TridiagonalLU
-or _SparseLU, as its _FactorPlan says), which is exact, so GMRES stops after
+or _SparseLU, as its _pattern says), which is exact, so GMRES stops after
 one iteration, and a model that LU fails on fails the solve; a dense model
 gets none. The contract is on the unpreconditioned residual either way.
 That contract is all an inexact solve guarantees: the theory's vartheta
@@ -54,6 +65,7 @@ is moot there.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -232,22 +244,22 @@ class _SparseLU:
 
 
 class _TridiagonalLU:
-    """LAPACK gttrf's LU factors of a sparse model whose _FactorPlan is
+    """LAPACK gttrf's LU factors of a sparse model whose _pattern is
     tridiagonal. lu is (dl, d, du, du2): the multipliers and U's three
     diagonals, d being the pivots, which are checked.
 
     A model that stores the whole band has, in canonical CSR order, its
     diagonal at entries 0, 3, 6, ..., its superdiagonal at 1, 4, ... and its
     subdiagonal at 2, 5, ..., so gttrf's input is three strided copies of
-    its data; any other is scattered by its plan's flat into zeros."""
+    its data; any other is scattered by its pattern's flat into zeros."""
 
     def __init__(self, A, maxabs):
-        plan, n = A._factor_plan, A.shape[0]
-        if plan.flat is None:  # all 3n - 2 entries, stored d u l d u l ... d
+        P, n = A._pattern, A.shape[0]
+        if P.flat is None:  # all 3n - 2 entries, stored d u l d u l ... d
             dl, d, du = A.data[2::3].copy(), A.data[::3].copy(), A.data[1::3].copy()
         else:  # storage is dl | d | du, the sub-, main and superdiagonal
             storage = np.zeros(3 * n - 2)
-            storage[plan.flat] = A.data
+            storage[P.flat] = A.data
             dl, d, du = storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:]
         *self.lu, self.piv, info = dgttrf(
             dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True,
@@ -270,43 +282,185 @@ class CSRModel(sparse.csr_array):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
-def with_data(M, data):
-    """The sparse matrix M storing data in place of M.data.
+def with_data(M, data, cls=None):
+    """The sparse matrix M storing data in place of M.data, as a cls (by
+    default type(M)).
 
     A shallow copy, as copy.copy(M) followed by setting .data makes it, but
     without copy's __reduce_ex__ round trip or the sparse constructor's
     checks: it shares M's index arrays and carries whatever M carries, its
-    _FactorPlan and cached format flags included.
+    _pattern and cached format flags included.
     """
-    A = object.__new__(type(M))
+    A = object.__new__(cls or type(M))
     A.__dict__ = {**M.__dict__, "data": data}
     return A
+
+
+class _Pattern(sparse.csr_array):
+    """A sparse structure, as a boolean CSR array, and what every model of
+    it needs, derived once.
+
+    rows is the row of every stored entry, and tridiagonal whether every
+    entry lies within one diagonal of the main one (|j - i| <= 1) with
+    n >= 3 (scipy's gttrf wrapper rejects n = 2, so that order takes
+    SuperLU). For a tridiagonal pattern that stores only part of the band,
+    flat is the position of every entry in _TridiagonalLU's storage, the
+    three diagonals dl | d | du laid end to end: A[i + 1, i] at i, A[i, i]
+    at n - 1 + i and A[i, i + 1] at 2n - 1 + i. It is None for any other
+    pattern, one storing all 3n - 2 entries included: _TridiagonalLU reads
+    those diagonals from the data by strides. template is a read-only zero
+    CSRModel on the pattern's own indptr and indices; model(data) is a copy
+    of it storing data, and carries the pattern as _pattern, which
+    lu_factor reads and as_model checks with fits. groups, the column groups
+    of finite differences, is derived on its first use, so a pattern that
+    serves only exact or secant models is never coloured, and scatter once
+    per block size.
+
+    It pickles as its three arrays and unpickles through canonical_pattern,
+    leaving what it derived behind.
+    """
+
+    def __reduce__(self):
+        return canonical_pattern, (
+            sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape),
+        )
+
+    def _derive(self):
+        """Derive template, rows, tridiagonal and flat from the structure; self."""
+        zeros = np.zeros(self.indices.size)
+        zeros.flags.writeable = False  # every model gets its own data array
+        self.template = with_data(self, zeros, CSRModel)
+        n = self.shape[0]
+        self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        offsets = self.indices - self.rows  # j - i
+        self.tridiagonal = n >= 3 and bool((np.abs(offsets) <= 1).all())
+        self.flat = None
+        if self.tridiagonal and self.indices.size < 3 * n - 2:
+            start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
+            self.flat = start[offsets + 1] + np.minimum(self.rows, self.indices)
+        self._scatter = {}
+        return self
+
+    @cached_property
+    def groups(self):
+        """(colour, order, start, entry_flat), derived on first use.
+
+        colour is column_colouring(self), order and start give the columns
+        of group g as order[start[g]:start[g + 1]] (ascending: the sort is
+        stable), and entry_flat gives every stored entry's position in the
+        flattened (groups, n) differences, colour[j] * n + i for entry
+        (i, j), so that a model's data is one 1-D take.
+        """
+        colour = column_colouring(self)
+        order = np.argsort(colour, kind="stable")
+        start = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
+        return colour, order, start, colour[self.indices] * self.shape[1] + self.rows
+
+    def scatter(self, groups_per_block):
+        """colour[order] % groups_per_block * n + order, derived once per
+        block size: group g perturbs its columns in row g % groups_per_block
+        of its block's points."""
+        flat = self._scatter.get(groups_per_block)
+        if flat is None:
+            colour, order = self.groups[:2]
+            flat = colour[order] % groups_per_block * self.shape[1] + order
+            self._scatter[groups_per_block] = flat
+        return flat
+
+    def model(self, data):
+        """The CSRModel storing the float array data at the pattern's entries."""
+        M = with_data(self.template, data)
+        M._pattern = self  # not on the template, which would make a reference cycle
+        return M
+
+    def fits(self, M):
+        """True when M is a float CSR matrix storing this pattern's own arrays."""
+        return (
+            M.format == "csr"
+            and M.indptr is self.indptr
+            and M.indices is self.indices
+            and M.dtype == np.float64
+        )
+
+
+def canonical_pattern(pattern):
+    """A dense or sparse boolean mask as the canonical form Problem stores.
+
+    That form is a boolean _Pattern (a scipy.sparse.csr_array) with sorted,
+    duplicate-free indices, no explicit False, and read-only data, indices
+    and indptr, so that what is derived from it once cannot go stale. A
+    pattern already in that form is returned as it is; anything else is
+    copied.
+    """
+    if (
+        type(pattern) is _Pattern
+        and pattern.dtype == bool
+        and not (
+            pattern.data.flags.writeable
+            or pattern.indices.flags.writeable
+            or pattern.indptr.flags.writeable
+        )
+        and pattern.has_canonical_format
+        and pattern.data.all()
+    ):
+        return pattern
+    P = _Pattern(pattern, dtype=bool, copy=True)
+    P.eliminate_zeros()
+    P.sum_duplicates()
+    for arr in (P.data, P.indices, P.indptr):
+        arr.flags.writeable = False
+    return P._derive()
+
+
+def column_colouring(pattern):
+    """Greedy colouring of the columns of a sparsity pattern.
+
+    Columns j and k get different colours whenever some row i has both
+    (i, j) and (i, k) in the pattern, so the columns of one colour can be
+    perturbed together. Returns colour[j] for every column; a full pattern
+    needs n colours, a tridiagonal one 3. The colours are 0, 1, ..., k - 1:
+    a column takes the smallest colour none of its neighbours has.
+    """
+    P = sparse.csr_array(pattern, dtype=float)
+    # columns that share a row are the neighbours in P^T P
+    graph = sparse.csr_array(P.T @ P)
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    n = P.shape[1]
+    colour = [-1] * n
+    for j in range(n):
+        taken = {colour[k] for k in indices[indptr[j]:indptr[j + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[j] = c
+    return np.asarray(colour, dtype=np.intp)
 
 
 def as_model(M):
     """M as a model matrix: a float ndarray, or a canonical float CSRModel.
 
-    A scipy.sparse M that carries the _FactorPlan of its own indptr and
-    indices (every model of a pattern's layout does, the sparse registry
-    Jacobians included) is returned as it is. Any other sparse M becomes
-    a CSRModel with sorted, summed entries, made in a copy when M is not
-    canonical, and gets its plan here: a user jac that returns a fresh CSR
-    matrix pays that analysis on every call. Copies of the result
-    (copy.copy, with_data) carry the plan too.
+    A scipy.sparse M that carries the _Pattern of its own indptr and indices
+    (every model a pattern makes does, the sparse registry Jacobians
+    included) is returned as it is. Any other sparse M becomes a CSRModel
+    with sorted, summed entries, made in a copy when M is not canonical,
+    whose stored entries, explicit zeros included, get a _Pattern of their
+    own here: a user jac that returns a fresh CSR matrix pays that analysis
+    on every call. Copies of the result (copy.copy, with_data) carry the
+    pattern too.
     """
     if not sparse.issparse(M):
         return np.asarray(M, dtype=float)
-    plan = getattr(M, "_factor_plan", None)
-    if plan is not None and plan.fits(M):
+    P = getattr(M, "_pattern", None)
+    if P is not None and P.fits(M):
         return M
     A = canonical_csr(M)
-    A._factor_plan = _FactorPlan(A.indptr, A.indices)
-    return A
+    return with_data(A, np.ones(A.nnz, dtype=bool), _Pattern)._derive().model(A.data)
 
 
 def canonical_csr(M):
     """A sparse M as a CSRModel with sorted, summed float entries and no
-    _FactorPlan; made in a copy when M is not canonical, so M is never sorted."""
+    _pattern; made in a copy when M is not canonical, so M is never sorted."""
     A = CSRModel(M, dtype=float)
     if not A.has_canonical_format:  # A may share M's arrays; sort a copy
         A = A.copy()
@@ -322,7 +476,7 @@ def lu_factor(M):
     pivots. A sparse model gets LAPACK's gttrf (_TridiagonalLU) when its
     order is at least 3 and every stored entry lies within one diagonal of
     the main one (read from the stored structure, never from values), and
-    SuperLU (_SparseLU) otherwise, as its _FactorPlan says. A dense one gets
+    SuperLU (_SparseLU) otherwise, as its _pattern says. A dense one gets
     _DenseLU: LAPACK dgetrf below order MIXED_MIN_N, above it sgetrf on a
     float32 copy, whose solves of one right-hand side are refined against M,
     while a block of right-hand sides is solved by dgetrs. _DenseLU keeps a
@@ -336,7 +490,7 @@ def lu_factor(M):
     A = as_model(M)
     if not sparse.issparse(A):
         return _DenseLU(A, _checked_scale(A))
-    kernel = _TridiagonalLU if A._factor_plan.tridiagonal else _SparseLU
+    kernel = _TridiagonalLU if A._pattern.tridiagonal else _SparseLU
     return kernel(A, _checked_scale(A.data))
 
 
@@ -353,45 +507,6 @@ def _check_pivots(pivots, scale):
     """
     if np.abs(pivots).min() < PIVOT_RTOL * scale:
         raise LinearSolveFailure("model matrix is singular to working precision")
-
-
-class _FactorPlan:
-    """The structure of a canonical CSR matrix's factorization, from its
-    indptr and indices alone.
-
-    rows is the row of every stored entry, and tridiagonal whether every
-    entry lies within one diagonal of the main one (|j - i| <= 1) with
-    n >= 3 (scipy's gttrf wrapper rejects n = 2, so that order takes
-    SuperLU). For a tridiagonal plan that stores only part of the band,
-    flat is the position of every entry in _TridiagonalLU's storage, the
-    three diagonals dl | d | du laid end to end: A[i + 1, i] at i, A[i, i]
-    at n - 1 + i and A[i, i + 1] at 2n - 1 + i. It is None for any other
-    plan, one storing all 3n - 2 entries included: _TridiagonalLU reads
-    those diagonals from the data by strides.
-    The plan keeps the arrays it was derived from and fits only a matrix
-    that stores those very arrays, so it cannot be applied to a structure it
-    was not derived from.
-    """
-
-    def __init__(self, indptr, indices):
-        self.indptr, self.indices = indptr, indices
-        n = len(indptr) - 1
-        self.rows = np.repeat(np.arange(n), np.diff(indptr))
-        offsets = indices - self.rows  # j - i
-        self.tridiagonal = n >= 3 and bool((np.abs(offsets) <= 1).all())
-        self.flat = None
-        if self.tridiagonal and indices.size < 3 * n - 2:
-            start = np.array([0, n - 1, 2 * n - 1])  # of dl, d and du
-            self.flat = start[offsets + 1] + np.minimum(self.rows, indices)
-
-    def fits(self, M):
-        """True when M is a float CSR matrix storing this plan's own arrays."""
-        return (
-            M.format == "csr"
-            and M.indptr is self.indptr
-            and M.indices is self.indices
-            and M.dtype == np.float64
-        )
 
 
 def solve_direct(M, b, prev_step=None):

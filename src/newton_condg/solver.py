@@ -53,7 +53,8 @@ def solve(problem, x0, config=None, theory=None):
         validated against them before iterating (theta <= lambda^2/2).
 
     Returns a RunReport; failures (iteration cap, stagnation, unusable model
-    matrix) are reported through its status, never raised.
+    matrix, a non-finite residual) are reported through its status, never
+    raised.
     """
     config = SolverConfig() if config is None else config
     if theory is not None:
@@ -90,6 +91,9 @@ def solve(problem, x0, config=None, theory=None):
             break
         if k == config.max_outer:
             status = core.MAX_ITERATIONS
+            break
+        if not residual_norms[-1] < math.inf:  # nan or inf: no step can be solved
+            status = core.LINEAR_SOLVE_FAILURE
             break
 
         model = model_kind(k, config.jacobian_strategy, config.refresh_period)

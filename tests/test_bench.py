@@ -17,7 +17,7 @@ from newton_condg import (
     starting_point,
 )
 from newton_condg.bench import REGISTRY, _cube
-from newton_condg.jacobian import FD_BLOCK_ENTRIES, layout
+from newton_condg.jacobian import FD_BLOCK_ENTRIES
 
 ALL_IDS = [
     "pb1_h_equation",
@@ -256,7 +256,7 @@ def test_vectorized_fd_model_is_the_per_colour_model(pid, n):
 @pytest.mark.parametrize("pid, n", TRIDIAGONAL_CASES)
 def test_exact_tridiagonal_jacobian_is_a_fresh_matrix_of_one_structure(pid, n):
     p = make_problem(pid, n)
-    lay = layout(p.pattern)  # the structure every model of the problem stores
+    P = p.pattern  # the structure every model of the problem stores
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
     off = np.full(n - 1, -1.0)
@@ -270,7 +270,7 @@ def test_exact_tridiagonal_jacobian_is_a_fresh_matrix_of_one_structure(pid, n):
         first, second = p.jac(x), p.jac(x)
         for J in (first, second):
             assert J.format == "csr" and J.shape == (n, n)
-            assert J.indptr is lay.indptr and J.indices is lay.indices
+            assert J.indptr is P.indptr and J.indices is P.indices and J._pattern is P
             assert J.data.tobytes() == expected.data.tobytes()
             assert J.indices.dtype == expected.indices.dtype
             assert J.indptr.dtype == expected.indptr.dtype

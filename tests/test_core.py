@@ -71,6 +71,11 @@ def test_validate_config_monotone_in_theta():
         dict(max_outer=0),
         dict(max_condg=0),
         dict(refresh_period=0),
+        dict(max_outer=2.5),
+        dict(max_outer=2.0),
+        dict(max_condg=300.0),
+        dict(refresh_period=1.5),
+        dict(refresh_period=float("nan")),
         dict(theta=-1e-9),
         dict(jacobian_strategy="bogus"),
         dict(linsolve="bogus"),
@@ -166,6 +171,11 @@ def test_problem_rejects_a_vectorized_that_is_not_a_bool(flag):
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         Problem(name="x", n=0, fun=lambda x: x, feasible_set=Box([0.0], [1.0]))
+    for n in (3.0, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            Problem(name="x", n=n, fun=lambda x: x, feasible_set=Box(np.zeros(3), np.ones(3)))
+    assert Problem(name="x", n=np.int64(3), fun=lambda x: x,
+                   feasible_set=Box(np.zeros(3), np.ones(3))).n == 3
     with pytest.raises(ValueError):
         Problem(
             name="x", n=2, fun=lambda x: x, pattern=np.eye(3, dtype=bool),
@@ -189,8 +199,10 @@ def test_adaptive_eta_rejects_a_negative_c():
 
 
 def test_forcing_eta_rejects_a_negative_residual_norm():
-    with pytest.raises(ValueError, match="resnorm must be >= 0"):
-        forcing_eta(-1.0, ConstantEta())
+    for resnorm in (-1.0, np.nan):
+        for policy in (ConstantEta(), AdaptiveEta()):
+            with pytest.raises(ValueError, match="resnorm must be >= 0"):
+                forcing_eta(resnorm, policy)
 
 
 def test_check_problem_flags_a_residual_of_the_wrong_shape():

@@ -39,6 +39,15 @@ class TestFDJacobian:
         jac = fd_jacobian(fun, np.array([-1.0]))
         np.testing.assert_allclose(jac, [[-0.5]], atol=1e-6)
 
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_pattern_of_another_shape_raises(self, kind, m):
+        pattern = np.eye(m, dtype=bool)
+        if kind == "csr":
+            pattern = sparse.csr_array(pattern)
+        with pytest.raises(ValueError, match="^x and pattern shapes differ$"):
+            fd_jacobian(lambda v: v, np.ones(3), pattern=pattern)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_raises(self):
         fun = lambda v: np.array([1.0 / (v[0] - 1.0)])

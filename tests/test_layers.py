@@ -190,13 +190,13 @@ def test_unused_import_check_sees_an_unused_name():
     assert _unused_imports(ast.parse(source)) == ["dgbtrf (line 2)"]
 
 
-MODEL_BUILDERS = ("_FactorPlan", "CSRModel")
+MODEL_BUILDERS = ("_Pattern", "CSRModel")
 
 
 def _model_matrix_builds(tree):
-    """Where a module builds a model matrix by hand: a call of _FactorPlan or
-    CSRModel, by name or as an attribute, or a store to an attribute named
-    _factor_plan."""
+    """Where a module builds a model matrix or its pattern by hand: a call of
+    _Pattern or CSRModel, by name or as an attribute, or a store to an
+    attribute named _pattern."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -206,16 +206,16 @@ def _model_matrix_builds(tree):
                 found.append(f"{name}() (line {node.lineno})")
         elif (
             isinstance(node, ast.Attribute)
-            and node.attr == "_factor_plan"
+            and node.attr == "_pattern"
             and isinstance(node.ctx, ast.Store)
         ):
-            found.append(f"._factor_plan = (line {node.lineno})")
+            found.append(f"._pattern = (line {node.lineno})")
     return sorted(found)
 
 
 def test_only_linsolve_builds_model_matrices():
     # one way to build a model matrix: everywhere else a sparse model comes
-    # from as_model or with_data, which carry the plan of the model's arrays
+    # from as_model or from its pattern's model(), which carry the pattern
     found = {
         name: builds
         for name, tree in MODULES.items()
@@ -225,17 +225,17 @@ def test_only_linsolve_builds_model_matrices():
     assert _model_matrix_builds(MODULES["linsolve"])  # the check sees linsolve's
 
 
-def test_model_build_check_sees_a_plan_built_by_hand():
+def test_model_build_check_sees_a_pattern_built_by_hand():
     source = (
-        "from .linsolve import CSRModel, _FactorPlan\n"
+        "from .linsolve import CSRModel, _Pattern\n"
         "import newton_condg.linsolve as ls\n"
         "A = CSRModel(J)\n"
-        "A._factor_plan = _FactorPlan(A.indptr, A.indices)\n"
-        "B, B._factor_plan = J, ls._FactorPlan(J.indptr, J.indices)\n"
+        "A._pattern = _Pattern(A != 0)\n"
+        "B, B._pattern = J, ls._Pattern(J != 0)\n"
     )
     assert _model_matrix_builds(ast.parse(source)) == [
-        "._factor_plan = (line 4)", "._factor_plan = (line 5)",
-        "CSRModel() (line 3)", "_FactorPlan() (line 4)", "_FactorPlan() (line 5)",
+        "._pattern = (line 4)", "._pattern = (line 5)",
+        "CSRModel() (line 3)", "_Pattern() (line 4)", "_Pattern() (line 5)",
     ]
 
 
@@ -254,24 +254,24 @@ def _with_data_references(tree):
     return sorted(found)
 
 
-def test_only_linsolve_and_jacobian_reference_with_data():
+def test_only_linsolve_references_with_data():
     # one template per structure: a sparse model is a copy of its pattern's
-    # _Layout template, which jacobian alone copies; any other module that
-    # wants a model of a pattern asks jacobian.layout(pattern).model(data)
+    # template, which linsolve alone copies; any other module that wants a
+    # model of a pattern asks canonical_pattern(pattern).model(data)
     found = {
         name: refs
         for name, tree in MODULES.items()
-        if name not in ("linsolve", "jacobian") and (refs := _with_data_references(tree))
+        if name != "linsolve" and (refs := _with_data_references(tree))
     }
     assert found == {}
-    assert _with_data_references(MODULES["jacobian"])  # the check sees jacobian's
+    assert _with_data_references(MODULES["linsolve"])  # the check sees linsolve's
 
 
 def test_with_data_check_sees_a_planted_use():
     source = (
-        "from .linsolve import as_model, with_data\n"
+        "from .linsolve import as_model, canonical_pattern, with_data\n"
         "import newton_condg.linsolve as ls\n"
-        "T = as_model(A)\n"
+        "T = canonical_pattern(A).template\n"
         "J = with_data(T, data)\n"
         "K = ls.with_data(T, data)\n"
         "copy = with_data\n"

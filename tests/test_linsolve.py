@@ -24,16 +24,17 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import layout, schubert_update
+from newton_condg.jacobian import schubert_update
 from newton_condg.linsolve import (
     MIXED_MIN_N,
     UNIT_ROUNDOFF,
     _DenseLU,
-    _FactorPlan,
+    _Pattern,
     _SparseLU,
     _TridiagonalLU,
     _checked_scale,
     as_model,
+    canonical_pattern,
     lu_factor,
     with_data,
 )
@@ -257,7 +258,7 @@ class TestTridiagonalLU:
     def test_exactly_singular_tridiagonal_model_fails(self):
         # rows 0 and 1 are equal: gttrf meets an exactly zero pivot (info > 0)
         M = sparse.csr_array(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-        assert as_model(M)._factor_plan.tridiagonal
+        assert as_model(M)._pattern.tridiagonal
         with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
             lu_factor(M)
 
@@ -265,7 +266,7 @@ class TestTridiagonalLU:
         M = sparse.csr_array(
             np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
         )
-        assert as_model(M)._factor_plan.tridiagonal
+        assert as_model(M)._pattern.tridiagonal
         with pytest.raises(LinearSolveFailure, match="working precision"):
             lu_factor(M)
 
@@ -337,7 +338,7 @@ def test_kernel_rule(case):
         assert np.linalg.norm(out.s - reference) <= 1e-12 * np.linalg.norm(reference)
         expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
         assert np.float64(out.eta_used).tobytes() == expected.tobytes()
-    # a zeroed last row, its entries kept as stored zeros: the same plan, so the same kernel
+    # a zeroed last row, its entries kept as stored zeros: the same pattern, so the same kernel
     A = as_model(M)
     singular = with_data(A, A.data.copy())
     singular.data[A.indptr[-2]:A.indptr[-1]] = 0.0
@@ -701,31 +702,32 @@ def _arrowhead(n):
     return A
 
 
-def _layout_model(A):
-    """A model of A built as finite differences build one: from its pattern's layout."""
-    return layout(sparse.csr_array(A != 0)).model(sparse.csr_array(A).data.copy())
+def _pattern_model(A):
+    """A model of A built as finite differences build one: from its canonical pattern."""
+    return canonical_pattern(sparse.csr_array(A != 0)).model(sparse.csr_array(A).data.copy())
 
 
 def _plain(M):
-    """A scipy-built copy of M that carries no factorization plan."""
+    """A scipy-built copy of M that carries no pattern."""
     return sparse.csr_array((M.data.copy(), M.indices.copy(), M.indptr.copy()), shape=M.shape)
 
 
-def _plans_derived(monkeypatch):
-    plans = []
-    original = _FactorPlan.__init__
+def _patterns_derived(monkeypatch):
+    """Every _Pattern whose structure is analysed from now on, in order."""
+    patterns = []
+    original = _Pattern._derive
 
-    def counted(self, *args):
-        plans.append(self)
-        original(self, *args)
+    def counted(self):
+        patterns.append(self)
+        return original(self)
 
-    monkeypatch.setattr(_FactorPlan, "__init__", counted)
-    return plans
+    monkeypatch.setattr(_Pattern, "_derive", counted)
+    return patterns
 
 
-class TestFactorPlan:
-    """A model built from a pattern's layout factorizes with the cached plan,
-    and exactly as a plain CSR copy of it does."""
+class TestModelPattern:
+    """A model built from a canonical pattern factorizes with that pattern's
+    analysis, and exactly as a plain CSR copy of it does."""
 
     @pytest.mark.parametrize(
         "A, kind",
@@ -733,13 +735,13 @@ class TestFactorPlan:
          (_arrowhead(20), _SparseLU)],
         ids=["tridiagonal", "arrowhead"],
     )
-    def test_cached_plan_gives_the_same_bits(self, monkeypatch, A, kind):
-        M = _layout_model(A)
-        plans = _plans_derived(monkeypatch)
+    def test_cached_pattern_gives_the_same_bits(self, monkeypatch, A, kind):
+        M = _pattern_model(A)
+        derived = _patterns_derived(monkeypatch)
         cached = lu_factor(M)
-        assert plans == []  # read from the model
+        assert derived == []  # read from the model
         plain = lu_factor(_plain(M))
-        assert len(plans) == 1  # derived for the copy
+        assert len(derived) == 1  # derived for the copy
         assert type(cached) is type(plain) is kind
         b = np.random.default_rng(4).standard_normal((A.shape[0], 2))
         for rhs in (b[:, 0], b):
@@ -751,13 +753,13 @@ class TestFactorPlan:
     def test_failures_are_the_same_either_way(self, A):
         cases = []
         for bad in (np.nan, np.inf, -np.inf):
-            M = _layout_model(A)
+            M = _pattern_model(A)
             M.data[3] = bad
             cases.append(M)
-        M = _layout_model(A)
+        M = _pattern_model(A)
         M.data[:] = 0.0
         cases.append(M)
-        M = _layout_model(A)
+        M = _pattern_model(A)
         M.data[M.indptr[1]:M.indptr[2]] = 0.0  # a stored zero row
         cases.append(M)
         messages = []
@@ -774,29 +776,31 @@ class TestFactorPlan:
 
     def test_a_model_with_other_indices_is_analysed_afresh(self, monkeypatch):
         n = 8
-        M = _layout_model(_random_band(np.random.default_rng(6), n, 1, 1).toarray())
-        plans = _plans_derived(monkeypatch)
+        M = _pattern_model(_random_band(np.random.default_rng(6), n, 1, 1).toarray())
+        derived = _patterns_derived(monkeypatch)
         equal = copy.copy(M)
         equal.indices = M.indices.copy()  # the same structure in another array
         lu_factor(equal)
-        assert len(plans) == 1
-        # a stale plan would place row 1's entries in the wrong diagonals
+        assert len(derived) == 1
+        # a stale pattern would place row 1's entries in the wrong diagonals
         moved = copy.copy(M)
         moved.indices = M.indices.copy()
         moved.indices[M.indptr[1]:M.indptr[2]] = [1, 2, 3]
         b = np.arange(1.0, n + 1.0)
         x = lu_factor(moved).solve(b)
-        assert len(plans) == 2
+        assert len(derived) == 2
         np.testing.assert_allclose(x, np.linalg.solve(_plain(moved).toarray(), b), rtol=1e-12)
 
     def test_models_own_their_data(self):
-        lay = layout(sparse.csr_array(_arrowhead(6) != 0))
-        first = lay.model(np.ones(lay.plan.rows.size))
-        second = lay.model(np.full(lay.plan.rows.size, 2.0))
+        P = canonical_pattern(sparse.csr_array(_arrowhead(6) != 0))
+        first = P.model(np.ones(P.rows.size))
+        second = P.model(np.full(P.rows.size, 2.0))
         first.data[0] = 7.0
         assert first[0, 0] == 7.0 and second[0, 0] == 2.0
-        assert not lay.template.data.any()
-        assert first.indices is second.indices is lay.template.indices
+        assert not P.template.data.any() and not P.template.data.flags.writeable
+        assert first.indices is second.indices is P.template.indices is P.indices
+        assert first.indptr is second.indptr is P.template.indptr is P.indptr
+        assert first._pattern is second._pattern is P
 
 
 class TestCheckedScale:

@@ -33,14 +33,17 @@ from newton_condg import (
     starting_point,
     verify_mk_conditions,
 )
-from newton_condg.jacobian import (
-    FD_BLOCK_ENTRIES,
-    JacobianError,
+from newton_condg.jacobian import FD_BLOCK_ENTRIES, JacobianError
+from newton_condg.linsolve import (
+    CSRModel,
+    _Pattern,
+    _SparseLU,
+    _TridiagonalLU,
+    as_model,
     canonical_pattern,
     column_colouring,
-    layout,
+    lu_factor,
 )
-from newton_condg.linsolve import CSRModel, _SparseLU, _TridiagonalLU, as_model, lu_factor
 
 SPARSE_IDS = (
     "pb2_discrete_boundary", "pb3_troesch", "synthetic_linear", "synthetic_quadratic",
@@ -74,17 +77,17 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _instances(monkeypatch, cls):
-    """Every instance of cls made from now on, in order."""
-    made = []
-    original = cls.__init__
+def _patterns_derived(monkeypatch):
+    """Every _Pattern whose structure is analysed from now on, in order."""
+    derived = []
+    original = _Pattern._derive
 
-    def counted(self, *args):
-        made.append(self)
-        original(self, *args)
+    def counted(self):
+        derived.append(self)
+        return original(self)
 
-    monkeypatch.setattr(cls, "__init__", counted)
-    return made
+    monkeypatch.setattr(_Pattern, "_derive", counted)
+    return derived
 
 
 def _lu_factors(monkeypatch):
@@ -188,9 +191,9 @@ class TestGroupedFD:
             assert fresh is not p.pattern
             reference = fd_jacobian(p.fun, x, fx, fresh, vectorized)
             assert built.data.tobytes() == reference.data.tobytes()
-        assert sorted(p.pattern._jacobian_layout._scatter) == [1, FD_BLOCK_ENTRIES // 500]
+        assert sorted(p.pattern._scatter) == [1, FD_BLOCK_ENTRIES // 500]
         q = pickle.loads(pickle.dumps(p.pattern))
-        assert not hasattr(q, "_jacobian_layout")
+        assert q._scatter == {} and "groups" not in vars(q)
         assert canonical_pattern(q) is q
 
     def test_steps_are_negated_where_x_is_negative_only(self):
@@ -248,12 +251,12 @@ class TestColouring:
             self._assert_valid(pattern, colour)
 
     def test_computed_once_per_problem(self, monkeypatch):
-        calls = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+        calls = _counting(monkeypatch, newton_condg.linsolve, "column_colouring")
         p = make_problem("pb3_troesch", 100)
         x0 = starting_point(p, 1)
         assert solve(p, x0, SolverConfig(jacobian_strategy="exact")).status == "converged"
         assert calls == []  # derived on the first finite-difference or Schubert build
-        assert "groups" not in vars(layout(p.pattern))  # exact models never colour it
+        assert "groups" not in vars(p.pattern)  # exact models never colour it
         copy = dataclasses.replace(p, fun=lambda x: p.fun(x))  # as a tracer wraps fun
         assert copy.pattern is p.pattern
         for problem, strategy in (
@@ -264,22 +267,22 @@ class TestColouring:
         assert len(calls) == 1
 
 
-def test_factor_plan_derived_once_per_problem(monkeypatch):
-    plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
+def test_pattern_derived_once_per_problem(monkeypatch):
+    derived = _patterns_derived(monkeypatch)
     derived_in_lu = []
     lu_factor = newton_condg.linsolve.lu_factor
 
     def factor(M):
-        before = len(plans)
+        before = len(derived)
         factors = lu_factor(M)
-        derived_in_lu.append(len(plans) - before)
+        derived_in_lu.append(len(derived) - before)
         return factors
 
     monkeypatch.setattr(newton_condg.linsolve, "lu_factor", factor)
     p = make_problem("pb3_troesch", 100)
     x0 = starting_point(p, 1)
-    assert plans == [layout(p.pattern).plan]  # the pattern's, made with the problem
-    assert p.jac(x0)._factor_plan is plans[0]
+    assert derived == [p.pattern]  # the problem's, analysed when it is made
+    assert p.jac(x0)._pattern is p.pattern
     copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
     for problem, strategy in (
         (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"), (p, "exact"),
@@ -287,57 +290,59 @@ def test_factor_plan_derived_once_per_problem(monkeypatch):
         report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
         assert report.status == "converged" and report.iterations > 1
     assert len(derived_in_lu) > 3
-    assert len(plans) == 1  # exact, FD and Schubert models all carry the pattern's
+    assert len(derived) == 1  # exact, FD and Schubert models all carry the problem's
     assert not any(derived_in_lu)
 
 
 @pytest.mark.parametrize("n", [2, 3, 200])
 @pytest.mark.parametrize("pid", SPARSE_IDS)
-def test_exact_jacobians_share_the_plan_made_with_the_problem(monkeypatch, pid, n):
-    plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
-    layouts = _instances(monkeypatch, newton_condg.jacobian._Layout)
-    colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+def test_exact_jacobians_share_the_pattern_made_with_the_problem(monkeypatch, pid, n):
+    derived = _patterns_derived(monkeypatch)
+    colourings = _counting(monkeypatch, newton_condg.linsolve, "column_colouring")
     p = make_problem(pid, n)
-    assert layouts == [layout(p.pattern)] and plans == [layouts[0].plan]
+    P = p.pattern
+    assert derived == [P]
     x0 = starting_point(p, 1)
     first, second = p.jac(x0), p.jac(starting_point(p, 2))
     for J in (first, second):
-        assert type(J) is CSRModel and as_model(J) is J and J._factor_plan is plans[0]
+        assert type(J) is CSRModel and as_model(J) is J
     assert first.data is not second.data
     report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
     assert report.status == "converged"
     assert colourings == []  # an exact-only solve colours nothing
+    assert "groups" not in vars(P)
     s = 1e-3 * np.linspace(-1.0, 1.0, n)
-    fd = fd_jacobian(p.fun, x0, pattern=p.pattern, vectorized=p.vectorized)
-    secant = schubert_update(first, s, p.fun(x0 + s) - p.fun(x0), p.pattern)
-    for M in (fd, secant):
-        assert M.indptr is first.indptr and M.indices is first.indices
-        assert M._factor_plan is plans[0]
+    fd = fd_jacobian(p.fun, x0, pattern=P, vectorized=p.vectorized)
+    secant = schubert_update(first, s, p.fun(x0 + s) - p.fun(x0), P)
     copy = dataclasses.replace(p, fun=lambda x: p.fun(x))
+    copied_fd = next_jacobian(None, 0, copy, x0, "finite_difference").M
+    for M in (first, second, fd, secant, copied_fd):
+        assert M._pattern is P
+        assert M.indptr is P.indptr and M.indices is P.indices
     for problem, strategy in (
         (p, "finite_difference"), (p, "schubert"), (copy, "finite_difference"),
     ):
         solve(problem, x0, SolverConfig(jacobian_strategy=strategy))
-    assert len(plans) == 1 and len(layouts) == 1 and len(colourings) <= 1
+    assert derived == [P] and len(colourings) <= 1
 
 
 @pytest.mark.parametrize("pid", SPARSE_IDS)
 def test_exact_jacobian_on_the_pattern_is_its_own_model(monkeypatch, pid):
-    colourings = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+    colourings = _counting(monkeypatch, newton_condg.linsolve, "column_colouring")
     p = make_problem(pid, 50)
     x = starting_point(p, 1)
     J = p.jac(x)
     M = next_jacobian(None, 0, p, x, "exact").M
-    assert isinstance(M, CSRModel) and M._factor_plan is J._factor_plan
+    assert isinstance(M, CSRModel) and M._pattern is J._pattern
     assert M.indptr is J.indptr and M.indices is J.indices
     assert M.data.tobytes() == J.data.tobytes()
     assert next_jacobian(None, 0, dataclasses.replace(p, jac=lambda x: J), x, "exact").M is J
-    assert M._factor_plan is layout(p.pattern).plan  # the one the FD and Schubert models carry
+    assert M._pattern is p.pattern  # the one the FD and Schubert models carry
     assert colourings == []
 
 
 @pytest.mark.parametrize("structure", ["part_of_the_pattern", "dense", "integer"])
-def test_exact_jacobian_off_the_pattern_layout_goes_through_as_model(structure):
+def test_exact_jacobian_off_the_patterns_arrays_goes_through_as_model(structure):
     p = make_problem("pb3_troesch", 20)
     x = starting_point(p, 1)
     J = p.jac(x).toarray()
@@ -353,8 +358,8 @@ def test_exact_jacobian_off_the_pattern_layout_goes_through_as_model(structure):
         assert isinstance(M, np.ndarray)
     else:
         assert isinstance(M, CSRModel) and M.dtype == np.float64
-        assert M._factor_plan.fits(M) and M._factor_plan is not p.jac(x)._factor_plan
-    assert "groups" not in vars(layout(p.pattern))  # the exact route never reads the layout
+        assert M._pattern.fits(M) and M._pattern is not p.pattern
+    assert "groups" not in vars(p.pattern)  # the exact route never colours the pattern
 
 
 def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
@@ -362,12 +367,12 @@ def test_unpickled_problem_keeps_a_canonical_pattern(monkeypatch):
     p = Problem(name="chain", n=n, fun=_chain_residual, feasible_set=Box(-np.ones(n), np.ones(n)),
                 pattern=_tridiagonal(1.0, np.ones(n), 1.0))
     x = np.full(n, 0.3)
-    fd_jacobian(p.fun, x, pattern=p.pattern)  # caches a layout on the pattern
+    fd_jacobian(p.fun, x, pattern=p.pattern)  # caches the colouring on the pattern
     q = pickle.loads(pickle.dumps(p))
     for arr in (q.pattern.data, q.pattern.indices, q.pattern.indptr):
         assert not arr.flags.writeable
     np.testing.assert_array_equal(q.pattern.toarray(), p.pattern.toarray())
-    calls = _counting(monkeypatch, newton_condg.jacobian, "column_colouring")
+    calls = _counting(monkeypatch, newton_condg.linsolve, "column_colouring")
     first = fd_jacobian(q.fun, x, pattern=q.pattern)
     second = fd_jacobian(q.fun, x, pattern=q.pattern)
     assert len(calls) == 1
@@ -383,7 +388,7 @@ def _assert_same_history(a, b):
         assert u.tobytes() == v.tobytes()
 
 
-def test_pickle_leaves_the_cached_layout_behind():
+def test_pickle_leaves_the_derived_arrays_behind():
     n = 500
     p = Problem(name="chain", n=n, fun=_chain_residual, feasible_set=Box(-np.ones(n), np.ones(n)),
                 pattern=_tridiagonal(1.0, np.ones(n), 1.0))
@@ -391,22 +396,22 @@ def test_pickle_leaves_the_cached_layout_behind():
     fresh = pickle.dumps(p)
     report = solve(p, x0, SolverConfig())
     assert report.status == "converged" and report.iterations > 1
-    assert hasattr(p.pattern, "_jacobian_layout")
+    assert "groups" in vars(p.pattern) and p.pattern._scatter
     solved = pickle.dumps(p)
     assert len(solved) == len(fresh)
     for data in (fresh, solved):
         q = pickle.loads(data)
-        assert not hasattr(q.pattern, "_jacobian_layout")
+        assert "groups" not in vars(q.pattern) and q.pattern._scatter == {}
         _assert_same_history(solve(q, x0, SolverConfig()), report)
 
 
 @pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
 @pytest.mark.parametrize("pid", ["pb2_discrete_boundary", "pb3_troesch"])
-def test_cached_layout_keeps_every_history_bit_for_bit(pid, strategy):
+def test_cached_colouring_keeps_every_history_bit_for_bit(pid, strategy):
     p = make_problem(pid, 100)
     x0 = starting_point(p, 1)
     cfg = SolverConfig(jacobian_strategy=strategy)
-    first = solve(p, x0, cfg)  # builds the layout
+    first = solve(p, x0, cfg)  # colours the pattern
     assert first.status == "converged"
     _assert_same_history(solve(p, x0, cfg), first)  # reads it
     _assert_same_history(solve(make_problem(pid, 100), x0, cfg), first)
@@ -474,20 +479,20 @@ class TestSparseSchubert:
                 sparse.csr_array(np.ones((2, 2))), np.ones(2), np.ones(2), sparse.eye_array(2),
             )
 
-    def test_a_model_off_the_layout_derives_no_plan(self, monkeypatch):
-        plans = _instances(monkeypatch, newton_condg.linsolve._FactorPlan)
+    def test_a_model_off_the_pattern_derives_no_pattern(self, monkeypatch):
+        derived = _patterns_derived(monkeypatch)
         p = make_problem("pb3_troesch", 500)
         x = starting_point(p, 1)
         s = 1e-3 * np.linspace(-1.0, 1.0, p.n)
         y = p.fun(x + s) - p.fun(x)
-        J = sparse.csr_array(p.jac(x).toarray())  # a foreign CSR matrix, not a layout model
-        before = len(plans)
-        updated = schubert_update(J, s, y, p.pattern)
-        lay = layout(p.pattern)
-        assert updated._factor_plan is lay.plan  # the layout's, made with the problem
-        schubert_update(J, s, y, p.pattern)
-        assert len(plans) == before  # embedding J derives no plan
-        start = lay.model(J[lay.plan.rows, lay.indices])
+        J = sparse.csr_array(p.jac(x).toarray())  # a foreign CSR matrix, not a model of p.pattern
+        P = p.pattern
+        assert derived == [P]
+        updated = schubert_update(J, s, y, P)
+        assert updated._pattern is P  # the problem's, analysed when it is made
+        schubert_update(J, s, y, P)
+        assert derived == [P]  # embedding J derives no pattern
+        start = P.model(J[P.rows, P.indices])
         assert updated.data.tobytes() == schubert_update(start, s, y, p.pattern).data.tobytes()
 
 
@@ -568,7 +573,7 @@ class TestSparseLinsolve:
     def test_laplacian_meets_the_contract_with_its_superlu(self, monkeypatch):
         m = 30  # n = 900
         M = _laplacian(m)
-        assert not as_model(M)._factor_plan.tridiagonal
+        assert not as_model(M)._pattern.tridiagonal
         b = np.random.default_rng(12).standard_normal(m * m)
         preconditioners = _gmres_preconditioners(monkeypatch)
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
@@ -591,7 +596,7 @@ class TestSparseLinsolve:
         M[3, :] = 0.0
         M = sparse.csr_array(M)
         n = M.shape[0]
-        assert as_model(M)._factor_plan.tridiagonal == tridiagonal
+        assert as_model(M)._pattern.tridiagonal == tridiagonal
         gmres_calls = _counting(monkeypatch, newton_condg.linsolve, "gmres")
         direct = _counting(monkeypatch, newton_condg.linsolve, "solve_direct")
         factored = _counting(monkeypatch, newton_condg.linsolve, "lu_factor")
