@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .core import Problem
+from .core import Problem, _is_count
 from .feasible_set import Box
 from .linsolve import canonical_pattern
 
@@ -319,23 +319,33 @@ PAPER_CORE = (
 
 SYNTHETIC = ("synthetic_quadratic", "synthetic_linear")
 
+# the gamma levels that starting_point accepts
+GAMMAS = (0, 1, 2, 3)
+
 
 def make_problem(problem_id, n=None):
-    """Instantiate a registry problem at dimension n (its default when None)."""
+    """Instantiate a registry problem at dimension n (its default when None).
+
+    n is an integer >= 2 (Python or numpy, not a bool), as Problem counts
+    it; 2.5 or "7" raises ValueError. An unknown problem_id raises KeyError.
+    """
     try:
         entry = REGISTRY[problem_id]
     except KeyError:
         raise KeyError(f"unknown problem {problem_id!r}") from None
-    n = entry.default_n if n is None else int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = entry.default_n if n is None else n
+    if not (_is_count(n) and n >= 2):
+        raise ValueError("n must be an integer >= 2")
     return entry.builder(n)
 
 
 def starting_point(problem, gamma):
-    """x0(gamma): l + 0.25 gamma (u - l), or 10**gamma ones for infinite boxes."""
-    if gamma not in (0, 1, 2, 3):
-        raise ValueError("gamma must be one of 0, 1, 2, 3")
+    """x0(gamma): l + 0.25 gamma (u - l), or 10**gamma ones for infinite boxes.
+
+    gamma is one of GAMMAS; anything else raises ValueError.
+    """
+    if gamma not in GAMMAS:
+        raise ValueError(f"gamma must be one of {', '.join(map(str, GAMMAS))}")
     fset = problem.feasible_set
     if not isinstance(fset, Box):
         raise TypeError("starting_point needs a box feasible set")

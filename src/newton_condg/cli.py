@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
-from .bench import PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
+from .bench import GAMMAS, PAPER_CORE, REGISTRY, SYNTHETIC, make_problem, starting_point
 from .core import CONVERGED, LINSOLVE_MODES, AdaptiveEta, ConstantEta, SolverConfig
 from .jacobian import EXACT, FINITE_DIFFERENCE, SCHUBERT
 from .solver import solve
@@ -58,16 +58,17 @@ class RunRow:
 
 
 def _parse_eta_policy(text):
-    """'constant:0.1' or 'adaptive:<c>,<eta_max>'."""
+    """'constant[:<value>]' or 'adaptive[:<c>[,<eta_max>]]'; an omitted
+    number takes the policy's own default."""
     kind, _, rest = text.partition(":")
     try:
         if kind == "constant":
             return ConstantEta(float(rest)) if rest else ConstantEta()
         if kind == "adaptive":
-            if rest:
-                c, _, eta_max = rest.partition(",")
-                return AdaptiveEta(float(c), float(eta_max) if eta_max else 0.1)
-            return AdaptiveEta()
+            c, _, eta_max = rest.partition(",")
+            if eta_max:
+                return AdaptiveEta(float(c), float(eta_max))
+            return AdaptiveEta(float(c)) if rest else AdaptiveEta()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad eta policy {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown eta policy {text!r}")
@@ -89,12 +90,13 @@ def _parse_methods(text):
 
 
 def _parse_gammas(text):
-    """'1,2,3' -> [1, 2, 3]; every gamma must be one of 0, 1, 2, 3."""
-    return [int(g) for g in _choice_list(text, ("0", "1", "2", "3"))]
+    """'1,2,3' -> [1, 2, 3]; every gamma must be one of bench.GAMMAS."""
+    return [int(g) for g in _choice_list(text, [str(g) for g in GAMMAS])]
 
 
 def _config_from_args(args, parser):
-    """The one SolverConfig of the solver flags; a value it rejects is a usage error."""
+    """The one SolverConfig of the solver flags; a value it rejects, such as
+    an --eta-policy with --linsolve direct, is a usage error."""
     try:
         return SolverConfig(
             tol_inf=args.tol,
@@ -103,7 +105,7 @@ def _config_from_args(args, parser):
             max_condg=args.max_condg,
             refresh_period=args.refresh,
             linsolve=args.linsolve,
-            eta_policy=args.eta_policy if args.linsolve == "inexact" else None,
+            eta_policy=args.eta_policy,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -145,23 +147,25 @@ def _strict_json(value):
     return value
 
 
+def _write(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_solve(args, parser):
-    if args.problem not in REGISTRY:
-        parser.error(f"unknown problem {args.problem!r}")
     if args.n is not None and args.n < 2:
         parser.error("--n must be >= 2")
     config = _config_from_args(args, parser)
     row, report = _run_one(args.problem, args.n, args.gamma, args.method, config)
-    out_text = (
-        json.dumps(_strict_json(asdict(row)), indent=2, allow_nan=False)
-        if args.format == "json"
-        else CSV_HEADER + "\n" + row.to_csv() + "\n"
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out_text if out_text.endswith("\n") else out_text + "\n")
+    if args.format == "json":
+        text = json.dumps(_strict_json(asdict(row)), indent=2, allow_nan=False) + "\n"
     else:
-        sys.stdout.write(out_text if out_text.endswith("\n") else out_text + "\n")
+        text = CSV_HEADER + "\n" + row.to_csv() + "\n"
+    _write(text, args.out)
     if args.trace:
         payload = {"status": row.status, "error": row.error}
         if report is not None:
@@ -189,12 +193,7 @@ def cmd_benchmark(args, parser):
     rows = [_run_one(pid, n, gamma, method, config)[0] for pid, n, gamma, method in runs]
 
     lines = [CSV_HEADER] + [row.to_csv() for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -239,7 +238,7 @@ def _add_solver_flags(sub):
                      dest="max_condg")
     sub.add_argument("--refresh", type=int, default=SolverConfig.refresh_period)
     sub.add_argument("--linsolve", choices=LINSOLVE_MODES, default=SolverConfig.linsolve)
-    sub.add_argument("--eta-policy", type=_parse_eta_policy, default="constant:0.1",
+    sub.add_argument("--eta-policy", type=_parse_eta_policy, default=None,
                      dest="eta_policy")
 
 
@@ -251,9 +250,10 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_solve = subs.add_parser("solve", help="run one problem instance")
-    p_solve.add_argument("--problem", required=True)
+    p_solve.add_argument("--problem", required=True, choices=tuple(REGISTRY),
+                         metavar="PROBLEM", help="a registry id, as list-problems prints")
     p_solve.add_argument("--n", type=int, default=None)
-    p_solve.add_argument("--gamma", type=int, choices=(0, 1, 2, 3), default=1)
+    p_solve.add_argument("--gamma", type=int, choices=GAMMAS, default=1)
     p_solve.add_argument("--method", choices=tuple(METHOD_TO_STRATEGY), default="fd")
     _add_solver_flags(p_solve)
     p_solve.add_argument("--out", default=None)

@@ -18,6 +18,7 @@ RunReport.uncertified_steps.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,20 +54,22 @@ def condg(fset, y, x, eps, cap):
     y : array, point to project (need not be feasible).
     x : array, feasible starting point.
     eps : float >= 0, Wolfe-gap termination threshold.
-    cap : int >= 1, iteration cap; when it binds the last iterate is returned
-        with terminated_by="iteration_cap" and no gap certificate.
+    cap : integer >= 1 (Python or numpy, not a bool), iteration cap; when it
+        binds the last iterate is returned with terminated_by="iteration_cap"
+        and no gap certificate.
 
     A feasible y is its own Euclidean projection and has Wolfe gap exactly 0,
     so it is returned directly with the certificate 0 >= -eps. Otherwise the
     set's exact projection z, when it has one, is returned after one LMO call
     shows gap(z) >= -eps - PROJECTION_GAP_RTOL*||d||*(||u|| + ||z||) with
     d = z - y; the Frank-Wolfe loop from x runs for sets without a
-    projection and when that check fails.
+    projection and when that check fails. Raises ValueError for a negative
+    or nan eps, a cap that is not an integer >= 1, or an infeasible x.
     """
     if not eps >= 0:  # nan too
         raise ValueError("eps must be >= 0")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if not (isinstance(cap, Integral) and not isinstance(cap, bool) and cap >= 1):
+        raise ValueError("cap must be an integer >= 1")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if not fset.contains(x, _start_tolerance(x)):
@@ -77,9 +80,7 @@ def condg(fset, y, x, eps, cap):
 
     z = fset.project(y)
     if z is not None:
-        d = z - y
-        u = fset.lmo(d)
-        gap = float(d @ (u - z))
+        d, u, gap = _gap(fset, y, z)
         rounding = PROJECTION_GAP_RTOL * (
             math.sqrt(d @ d) * (math.sqrt(u @ u) + math.sqrt(z @ z))
         )
@@ -89,9 +90,7 @@ def condg(fset, y, x, eps, cap):
     z = x.copy()
     gap = 0.0
     for t in range(1, cap + 1):
-        d = z - y
-        u = fset.lmo(d)
-        gap = float(d @ (u - z))
+        _, u, gap = _gap(fset, y, z)
         if gap >= -eps:
             return CondGResult(z=z, inner_iters=t, final_gap=gap, terminated_by=GAP)
         denom = float((u - z) @ (u - z))
@@ -115,8 +114,18 @@ def _start_tolerance(x):
 
 
 def wolfe_gap(fset, y, z):
-    """min over u in the set of <z - y, u - z>; always <= 0 for feasible z."""
-    z = np.asarray(z, dtype=float)
-    d = z - np.asarray(y, dtype=float)
+    """min over u in the set of <z - y, u - z>; always <= 0 for feasible z.
+
+    condg's certificate: its "gap" returns have wolfe_gap(fset, y, z) >= -eps,
+    for a certified projection up to its rounding allowance. Evaluated by one
+    LMO call, which raises ValueError when z - y is not finite.
+    """
+    return _gap(fset, np.asarray(y, dtype=float), np.asarray(z, dtype=float))[2]
+
+
+def _gap(fset, y, z):
+    """(d, u, gap) at z: d = z - y, u = fset.lmo(d) and the Wolfe gap
+    <d, u - z>, the one evaluation of condg's certificate."""
+    d = z - y
     u = fset.lmo(d)
-    return float(d @ (u - z))
+    return d, u, float(d @ (u - z))

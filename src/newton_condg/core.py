@@ -30,7 +30,8 @@ class Problem:
 
     Attributes:
         name: identifier of the problem instance.
-        n: dimension, an integer >= 1 (F maps n-vectors to n-vectors).
+        n: dimension, an integer >= 1, not a bool (F maps n-vectors to
+            n-vectors).
         fun: residual callback x -> F(x), pure.
         feasible_set: the constraint set (provides the LMO), of dimension n.
         jac: optional analytic Jacobian callback x -> (n, n) array or
@@ -93,8 +94,9 @@ class Problem:
 
 
 def _is_count(value):
-    """True for an integer (a Python or numpy one) >= 1; False for 2.0 or nan."""
-    return isinstance(value, Integral) and value >= 1
+    """True for an integer (a Python or numpy one) >= 1; False for 2.0, nan
+    or a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,10 @@ def forcing_eta(resnorm, policy):
 class SolverConfig:
     """Tunables of the outer iteration.
 
-    max_outer, max_condg and refresh_period are integers (Python or numpy)
-    >= 1; anything else, 2.0 included, raises ValueError.
+    max_outer, max_condg and refresh_period are integers (Python or numpy,
+    not bools) >= 1; anything else, 2.0 included, raises ValueError. An
+    eta_policy that forcing_eta does not know raises TypeError, and one given
+    with linsolve="direct" raises ValueError.
 
     Attributes:
         tol_inf: stop when ||F(x_k)||_inf <= tol_inf.
@@ -177,8 +181,7 @@ class SolverConfig:
         if not self.theta >= 0:
             raise ValueError("theta must be >= 0")
         if self.eta_policy is not None:
-            if not isinstance(self.eta_policy, (ConstantEta, AdaptiveEta)):
-                raise TypeError(f"unknown forcing policy {self.eta_policy!r}")
+            forcing_eta(0.0, self.eta_policy)  # TypeError for an unknown policy
             if self.linsolve == "direct":
                 raise ValueError("eta_policy applies to inexact solves only")
 
@@ -241,15 +244,18 @@ class RunReport:
 
 
 def check_problem(problem, rng=None, samples=8):
-    """Assert the Problem invariants on sampled feasible points.
+    """Assert the Problem invariants on `samples` sampled feasible points.
 
-    Checks the residual shape, that Jacobian entries outside the declared
-    pattern vanish (relative tolerance 1e-12; the Jacobian is the analytic
-    one, or finite differences, dense or sparse alike), that a vectorized
-    fun maps the (samples, n) stack of the sampled points to the stack of
+    samples is an integer >= 1 (Python or numpy, not a bool); anything else
+    raises ValueError. Checks the residual shape, that Jacobian entries
+    outside the declared pattern vanish (relative tolerance 1e-12; the
+    Jacobian is the analytic one, or finite differences, dense or sparse
+    alike), that a vectorized fun maps the (samples, n) stack of the sampled points to the stack of
     their residuals bit for bit, and that the known root has max-norm
     residual <= 1e-10.
     """
+    if not _is_count(samples):
+        raise ValueError("samples must be an integer >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     points, residuals = [], []
     for _ in range(samples):

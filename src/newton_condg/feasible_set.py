@@ -11,6 +11,7 @@ Frank-Wolfe loop. All operations are stateless and thread-safe.
 
 import math
 from abc import ABC, abstractmethod
+from numbers import Integral
 
 import numpy as np
 
@@ -73,9 +74,7 @@ class Box(FeasibleSet):
         self.n = lower.size
 
     def lmo(self, d):
-        d = np.asarray(d, dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("lmo direction must be finite")
+        d = _direction(d)
         # ties (d_i == 0) go to the lower bound for determinism
         return np.where(d < 0, self.capped_upper, self.lower)
 
@@ -99,10 +98,14 @@ class Box(FeasibleSet):
 
 
 class EuclideanBall(FeasibleSet):
-    """{x : ||x - center|| <= radius}, with a finite center and radius."""
+    """{x : ||x - center|| <= radius}, with a finite 1-d center (a scalar is
+    a 1-vector) and a finite positive radius; n is the center's length.
+    Construction raises ValueError otherwise."""
 
     def __init__(self, center, radius):
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        if center.ndim != 1:
+            raise ValueError("center must be a 1-d array")
         if not np.all(np.isfinite(center)):
             raise ValueError("center must be finite")
         if not 0 < radius < np.inf:
@@ -113,9 +116,7 @@ class EuclideanBall(FeasibleSet):
         self._rounding = CONTAINS_RTOL * (self.radius + np.linalg.norm(center))
 
     def lmo(self, d):
-        d = np.asarray(d, dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("lmo direction must be finite")
+        d = _direction(d)
         nd = math.sqrt(d @ d)
         if nd == 0.0:
             return self.center.copy()
@@ -145,20 +146,22 @@ class EuclideanBall(FeasibleSet):
 
 
 class Simplex(FeasibleSet):
-    """{x : x >= 0, sum(x) = scale}, with a finite positive scale."""
+    """{x : x >= 0, sum(x) = scale} in R^n, with a finite positive scale.
+
+    n is an integer >= 1 (Python or numpy, not a bool); construction raises
+    ValueError otherwise, or for a scale that is not positive and finite.
+    """
 
     def __init__(self, n, scale=1.0):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
+            raise ValueError("n must be >= 1 and an integer")
         if not 0 < scale < np.inf:
             raise ValueError("scale must be positive and finite")
         self.n = int(n)
         self.scale = float(scale)
 
     def lmo(self, d):
-        d = np.asarray(d, dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("lmo direction must be finite")
+        d = _direction(d)
         out = np.zeros(self.n)
         out[np.argmin(d)] = self.scale  # argmin takes the lowest index on ties
         return out
@@ -194,3 +197,12 @@ class Simplex(FeasibleSet):
 
     def __repr__(self):
         return f"Simplex(n={self.n}, scale={self.scale})"
+
+
+def _direction(d):
+    """d as a float array, the one input check of every lmo: raises
+    ValueError unless all its entries are finite."""
+    d = np.asarray(d, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("lmo direction must be finite")
+    return d

@@ -45,9 +45,10 @@ def solve(problem, x0, config=None, theory=None):
     Parameters
     ----------
     problem : core.Problem
-    x0 : array; an infeasible start is first returned to the set with a
-        zero-tolerance conditional-gradient projection, which raises the
-        report's x0_projected flag and counts in uncertified_steps if capped.
+    x0 : finite n-vector, ValueError otherwise; an infeasible start is
+        first returned to the set with a zero-tolerance conditional-gradient
+        projection, which raises the report's x0_projected flag and counts
+        in uncertified_steps if capped.
     config : core.SolverConfig, defaults to SolverConfig().
     theory : optional theory.TheoryParams; when given the configuration is
         validated against them before iterating (theta <= lambda^2/2).
@@ -63,6 +64,8 @@ def solve(problem, x0, config=None, theory=None):
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError("x0 must be an n-vector")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
 
     x0_projected = not fset.contains(x, 1e-12)
     uncertified_steps = 0

@@ -21,6 +21,7 @@ and the scalar comparison sequence t_k that dominates ||x_k - x*||.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -152,27 +153,42 @@ class RadiusBreakdown:
 
 
 def holder_radius(K, p, theory, kappa=math.inf):
-    """Closed-form radii for the Holder family; kappa must be positive."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    majorant = holder_majorant(K, p)
-    q = _linear_coeff(theory, theory.lam)
-    denom = K * (
-        p
-        - theory.omega1 * ((1.0 + theory.vartheta) * theory.lam + theory.vartheta - p)
-        - theory.omega2 * (p + 1.0)
-        + 1.0
-    )
-    rho = ((1.0 - q) * (p + 1.0) / denom) ** (1.0 / p)
-    return RadiusBreakdown(nu=majorant.nu, rho=rho, sigma=min(kappa, rho), kappa=kappa)
+    """Closed-form radii of the Holder majorant holder_majorant(K, p).
+
+    Raises ValueError for K <= 0, p outside (0, 1] or kappa <= 0.
+    """
+    return _breakdown(holder_majorant(K, p), theory, kappa)
 
 
 def smale_radius(gamma, theory, kappa=math.inf):
-    """Closed-form radii for the analytic (Smale) family; kappa must be positive."""
+    """Closed-form radii of the analytic (Smale) majorant smale_majorant(gamma).
+
+    Raises ValueError for gamma <= 0, kappa <= 0, or constants outside the
+    closed form (a^2 < 8 b^2).
+    """
+    return _breakdown(smale_majorant(gamma), theory, kappa)
+
+
+def _breakdown(majorant, theory, kappa):
+    """RadiusBreakdown of a majorant; kappa must be positive."""
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    majorant = smale_majorant(gamma)
+    rho = _rho(majorant, theory)
+    return RadiusBreakdown(nu=majorant.nu, rho=rho, sigma=min(kappa, rho), kappa=kappa)
+
+
+def _rho(majorant, theory):
+    """Closed-form radius rho of either family under the theory's constants."""
     vt, lam = theory.vartheta, theory.lam
+    if majorant.kind == HOLDER:
+        K, p = majorant.K, majorant.p
+        denom = K * (
+            p
+            - theory.omega1 * ((1.0 + vt) * lam + vt - p)
+            - theory.omega2 * (p + 1.0)
+            + 1.0
+        )
+        return ((1.0 - _linear_coeff(theory, lam)) * (p + 1.0) / denom) ** (1.0 / p)
     a = theory.omega1 * (1.0 + vt) * (1.0 - 3.0 * lam) + 4.0 * (
         1.0 - theory.omega1 * vt - theory.omega2
     )
@@ -180,8 +196,7 @@ def smale_radius(gamma, theory, kappa=math.inf):
     disc = a * a - 8.0 * b * b
     if disc < 0.0:
         raise ValueError("parameter combination outside the closed form (a^2 < 8 b^2)")
-    rho = (a - math.sqrt(disc)) / (4.0 * gamma * b)
-    return RadiusBreakdown(nu=majorant.nu, rho=rho, sigma=min(kappa, rho), kappa=kappa)
+    return (a - math.sqrt(disc)) / (4.0 * majorant.gamma * b)
 
 
 def majorant_sequence(majorant, theory, theta, t0, kmax):
@@ -190,16 +205,16 @@ def majorant_sequence(majorant, theory, theta, t0, kmax):
     t_{k+1} = omega1 (1+vartheta)(1 + sqrt(2 theta)) |n_f(t_k)|
               + (omega1 [(1+vartheta) sqrt(2 theta) + vartheta] + omega2) t_k.
 
-    Requires 0 < t0 < rho and 0 <= theta <= lam^2/2. Stops early if a term
-    underflows to exactly 0.
+    Returns t_0, ..., t_kmax. Raises ValueError unless 0 < t0 < rho (the
+    closed-form radius of the majorant's family), 0 <= theta <= lam^2/2 and
+    kmax is an integer >= 0 (Python or numpy, not a bool). Stops early if a
+    term underflows to exactly 0.
     """
+    if not (isinstance(kmax, Integral) and not isinstance(kmax, bool) and kmax >= 0):
+        raise ValueError("kmax must be an integer >= 0")
     if not 0.0 <= theta <= theory.lam ** 2 / 2.0:
         raise ValueError("need 0 <= theta <= lambda**2/2")
-    if majorant.kind == HOLDER:
-        rho = holder_radius(majorant.K, majorant.p, theory).rho
-    else:
-        rho = smale_radius(majorant.gamma, theory).rho
-    if not (0.0 < t0 < rho):
+    if not (0.0 < t0 < _rho(majorant, theory)):
         raise ValueError("need 0 < t0 < rho")
 
     sq = math.sqrt(2.0 * theta)

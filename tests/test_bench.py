@@ -458,3 +458,13 @@ def test_h_equation_schubert_run_from_gamma_3_ends_at_the_first_root():
     report = solve(p, starting_point(p, 3), SolverConfig(jacobian_strategy="schubert"))
     assert report.status == "converged"
     assert report.x.max() == pytest.approx(2.471, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [2.5, "7", True, 1, np.float64(7.0)])
+def test_make_problem_n_must_be_an_integer_at_least_2(n):
+    with pytest.raises(ValueError, match="^n must be an integer >= 2$"):
+        make_problem("pb3_troesch", n)
+
+
+def test_make_problem_takes_a_numpy_n():
+    assert make_problem("pb3_troesch", np.int64(7)).n == 7

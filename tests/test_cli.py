@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import newton_condg.cli
-from newton_condg import AdaptiveEta, Box, Problem, make_problem
+from newton_condg import AdaptiveEta, Box, ConstantEta, Problem, make_problem
 from newton_condg.cli import CSV_HEADER, METHOD_TO_STRATEGY, build_parser, main, suite_runs
 from newton_condg.jacobian import JACOBIAN_STRATEGIES
 
@@ -193,6 +193,38 @@ class TestBenchmark:
             ["solve", "--problem", "synthetic_linear", "--linsolve", "inexact",
              "--eta-policy", "adaptive"])
         assert args.eta_policy == AdaptiveEta()
+
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    def test_eta_policy_with_a_direct_solve_exit_2(self, capsys, command):
+        argv = [command, "--linsolve", "direct", "--eta-policy", "adaptive:1,0.1"]
+        if command == "solve":
+            argv += ["--problem", "synthetic_quadratic"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "eta_policy applies to inexact solves only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, policy", [
+        ("constant", ConstantEta()),
+        ("constant:0.3", ConstantEta(0.3)),
+        ("adaptive:2", AdaptiveEta(2.0)),
+        ("adaptive:2,", AdaptiveEta(2.0)),
+        ("adaptive:2,0.5", AdaptiveEta(2.0, 0.5)),
+    ])
+    def test_eta_policy_takes_the_policy_defaults(self, text, policy):
+        args = build_parser().parse_args(
+            ["solve", "--problem", "synthetic_linear", "--eta-policy", text])
+        assert args.eta_policy == policy
+
+    def test_inexact_default_policy_is_solver_configs(self, capsys):
+        args = build_parser().parse_args(["solve", "--problem", "synthetic_linear"])
+        assert args.eta_policy is None
+        rows = []
+        for extra in ([], ["--eta-policy", "constant"]):
+            assert main(["solve", "--problem", "pb3_troesch", "--n", "50",
+                         "--linsolve", "inexact", *extra]) == 0
+            rows.append(_strip_wall(capsys.readouterr().out))
+        assert rows[0] == rows[1]
 
     def test_bad_eta_policy_exit_2(self):
         with pytest.raises(SystemExit) as exc:

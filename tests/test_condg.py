@@ -52,6 +52,21 @@ def test_infeasible_start_rejected():
         condg(box, np.array([0.5]), np.array([np.nan]), 0.0, 10)
 
 
+@pytest.mark.parametrize("cap", [0, 2.5, np.nan, True])
+@pytest.mark.parametrize("lmo_only", [False, True], ids=["projection", "lmo-only"])
+def test_cap_must_be_an_integer_at_least_1(cap, lmo_only):
+    box = Box([0.0], [1.0])
+    fset = LmoOnly(box) if lmo_only else box
+    with pytest.raises(ValueError, match="^cap must be an integer >= 1$"):
+        condg(fset, np.array([2.0]), np.array([0.5]), 0.0, cap)
+
+
+def test_cap_may_be_a_numpy_integer():
+    res = condg(LmoOnly(Box([0.0], [1.0])), np.array([2.0]), np.array([0.5]), 0.0, np.int64(5))
+    assert res.terminated_by == "gap"
+    np.testing.assert_array_equal(res.z, [1.0])
+
+
 @pytest.mark.parametrize("x", [
     [0.5, np.nan, -3.0], [np.nan], [-0.0], [-0.0, 0.0], [-5e6, 3.0, 2e6], [-0.25, 7e5], [],
 ])

@@ -73,6 +73,7 @@ def test_validate_config_monotone_in_theta():
         dict(refresh_period=0),
         dict(max_outer=2.5),
         dict(max_outer=2.0),
+        dict(max_outer=True),
         dict(max_condg=300.0),
         dict(refresh_period=1.5),
         dict(refresh_period=float("nan")),
@@ -171,7 +172,7 @@ def test_problem_rejects_a_vectorized_that_is_not_a_bool(flag):
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         Problem(name="x", n=0, fun=lambda x: x, feasible_set=Box([0.0], [1.0]))
-    for n in (3.0, 2.5, float("nan")):
+    for n in (3.0, 2.5, float("nan"), True):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             Problem(name="x", n=n, fun=lambda x: x, feasible_set=Box(np.zeros(3), np.ones(3)))
     assert Problem(name="x", n=np.int64(3), fun=lambda x: x,
@@ -210,3 +211,14 @@ def test_check_problem_flags_a_residual_of_the_wrong_shape():
                   feasible_set=Box(np.zeros(3), np.ones(3)))
     with pytest.raises(AssertionError, match=r"short: fun\(x\) has shape \(2,\)"):
         check_problem(bad)
+
+
+@pytest.mark.parametrize("samples", [0, 2.5, True])
+@pytest.mark.parametrize("vectorized", [False, True], ids=["per-point", "vectorized"])
+def test_check_problem_rejects_a_samples_that_is_not_a_count(samples, vectorized):
+    n = 3
+    p = Problem(name="shift", n=n, fun=lambda x: x - 0.5,
+                feasible_set=Box(np.zeros(n), np.ones(n)), vectorized=vectorized)
+    with pytest.raises(ValueError, match="^samples must be an integer >= 1$"):
+        check_problem(p, samples=samples)
+    check_problem(p, samples=np.int64(2))

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, with
+warnings raised as errors as in the test suite."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_exits_0(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

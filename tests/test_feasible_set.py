@@ -272,6 +272,8 @@ def test_box_invariant_validation():
         Simplex(3, scale=0.0)
     with pytest.raises(ValueError, match="n must be >= 1"):
         Simplex(0)
+    with pytest.raises(ValueError, match="center must be a 1-d array"):
+        EuclideanBall(np.zeros((2, 2)), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -311,3 +313,14 @@ def test_ball_lmo_of_a_zero_direction_is_the_centre():
 def test_simplex_projection_rejects_a_non_finite_point():
     with pytest.raises(ValueError, match="simplex projection needs a finite point"):
         Simplex(3).project(np.array([0.2, np.nan, 0.3]))
+
+
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0), True, "3"])
+def test_simplex_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="^n must be >= 1 and an integer$"):
+        Simplex(n)
+
+
+def test_simplex_n_may_be_a_numpy_integer():
+    simplex = Simplex(np.int64(3))
+    assert simplex.n == 3 and type(simplex.n) is int

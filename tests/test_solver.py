@@ -8,7 +8,9 @@ import pytest
 
 from newton_condg import (
     Box,
+    EuclideanBall,
     Problem,
+    Simplex,
     SolverConfig,
     TheoryParams,
     condg_epsilon,
@@ -176,6 +178,17 @@ class TestSolve:
         p = make_problem("synthetic_quadratic", 4)
         with pytest.raises(ValueError, match="^x0 must be an n-vector$"):
             solve(p, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fset", [Box(np.zeros(3), np.ones(3)),
+                                      EuclideanBall(np.zeros(3), 1.0), Simplex(3)],
+                             ids=["box", "ball", "simplex"])
+    def test_non_finite_x0_raises(self, fset, bad):
+        p = Problem(name="shift", n=3, fun=lambda x: x - 0.25, feasible_set=fset)
+        x0 = np.full(3, 0.25)
+        x0[1] = bad
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            solve(p, x0)
 
     def test_deterministic_replay(self):
         p = make_problem("pb2_discrete_boundary", 60)

@@ -205,6 +205,27 @@ class TestMajorantSequence:
         with pytest.raises(ValueError, match="theta"):
             majorant_sequence(m, EXACT_NEWTON, 1e-5, 0.5, 10)  # theta > lam^2/2 = 0
 
+    @pytest.mark.parametrize("kmax", [2.5, -1, True, np.float64(3.0)])
+    def test_kmax_must_be_an_integer_at_least_0(self, kmax):
+        with pytest.raises(ValueError, match="^kmax must be an integer >= 0$"):
+            majorant_sequence(holder_majorant(1.0, 1.0), EXACT_NEWTON, 0.0, 0.5, kmax)
+
+    def test_kmax_counts_the_terms_after_t0(self):
+        m = holder_majorant(1.0, 1.0)
+        assert majorant_sequence(m, EXACT_NEWTON, 0.0, 0.5, 0).tolist() == [0.5]
+        assert majorant_sequence(m, EXACT_NEWTON, 0.0, 0.5, np.int64(3)).size == 4
+
+    @pytest.mark.parametrize("family", ["holder", "smale"])
+    def test_t0_bound_is_the_closed_form_rho(self, family):
+        tp = TheoryParams(omega1=1.2, omega2=0.1, vartheta=0.05, lam=0.2)
+        if family == "holder":
+            m, rho = holder_majorant(1.5, 0.6), holder_radius(1.5, 0.6, tp).rho
+        else:
+            m, rho = smale_majorant(1.5), smale_radius(1.5, tp).rho
+        assert majorant_sequence(m, tp, 0.0, np.nextafter(rho, 0.0), 1).size == 2
+        with pytest.raises(ValueError, match="t0 < rho"):
+            majorant_sequence(m, tp, 0.0, rho, 1)
+
     def test_t0_at_rho_names_rho(self):
         m = smale_majorant(1.0)
         rho = smale_radius(1.0, EXACT_NEWTON).rho
