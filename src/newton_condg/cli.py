@@ -8,8 +8,11 @@ in scientific notation (6 significant digits); row order is lexicographic in
 column. A row whose solve raised has status "error"; `solve --format json`
 and `solve --trace` also carry the exception as "error": "<type>: <message>".
 `solve --format json` also lists the model of every step taken ("exact",
-"finite_difference" or "secant") as "models". `solve --trace` writes every
-RunReport field, `steps` as a list of objects, each with its "model".
+"finite_difference" or "secant") as "models", and the kernel that solved it
+("getrf", "sgetrf", "secant", "gttrf", "superlu" or "gmres") as "kernels".
+`solve --trace` writes every RunReport field, `steps` as a list of objects,
+each with its "model" and "kernel". A --n that make_problem rejects is a
+usage error (exit 2) with its message.
 Both write strict JSON: a nan or infinite number becomes null.
 """
 
@@ -37,7 +40,8 @@ SUITES = {"paper-core": PAPER_CORE, "all": tuple(REGISTRY), "synthetic": SYNTHET
 @dataclass
 class RunRow:
     """One benchmark-table row; error is the exception of a raised solve,
-    models the model of each step taken (not a CSV column)."""
+    models and kernels the model of each step taken and what solved it (not
+    CSV columns)."""
 
     problem: str
     n: int
@@ -49,6 +53,7 @@ class RunRow:
     wall_ms: float
     error: Optional[str] = None
     models: list = field(default_factory=list)
+    kernels: list = field(default_factory=list)
 
     def to_csv(self):
         return (
@@ -112,10 +117,15 @@ def _config_from_args(args, parser):
 
 
 def _run_one(problem_id, n, gamma, method, config):
+    """(row, report) of one solve; report is None when the solve raised.
+
+    A ValueError of make_problem (a bad n) propagates, for the caller to
+    report as a usage error; anything raised after it makes an "error" row.
+    """
     n = n if n is not None else REGISTRY[problem_id].default_n
     start = time.perf_counter()
+    problem = make_problem(problem_id, n)
     try:  # never abort a sweep on one bad row
-        problem = make_problem(problem_id, n)
         x0 = starting_point(problem, gamma)
         config = replace(config, jacobian_strategy=METHOD_TO_STRATEGY[method])
         report = solve(problem, x0, config)
@@ -124,14 +134,15 @@ def _run_one(problem_id, n, gamma, method, config):
         final = report.residual_norms[-1]
         error = None
         models = [step.model for step in report.steps]
+        kernels = [step.kernel for step in report.steps]
     except Exception as exc:
-        status, iters, final, report, models = "error", 0, math.nan, None, []
+        status, iters, final, report, models, kernels = "error", 0, math.nan, None, [], []
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = 1000.0 * (time.perf_counter() - start)
     row = RunRow(
         problem=problem_id, n=n, gamma=gamma, method=method,
         iters=iters, final_norm_inf=final, status=status, wall_ms=wall_ms,
-        error=error, models=models,
+        error=error, models=models, kernels=kernels,
     )
     return row, report
 
@@ -157,10 +168,11 @@ def _write(text, path):
 
 
 def cmd_solve(args, parser):
-    if args.n is not None and args.n < 2:
-        parser.error("--n must be >= 2")
     config = _config_from_args(args, parser)
-    row, report = _run_one(args.problem, args.n, args.gamma, args.method, config)
+    try:
+        row, report = _run_one(args.problem, args.n, args.gamma, args.method, config)
+    except ValueError as exc:  # make_problem's, as for --n 1
+        parser.error(str(exc))
     if args.format == "json":
         text = json.dumps(_strict_json(asdict(row)), indent=2, allow_nan=False) + "\n"
     else:

@@ -197,6 +197,8 @@ class Step:
             condg.CondGResult.
         model: the step's model M_k, "exact", "finite_difference" or
             "secant", as jacobian.model_kind schedules it.
+        kernel: what solved M_k s_k = -F(x_k), linsolve.LinSolveOutcome.kernel:
+            "getrf", "sgetrf", "secant", "gttrf", "superlu" or "gmres".
     """
 
     step_norm: float
@@ -205,6 +207,7 @@ class Step:
     final_gap: float
     terminated_by: str
     model: str
+    kernel: str
 
 
 @dataclass

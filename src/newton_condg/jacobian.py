@@ -13,8 +13,9 @@ perturb each group of structurally orthogonal columns in one residual call
 data array in O(nnz).
 A problem that declares no pattern gets a dense ndarray built column by
 column and the classical Broyden update, except that the exact strategy
-keeps a sparse problem.jac sparse. Sparsity is never guessed from computed
-values.
+keeps a sparse problem.jac sparse. A model's storage is never guessed from
+computed values; only linsolve.lu_factor reads a dense model's exact zeros,
+to factorize one that is tridiagonal by value with gttrf.
 
 Every model goes through linsolve.as_model. One object per sparse
 structure: the canonical pattern (linsolve._Pattern) carries the row of

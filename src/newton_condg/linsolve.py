@@ -20,14 +20,18 @@ carry the Problem's, so its analysis runs once per pattern; any other
 sparse matrix gets a pattern of its own, from its stored entries (explicit
 zeros included). Every factorization goes
 through lu_factor, which checks the model once (finite, non-zero) and picks
-the kernel by storage; each kernel is one class that factorizes with partial
-pivoting and checks its own pivots (none below PIVOT_RTOL * maxabs).
-_TridiagonalLU (LAPACK gttrf, which scipy.linalg.solve_banded picks for a
-tridiagonal band too) takes a sparse model of order n >= 3 whose stored
-entries all lie within one diagonal of the main one (|j - i| <= 1, read
-from its stored structure: a diagonal, bidiagonal or tridiagonal model);
-_SparseLU (scipy.sparse.linalg.splu) takes every other sparse one;
-_DenseLU a dense one, by
+the kernel by storage, and for a dense model by its exact zeros; each
+kernel is one class that factorizes with partial pivoting and checks its
+own pivots (none below PIVOT_RTOL * maxabs). _TridiagonalLU (LAPACK gttrf,
+which scipy.linalg.solve_banded picks for a tridiagonal band too) takes a
+model of order n >= 3 whose entries all lie within one diagonal of the main
+one (|j - i| <= 1: a diagonal, bidiagonal or tridiagonal model): a sparse
+one by its stored structure, a dense one by its values, every entry off
+those three diagonals being exactly zero (_tridiagonal_by_value, the test
+Julia's factorize and MATLAB's mldivide make of a full matrix; it costs
+O(1) on a model with a nonzero corner, one counting pass otherwise). The
+model's storage stays what it is. _SparseLU (scipy.sparse.linalg.splu)
+takes every other sparse one; _DenseLU every other dense one, by
 LAPACK dgetrf below order MIXED_MIN_N (250, where the float32 factors stop
 costing more than they save) and by sgetrf on a float32 copy above it, with
 mixed-precision iterative refinement (Buttari et al., ACM TOMS 2008; Carson
@@ -109,6 +113,13 @@ class LinSolveOutcome:
     eta_used: float
     factors: object = None
 
+    @property
+    def kernel(self):
+        """The kernel that solved the step, read from factors: "getrf",
+        "sgetrf" (refined), "secant" (refined against kept float32 factors),
+        "gttrf" or "superlu"; "gmres" when factors is None."""
+        return "gmres" if self.factors is None else self.factors.kernel
+
 
 class _DenseLU:
     """LU factors of a dense model M: sgetrf's of a float32 copy, refined
@@ -169,6 +180,15 @@ class _DenseLU:
         if not abs(denom) >= SECANT_DENOM_RTOL * math.sqrt((s @ s) * (z @ z)):
             return None
         return _DenseLU(M, maxabs, self.lu32, self.terms + (((s - z) / denom, s),))
+
+    @property
+    def kernel(self):
+        """What solved the last 1-D right-hand side: "getrf" once the float32
+        factors are gone, else "secant" when secant terms ride on them and
+        "sgetrf" when none do."""
+        if self.lu32 is None:
+            return "getrf"
+        return "secant" if self.terms else "sgetrf"
 
     def _getrf(self):
         """The getrf factors, derived and pivot-checked on first use.
@@ -231,6 +251,8 @@ class _DenseLU:
 class _SparseLU:
     """SuperLU factors of a sparse model."""
 
+    kernel = "superlu"
+
     def __init__(self, A, maxabs):
         try:
             self.superlu = splu(A.tocsc())
@@ -244,22 +266,29 @@ class _SparseLU:
 
 
 class _TridiagonalLU:
-    """LAPACK gttrf's LU factors of a sparse model whose _pattern is
-    tridiagonal. lu is (dl, d, du, du2): the multipliers and U's three
-    diagonals, d being the pivots, which are checked.
+    """LAPACK gttrf's LU factors of a model whose nonzeros all lie within one
+    diagonal of the main one: a sparse model whose _pattern is tridiagonal,
+    or a dense one that is tridiagonal by value (_tridiagonal_by_value). lu
+    is (dl, d, du, du2): the multipliers and U's three diagonals, d being
+    the pivots, which are checked.
 
-    A model that stores the whole band has, in canonical CSR order, its
-    diagonal at entries 0, 3, 6, ..., its superdiagonal at 1, 4, ... and its
-    subdiagonal at 2, 5, ..., so gttrf's input is three strided copies of
-    its data; any other is scattered by its pattern's flat into zeros."""
+    A dense model's three diagonals are copied out of it. A sparse model
+    that stores the whole band has, in canonical CSR order, its diagonal at
+    entries 0, 3, 6, ..., its superdiagonal at 1, 4, ... and its subdiagonal
+    at 2, 5, ..., so gttrf's input is three strided copies of its data; any
+    other is scattered by its pattern's flat into zeros."""
+
+    kernel = "gttrf"
 
     def __init__(self, A, maxabs):
-        P, n = A._pattern, A.shape[0]
-        if P.flat is None:  # all 3n - 2 entries, stored d u l d u l ... d
+        n = A.shape[0]
+        if not sparse.issparse(A):
+            dl, d, du = (np.diagonal(A, k).copy() for k in (-1, 0, 1))
+        elif A._pattern.flat is None:  # all 3n - 2 entries, stored d u l d u l ... d
             dl, d, du = A.data[2::3].copy(), A.data[::3].copy(), A.data[1::3].copy()
         else:  # storage is dl | d | du, the sub-, main and superdiagonal
             storage = np.zeros(3 * n - 2)
-            storage[P.flat] = A.data
+            storage[A._pattern.flat] = A.data
             dl, d, du = storage[:n - 1], storage[n - 1:2 * n - 1], storage[2 * n - 1:]
         *self.lu, self.piv, info = dgttrf(
             dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True,
@@ -476,7 +505,11 @@ def lu_factor(M):
     pivots. A sparse model gets LAPACK's gttrf (_TridiagonalLU) when its
     order is at least 3 and every stored entry lies within one diagonal of
     the main one (read from the stored structure, never from values), and
-    SuperLU (_SparseLU) otherwise, as its _pattern says. A dense one gets
+    SuperLU (_SparseLU) otherwise, as its _pattern says. A dense one of
+    order at least 3 whose nonzeros all lie within one diagonal of the main
+    one gets gttrf on copies of its three diagonals: that test reads the
+    exact zeros of M itself, after the finite and non-zero check, so it
+    guesses nothing about other models. Every other dense one gets
     _DenseLU: LAPACK dgetrf below order MIXED_MIN_N, above it sgetrf on a
     float32 copy, whose solves of one right-hand side are refined against M,
     while a block of right-hand sides is solved by dgetrs. _DenseLU keeps a
@@ -484,14 +517,32 @@ def lu_factor(M):
     is never written. Raises LinearSolveFailure when M has a non-finite entry, is
     zero, or is singular to working precision (some pivot below PIVOT_RTOL *
     maxabs(M) in getrf, gttrf or SuperLU; an exactly singular dense M
-    raises it with no warning); with float32 factors, the getrf check runs
+    raises it with no warning, and "model matrix is singular" when gttrf
+    meets the exactly zero pivot); with float32 factors, the getrf check runs
     in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
     if not sparse.issparse(A):
-        return _DenseLU(A, _checked_scale(A))
+        maxabs = _checked_scale(A)
+        return (_TridiagonalLU if _tridiagonal_by_value(A) else _DenseLU)(A, maxabs)
     kernel = _TridiagonalLU if A._pattern.tridiagonal else _SparseLU
     return kernel(A, _checked_scale(A.data))
+
+
+def _tridiagonal_by_value(A):
+    """True when the finite dense A, of order n >= 3, has every nonzero
+    within one diagonal of the main one (|j - i| <= 1), read from its exact
+    zeros.
+
+    A nonzero corner A[-1, 0] or A[0, -1] answers in O(1), which a full
+    model does; otherwise one counting pass of A decides. With one BLAS
+    thread on a 2-vCPU Xeon virtual machine that pass took 40 us at
+    n = 200 and 0.9 ms at n = 1000, where dgetrf took 0.3 and 23 ms.
+    """
+    n = A.shape[0]
+    if n < 3 or A[-1, 0] != 0.0 or A[0, -1] != 0.0:
+        return False
+    return np.count_nonzero(A) == sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
 
 
 def _check_pivots(pivots, scale):

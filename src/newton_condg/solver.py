@@ -114,7 +114,7 @@ def solve(problem, x0, config=None, theory=None):
             break
 
         try:
-            s, eta_used, factors = _linear_step(
+            s, eta_used, factors, kernel = _linear_step(
                 jac_state.M, fx, config, None if factors is None else (factors, *prev_step)
             )
         except LinearSolveFailure:
@@ -130,7 +130,8 @@ def solve(problem, x0, config=None, theory=None):
         y = x + s
         inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
         steps.append(core.Step(snorm, eta_used, inner.inner_iters,
-                               inner.final_gap, inner.terminated_by, model))
+                               inner.final_gap, inner.terminated_by, model,
+                               kernel))
         uncertified_steps += inner.terminated_by == ITERATION_CAP
 
         z = inner.z
@@ -150,15 +151,15 @@ def solve(problem, x0, config=None, theory=None):
 
 
 def _linear_step(M, fx, config, prev_step):
-    """(s, eta_used, factors) of the step M s = -F(x): direct, given the
-    previous step's factors and (s, y) as prev_step when M is their secant
-    update, or inexact to the configured forcing term."""
+    """(s, eta_used, factors, kernel) of the step M s = -F(x): direct, given
+    the previous step's factors and (s, y) as prev_step when M is their
+    secant update, or inexact to the configured forcing term."""
     if config.linsolve == "direct":
         outcome = solve_direct(M, -fx, prev_step=prev_step)
     else:
         policy = config.eta_policy or ConstantEta()
         outcome = solve_inexact(M, -fx, forcing_eta(math.sqrt(fx @ fx), policy))
-    return outcome.s, outcome.eta_used, outcome.factors
+    return outcome.s, outcome.eta_used, outcome.factors, outcome.kernel
 
 
 def _stalled(residual_norms):

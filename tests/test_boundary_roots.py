@@ -10,6 +10,7 @@ shows up here as a failed solve or a capped inner call.
 import numpy as np
 import pytest
 
+import newton_condg.linsolve
 from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, solve
 
 from oracles import LmoOnly
@@ -63,6 +64,22 @@ def test_boundary_root_converges_with_certified_steps(kind, seed):
     assert np.abs(report.x - problem.known_root).max() <= 1e-5
     assert report.uncertified_steps == 0
     assert max(step.inner_iters for step in report.steps) < CONFIG.max_condg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_dense_tridiagonal_models_take_gttrf(monkeypatch, kind, seed):
+    # jac is A + diag(x - r), dense and tridiagonal by value: every step is
+    # gttrf's, and the run is getrf's to rounding
+    problem, x0 = boundary_problem(kind, seed)
+    report = solve(problem, x0, CONFIG)
+    assert report.steps and all(step.kernel == "gttrf" for step in report.steps)
+    monkeypatch.setattr(newton_condg.linsolve, "_tridiagonal_by_value", lambda A: False)
+    reference = solve(problem, x0, CONFIG)
+    assert all(step.kernel == "getrf" for step in reference.steps)
+    assert report.status == reference.status == "converged"
+    assert report.iterations == reference.iterations
+    assert report.residual_norms[-1] == pytest.approx(reference.residual_norms[-1], rel=1e-12)
 
 
 def test_capped_inner_calls_are_reported():

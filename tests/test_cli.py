@@ -85,9 +85,10 @@ class TestSolve:
         for step in payload["steps"]:
             assert set(step) == {
                 "step_norm", "eta_used", "inner_iters", "final_gap", "terminated_by",
-                "model",
+                "model", "kernel",
             }
             assert step["model"] == "exact"
+            assert step["kernel"] == "gttrf"  # synthetic_quadratic's diagonal model
 
     def test_json_output_to_file(self, tmp_path):
         out_path = tmp_path / "row.json"
@@ -100,6 +101,7 @@ class TestSolve:
         assert row["status"] == "converged"
         assert row["final_norm_inf"] <= 1e-6
         assert row["models"] == ["finite_difference"] * row["iters"]
+        assert row["kernels"] == ["gttrf"] * row["iters"]  # its tridiagonal pattern
 
     def test_step_models_follow_the_refresh_schedule(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -112,6 +114,10 @@ class TestSolve:
         row = json.loads(capsys.readouterr().out)
         steps = json.loads(trace.read_text())["steps"]
         assert row["models"] == [step["model"] for step in steps]
+        assert row["kernels"] == [step["kernel"] for step in steps]
+        # a dense pb1 model at n = 30 is getrf's; a secant step has no float32
+        # factors to update there, so it is factorized afresh
+        assert set(row["kernels"]) == {"getrf"}
         # refresh at k = 0, 1, 3, 5, ...; a secant update between
         assert row["models"][:4] == ["finite_difference", "finite_difference", "secant",
                                      "finite_difference"]
@@ -129,13 +135,15 @@ class TestSolve:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_problem_exit_2(self):
+    def test_unknown_problem_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--problem", "pb99_unknown"])
         assert exc.value.code == 2
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--problem", "synthetic_quadratic", "--n", "1"])
         assert exc.value.code == 2
+        assert "n must be an integer >= 2" in capsys.readouterr().err
 
     def test_h_equation_row(self, capsys):
         code = main(["solve", "--problem", "pb1_h_equation", "--n", "400",

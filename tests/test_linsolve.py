@@ -348,6 +348,80 @@ def test_kernel_rule(case):
         lu_factor(singular)
 
 
+def _off_band(rng, n):
+    """A dense tridiagonal model plus one entry of 1e-300 two diagonals out."""
+    A = _diagonals(rng, n, [-1, 0, 1]).toarray()
+    A[n - 1, n - 3] = 1e-300
+    return A
+
+
+# (the dense model, built from an rng, and the kernel lu_factor takes for it):
+# a dense model of order n >= 3 whose nonzeros all lie within one diagonal of
+# the main one, read from its values, is gttrf's, any other _DenseLU's
+DENSE_KERNEL_RULE = {
+    **{
+        f"{name}-n{n}": (lambda rng, n=n, offsets=offsets: _diagonals(rng, n, offsets).toarray(),
+                         _TridiagonalLU)
+        for n in (3, 40, 300)
+        for name, offsets in (
+            ("diagonal", [0]),
+            ("lower-bidiagonal", [-1, 0]),
+            ("upper-bidiagonal", [0, 1]),
+            ("tridiagonal", [-1, 0, 1]),
+        )
+    },
+    "order-two": (lambda rng: _diagonals(rng, 2, [-1, 0, 1]).toarray(), _DenseLU),
+    "pentadiagonal": (lambda rng: _diagonals(rng, 40, [-2, -1, 0, 1, 2]).toarray(), _DenseLU),
+    "full-n40": (lambda rng: rng.standard_normal((40, 40)) + 4.0 * np.sqrt(40) * np.eye(40),
+                 _DenseLU),
+    "full-n300": (lambda rng: rng.standard_normal((300, 300)) + 4.0 * np.sqrt(300) * np.eye(300),
+                  _DenseLU),
+    "off-band-n40": (lambda rng: _off_band(rng, 40), _DenseLU),
+    "off-band-n300": (lambda rng: _off_band(rng, 300), _DenseLU),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_KERNEL_RULE)
+def test_dense_kernel_rule(case):
+    build, kernel = DENSE_KERNEL_RULE[case]
+    rng = np.random.default_rng(0)
+    M = build(rng)
+    before = M.copy()
+    n = M.shape[0]
+    assert MIXED_MIN_N <= 300  # so the n = 300 cases are past getrf's orders
+    assert type(lu_factor(M)) is kernel
+    for b in rng.standard_normal((4, n)):
+        out = solve_direct(M, b)
+        assert type(out.factors) is kernel
+        reference = linalg.lu_solve(linalg.lu_factor(M), b)
+        assert np.linalg.norm(out.s - reference) <= 1e-12 * np.linalg.norm(reference)
+        expected = np.linalg.norm(M @ out.s - b) / np.linalg.norm(b)
+        assert np.float64(out.eta_used).tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(M, before)  # the dense model is not written
+
+
+@pytest.mark.parametrize("where", [(5, 0), (0, 9), (7, 2)])
+def test_off_band_nan_of_a_dense_tridiagonal_model_fails(where):
+    M = _diagonals(np.random.default_rng(1), 10, [-1, 0, 1]).toarray()
+    M[where] = np.nan
+    with pytest.raises(LinearSolveFailure, match="^model matrix has non-finite entries$"):
+        lu_factor(M)
+
+
+@pytest.mark.parametrize("n", [3, 40, 300])
+def test_dense_zero_model_fails(n):
+    with pytest.raises(LinearSolveFailure, match="^model matrix is zero$"):
+        lu_factor(np.zeros((n, n)))
+
+
+def test_exactly_singular_dense_tridiagonal_model_fails():
+    # rows 0 and 1 are equal: gttrf meets an exactly zero pivot (info > 0),
+    # where getrf's zero pivot failed the pivot check ("... to working precision")
+    M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(LinearSolveFailure, match="^model matrix is singular$"):
+        lu_factor(M)
+
+
 @pytest.mark.parametrize("n", [3, 10, 2000])
 def test_diagonal_model_step_is_b_over_d(n):
     # gttrf's step on a diagonal model is b / d, bit for bit
@@ -693,6 +767,42 @@ class TestSecantSolve:
         assert type(out.factors) is type(previous)
         assert out.s.tobytes() == fresh.s.tobytes()
         assert out.eta_used == fresh.eta_used
+
+
+def _kernel_case(kind, monkeypatch):
+    """The outcome of one step that kind names."""
+    rng = np.random.default_rng(40)
+    n = MIXED_MIN_N
+    M = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    b = rng.standard_normal(n)
+    if kind == "getrf":
+        return solve_direct(M[:40, :40], b[:40])
+    if kind == "sgetrf":
+        return solve_direct(M, b)
+    if kind == "secant":
+        s, y = _broyden_pair(rng, M)
+        return solve_direct(schubert_update(M, s, y), b, (solve_direct(M, b).factors, s, y))
+    if kind == "refinement failed":  # as in TestMixedLU.test_unconverged_refinement_takes_getrf
+        monkeypatch.setattr(newton_condg.linsolve, "MIXED_MAX_STEPS", 1)
+        M = _graded(TestMixedLU.N, 6, seed=15)
+        assert lu_factor(M).lu32 is not None  # kept until refinement fails
+        return solve_direct(M, rng.standard_normal(TestMixedLU.N))
+    if kind == "gttrf":
+        return solve_direct(_diagonals(rng, 40, [-1, 0, 1]).toarray(), b[:40])
+    if kind == "superlu":
+        return solve_direct(_diagonals(rng, 40, [-2, -1, 0, 1, 2]), b[:40])
+    return solve_inexact(M, b, 0.5)  # dense: plain GMRES meets it
+
+
+@pytest.mark.parametrize("kind, kernel", [
+    ("getrf", "getrf"), ("sgetrf", "sgetrf"), ("secant", "secant"),
+    ("refinement failed", "getrf"), ("gttrf", "gttrf"), ("superlu", "superlu"),
+    ("gmres", "gmres"),
+])
+def test_outcome_names_the_kernel_that_solved_it(monkeypatch, kind, kernel):
+    out = _kernel_case(kind, monkeypatch)
+    assert out.kernel == kernel
+    assert (out.factors is None) == (kernel == "gmres")
 
 
 def _arrowhead(n):

@@ -105,9 +105,10 @@ def test_refined_dense_solve_keeps_the_tracer_spans_apart(monkeypatch):
 @pytest.mark.parametrize("workload", ["banded", "dense", "boundary"])
 def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     # the tracer's linsolve.lu_s is the time inside the hooked lu_factor. Every
-    # factorization kernel must run there: getrf below MIXED_MIN_N, sgetrf
-    # from it on (then getrf only when a float32 pivot is too small), gttrf
-    # or SuperLU for a sparse model. Every solve, and a getrf that a solve
+    # factorization kernel must run there: gttrf for a dense model that is
+    # tridiagonal by value, else getrf below MIXED_MIN_N and sgetrf from it
+    # on (then getrf only when a float32 pivot is too small), gttrf or
+    # SuperLU for a sparse model. Every solve, and a getrf that a solve
     # derives, must run after it returns. On dense only the exact rows run:
     # the FD and Schubert rows factorize models of the same orders.
     workloads = _perfbench("workloads")
@@ -142,6 +143,8 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     for M, kept, inside in factorizations:
         if sparse.issparse(M):
             assert inside in (["dgttrf"], ["splu"])
+        elif M.shape[0] >= 3 and not np.triu(M, 2).any() and not np.tril(M, -2).any():
+            assert inside == ["dgttrf"]
         elif M.shape[0] < linsolve.MIXED_MIN_N:
             assert inside == ["getrf"]
         else:
@@ -150,9 +153,10 @@ def test_lu_s_is_the_factorization_on_every_workload(monkeypatch, workload):
     orders = {M.shape[0] for M, _kept, _inside in factorizations if not sparse.issparse(M)}
     assert bool(orders) == (workload != "banded")
     assert any(n >= linsolve.MIXED_MIN_N for n in orders) == ("sgetrs" in calls[0])
-    # the tridiagonal pb2 and pb3 rows of banded factorize with gttrf
+    # the tridiagonal pb2 and pb3 rows of banded, and the dense tridiagonal
+    # box, ball and simplex models of boundary, factorize with gttrf
     assert any(inside == ["dgttrf"] for _M, _kept, inside in factorizations) == (
-        workload == "banded"
+        workload in ("banded", "boundary")
     )
 
 
