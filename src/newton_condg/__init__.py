@@ -32,7 +32,7 @@ from .jacobian import (
     schubert_update,
 )
 from .linsolve import LinearSolveFailure, LinSolveOutcome, solve_direct, solve_inexact
-from .solver import condg_epsilon, solve
+from .solver import solve
 from .theory import (
     MajorantFunction,
     TheoryParams,
@@ -72,7 +72,6 @@ __all__ = [
     "TheoryParams",
     "check_problem",
     "condg",
-    "condg_epsilon",
     "fd_jacobian",
     "forcing_eta",
     "holder_majorant",

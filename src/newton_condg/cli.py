@@ -122,7 +122,6 @@ def _run_one(problem_id, n, gamma, method, config):
     A ValueError of make_problem (a bad n) propagates, for the caller to
     report as a usage error; anything raised after it makes an "error" row.
     """
-    n = n if n is not None else REGISTRY[problem_id].default_n
     start = time.perf_counter()
     problem = make_problem(problem_id, n)
     try:  # never abort a sweep on one bad row
@@ -140,7 +139,7 @@ def _run_one(problem_id, n, gamma, method, config):
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = 1000.0 * (time.perf_counter() - start)
     row = RunRow(
-        problem=problem_id, n=n, gamma=gamma, method=method,
+        problem=problem_id, n=problem.n, gamma=gamma, method=method,
         iters=iters, final_norm_inf=final, status=status, wall_ms=wall_ms,
         error=error, models=models, kernels=kernels,
     )

@@ -17,28 +17,12 @@ keeps a sparse problem.jac sparse. A model's storage is never guessed from
 computed values; only linsolve.lu_factor reads a dense model's exact zeros,
 to factorize one that is tridiagonal by value with gttrf.
 
-Every model goes through linsolve.as_model. One object per sparse
-structure: the canonical pattern (linsolve._Pattern) carries the row of
-every stored entry, the template every model copies (pattern.model(data)),
-the analysis lu_factor reads, and for finite differences the column groups
-and, per block size, where each column's step goes in a block's points.
-fd_jacobian and the Schubert update read them from
-canonical_pattern(pattern), which returns a Problem's pattern as it is, so
-each is derived once per problem: the structure when the Problem is made,
-the colouring on the first finite-difference build (a problem solved only
-with its exact Jacobian never colours its pattern), the scatter on the
-first build of each block size. dataclasses.replace copies keep the same
-pattern object and so read the same derivations. The registry's sparse
-problems make their exact Jacobians as models of the same pattern
-(bench._SparseJacobian), so exact, finite-difference and secant models of
-one problem share one template and one analysis. The solver's exact model
-is as_model(problem.jac(x)): a sparse Jacobian that carries the pattern of
-its own arrays is the model as it is, and any other gets a pattern of its
-own from as_model. A canonical pattern pickles as its data, indices and
-indptr alone and unpickles through canonical_pattern, so what it derived,
-several times the pattern's size, is not sent: the unpickled pattern
-derives its structure when it is made and its colouring on its first
-finite-difference build, once each.
+Every model goes through linsolve.as_model. A sparse model is a model of
+one canonical pattern; linsolve._Pattern says what that object carries and
+when it derives each part. fd_jacobian and the Schubert update read
+canonical_pattern(problem.pattern), which returns a Problem's pattern as it
+is, so each problem derives them once, and the Schubert update takes only
+models of that pattern.
 
 Either way one loop makes the finite differences, one residual call per
 block of column groups. A block is a single group unless the problem
@@ -52,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .linsolve import as_model, canonical_csr, canonical_pattern
+from .linsolve import as_model, canonical_pattern
 
 EXACT = "exact"
 FINITE_DIFFERENCE = "finite_difference"
@@ -158,15 +142,29 @@ def schubert_update(M, s, yvec, pattern=None):
     ||z_i|| == 0 are left unchanged, and no entry outside the pattern is ever
     written. pattern=None is the classical rank-one secant (Broyden) update
     of a dense M, bit-identical to an all-true mask; a zero step returns M.
-    A dense M stays dense under a dense or sparse pattern. A sparse M is
-    updated in O(nnz) and returned as a CSRModel with the pattern's structure.
+    A dense M stays dense under a dense or sparse pattern, and JacobianError
+    says when it has an entry off the pattern. A sparse M must be a model of
+    its pattern: P.model(data) with P = linsolve.canonical_pattern(pattern),
+    which fd_jacobian and this update return (P.fits(M)); any other sparse M
+    raises ValueError, as a missing pattern does. It is updated in O(nnz)
+    into a new model of P, and M is not written.
     """
     s = np.asarray(s, dtype=float)
     yvec = np.asarray(yvec, dtype=float)
     if sparse.issparse(M):
         if pattern is None:
             raise ValueError("a sparse M needs its sparsity pattern")
-        return _schubert_update_csr(M, s, yvec, pattern)
+        P = canonical_pattern(pattern)
+        if M.shape != P.shape:
+            raise ValueError("M and pattern shapes differ")
+        if not P.fits(M):
+            raise ValueError("a sparse M must be a model of its pattern")
+        rows, s_at = P.rows, s[P.indices]
+        denom = np.bincount(rows, weights=s_at * s_at, minlength=P.shape[0])
+        resid = yvec - M @ s
+        safe = np.where(denom > 0.0, denom, 1.0)
+        scale = np.where(denom > 0.0, resid / safe, 0.0)
+        return P.model(M.data + scale[rows] * s_at)
     M = np.asarray(M, dtype=float)
     if pattern is None:
         denom = np.sum(s * s)
@@ -186,25 +184,6 @@ def schubert_update(M, s, yvec, pattern=None):
     safe = np.where(denom > 0.0, denom, 1.0)
     scale = np.where(denom > 0.0, resid / safe, 0.0)
     return M + np.where(pattern, scale[:, None] * s[None, :], 0.0)
-
-
-def _schubert_update_csr(M, s, yvec, pattern):
-    P = canonical_pattern(pattern)
-    if M.shape != P.shape:
-        raise ValueError("M and pattern shapes differ")
-    rows, indices = P.rows, P.indices
-    if not P.fits(M):  # M is not a model of this pattern: embed it
-        M = canonical_csr(M)  # read only: no pattern is derived for it
-        data = M[rows, indices]  # M may store only part of the pattern
-        if np.count_nonzero(data) != np.count_nonzero(M.data):
-            raise JacobianError("M has entries outside the sparsity pattern")
-        M = P.model(data)
-    s_at = s[indices]
-    denom = np.bincount(rows, weights=s_at * s_at, minlength=P.shape[0])
-    resid = yvec - M @ s
-    safe = np.where(denom > 0.0, denom, 1.0)
-    scale = np.where(denom > 0.0, resid / safe, 0.0)
-    return P.model(M.data + scale[rows] * s_at)
 
 
 def model_kind(k, strategy, refresh_period=5):

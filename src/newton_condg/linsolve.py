@@ -483,18 +483,11 @@ def as_model(M):
     P = getattr(M, "_pattern", None)
     if P is not None and P.fits(M):
         return M
-    A = canonical_csr(M)
-    return with_data(A, np.ones(A.nnz, dtype=bool), _Pattern)._derive().model(A.data)
-
-
-def canonical_csr(M):
-    """A sparse M as a CSRModel with sorted, summed float entries and no
-    _pattern; made in a copy when M is not canonical, so M is never sorted."""
     A = CSRModel(M, dtype=float)
     if not A.has_canonical_format:  # A may share M's arrays; sort a copy
         A = A.copy()
         A.sum_duplicates()
-    return A
+    return with_data(A, np.ones(A.nnz, dtype=bool), _Pattern)._derive().model(A.data)
 
 
 def lu_factor(M):
@@ -607,22 +600,25 @@ def solve_inexact(M, b, eta):
     direct solve is substituted (which satisfies any eta). Raises
     LinearSolveFailure when M is non-finite or zero, whatever b is, when b
     is non-finite, before GMRES runs, and when lu_factor fails on a sparse
-    model, as solve_direct would on it.
+    model, as solve_direct would on it. A sparse model is factorized before
+    b is read, so a singular one fails with b = 0 too, where a dense one
+    returns the zero step.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
     if eta == 0.0:
         return solve_direct(M, b)
     M = as_model(M)
-    _checked_scale(M.data if sparse.issparse(M) else M)
+    if sparse.issparse(M):  # lu_factor checks M; its failure is solve_direct's too
+        precond = LinearOperator(M.shape, matvec=lu_factor(M).solve, dtype=float)
+    else:
+        _checked_scale(M)
+        precond = None
     b = _checked_rhs(b)
     bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
     n = b.size
-    precond = None
-    if sparse.issparse(M):  # exact: its LinearSolveFailure is solve_direct's too
-        precond = LinearOperator(M.shape, matvec=lu_factor(M).solve, dtype=float)
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
     )

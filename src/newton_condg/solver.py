@@ -31,14 +31,6 @@ NO_PROGRESS_WINDOW = 10
 NO_PROGRESS_FACTOR = 0.9
 
 
-def condg_epsilon(theta_k, s):
-    """Inner accuracy theta_k * ||s_k||^2 (Euclidean norm squared)."""
-    if not theta_k >= 0:
-        raise ValueError("theta must be >= 0")
-    s = np.asarray(s, dtype=float)
-    return float(theta_k * (s @ s))
-
-
 def solve(problem, x0, config=None, theory=None):
     """Run the constrained Newton-like iteration from x0.
 
@@ -122,13 +114,15 @@ def solve(problem, x0, config=None, theory=None):
             break
 
         # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
-        snorm = math.sqrt(s @ s)
+        s_sq = s @ s
+        snorm = math.sqrt(s_sq)
         if snorm < STEP_FLOOR * max(1.0, math.sqrt(x @ x)):
             status = core.NO_PROGRESS
             break
 
         y = x + s
-        inner = condg(fset, y, x, condg_epsilon(config.theta, s), config.max_condg)
+        # the inner accuracy theta ||s_k||^2; SolverConfig checks theta >= 0
+        inner = condg(fset, y, x, float(config.theta * s_sq), config.max_condg)
         steps.append(core.Step(snorm, eta_used, inner.inner_iters,
                                inner.final_gap, inner.terminated_by, model,
                                kernel))

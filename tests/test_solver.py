@@ -13,7 +13,6 @@ from newton_condg import (
     Simplex,
     SolverConfig,
     TheoryParams,
-    condg_epsilon,
     make_problem,
     solve,
     starting_point,
@@ -35,19 +34,21 @@ def _scalar_problem(fun, dfun, lower, upper):
     )
 
 
-class TestCondGEpsilon:
-    def test_values(self):
-        assert condg_epsilon(1e-5, np.array([1.0])) == pytest.approx(1e-5)
-        assert condg_epsilon(0.0, np.array([3.0, 4.0])) == 0.0
-        assert condg_epsilon(0.005, np.array([3.0, 4.0])) == pytest.approx(0.125)
+@pytest.mark.parametrize("theta", [1e-5, 0.0])
+def test_condg_tolerance_is_theta_times_the_squared_step(monkeypatch, theta):
+    real, eps = solver.condg, []
 
-    def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            condg_epsilon(-1.0, np.ones(2))
+    def spy(fset, y, x, epsilon, cap):
+        eps.append(epsilon)
+        return real(fset, y, x, epsilon, cap)
 
-    def test_nan_theta_rejected(self):
-        with pytest.raises(ValueError):
-            condg_epsilon(float("nan"), np.ones(3))
+    monkeypatch.setattr(solver, "condg", spy)
+    p = make_problem("pb3_troesch", 40)
+    report = solve(p, starting_point(p, 1), SolverConfig(theta=theta))
+    assert report.status == "converged" and not report.x0_projected
+    assert len(eps) == len(report.steps) > 0
+    for epsilon, step in zip(eps, report.steps):
+        assert epsilon == pytest.approx(theta * step.step_norm ** 2, rel=1e-12)
 
 
 class TestSolve:

@@ -16,7 +16,10 @@ from newton_condg import (
     smale_majorant,
     smale_radius,
     solve,
+    starting_point,
+    verify_mk_conditions,
 )
+from newton_condg import solver
 
 from oracles import random_theory_params, rho_bisection
 
@@ -318,3 +321,44 @@ def test_rate_check_rejects_a_start_outside_the_majorant_domain(scale):
                        iterates=[np.array([scale * majorant.nu]), np.zeros(1)])
     with pytest.raises(ValueError, match=r"starting error outside the majorant domain"):
         rate_check(report, np.zeros(1), majorant, EXACT_NEWTON, 0.0)
+
+
+def _schubert_omega2(monkeypatch, pid, gamma):
+    """(model, ||M_k^{-1} F'(x_k) - I||_2) of every step of a converged Schubert
+    solve of pid at n = 100 from x0(gamma), F' being the exact Jacobian at the
+    step's iterate: the omega2 each model needs for the paper's hypothesis."""
+    real, built = solver.next_jacobian, []
+
+    def record(state, k, problem, x, *args):
+        out = real(state, k, problem, x, *args)
+        built.append((x.copy(), out.M))
+        return out
+
+    monkeypatch.setattr(solver, "next_jacobian", record)
+    p = make_problem(pid, 100)
+    report = solve(p, starting_point(p, gamma), SolverConfig(jacobian_strategy="schubert"))
+    assert report.status == "converged" and len(report.steps) == len(built) == 7
+    unit = TheoryParams(omega1=1.0)
+    return [(step.model, verify_mk_conditions(M, p.jac(x), unit).norm_inv_jac_minus_identity)
+            for step, (x, M) in zip(report.steps, built)]
+
+
+@pytest.mark.parametrize("pid, gamma", [("pb1_h_equation", 2), ("pb4_discrete_integral", 1)])
+def test_finite_difference_models_are_near_the_jacobian(monkeypatch, pid, gamma):
+    omega2 = [w for model, w in _schubert_omega2(monkeypatch, pid, gamma)
+              if model == "finite_difference"]
+    assert len(omega2) == 3 and max(omega2) < 0.01
+
+
+def test_pb1_secant_models_leave_the_hypothesis(monkeypatch):
+    # measured 0.85, 1.79, 2.68 and 3.25: the run converges outside omega2 < 1
+    omega2 = [w for model, w in _schubert_omega2(monkeypatch, "pb1_h_equation", 2)
+              if model == "secant"]
+    assert len(omega2) == 4 and max(omega2) > 1.0
+
+
+def test_pb4_secant_models_meet_the_hypothesis(monkeypatch):
+    # measured 0.20, 0.18, 0.15 and 0.15
+    omega2 = [w for model, w in _schubert_omega2(monkeypatch, "pb4_discrete_integral", 1)
+              if model == "secant"]
+    assert len(omega2) == 4 and max(omega2) < 0.5
