@@ -337,9 +337,9 @@ def make_problem(problem_id, n=None):
 def starting_point(problem, gamma):
     """x0(gamma): l + 0.25 gamma (u - l), or 10**gamma ones for infinite boxes.
 
-    gamma is one of GAMMAS; anything else raises ValueError.
+    gamma is one of GAMMAS; anything else, a bool included, raises ValueError.
     """
-    if gamma not in GAMMAS:
+    if isinstance(gamma, (bool, np.bool_)) or gamma not in GAMMAS:
         raise ValueError(f"gamma must be one of {', '.join(map(str, GAMMAS))}")
     fset = problem.feasible_set
     if not isinstance(fset, Box):

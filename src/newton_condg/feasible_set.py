@@ -6,7 +6,9 @@ of them also has an exact Euclidean `project`: the box clips, the ball
 rescales `y - center`, the simplex subtracts a sort-based threshold. `condg`
 uses that projection, certified by one LMO call; a `FeasibleSet` whose
 `project` returns None (the default) exposes only its LMO and gets the
-Frank-Wolfe loop. All operations are stateless and thread-safe.
+Frank-Wolfe loop. Each `project` raises ValueError for a non-finite point,
+as each `lmo` does for a non-finite direction. All operations are stateless
+and thread-safe.
 """
 
 import math
@@ -47,7 +49,10 @@ class FeasibleSet(ABC):
         """Draw a uniformly-ish distributed feasible point (test utility)."""
 
     def project(self, y):
-        """Exact Euclidean projection of y, or None for an LMO-only set."""
+        """Exact Euclidean projection of y, or None for an LMO-only set.
+
+        Raises ValueError for non-finite y.
+        """
         return None
 
 
@@ -86,7 +91,7 @@ class Box(FeasibleSet):
 
     def project(self, y):
         """Exact Euclidean projection: coordinatewise clip to the capped box."""
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.capped_upper)
+        return np.clip(_point(y, "box"), self.lower, self.capped_upper)
 
     def sample(self, rng):
         return self.lower + rng.uniform(0.0, 1.0, self.n) * (
@@ -129,7 +134,7 @@ class EuclideanBall(FeasibleSet):
 
     def project(self, y):
         """Exact Euclidean projection: rescale y - center onto the sphere."""
-        y = np.asarray(y, dtype=float)
+        y = _point(y, "ball")
         v = y - self.center
         nv = math.sqrt(v @ v)
         if nv <= self.radius:
@@ -179,12 +184,9 @@ class Simplex(FeasibleSet):
 
         tau puts sum(max(y - tau, 0)) at scale; the support is the largest k
         with y_(k) > (sum of the k largest entries - scale)/k (Held, Wolfe and
-        Crowder 1974; Duchi et al., ICML 2008). O(n log n). Raises
-        ValueError for non-finite y.
+        Crowder 1974; Duchi et al., ICML 2008). O(n log n).
         """
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("simplex projection needs a finite point")
+        y = _point(y, "simplex")
         desc = np.sort(y)[::-1]
         excess = np.cumsum(desc) - self.scale
         k = np.arange(1, self.n + 1)
@@ -206,3 +208,12 @@ def _direction(d):
     if not np.all(np.isfinite(d)):
         raise ValueError("lmo direction must be finite")
     return d
+
+
+def _point(y, name):
+    """y as a float array, the one input check of every project: raises
+    ValueError unless all its entries are finite."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"{name} projection needs a finite point")
+    return y

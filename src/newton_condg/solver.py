@@ -40,7 +40,8 @@ def solve(problem, x0, config=None, theory=None):
     x0 : finite n-vector, ValueError otherwise; an infeasible start is
         first returned to the set with a zero-tolerance conditional-gradient
         projection, which raises the report's x0_projected flag and counts
-        in uncertified_steps if capped.
+        in uncertified_steps if capped. problem.fun at that start must
+        return a real n-vector (finite or not), ValueError otherwise.
     config : core.SolverConfig, defaults to SolverConfig().
     theory : optional theory.TheoryParams; when given the configuration is
         validated against them before iterating (theta <= lambda^2/2).
@@ -74,7 +75,10 @@ def solve(problem, x0, config=None, theory=None):
     jac_state = factors = None
     prev_step = None
 
-    fx = np.asarray(problem.fun(x), dtype=float)
+    fx = np.asarray(problem.fun(x))
+    if fx.shape != (problem.n,) or fx.dtype.kind not in "biuf":
+        raise ValueError("fun(x0) must return a real n-vector")
+    fx = fx.astype(float, copy=False)
     for k in range(config.max_outer + 1):
         iterates.append(x.copy())
         residual_norms.append(float(np.abs(fx).max()))

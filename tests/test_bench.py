@@ -370,8 +370,9 @@ def test_starting_points():
     np.testing.assert_allclose(starting_point(p1, 1), np.full(50, 1.25))
     p3 = make_problem("pb3_troesch", 50)
     np.testing.assert_allclose(starting_point(p3, 2), np.zeros(50))
-    with pytest.raises(ValueError):
-        starting_point(p1, 4)
+    for gamma in (4, True, np.True_, False):  # a bool is no gamma
+        with pytest.raises(ValueError, match="^gamma must be one of 0, 1, 2, 3$"):
+            starting_point(p1, gamma)
 
 
 def test_starting_point_needs_a_box():

@@ -310,9 +310,16 @@ def test_ball_lmo_of_a_zero_direction_is_the_centre():
     np.testing.assert_array_equal(ball.center, [1.0, -2.0])
 
 
-def test_simplex_projection_rejects_a_non_finite_point():
-    with pytest.raises(ValueError, match="simplex projection needs a finite point"):
-        Simplex(3).project(np.array([0.2, np.nan, 0.3]))
+@pytest.mark.parametrize("fset, name", [
+    (Simplex(3), "simplex"),
+    (Box(np.zeros(3), np.ones(3)), "box"),
+    (EuclideanBall(np.zeros(3), 1.0), "ball"),
+], ids=["simplex", "box", "ball"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simplex_projection_rejects_a_non_finite_point(fset, name, bad):
+    # every set with a projection rejects such a point in the same words
+    with pytest.raises(ValueError, match=f"^{name} projection needs a finite point$"):
+        fset.project(np.array([0.2, bad, 0.3]))
 
 
 @pytest.mark.parametrize("n", [2.5, np.float64(3.0), True, "3"])

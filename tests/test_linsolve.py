@@ -348,11 +348,27 @@ def test_kernel_rule(case):
         lu_factor(singular)
 
 
-def _off_band(rng, n):
-    """A dense tridiagonal model plus one entry of 1e-300 two diagonals out."""
+def _off_band(rng, n, where=None):
+    """A dense tridiagonal model plus one entry of 1e-300 two diagonals out,
+    at where (by default (n - 1, n - 3))."""
     A = _diagonals(rng, n, [-1, 0, 1]).toarray()
-    A[n - 1, n - 3] = 1e-300
+    A[(n - 1, n - 3) if where is None else where] = 1e-300
     return A
+
+
+def _minus_zero_off_band(rng, n):
+    """A dense tridiagonal model storing -0.0 at every entry off the band."""
+    A = _diagonals(rng, n, [-1, 0, 1]).toarray()
+    i, j = np.indices(A.shape)
+    A[abs(i - j) >= 2] = -0.0
+    return A
+
+
+def _strided(A):
+    """The dense A as a [::2, ::2] view of a larger array."""
+    big = np.zeros((2 * A.shape[0], 2 * A.shape[1]))
+    big[::2, ::2] = A
+    return big[::2, ::2]
 
 
 # (the dense model, built from an rng, and the kernel lu_factor takes for it):
@@ -378,6 +394,20 @@ DENSE_KERNEL_RULE = {
                   _DenseLU),
     "off-band-n40": (lambda rng: _off_band(rng, 40), _DenseLU),
     "off-band-n300": (lambda rng: _off_band(rng, 300), _DenseLU),
+    # the one pass reads C-ordered models, F-ordered ones through their
+    # transpose and any other strides through a copy
+    "tridiagonal-f-order-n40": (
+        lambda rng: np.asfortranarray(_diagonals(rng, 40, [-1, 0, 1]).toarray()), _TridiagonalLU),
+    "tridiagonal-strided-n40": (
+        lambda rng: _strided(_diagonals(rng, 40, [-1, 0, 1]).toarray()), _TridiagonalLU),
+    "off-band-f-order-n40": (lambda rng: np.asfortranarray(_off_band(rng, 40)), _DenseLU),
+    "off-band-strided-n40": (lambda rng: _strided(_off_band(rng, 40)), _DenseLU),
+    # -0.0 is an exact zero
+    "minus-zero-off-band-n40": (lambda rng: _minus_zero_off_band(rng, 40), _TridiagonalLU),
+    # the first and last entries the view's off-band columns hold
+    "off-band-at-0-2-n40": (lambda rng: _off_band(rng, 40, (0, 2)), _DenseLU),
+    "off-band-at-2-0-n40": (lambda rng: _off_band(rng, 40, (2, 0)), _DenseLU),
+    "off-band-at-n-3-n-1-n40": (lambda rng: _off_band(rng, 40, (37, 39)), _DenseLU),
 }
 
 
@@ -400,10 +430,13 @@ def test_dense_kernel_rule(case):
     np.testing.assert_array_equal(M, before)  # the dense model is not written
 
 
-@pytest.mark.parametrize("where", [(5, 0), (0, 9), (7, 2)])
-def test_off_band_nan_of_a_dense_tridiagonal_model_fails(where):
+# off the band, where the band test sends the model to _DenseLU, and on it,
+# where the band's scale check fails it
+@pytest.mark.parametrize("where", [(5, 0), (0, 9), (7, 2), (4, 4), (0, 1), (9, 8)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_off_band_nan_of_a_dense_tridiagonal_model_fails(where, bad):
     M = _diagonals(np.random.default_rng(1), 10, [-1, 0, 1]).toarray()
-    M[where] = np.nan
+    M[where] = bad
     with pytest.raises(LinearSolveFailure, match="^model matrix has non-finite entries$"):
         lu_factor(M)
 

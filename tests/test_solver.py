@@ -180,6 +180,20 @@ class TestSolve:
         with pytest.raises(ValueError, match="^x0 must be an n-vector$"):
             solve(p, np.ones(shape))
 
+    @pytest.mark.parametrize("fun", [
+        lambda x: x[:-1] - 0.25,
+        lambda x: (x - 0.25)[:, None],
+        lambda x: np.float64(0.0),
+        lambda x: x - 0.25 + 0j,
+    ], ids=["short", "column", "scalar", "complex"])
+    def test_residual_at_x0_that_is_not_a_real_n_vector_raises(self, fun):
+        p = Problem(name="bad_residual", n=3, fun=fun,
+                    feasible_set=Box(np.zeros(3), np.ones(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ValueError, match=r"^fun\(x0\) must return a real n-vector$"):
+                solve(p, np.full(3, 0.5))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("fset", [Box(np.zeros(3), np.ones(3)),
                                       EuclideanBall(np.zeros(3), 1.0), Simplex(3)],
