@@ -54,8 +54,8 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .core import Problem, _is_count
-from .feasible_set import Box
+from .core import Problem
+from .feasible_set import Box, _is_count
 from .linsolve import canonical_pattern
 
 
@@ -329,7 +329,7 @@ def make_problem(problem_id, n=None):
     except KeyError:
         raise KeyError(f"unknown problem {problem_id!r}") from None
     n = entry.default_n if n is None else n
-    if not (_is_count(n) and n >= 2):
+    if not _is_count(n, 2):
         raise ValueError("n must be an integer >= 2")
     return entry.builder(n)
 

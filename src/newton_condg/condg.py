@@ -18,9 +18,10 @@ RunReport.uncertified_steps.
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from .feasible_set import _is_count
 
 GAP = "gap"
 ITERATION_CAP = "iteration_cap"
@@ -68,7 +69,7 @@ def condg(fset, y, x, eps, cap):
     """
     if not eps >= 0:  # nan too
         raise ValueError("eps must be >= 0")
-    if not (isinstance(cap, Integral) and not isinstance(cap, bool) and cap >= 1):
+    if not _is_count(cap):
         raise ValueError("cap must be an integer >= 1")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -6,13 +6,12 @@ threads; `Problem.fun` is expected to be pure.
 """
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 
-from .feasible_set import FeasibleSet
+from .feasible_set import FeasibleSet, _is_count
 from .jacobian import FINITE_DIFFERENCE, JACOBIAN_STRATEGIES, fd_jacobian
 from .linsolve import canonical_pattern
 
@@ -91,12 +90,6 @@ class Problem:
             if root.shape != (self.n,):
                 raise ValueError("known_root must be an n-vector")
             object.__setattr__(self, "known_root", root)
-
-
-def _is_count(value):
-    """True for an integer (a Python or numpy one) >= 1; False for 2.0, nan
-    or a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ class Box(FeasibleSet):
         self.n = lower.size
 
     def lmo(self, d):
-        d = _direction(d)
+        d = _finite(d, "lmo direction must be finite")
         # ties (d_i == 0) go to the lower bound for determinism
         return np.where(d < 0, self.capped_upper, self.lower)
 
@@ -91,7 +91,8 @@ class Box(FeasibleSet):
 
     def project(self, y):
         """Exact Euclidean projection: coordinatewise clip to the capped box."""
-        return np.clip(_point(y, "box"), self.lower, self.capped_upper)
+        y = _finite(y, "box projection needs a finite point")
+        return np.clip(y, self.lower, self.capped_upper)
 
     def sample(self, rng):
         return self.lower + rng.uniform(0.0, 1.0, self.n) * (
@@ -121,7 +122,7 @@ class EuclideanBall(FeasibleSet):
         self._rounding = CONTAINS_RTOL * (self.radius + np.linalg.norm(center))
 
     def lmo(self, d):
-        d = _direction(d)
+        d = _finite(d, "lmo direction must be finite")
         nd = math.sqrt(d @ d)
         if nd == 0.0:
             return self.center.copy()
@@ -134,7 +135,7 @@ class EuclideanBall(FeasibleSet):
 
     def project(self, y):
         """Exact Euclidean projection: rescale y - center onto the sphere."""
-        y = _point(y, "ball")
+        y = _finite(y, "ball projection needs a finite point")
         v = y - self.center
         nv = math.sqrt(v @ v)
         if nv <= self.radius:
@@ -158,7 +159,7 @@ class Simplex(FeasibleSet):
     """
 
     def __init__(self, n, scale=1.0):
-        if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
+        if not _is_count(n):
             raise ValueError("n must be >= 1 and an integer")
         if not 0 < scale < np.inf:
             raise ValueError("scale must be positive and finite")
@@ -166,7 +167,7 @@ class Simplex(FeasibleSet):
         self.scale = float(scale)
 
     def lmo(self, d):
-        d = _direction(d)
+        d = _finite(d, "lmo direction must be finite")
         out = np.zeros(self.n)
         out[np.argmin(d)] = self.scale  # argmin takes the lowest index on ties
         return out
@@ -186,7 +187,7 @@ class Simplex(FeasibleSet):
         with y_(k) > (sum of the k largest entries - scale)/k (Held, Wolfe and
         Crowder 1974; Duchi et al., ICML 2008). O(n log n).
         """
-        y = _point(y, "simplex")
+        y = _finite(y, "simplex projection needs a finite point")
         desc = np.sort(y)[::-1]
         excess = np.cumsum(desc) - self.scale
         k = np.arange(1, self.n + 1)
@@ -201,19 +202,16 @@ class Simplex(FeasibleSet):
         return f"Simplex(n={self.n}, scale={self.scale})"
 
 
-def _direction(d):
-    """d as a float array, the one input check of every lmo: raises
-    ValueError unless all its entries are finite."""
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("lmo direction must be finite")
-    return d
+def _is_count(value, minimum=1):
+    """True for an integer (a Python or numpy one) >= minimum; False for
+    2.0, nan or a bool. The one count rule of the package."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
 
 
-def _point(y, name):
-    """y as a float array, the one input check of every project: raises
-    ValueError unless all its entries are finite."""
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError(f"{name} projection needs a finite point")
-    return y
+def _finite(v, message):
+    """v as a float array, the one input check of every lmo and project:
+    raises ValueError(message) unless all its entries are finite."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(message)
+    return v

@@ -605,8 +605,9 @@ def solve_direct(M, b, prev_step=None):
     if r is None:
         r = M @ s - b
     # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
-    bnorm = math.sqrt(b @ b)
-    eta_used = math.sqrt(r @ r) / bnorm if bnorm > 0 else 0.0
+    # as np.vdot, which gives inf without a warning where the sum overflows
+    bnorm = math.sqrt(np.vdot(b, b))
+    eta_used = math.sqrt(np.vdot(r, r)) / bnorm if bnorm > 0 else 0.0
     return LinSolveOutcome(s=s, eta_used=eta_used, factors=factors)
 
 
@@ -617,7 +618,8 @@ def solve_inexact(M, b, eta):
     residual eta, preconditioned by lu_factor's LU of M when as_model(M) is
     sparse (exact, so one iteration) and unpreconditioned when M is dense.
     The contract is checked by recomputation and, should GMRES miss it, the
-    direct solve is substituted (which satisfies any eta). Raises
+    direct solve is substituted (which satisfies any eta), as it is for a b
+    whose norm overflows, on which GMRES would warn. Raises
     LinearSolveFailure when M is non-finite or zero, whatever b is, when b
     is non-finite, before GMRES runs, and when lu_factor fails on a sparse
     model, as solve_direct would on it. A sparse model is factorized before
@@ -635,15 +637,17 @@ def solve_inexact(M, b, eta):
         _checked_scale(M)
         precond = None
     b = _checked_rhs(b)
-    bnorm = math.sqrt(b @ b)
+    bnorm = math.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
+    if bnorm == math.inf:
+        return solve_direct(M, b)
     n = b.size
     s, _info = gmres(
         M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
     )
     r = M @ s - b
-    rnorm = math.sqrt(r @ r)
+    rnorm = math.sqrt(np.vdot(r, r))
     if rnorm <= eta * bnorm:
         return LinSolveOutcome(s=s, eta_used=rnorm / bnorm)
     return solve_direct(M, b)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import core
-from .condg import ITERATION_CAP, condg
+from .condg import ITERATION_CAP, _start_tolerance, condg
 from .core import ConstantEta, RunReport, SolverConfig, forcing_eta
 from .jacobian import SCHUBERT, SECANT, JacobianError, model_kind, next_jacobian
 from .linsolve import LinearSolveFailure, solve_direct, solve_inexact
@@ -37,18 +37,20 @@ def solve(problem, x0, config=None, theory=None):
     Parameters
     ----------
     problem : core.Problem
-    x0 : finite n-vector, ValueError otherwise; an infeasible start is
-        first returned to the set with a zero-tolerance conditional-gradient
-        projection, which raises the report's x0_projected flag and counts
-        in uncertified_steps if capped. problem.fun at that start must
-        return a real n-vector (finite or not), ValueError otherwise.
+    x0 : finite n-vector, ValueError otherwise. A start is feasible when
+        the set contains it up to condg's start slack,
+        1e-12 * max(1, ||x0||_inf); any other start is first returned to
+        the set with a zero-tolerance conditional-gradient projection, which
+        raises the report's x0_projected flag and counts in
+        uncertified_steps if capped. problem.fun at the start must return a
+        real n-vector (finite or not), ValueError otherwise.
     config : core.SolverConfig, defaults to SolverConfig().
     theory : optional theory.TheoryParams; when given the configuration is
         validated against them before iterating (theta <= lambda^2/2).
 
     Returns a RunReport; failures (iteration cap, stagnation, unusable model
-    matrix, a non-finite residual) are reported through its status, never
-    raised.
+    matrix, a non-finite residual or step) are reported through its status,
+    never raised.
     """
     config = SolverConfig() if config is None else config
     if theory is not None:
@@ -60,7 +62,7 @@ def solve(problem, x0, config=None, theory=None):
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
 
-    x0_projected = not fset.contains(x, 1e-12)
+    x0_projected = not fset.contains(x, _start_tolerance(x))
     uncertified_steps = 0
     if x0_projected:
         start = fset.lmo(np.zeros(problem.n))
@@ -117,8 +119,12 @@ def solve(problem, x0, config=None, theory=None):
             status = core.LINEAR_SOLVE_FAILURE
             break
 
-        # np.linalg.norm of a contiguous 1-D float array is sqrt(v.dot(v)): same bits
-        s_sq = s @ s
+        # np.vdot(s, s) is s @ s bit for bit, and np.linalg.norm is its sqrt; an
+        # overflow gives inf without a warning, and ends the run
+        s_sq = np.vdot(s, s)
+        if not s_sq < math.inf:  # nan or inf: the step overflowed
+            status = core.LINEAR_SOLVE_FAILURE
+            break
         snorm = math.sqrt(s_sq)
         if snorm < STEP_FLOOR * max(1.0, math.sqrt(x @ x)):
             status = core.NO_PROGRESS
@@ -156,7 +162,7 @@ def _linear_step(M, fx, config, prev_step):
         outcome = solve_direct(M, -fx, prev_step=prev_step)
     else:
         policy = config.eta_policy or ConstantEta()
-        outcome = solve_inexact(M, -fx, forcing_eta(math.sqrt(fx @ fx), policy))
+        outcome = solve_inexact(M, -fx, forcing_eta(math.sqrt(np.vdot(fx, fx)), policy))
     return outcome.s, outcome.eta_used, outcome.factors, outcome.kernel
 
 

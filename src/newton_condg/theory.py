@@ -21,12 +21,13 @@ and the scalar comparison sequence t_k that dominates ||x_k - x*||.
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
+from .core import CONVERGED
+from .feasible_set import _is_count
 from .linsolve import lu_factor
 
 HOLDER = "holder"
@@ -77,10 +78,14 @@ def validate_config(config, theory):
     raises ValueError otherwise. TheoryParams checks its own inequalities when
     it is built.
     """
-    if config.theta > theory.lam ** 2 / 2.0:
+    if not _theta_admissible(config.theta, theory):
         raise ValueError("violated: theta <= lambda**2/2")
     return config
 
+
+def _theta_admissible(theta, theory):
+    """0 <= theta <= lam**2/2: the inner accuracy the theory admits."""
+    return 0.0 <= theta <= theory.lam ** 2 / 2.0
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,9 @@ def majorant_sequence(majorant, theory, theta, t0, kmax):
     kmax is an integer >= 0 (Python or numpy, not a bool). Stops early if a
     term underflows to exactly 0.
     """
-    if not (isinstance(kmax, Integral) and not isinstance(kmax, bool) and kmax >= 0):
+    if not _is_count(kmax, 0):
         raise ValueError("kmax must be an integer >= 0")
-    if not 0.0 <= theta <= theory.lam ** 2 / 2.0:
+    if not _theta_admissible(theta, theory):
         raise ValueError("need 0 <= theta <= lambda**2/2")
     if not (0.0 < t0 < _rho(majorant, theory)):
         raise ValueError("need 0 < t0 < rho")
@@ -260,7 +265,7 @@ def rate_check(report, x_star, majorant, theory, theta_bar):
     Raises ValueError when the report did not converge or e_0 falls outside
     the majorant domain.
     """
-    if report.status != "converged":
+    if report.status != CONVERGED:
         raise ValueError("rate_check needs a converged report")
     x_star = np.asarray(x_star, dtype=float)
     errors = np.array([np.linalg.norm(it - x_star) for it in report.iterates])

@@ -52,7 +52,7 @@ def test_infeasible_start_rejected():
         condg(box, np.array([0.5]), np.array([np.nan]), 0.0, 10)
 
 
-@pytest.mark.parametrize("cap", [0, 2.5, np.nan, True])
+@pytest.mark.parametrize("cap", [0, 2.5, 2.0, np.nan, True])
 @pytest.mark.parametrize("lmo_only", [False, True], ids=["projection", "lmo-only"])
 def test_cap_must_be_an_integer_at_least_1(cap, lmo_only):
     box = Box([0.0], [1.0])

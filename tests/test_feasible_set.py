@@ -322,7 +322,7 @@ def test_simplex_projection_rejects_a_non_finite_point(fset, name, bad):
         fset.project(np.array([0.2, bad, 0.3]))
 
 
-@pytest.mark.parametrize("n", [2.5, np.float64(3.0), True, "3"])
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, "3"])
 def test_simplex_n_must_be_an_integer(n):
     with pytest.raises(ValueError, match="^n must be >= 1 and an integer$"):
         Simplex(n)

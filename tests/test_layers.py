@@ -9,7 +9,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "newton_condg"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
-LEAVES = ("linsolve", "feasible_set", "condg")
+LEAVES = ("linsolve", "feasible_set")
+STATUSES = ("converged", "max_iterations", "no_progress", "linear_solve_failure")
 
 
 def _imported(node):
@@ -77,6 +78,11 @@ def test_import_graph_is_acyclic():
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_leaf_module_imports_nothing_from_the_package(leaf):
     assert _graph()[leaf] == []
+
+
+def test_condg_imports_only_feasible_set():
+    # the count rule of its cap lives in feasible_set, its one dependency
+    assert _graph()["condg"] == ["feasible_set"]
 
 
 def _linear_algebra_imports(tree):
@@ -279,4 +285,73 @@ def test_with_data_check_sees_a_planted_use():
     assert _with_data_references(ast.parse(source)) == [
         "import with_data (line 1)",
         "with_data (line 4)", "with_data (line 5)", "with_data (line 6)",
+    ]
+
+
+def _integral_imports(tree):
+    """Where a module imports numbers.Integral: from numbers import Integral,
+    or import numbers."""
+    return sorted(
+        f"numbers (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        and any(a.name == "Integral" for a in node.names)
+    )
+
+
+def test_one_module_imports_integral():
+    # one count rule: feasible_set._is_count, which every count check calls
+    found = {name: refs for name, tree in MODULES.items() if (refs := _integral_imports(tree))}
+    assert list(found) == ["feasible_set"]
+
+
+def test_integral_check_sees_an_import():
+    source = (
+        "from numbers import Integral, Real\n"
+        "import numbers\n"
+        "from numbers import Real\n"
+        "isinstance(n, Integral) or isinstance(n, numbers.Integral)\n"
+    )
+    assert _integral_imports(ast.parse(source)) == ["numbers (line 1)", "numbers (line 2)"]
+
+
+def _status_literals(tree, constants=False):
+    """The string constants of a module that spell a solver status; with
+    constants=True the module-level assignments NAME = "status" (core's
+    definitions) are left out."""
+    defined = set()
+    if constants:
+        defined = {
+            id(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        }
+    return sorted(
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in STATUSES and id(node) not in defined
+    )
+
+
+def test_statuses_are_spelled_only_by_core_constants():
+    # every other module compares with core.CONVERGED and its siblings
+    found = {
+        name: literals
+        for name, tree in MODULES.items()
+        if (literals := _status_literals(tree, constants=name == "core"))
+    }
+    assert found == {}
+    assert len(_status_literals(MODULES["core"])) == len(STATUSES)  # the check sees core's
+
+
+def test_status_check_sees_a_literal():
+    source = (
+        'CONVERGED = "converged"\n'
+        'def f(report):\n'
+        '    """Check a converged run."""\n'
+        '    return report.status != "converged" or report.status in ("no_progress",)\n'
+    )
+    assert _status_literals(ast.parse(source), constants=True) == [
+        "'converged' (line 4)", "'no_progress' (line 4)",
     ]

@@ -161,6 +161,36 @@ class TestSolve:
         assert report.residual_norms[:-1] == pytest.approx(history)
         assert np.isnan(report.residual_norms[-1])
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("linsolve", ["direct", "inexact"])
+    @pytest.mark.parametrize("fset", [
+        Box(np.zeros(3), np.ones(3)), EuclideanBall(np.zeros(3), 1.0), Simplex(3, scale=0.6),
+    ], ids=["box", "ball", "simplex"])
+    def test_overflowing_step_is_a_linear_solve_failure(self, fset, linsolve, action):
+        # F = 1e308 is finite, but ||F||_2 and the step -F / 0.5 overflow:
+        # a status, not condg's "eps must be >= 0" or an overflow warning
+        p = Problem(name="overflow", n=3, fun=lambda x: np.full(3, 1e308),
+                    jac=lambda x: 0.5 * np.eye(3), feasible_set=fset)
+        cfg = SolverConfig(jacobian_strategy="exact", linsolve=linsolve)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            report = solve(p, np.full(3, 0.2), cfg)
+        assert report.status == "linear_solve_failure"
+        assert report.steps == [] and report.residual_norms == [1e308]
+
+    @pytest.mark.parametrize("offset, projected", [(5e-7, False), (2e-6, True)])
+    def test_start_is_feasible_up_to_condg_start_slack(self, offset, projected):
+        # Box(0, inf) is capped at 1e6, where condg's start slack is
+        # 1e-12 * 1e6 = 1e-6: a start within it is kept, one beyond it projected
+        n = 3
+        p = Problem(name="capped", n=n, fun=lambda x: x - 1.0, jac=lambda x: np.eye(n),
+                    feasible_set=Box(np.zeros(n), np.full(n, np.inf)))
+        x0 = np.full(n, 1e6 + offset)
+        report = solve(p, x0, SolverConfig(jacobian_strategy="exact"))
+        assert report.x0_projected == projected
+        np.testing.assert_array_equal(report.iterates[0], np.full(n, 1e6) if projected else x0)
+        assert report.status == "converged"
+
     def test_inexact_mode_converges(self):
         p = make_problem("synthetic_quadratic", 8)
         cfg = SolverConfig(jacobian_strategy="exact", linsolve="inexact")

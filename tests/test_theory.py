@@ -208,7 +208,7 @@ class TestMajorantSequence:
         with pytest.raises(ValueError, match="theta"):
             majorant_sequence(m, EXACT_NEWTON, 1e-5, 0.5, 10)  # theta > lam^2/2 = 0
 
-    @pytest.mark.parametrize("kmax", [2.5, -1, True, np.float64(3.0)])
+    @pytest.mark.parametrize("kmax", [2.5, 2.0, -1, True, np.float64(3.0)])
     def test_kmax_must_be_an_integer_at_least_0(self, kmax):
         with pytest.raises(ValueError, match="^kmax must be an integer >= 0$"):
             majorant_sequence(holder_majorant(1.0, 1.0), EXACT_NEWTON, 0.0, 0.5, kmax)
