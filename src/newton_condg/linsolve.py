@@ -57,16 +57,21 @@ model it updates and adds one Sherman-Morrison term of the inverse update
 to every correction, so it costs O(n^2), not sgetrf's O(n^3); refinement,
 against the updated model, keeps its stop rule and its getrf fallback.
 solve_inexact only promises ||M s - b|| <= eta * ||b|| in the Euclidean
-norm, produced by GMRES with the contract re-verified by recomputation.
-A sparse model gets GMRES's preconditioner from lu_factor (_TridiagonalLU
-or _SparseLU, as its _pattern says), which is exact, so GMRES stops after
-one iteration, and a model that LU fails on fails the solve; a dense model
-gets none. The contract is on the unpreconditioned residual either way.
-That contract is all an inexact solve guarantees: the theory's vartheta
-bound on the preconditioned residual M^{-1}(M s - b), which
-eta * cond(M) <= vartheta would imply, is not checked for a dense model.
-On a sparse model the step is the direct step to rounding, so that caveat
-is moot there.
+norm, checked by recomputation, under one rule. A model with an exact LU
+(_has_exact_lu, lu_factor's own rule: sparse, gttrf or SuperLU, or dense
+and tridiagonal by value, gttrf) is factorized once, by lu_factor, and
+those factors precondition GMRES, which then stops after one iteration with
+the direct step to rounding; a full dense model gets plain GMRES. eta = 0,
+a b whose norm overflows and a missed contract take the one direct exit,
+_direct_step, which solve_direct ends in too, with the factors already
+made (a full dense model is factorized there). So an inexact solve calls
+lu_factor at most once, and a model whose LU fails fails the solve. The
+contract is on the unpreconditioned residual either way, and it is all an
+inexact solve guarantees: the theory's vartheta bound on the
+preconditioned residual M^{-1}(M s - b), which eta * cond(M) <= vartheta
+would imply, is not checked for a full dense model. On a model with an
+exact LU the step is the direct step to rounding, so that caveat is moot
+there.
 """
 
 import math
@@ -220,13 +225,14 @@ class _DenseLU:
         """
         b = np.asarray(b, dtype=float)
         if self.lu32 is not None and b.ndim == 1:
-            bnorm = np.abs(b).max()
+            # Python floats, whose product and sum overflow to inf with no warning
+            bnorm = float(np.abs(b).max())
             x = self._correction(b, bnorm)
             previous = np.inf
             for corrections in range(MIXED_MAX_STEPS + 1):
                 r = b - self.M @ x
                 rnorm = np.abs(r).max()
-                if rnorm <= 4.0 * UNIT_ROUNDOFF * (self.norm_inf * np.abs(x).max() + bnorm):
+                if rnorm <= 4.0 * UNIT_ROUNDOFF * (self.norm_inf * float(np.abs(x).max()) + bnorm):
                     return x, r
                 # a residual that stalls, grows or is not finite will not converge
                 if corrections == MIXED_MAX_STEPS or not rnorm < previous:
@@ -525,13 +531,19 @@ def lu_factor(M):
     in the .solve(b) that first takes getrf.
     """
     A = as_model(M)
-    if sparse.issparse(A):
-        if not A._pattern.tridiagonal:
-            return _SparseLU(A, _checked_scale(A.data))
-    elif not _tridiagonal_by_value(A):
+    if not _has_exact_lu(A):
         return _DenseLU(A, _checked_scale(A))
+    if sparse.issparse(A) and not A._pattern.tridiagonal:
+        return _SparseLU(A, _checked_scale(A.data))
     band = _TridiagonalLU.band(A)
     return _TridiagonalLU(band, _checked_scale(band))
+
+
+def _has_exact_lu(A):
+    """True when lu_factor gives the model A (as_model's) an LU whose solve
+    is exact to rounding, gttrf's or SuperLU's: A is sparse, or dense and
+    tridiagonal by value. Every other dense model gets _DenseLU."""
+    return sparse.issparse(A) or _tridiagonal_by_value(A)
 
 
 def _tridiagonal_by_value(A):
@@ -595,6 +607,60 @@ def solve_direct(M, b, prev_step=None):
         previous, s, y = prev_step
         if isinstance(previous, _DenseLU):
             factors = previous.secant_successor(M, s, y)
+    return _direct_step(M, factors, b)
+
+
+def solve_inexact(M, b, eta):
+    """Return s with ||M s - b|| <= eta * ||b|| (Euclidean norms).
+
+    One rule: a model with an exact LU (_has_exact_lu: sparse, or dense and
+    tridiagonal by value) is factorized once, by lu_factor, before b is
+    read, and those factors precondition GMRES, which then stops after one
+    iteration; a full dense model runs GMRES with no preconditioner. GMRES
+    runs to relative residual eta, and the contract is checked by
+    recomputation on the unpreconditioned residual. eta = 0, a b whose norm
+    overflows (on which GMRES would warn) and a GMRES step that misses the
+    contract take the one direct exit: solve_direct's step with the factors
+    already made, or, for a full dense model, lu_factor's. So lu_factor runs
+    at most once. The direct step meets the contract to rounding; an eta
+    below its eta_used (about 1e-16 on a well-conditioned model) is not met,
+    and eta_used says so. Raises LinearSolveFailure when M is non-finite or
+    zero, whatever b is, when b is non-finite, before GMRES runs, and when
+    lu_factor fails, as solve_direct would on M. So a singular model with
+    an exact LU fails with b = 0 too, where a full dense one returns the
+    zero step.
+    """
+    if not (0.0 <= eta < 1.0):
+        raise ValueError("eta must lie in [0, 1)")
+    M = as_model(M)
+    factors = lu_factor(M) if eta == 0.0 or _has_exact_lu(M) else None
+    if factors is None:
+        _checked_scale(M)
+    if eta > 0.0:
+        b = _checked_rhs(b)
+        bnorm = math.sqrt(np.vdot(b, b))
+        if bnorm == 0.0:
+            return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
+        if bnorm < math.inf:
+            precond = None
+            if factors is not None:  # exact: GMRES stops after one iteration
+                precond = LinearOperator(M.shape, matvec=factors.solve, dtype=float)
+            s, _info = gmres(
+                M, b, rtol=eta, atol=0.0, restart=min(b.size, 100), maxiter=50, M=precond
+            )
+            r = M @ s - b
+            rnorm = math.sqrt(np.vdot(r, r))
+            if rnorm <= eta * bnorm:
+                return LinSolveOutcome(s=s, eta_used=rnorm / bnorm)
+    return _direct_step(M, factors, b)
+
+
+def _direct_step(M, factors, b):
+    """The outcome of M s = b solved with factors, M's own, or with
+    lu_factor(M)'s when factors is None: b checked (_checked_rhs), refined
+    by a _DenseLU or solved by any other kernel, and eta_used =
+    ||M s - b|| / ||b||, from refinement's last residual when it ran and from
+    one more matvec otherwise."""
     if factors is None:
         factors = lu_factor(M)
     b = _checked_rhs(b)
@@ -609,48 +675,6 @@ def solve_direct(M, b, prev_step=None):
     bnorm = math.sqrt(np.vdot(b, b))
     eta_used = math.sqrt(np.vdot(r, r)) / bnorm if bnorm > 0 else 0.0
     return LinSolveOutcome(s=s, eta_used=eta_used, factors=factors)
-
-
-def solve_inexact(M, b, eta):
-    """Return s with ||M s - b|| <= eta * ||b|| (Euclidean norms).
-
-    eta = 0 behaves as solve_direct. Otherwise GMRES is run to relative
-    residual eta, preconditioned by lu_factor's LU of M when as_model(M) is
-    sparse (exact, so one iteration) and unpreconditioned when M is dense.
-    The contract is checked by recomputation and, should GMRES miss it, the
-    direct solve is substituted (which satisfies any eta), as it is for a b
-    whose norm overflows, on which GMRES would warn. Raises
-    LinearSolveFailure when M is non-finite or zero, whatever b is, when b
-    is non-finite, before GMRES runs, and when lu_factor fails on a sparse
-    model, as solve_direct would on it. A sparse model is factorized before
-    b is read, so a singular one fails with b = 0 too, where a dense one
-    returns the zero step.
-    """
-    if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must lie in [0, 1)")
-    if eta == 0.0:
-        return solve_direct(M, b)
-    M = as_model(M)
-    if sparse.issparse(M):  # lu_factor checks M; its failure is solve_direct's too
-        precond = LinearOperator(M.shape, matvec=lu_factor(M).solve, dtype=float)
-    else:
-        _checked_scale(M)
-        precond = None
-    b = _checked_rhs(b)
-    bnorm = math.sqrt(np.vdot(b, b))
-    if bnorm == 0.0:
-        return LinSolveOutcome(s=np.zeros_like(b), eta_used=0.0)
-    if bnorm == math.inf:
-        return solve_direct(M, b)
-    n = b.size
-    s, _info = gmres(
-        M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50, M=precond
-    )
-    r = M @ s - b
-    rnorm = math.sqrt(np.vdot(r, r))
-    if rnorm <= eta * bnorm:
-        return LinSolveOutcome(s=s, eta_used=rnorm / bnorm)
-    return solve_direct(M, b)
 
 
 def _checked_rhs(b):

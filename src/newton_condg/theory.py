@@ -44,7 +44,9 @@ class TheoryParams:
 
     omega1 bounds ||M_k^{-1} F'(x_k)||, omega2 bounds ||M_k^{-1} F'(x_k) - I||,
     vartheta caps the preconditioned forcing term, and lam caps sqrt(2*theta).
-    Construction raises ValueError naming the first violated inequality.
+    Construction raises ValueError naming the first violated inequality. The
+    last one, on lam, is checked as omega1 ((1 + vartheta) lam + vartheta)
+    + omega2 < 1, the form whose complement the radii divide by.
     """
 
     omega1: float
@@ -59,16 +61,11 @@ class TheoryParams:
             raise ValueError("violated: 0 <= omega2 < omega1")
         if not (self.omega1 * self.vartheta + self.omega2 < 1.0):
             raise ValueError("violated: omega1*vartheta + omega2 < 1")
-        if not (0.0 <= self.lam < self.lambda_max()):
+        if not (0.0 <= self.lam and _linear_coeff(self, self.lam) < 1.0):
             raise ValueError(
                 "violated: 0 <= lambda < (1 - omega2 - omega1*vartheta)"
                 "/(omega1*(1 + vartheta))"
             )
-
-    def lambda_max(self):
-        return (1.0 - self.omega2 - self.omega1 * self.vartheta) / (
-            self.omega1 * (1.0 + self.vartheta)
-        )
 
 
 def validate_config(config, theory):

@@ -1,5 +1,17 @@
 import time
 
+try:
+    from hypothesis import settings
+except ImportError:  # tests/test_properties.py skips itself
+    pass
+else:
+    # deterministic and cheap: the same examples on every run, no example
+    # database, and few enough of them that all property tests take under 3 s
+    settings.register_profile(
+        "tier1", derandomize=True, database=None, max_examples=40, deadline=None
+    )
+    settings.load_profile("tier1")
+
 SESSION_START = [None]
 
 CRITERIA = {

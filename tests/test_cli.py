@@ -36,6 +36,22 @@ class TestRadius:
                   "--omega1", "1", "--omega2", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "family",
+        [["--kind", "holder", "--K", "1", "--p", "1"], ["--kind", "smale", "--gamma", "1"]],
+        ids=["holder", "smale"],
+    )
+    def test_lambda_with_a_zero_radius_divisor_exit_2(self, family, capsys):
+        # lambda is below the closed form (1 - omega2 - omega1 vartheta) /
+        # (omega1 (1 + vartheta)), yet 1 - omega1((1 + vartheta) lambda +
+        # vartheta) - omega2 rounds to 0: a usage error, not a
+        # ZeroDivisionError or rho = 0
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", *family, "--omega1", "0.6", "--omega2", "0.5499999999999999",
+                  "--vartheta", "0.7499999999999999", "--lambda", "1.0007032796395773e-16"])
+        assert exc.value.code == 2
+        assert "violated: 0 <= lambda" in capsys.readouterr().err
+
     def test_missing_family_constant_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--kind", "holder"])

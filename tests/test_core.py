@@ -15,9 +15,10 @@ from newton_condg import (
 
 
 def test_theory_params_accepts_valid_draw():
-    # omega1*vartheta + omega2 = 0.5 < 1 and lambda_max = (1-0.5)/1.5 = 1/3 > 0.3
-    tp = TheoryParams(omega1=1.0, omega2=0.0, vartheta=0.5, lam=0.3)
-    assert tp.lambda_max() == pytest.approx(1.0 / 3.0)
+    # omega1*vartheta + omega2 = 0.5 < 1 and lambda < (1-0.5)/1.5 = 1/3
+    TheoryParams(omega1=1.0, omega2=0.0, vartheta=0.5, lam=0.3)
+    with pytest.raises(ValueError, match="lambda"):
+        TheoryParams(omega1=1.0, omega2=0.0, vartheta=0.5, lam=0.34)
 
 
 @pytest.mark.parametrize(
@@ -29,6 +30,10 @@ def test_theory_params_accepts_valid_draw():
         (dict(omega1=1.0, vartheta=1.0), "vartheta < 1"),
         (dict(omega1=1.0, lam=1.0), "lambda"),
         (dict(omega1=1.0, lam=-0.1), "lambda"),
+        # below the closed form's 1.59e-16, but 1 - omega1((1 + vartheta) lam
+        # + vartheta) - omega2, the radii's divisor, rounds to 0
+        (dict(omega1=0.6, omega2=0.5499999999999999, vartheta=0.7499999999999999,
+              lam=1.0007032796395773e-16), "lambda"),
     ],
 )
 def test_theory_params_names_first_violation(params, fragment):

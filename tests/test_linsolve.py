@@ -170,10 +170,47 @@ class TestSolveInexact:
         b = rng.standard_normal(n)
         monkeypatch.setattr(newton_condg.linsolve, "gmres",
                             lambda A, rhs, **kwargs: (np.zeros_like(rhs), 0))
+        factored = _counting(monkeypatch, "lu_factor")
         out = solve_inexact(M, b, 0.1)
+        assert len(factored) == 1
         direct = solve_direct(M, b)
         assert out.s.tobytes() == direct.s.tobytes()
         assert out.eta_used == direct.eta_used <= 0.1
+
+    @pytest.mark.parametrize("exit", ["eta=0", "overflowing b", "missed contract"])
+    def test_troesch_model_is_factorized_once_on_every_direct_exit(self, monkeypatch, exit):
+        # the factors that precondition GMRES are the direct exit's factors
+        p = make_problem("pb3_troesch", 200)
+        x = starting_point(p, 1)
+        M = next_jacobian(None, 0, p, x, "exact").M
+        assert sparse.issparse(M)
+        b, eta = -p.fun(x), 0.1
+        if exit == "eta=0":
+            eta = 0.0
+        elif exit == "overflowing b":
+            b = np.full(p.n, 1e300)
+        else:
+            monkeypatch.setattr(newton_condg.linsolve, "gmres",
+                                lambda A, rhs, **kwargs: (np.zeros_like(rhs), 0))
+        factored = _counting(monkeypatch, "lu_factor")
+        out = solve_inexact(M, b, eta)
+        assert len(factored) == 1
+        assert out.kernel == "gttrf"
+        assert out.s.tobytes() == solve_direct(M, b).s.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.5, 0.1, 1e-8])
+    def test_dense_tridiagonal_model_is_preconditioned_by_its_gttrf(self, monkeypatch, eta):
+        # tridiagonal by value: lu_factor's gttrf is exact, so GMRES meets any
+        # eta with the step's rounding
+        rng = np.random.default_rng(42)
+        M = _diagonals(rng, 200, [-1, 0, 1]).toarray()
+        b = rng.standard_normal(200)
+        factored = _counting(monkeypatch, "lu_factor")
+        out = solve_inexact(M, b, eta)
+        assert len(factored) == 1 and factored[0] is M
+        assert out.kernel == "gmres"
+        assert out.eta_used < 1e-14
+        assert np.linalg.norm(M @ out.s - b) <= out.eta_used * np.linalg.norm(b) * (1 + 1e-12)
 
     def test_dense_model_runs_plain_gmres(self):
         # no preconditioner on a dense M: the step is scipy's own GMRES step
