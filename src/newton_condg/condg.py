@@ -82,8 +82,9 @@ def condg(fset, y, x, eps, cap):
     z = fset.project(y)
     if z is not None:
         d, u, gap = _gap(fset, y, z)
+        # np.vdot: the bits of d @ d, and inf with no warning where it overflows
         rounding = PROJECTION_GAP_RTOL * (
-            math.sqrt(d @ d) * (math.sqrt(u @ u) + math.sqrt(z @ z))
+            math.sqrt(np.vdot(d, d)) * (math.sqrt(np.vdot(u, u)) + math.sqrt(np.vdot(z, z)))
         )
         if gap >= -eps - rounding:
             return CondGResult(z=z, inner_iters=1, final_gap=gap, terminated_by=GAP)

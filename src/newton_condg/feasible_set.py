@@ -26,6 +26,9 @@ BOX_CAP = 1e6  # finite stand-in for +inf upper bounds of a Box
 # several thousand. The size is scale for the simplex and radius +
 # ||center|| for the ball, whose points carry the centre's rounding too.
 CONTAINS_RTOL = 1e-12
+# x - c cannot overflow for finite x when |c| < 2^970 entrywise: |x_i| + |c_i|
+# is then below halfway from the largest float to 2^1024, so it rounds down
+_PLAIN_OFFSET_MAX = 2.0 ** 970
 
 
 class FeasibleSet(ABC):
@@ -106,7 +109,13 @@ class Box(FeasibleSet):
 class EuclideanBall(FeasibleSet):
     """{x : ||x - center|| <= radius}, with a finite 1-d center (a scalar is
     a 1-vector) and a finite positive radius; n is the center's length.
-    Construction raises ValueError otherwise."""
+    Construction raises ValueError otherwise.
+
+    lmo, project and contains never overflow on a finite input: where
+    x - center, a sum of squares or radius * d would, they work on a copy
+    scaled down by its largest entry, which keeps the direction; elsewhere
+    the arithmetic is the plain one.
+    """
 
     def __init__(self, center, radius):
         center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -119,28 +128,55 @@ class EuclideanBall(FeasibleSet):
         self.center = center
         self.radius = float(radius)
         self.n = center.size
-        self._rounding = CONTAINS_RTOL * (self.radius + np.linalg.norm(center))
+        self._cmax = float(np.abs(center).max(initial=0.0))
+        cnorm = math.sqrt(np.vdot(center, center))
+        if cnorm == math.inf:  # the sum of squares overflows; hypot scales
+            cnorm = math.hypot(*center)
+        self._rounding = CONTAINS_RTOL * (self.radius + cnorm)
 
     def lmo(self, d):
         d = _finite(d, "lmo direction must be finite")
-        nd = math.sqrt(d @ d)
-        if nd == 0.0:
-            return self.center.copy()
+        # np.vdot gives inf or 0 with no warning where the sum of squares
+        # over- or underflows, and the bits of d @ d otherwise
+        nd = math.sqrt(np.vdot(d, d))
+        # d = 0, or radius * d or ||d||^2 would under- or overflow: scale d
+        if not 0.0 < self.radius * nd < math.inf:
+            dmax = float(np.abs(d).max(initial=0.0))
+            if dmax == 0.0:
+                return self.center.copy()
+            d = d / dmax
+            nd = math.sqrt(np.vdot(d, d))
         return self.center - self.radius * d / nd
 
     def contains(self, x, tol=0.0):
         """||x - center|| <= radius + tol + CONTAINS_RTOL*(radius + ||center||)."""
-        v = np.asarray(x, dtype=float) - self.center
-        return math.sqrt(v @ v) <= self.radius + tol + self._rounding
+        dist = self._offset(np.asarray(x, dtype=float))[2]
+        return dist <= self.radius + tol + self._rounding
 
     def project(self, y):
         """Exact Euclidean projection: rescale y - center onto the sphere."""
         y = _finite(y, "ball projection needs a finite point")
-        v = y - self.center
-        nv = math.sqrt(v @ v)
-        if nv <= self.radius:
+        v, nv, dist = self._offset(y)
+        if dist <= self.radius:
             return y.copy()
         return self.center + (self.radius / nv) * v
+
+    def _offset(self, x):
+        """(v, ||v||, ||x - center||) with x - center = s v: s = 1 unless
+        x - center or its sum of squares would overflow, and then s is the
+        largest |entry| of x and the center, so |v_i| <= 2. The distance is
+        inf past the largest float, and for an x with an inf entry."""
+        if self._cmax < _PLAIN_OFFSET_MAX:
+            v = x - self.center
+            nv = math.sqrt(np.vdot(v, v))  # inf, with no warning, on overflow
+            if nv < math.inf:
+                return v, nv, nv
+        s = max(float(np.abs(x).max(initial=0.0)), self._cmax)
+        if s == math.inf:  # contains() takes any x
+            return x, math.inf, math.inf
+        v = x / s - self.center / s
+        nv = math.sqrt(np.vdot(v, v))
+        return v, nv, s * nv
 
     def sample(self, rng):
         v = rng.standard_normal(self.n)
@@ -175,20 +211,33 @@ class Simplex(FeasibleSet):
     def contains(self, x, tol=0.0):
         """x >= -tol and |sum(x) - scale| <= tol + CONTAINS_RTOL*scale."""
         x = np.asarray(x, dtype=float)
-        return bool(
-            (x >= -tol).all()
-            and abs(x.sum() - self.scale) <= tol + CONTAINS_RTOL * self.scale
-        )
+        if not (x >= -tol).all():
+            return False
+        with np.errstate(over="ignore"):  # a sum past the largest float is out
+            total = float(x.sum())
+        return abs(total - self.scale) <= tol + CONTAINS_RTOL * self.scale
 
     def project(self, y):
         """Exact Euclidean projection max(y - tau, 0), tau by sorting.
 
         tau puts sum(max(y - tau, 0)) at scale; the support is the largest k
         with y_(k) > (sum of the k largest entries - scale)/k (Held, Wolfe and
-        Crowder 1974; Duchi et al., ICML 2008). O(n log n).
+        Crowder 1974; Duchi et al., ICML 2008). O(n log n). Where those sums
+        could overflow, or lose more than 2^-40 of scale to rounding (y of
+        1e300 on the unit simplex), y is first shifted by its largest entry,
+        which moves the projection not at all: entries more than 2 scale
+        below it, outside the support, are raised to that level, and the
+        result is scaled to the unit simplex and back.
         """
         y = _finite(y, "simplex projection needs a finite point")
         desc = np.sort(y)[::-1]
+        top, bottom = float(desc[0]), float(desc[-1])
+        # every sum below, and y - tau, is at most size
+        size = (self.n + 1) * max(top, -bottom) + self.scale
+        if not size <= min(2.0 ** 12 * self.scale, 2.0 ** 1022):
+            # (y - top) / 2 cannot overflow; below -scale it is outside the support
+            half = np.maximum(0.5 * y - 0.5 * top, -self.scale)
+            return self.scale * Simplex(self.n).project(half / self.scale * 2.0)
         excess = np.cumsum(desc) - self.scale
         k = np.arange(1, self.n + 1)
         support = np.nonzero(desc * k > excess)[0][-1] + 1

@@ -198,7 +198,9 @@ def _rho(majorant, theory):
     disc = a * a - 8.0 * b * b
     if disc < 0.0:
         raise ValueError("parameter combination outside the closed form (a^2 < 8 b^2)")
-    return (a - math.sqrt(disc)) / (4.0 * majorant.gamma * b)
+    # divide by gamma last: 4 gamma b underflows to 0 for a subnormal gamma,
+    # where this quotient overflows to inf as it does for gamma = 1e-320
+    return (a - math.sqrt(disc)) / (4.0 * b) / majorant.gamma
 
 
 def majorant_sequence(majorant, theory, theta, t0, kmax):

@@ -30,6 +30,11 @@ class TestRadius:
         out = capsys.readouterr().out
         assert "rho = 0.219223593596" in out
 
+    def test_smale_subnormal_gamma_exit_0(self, capsys):
+        assert main(["radius", "--kind", "smale", "--gamma", "5e-324",
+                     "--vartheta", "0.5", "--lambda", "0.3"]) == 0
+        assert "rho = inf" in capsys.readouterr().out
+
     def test_invalid_theory_params_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--kind", "holder", "--K", "1", "--p", "1",

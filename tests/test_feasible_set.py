@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, solve
+from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, condg, solve
 from newton_condg.feasible_set import BOX_CAP
 
 from oracles import random_set_and_point, simplex_threshold_bisection
@@ -255,6 +255,46 @@ class TestExactProjections:
             z = fset.project(y)
             assert np.abs(fset.project(z) - z).max() <= 1e-12 * scale
             assert fset.contains(z)
+
+
+class TestHugeFiniteInputs:
+    # finite points whose plain arithmetic overflows, under the suite's -W error
+    def test_ball_projects_and_certifies_a_far_point(self):
+        ball = EuclideanBall(np.zeros(3), 1.0)
+        y = np.array([1e200, 0.0, 0.0])
+        np.testing.assert_array_equal(ball.project(y), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(ball.lmo(-y), [1.0, 0.0, 0.0])
+        assert not ball.contains(y)
+        result = condg(ball, y, np.zeros(3), 0.0, 300)
+        np.testing.assert_array_equal(result.z, [1.0, 0.0, 0.0])
+        assert result.terminated_by == "gap"
+
+    def test_ball_lmo_of_a_direction_whose_norm_underflows(self):
+        ball = EuclideanBall(np.zeros(3), 1.0)
+        np.testing.assert_array_equal(ball.lmo(np.array([5e-324, 0.0, 0.0])), [-1.0, 0.0, 0.0])
+
+    def test_ball_with_a_huge_centre(self):
+        # y - center is -2e308 in its first entry
+        ball = EuclideanBall([1e308, 0.0], 1e307)
+        y = np.array([-1e308, 0.0])
+        np.testing.assert_allclose(ball.project(y), [9e307, 0.0], rtol=1e-15)
+        assert not ball.contains(y)
+        assert ball.contains([1e308, 1e307])
+
+    def test_simplex_projects_a_point_whose_sum_overflows(self):
+        simplex = Simplex(3)
+        np.testing.assert_array_equal(simplex.project([1e308, 1e308, 0.0]), [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(simplex.project([1e308, -1e308, 1e308]), [0.5, 0.0, 0.5])
+        assert not simplex.contains([1e308, 1e308, 0.0])
+
+    def test_simplex_projection_keeps_a_scale_far_below_the_entries(self):
+        # plain sums of 1e300 lose the scale 1 to rounding, and the support
+        # test then finds no support; the projection is invariant under
+        # y -> y - t * ones
+        simplex = Simplex(3)
+        np.testing.assert_array_equal(simplex.project([1e300, 1e300, 0.0]), [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(simplex.project([-1e300, -1e300, -1e300]), [1 / 3] * 3,
+                                   rtol=1e-15)
 
 
 def test_box_invariant_validation():

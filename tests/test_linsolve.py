@@ -198,6 +198,34 @@ class TestSolveInexact:
         assert out.kernel == "gttrf"
         assert out.s.tobytes() == solve_direct(M, b).s.tobytes()
 
+    @pytest.mark.parametrize("model", ["dense", "troesch"])
+    def test_unattainable_eta_costs_one_gmres_cycle(self, monkeypatch, model):
+        # eta = 1e-20 is below any step's rounding: one restart cycle, then the
+        # direct exit (sgetrf for the dense model of order 300, gttrf for CSR)
+        if model == "dense":
+            rng = np.random.default_rng(0)
+            M = rng.standard_normal((300, 300)) / np.sqrt(300) + 2.0 * np.eye(300)
+            b = rng.standard_normal(300)
+        else:
+            p = make_problem("pb3_troesch", 500)
+            x = starting_point(p, 1)
+            M, b = next_jacobian(None, 0, p, x, "exact").M, -p.fun(x)
+            assert sparse.issparse(M)
+        calls = []
+        original = newton_condg.linsolve.gmres
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(newton_condg.linsolve, "gmres", counted)
+        out = solve_inexact(M, b, 1e-20)
+        assert [kwargs["maxiter"] for kwargs in calls] == [1]
+        direct = solve_direct(M, b)
+        assert out.kernel == direct.kernel == ("sgetrf" if model == "dense" else "gttrf")
+        assert out.s.tobytes() == direct.s.tobytes()
+        assert out.eta_used == direct.eta_used > 1e-20
+
     @pytest.mark.parametrize("eta", [0.5, 0.1, 1e-8])
     def test_dense_tridiagonal_model_is_preconditioned_by_its_gttrf(self, monkeypatch, eta):
         # tridiagonal by value: lu_factor's gttrf is exact, so GMRES meets any
@@ -219,7 +247,7 @@ class TestSolveInexact:
             M = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
             b = rng.standard_normal(n)
             for eta in (0.5, 0.1, 1e-6):
-                plain, _info = gmres(M, b, rtol=eta, atol=0.0, restart=min(n, 100), maxiter=50)
+                plain, _info = gmres(M, b, rtol=eta, atol=0.0, restart=100, maxiter=1)
                 assert np.linalg.norm(M @ plain - b) <= eta * np.linalg.norm(b)
                 np.testing.assert_array_equal(solve_inexact(M, b, eta).s, plain)
 

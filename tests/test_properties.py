@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 
 import newton_condg.linsolve
-from newton_condg import solve_inexact
+from newton_condg import EuclideanBall, Simplex, solve_inexact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,22 +37,29 @@ def _model(kind, n, rng):
     kind=st.sampled_from(sorted(MODELS)),
     n=st.integers(3, 40),
     seed=st.integers(0, 2 ** 32 - 1),
-    eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
 )
 def test_inexact_step_meets_its_contract_with_at_most_one_factorization(kind, n, seed, eta):
+    # and with at most one GMRES restart cycle, whatever eta asks
     rng = np.random.default_rng(seed)
     M = _model(kind, n, rng)
     b = rng.standard_normal(n)
-    factored = []
-    original = newton_condg.linsolve.lu_factor
+    factored, cycles = [], []
+    lu_factor, gmres = newton_condg.linsolve.lu_factor, newton_condg.linsolve.gmres
 
-    def counted(A):
+    def counted_lu(A):
         factored.append(A)
-        return original(A)
+        return lu_factor(A)
+
+    def counted_gmres(*args, **kwargs):
+        cycles.append(kwargs["maxiter"])
+        return gmres(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(newton_condg.linsolve, "lu_factor", counted)
+        patch.setattr(newton_condg.linsolve, "lu_factor", counted_lu)
+        patch.setattr(newton_condg.linsolve, "gmres", counted_gmres)
         out = solve_inexact(M, b, eta)
+    assert cycles == [1]
     r = M @ out.s - b
     rnorm, bnorm = math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(b, b))
     if out.kernel == "gmres":  # GMRES met the contract
@@ -61,3 +68,35 @@ def test_inexact_step_meets_its_contract_with_at_most_one_factorization(kind, n,
         assert out.eta_used <= max(eta, DIRECT_ROUNDING)
         assert rnorm <= max(eta, DIRECT_ROUNDING) * bnorm
     assert len(factored) == (1 if MODELS[kind] else out.kernel != "gmres")
+
+
+# finite floats of every size, subnormals included
+FINITE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
+BALL = EuclideanBall([1.0, -2.0, 0.5], 2.0)
+
+
+@hypothesis.given(y=st.lists(FINITE, min_size=3, max_size=3))
+def test_ball_projection_and_lmo_of_any_finite_point(y):
+    y = np.array(y)
+    z, u = BALL.project(y), BALL.lmo(y)
+    for point in (z, u):
+        assert np.isfinite(point).all() and BALL.contains(point)
+    # math.hypot scales, so it neither over- nor underflows
+    v = y - BALL.center  # no overflow: the centre is small
+    if math.hypot(*v) > BALL.radius:
+        expected = BALL.center + BALL.radius * (v / math.hypot(*v))
+        np.testing.assert_allclose(z, expected, rtol=0.0, atol=1e-12)
+    if y.any():
+        np.testing.assert_allclose(u, BALL.center - BALL.radius * (y / math.hypot(*y)),
+                                   rtol=0.0, atol=1e-12)
+
+
+@hypothesis.given(y=st.lists(FINITE, min_size=1, max_size=6),
+                  a=st.floats(0.5, 1e308), zeros=st.integers(0, 4))
+def test_simplex_projection_and_lmo_of_any_finite_point(y, a, zeros):
+    simplex = Simplex(len(y))
+    for point in (simplex.project(y), simplex.lmo(y)):
+        assert np.isfinite(point).all() and simplex.contains(point)
+    # (a, a, 0, ...) with a >= 1/2 projects to (1/2, 1/2, 0, ...)
+    pair = Simplex(2 + zeros).project([a, a] + [0.0] * zeros)
+    np.testing.assert_allclose(pair, [0.5, 0.5] + [0.0] * zeros, rtol=0.0, atol=1e-12)

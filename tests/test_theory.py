@@ -129,6 +129,12 @@ class TestSmaleRadius:
         with pytest.raises(ValueError, match="kappa"):
             smale_radius(1.0, EXACT_NEWTON, kappa=kappa)
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320])
+    def test_subnormal_gamma_gives_infinite_radii(self, gamma):
+        # 4 gamma b underflows to 0 at 5e-324: rho is inf there as at 1e-320
+        rb = smale_radius(gamma, TheoryParams(omega1=1.0, vartheta=0.5, lam=0.3))
+        assert rb.nu == rb.rho == rb.sigma == math.inf
+
     def test_agrees_with_bisection_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
