@@ -12,6 +12,7 @@ and thread-safe.
 """
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from numbers import Integral
 
@@ -26,9 +27,7 @@ BOX_CAP = 1e6  # finite stand-in for +inf upper bounds of a Box
 # several thousand. The size is scale for the simplex and radius +
 # ||center|| for the ball, whose points carry the centre's rounding too.
 CONTAINS_RTOL = 1e-12
-# x - c cannot overflow for finite x when |c| < 2^970 entrywise: |x_i| + |c_i|
-# is then below halfway from the largest float to 2^1024, so it rounds down
-_PLAIN_OFFSET_MAX = 2.0 ** 970
+_TINY = sys.float_info.min  # smallest normal float; below it squares lose bits
 
 
 class FeasibleSet(ABC):
@@ -111,9 +110,11 @@ class EuclideanBall(FeasibleSet):
     a 1-vector) and a finite positive radius; n is the center's length.
     Construction raises ValueError otherwise.
 
-    lmo, project and contains never overflow on a finite input: where
-    x - center, a sum of squares or radius * d would, they work on a copy
-    scaled down by its largest entry, which keeps the direction; elsewhere
+    lmo, project and contains neither overflow nor lose bits to underflow
+    on a finite input, for a centre whose entries are below 2^970 (so that
+    x - center rounds to a finite value): where a sum of squares, or
+    radius * d, would leave the normal floats, they work on a copy of the
+    vector scaled by its largest entry, which keeps the direction; elsewhere
     the arithmetic is the plain one.
     """
 
@@ -128,19 +129,16 @@ class EuclideanBall(FeasibleSet):
         self.center = center
         self.radius = float(radius)
         self.n = center.size
-        self._cmax = float(np.abs(center).max(initial=0.0))
-        cnorm = math.sqrt(np.vdot(center, center))
-        if cnorm == math.inf:  # the sum of squares overflows; hypot scales
-            cnorm = math.hypot(*center)
-        self._rounding = CONTAINS_RTOL * (self.radius + cnorm)
+        self._rounding = CONTAINS_RTOL * (self.radius + np.linalg.norm(center))
 
     def lmo(self, d):
         d = _finite(d, "lmo direction must be finite")
-        # np.vdot gives inf or 0 with no warning where the sum of squares
-        # over- or underflows, and the bits of d @ d otherwise
-        nd = math.sqrt(np.vdot(d, d))
-        # d = 0, or radius * d or ||d||^2 would under- or overflow: scale d
-        if not 0.0 < self.radius * nd < math.inf:
+        # np.vdot gives inf or a subnormal with no warning where the sum of
+        # squares over- or underflows, and the bits of d @ d otherwise
+        squares = np.vdot(d, d)
+        nd = math.sqrt(squares)
+        # d = 0, or ||d||^2 or radius * d would leave the normal floats: scale d
+        if not (squares >= _TINY and _TINY <= self.radius * nd < math.inf):
             dmax = float(np.abs(d).max(initial=0.0))
             if dmax == 0.0:
                 return self.center.copy()
@@ -162,19 +160,19 @@ class EuclideanBall(FeasibleSet):
         return self.center + (self.radius / nv) * v
 
     def _offset(self, x):
-        """(v, ||v||, ||x - center||) with x - center = s v: s = 1 unless
-        x - center or its sum of squares would overflow, and then s is the
-        largest |entry| of x and the center, so |v_i| <= 2. The distance is
-        inf past the largest float, and for an x with an inf entry."""
-        if self._cmax < _PLAIN_OFFSET_MAX:
-            v = x - self.center
-            nv = math.sqrt(np.vdot(v, v))  # inf, with no warning, on overflow
-            if nv < math.inf:
-                return v, nv, nv
-        s = max(float(np.abs(x).max(initial=0.0)), self._cmax)
-        if s == math.inf:  # contains() takes any x
-            return x, math.inf, math.inf
-        v = x / s - self.center / s
+        """(v, ||v||, ||x - center||) with x - center = s v: s = 1 unless the
+        sum of squares of x - center over- or underflows, and then s is its
+        largest |entry|. The distance is inf past the largest float, and for
+        an x with an inf entry."""
+        v = x - self.center
+        squares = np.vdot(v, v)  # inf or a subnormal, with no warning
+        if _TINY <= squares < math.inf:
+            nv = math.sqrt(squares)
+            return v, nv, nv
+        s = float(np.abs(v).max(initial=0.0))
+        if not 0.0 < s < math.inf:  # x = center, or contains() took any x
+            return v, s, s
+        v = v / s
         nv = math.sqrt(np.vdot(v, v))
         return v, nv, s * nv
 
@@ -222,33 +220,41 @@ class Simplex(FeasibleSet):
 
         tau puts sum(max(y - tau, 0)) at scale; the support is the largest k
         with y_(k) > (sum of the k largest entries - scale)/k (Held, Wolfe and
-        Crowder 1974; Duchi et al., ICML 2008). O(n log n). Where those sums
-        could overflow, or lose more than 2^-40 of scale to rounding (y of
-        1e300 on the unit simplex), y is first shifted by its largest entry,
-        which moves the projection not at all: entries more than 2 scale
-        below it, outside the support, are raised to that level, and the
-        result is scaled to the unit simplex and back.
+        Crowder 1974; Duchi et al., ICML 2008). O(n log n). Where that plain
+        result is not on the simplex, because the sums overflowed or rounding
+        at the size of y lost scale (y of 1e300 on the unit simplex), the
+        threshold is found once more on y shifted by its largest entry, which
+        moves the projection not at all: entries more than 2 scale below it,
+        outside the support, are raised to that level, and the shifted copy
+        is scaled to the unit simplex and the result back.
         """
         y = _finite(y, "simplex projection needs a finite point")
-        desc = np.sort(y)[::-1]
-        top, bottom = float(desc[0]), float(desc[-1])
-        # every sum below, and y - tau, is at most size
-        size = (self.n + 1) * max(top, -bottom) + self.scale
-        if not size <= min(2.0 ** 12 * self.scale, 2.0 ** 1022):
-            # (y - top) / 2 cannot overflow; below -scale it is outside the support
-            half = np.maximum(0.5 * y - 0.5 * top, -self.scale)
-            return self.scale * Simplex(self.n).project(half / self.scale * 2.0)
-        excess = np.cumsum(desc) - self.scale
-        k = np.arange(1, self.n + 1)
-        support = np.nonzero(desc * k > excess)[0][-1] + 1
-        tau = excess[support - 1] / support
-        return np.maximum(y - tau, 0.0)
+        with np.errstate(over="ignore"):  # an overflow leaves x off the simplex
+            x = _threshold(y, self.scale)
+            # contains(x), as x >= 0
+            if x is not None and abs(x.sum() - self.scale) <= CONTAINS_RTOL * self.scale:
+                return x
+        # (y - top) / 2 cannot overflow; below -scale it is outside the support
+        half = np.maximum(0.5 * y - 0.5 * y.max(), -self.scale)
+        return self.scale * _threshold(half / self.scale * 2.0, 1.0)
 
     def sample(self, rng):
         return self.scale * rng.dirichlet(np.ones(self.n))
 
     def __repr__(self):
         return f"Simplex(n={self.n}, scale={self.scale})"
+
+
+def _threshold(y, scale):
+    """max(y - tau, 0) with tau from the sorted sums of y, or None where
+    rounding leaves no support."""
+    desc = np.sort(y)[::-1]
+    excess = np.cumsum(desc) - scale
+    support = np.flatnonzero(desc * np.arange(1, y.size + 1) > excess)
+    if not support.size:
+        return None
+    tau = excess[support[-1]] / (support[-1] + 1)
+    return np.maximum(y - tau, 0.0)
 
 
 def _is_count(value, minimum=1):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -272,14 +274,16 @@ class TestHugeFiniteInputs:
     def test_ball_lmo_of_a_direction_whose_norm_underflows(self):
         ball = EuclideanBall(np.zeros(3), 1.0)
         np.testing.assert_array_equal(ball.lmo(np.array([5e-324, 0.0, 0.0])), [-1.0, 0.0, 0.0])
+        # ||d||^2 = 2e-320 is subnormal and carries about 12 bits
+        u = ball.lmo(np.array([1e-160, 1e-160, 0.0]))
+        np.testing.assert_allclose(u, [-math.sqrt(0.5), -math.sqrt(0.5), 0.0], rtol=1e-15)
+        assert ball.contains(u)
 
-    def test_ball_with_a_huge_centre(self):
-        # y - center is -2e308 in its first entry
-        ball = EuclideanBall([1e308, 0.0], 1e307)
-        y = np.array([-1e308, 0.0])
-        np.testing.assert_allclose(ball.project(y), [9e307, 0.0], rtol=1e-15)
-        assert not ball.contains(y)
-        assert ball.contains([1e308, 1e307])
+    def test_ball_projection_of_a_point_whose_offset_norm_underflows(self):
+        ball = EuclideanBall(np.zeros(3), 1e-161)
+        z = ball.project(np.array([1e-160, 1e-160, 0.0]))
+        np.testing.assert_allclose(z, [math.sqrt(0.5) * 1e-161] * 2 + [0.0], rtol=1e-15)
+        assert ball.contains(z)
 
     def test_simplex_projects_a_point_whose_sum_overflows(self):
         simplex = Simplex(3)
@@ -295,6 +299,16 @@ class TestHugeFiniteInputs:
         np.testing.assert_array_equal(simplex.project([1e300, 1e300, 0.0]), [0.5, 0.5, 0.0])
         np.testing.assert_allclose(simplex.project([-1e300, -1e300, -1e300]), [1 / 3] * 3,
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("top", [1e308, 1e300])
+    def test_simplex_projection_in_high_dimension(self, top):
+        # both inputs leave the plain sums; the shifted copy's sums reach
+        # about 2n, which is far below the largest float
+        y = np.zeros(3000)
+        y[:2] = top
+        z = Simplex(3000).project(y)
+        np.testing.assert_array_equal(z[:2], [0.5, 0.5])
+        assert not z[2:].any()
 
 
 def test_box_invariant_validation():
