@@ -2,9 +2,11 @@
 
 Kept deliberately separate from the library: the bisection radius oracle
 works from the sup-definition of the contraction radius, not from the closed
-forms it is checking, and the simplex threshold comes from bisection, not
-from the sort the library uses.
+forms it is checking, and the simplex threshold comes from bisection, or
+from exact rational sums, not from the floating-point sort the library uses.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +96,23 @@ def simplex_threshold_bisection(y, scale, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def simplex_projection_exact(y, scale):
+    """The projection of y onto {x >= 0, sum(x) = scale}, as Fractions.
+
+    Every float is a rational, so the sort-and-threshold rule run on
+    Fractions gives the exact projection of the floats y and scale: the
+    support is the largest k with y_(k) > (sum of the k largest - scale)/k.
+    """
+    ys = [Fraction(v) for v in y]
+    total = Fraction(0)
+    for k, v in enumerate(sorted(ys, reverse=True), 1):
+        total += v
+        candidate = (total - Fraction(scale)) / k
+        if v > candidate:
+            tau = candidate
+    return [max(v - tau, Fraction(0)) for v in ys]
 
 
 def random_set_and_point(rng):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from newton_condg import Box, EuclideanBall, Problem, Simplex, SolverConfig, condg, solve
 from newton_condg.feasible_set import BOX_CAP
 
-from oracles import random_set_and_point, simplex_threshold_bisection
+from oracles import random_set_and_point, simplex_projection_exact, simplex_threshold_bisection
 
 
 class TestBoxLMO:
@@ -237,6 +239,19 @@ class TestExactProjections:
             got = Simplex(n, scale).project(y)
             assert np.abs(got - expected).max() <= 1e-12 * max(scale, np.abs(y).max())
 
+    def test_simplex_projection_is_exact_to_the_scale(self):
+        # against the exact projection of the same floats: the shifted sums
+        # keep the scale where plain sums of y near 10^3 scale lose bits of it
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 41))
+            simplex = Simplex(n, 10.0 ** rng.uniform(-3, 6))
+            spread = 10.0 ** rng.uniform(-2, 3) * simplex.scale / n
+            y = simplex.sample(rng) + spread * rng.standard_normal(n)
+            exact = simplex_projection_exact(y, simplex.scale)
+            error = max(abs(Fraction(got) - x) for got, x in zip(simplex.project(y), exact))
+            assert error <= Fraction(2.0 ** -50 * simplex.scale)
+
     def test_ball_matches_rescale_formula(self):
         rng = np.random.default_rng(62)
         for _ in range(self.DRAWS):
@@ -284,6 +299,16 @@ class TestHugeFiniteInputs:
         z = ball.project(np.array([1e-160, 1e-160, 0.0]))
         np.testing.assert_allclose(z, [math.sqrt(0.5) * 1e-161] * 2 + [0.0], rtol=1e-15)
         assert ball.contains(z)
+
+    def test_ball_with_a_huge_centre(self):
+        # the centre's own norm overflows its plain sum of squares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ball = EuclideanBall([1e200, 0.0, 0.0], 1.0)
+        assert not ball.contains(np.zeros(3))
+        result = condg(ball, np.zeros(3), ball.center, 0.0, 300)
+        assert ball.contains(result.z)
+        assert result.terminated_by == "gap"
 
     def test_simplex_projects_a_point_whose_sum_overflows(self):
         simplex = Simplex(3)
@@ -339,11 +364,14 @@ def test_box_invariant_validation():
         (lambda: EuclideanBall([np.nan, 0.0], 1.0), "center"),
         (lambda: Simplex(3, scale=np.inf), "scale"),
         (lambda: Simplex(3, scale=np.nan), "scale"),
+        (lambda: EuclideanBall(np.zeros(2), 5e-324), "radius"),
+        (lambda: Simplex(3, scale=5e-324), "scale"),
     ],
 )
 def test_non_compact_sets_are_rejected(build, argument):
     # an infinite ball or simplex has no finite LMO vertex; contains(1e300)
-    # would hold and lmo would return -inf entries
+    # would hold and lmo would return -inf entries. A subnormal radius or
+    # scale is rejected too: its projections and vertices round off the set
     with pytest.raises(ValueError, match=argument):
         build()
 

@@ -2,6 +2,8 @@
 deterministic hypothesis profile of conftest.py."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -72,29 +74,43 @@ def test_inexact_step_meets_its_contract_with_at_most_one_factorization(kind, n,
 
 # finite floats of every size, subnormals included
 FINITE = st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False)
-BALL = EuclideanBall([1.0, -2.0, 0.5], 2.0)
+# a ball's centre entries, up to the documented 2^969 that keeps y - center finite
+CENTRE = st.floats(-2.0 ** 969, 2.0 ** 969, allow_nan=False, allow_infinity=False)
 
 
-@hypothesis.given(y=st.lists(FINITE, min_size=3, max_size=3))
-def test_ball_projection_and_lmo_of_any_finite_point(y):
+def _built(make, *args):
+    """make(*args), which must emit no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return make(*args)
+
+
+@hypothesis.given(y=st.lists(FINITE, min_size=3, max_size=3),
+                  center=st.lists(CENTRE, min_size=3, max_size=3),
+                  radius=st.floats(1e-150, 1e300))
+def test_ball_projection_and_lmo_of_any_finite_point(y, center, radius):
+    ball = _built(EuclideanBall, center, radius)
     y = np.array(y)
-    z, u = BALL.project(y), BALL.lmo(y)
+    z, u = ball.project(y), ball.lmo(y)
     for point in (z, u):
-        assert np.isfinite(point).all() and BALL.contains(point)
-    # math.hypot scales, so it neither over- nor underflows
-    v = y - BALL.center  # no overflow: the centre is small
-    if math.hypot(*v) > BALL.radius:
-        expected = BALL.center + BALL.radius * (v / math.hypot(*v))
-        np.testing.assert_allclose(z, expected, rtol=0.0, atol=1e-12)
+        assert np.isfinite(point).all() and ball.contains(point)
+    # math.hypot scales, so it neither over- nor underflows; the known
+    # answers hold to the rounding that contains allows
+    rounding = 1e-12 * (radius + math.hypot(*center))
+    v = y - ball.center  # finite: the centre is below 2^970
+    if math.hypot(*v) > radius:
+        expected = ball.center + radius * (v / math.hypot(*v))
+        np.testing.assert_allclose(z, expected, rtol=0.0, atol=rounding)
     if y.any():
-        np.testing.assert_allclose(u, BALL.center - BALL.radius * (y / math.hypot(*y)),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(u, ball.center - radius * (y / math.hypot(*y)),
+                                   rtol=0.0, atol=rounding)
 
 
 @hypothesis.given(y=st.lists(FINITE, min_size=1, max_size=6),
+                  scale=st.floats(sys.float_info.min, 1e300),
                   a=st.floats(0.5, 1e308), zeros=st.integers(0, 4))
-def test_simplex_projection_and_lmo_of_any_finite_point(y, a, zeros):
-    simplex = Simplex(len(y))
+def test_simplex_projection_and_lmo_of_any_finite_point(y, scale, a, zeros):
+    simplex = _built(Simplex, len(y), scale)
     for point in (simplex.project(y), simplex.lmo(y)):
         assert np.isfinite(point).all() and simplex.contains(point)
     # (a, a, 0, ...) with a >= 1/2 projects to (1/2, 1/2, 0, ...)
