@@ -244,9 +244,10 @@ def check_problem(problem, rng=None, samples=8):
 
     samples is an integer >= 1 (Python or numpy, not a bool); anything else
     raises ValueError. Checks the residual shape, that Jacobian entries
-    outside the declared pattern vanish (relative tolerance 1e-12; the
-    Jacobian is the analytic one, or finite differences, dense or sparse
-    alike), that a vectorized fun maps the (samples, n) stack of the sampled points to the stack of
+    outside the declared pattern vanish (relative to the largest finite
+    entry, tolerance 1e-12, so that a nan or inf outside the pattern is
+    reported and one on it is not; the Jacobian is the analytic one, or
+    finite differences, dense or sparse alike), that a vectorized fun maps the (samples, n) stack of the sampled points to the stack of
     their residuals bit for bit, and that the known root has max-norm
     residual <= 1e-10.
     """
@@ -267,7 +268,7 @@ def check_problem(problem, rng=None, samples=8):
             else:
                 jac = fd_jacobian(problem.fun, x, fx, vectorized=problem.vectorized)
             off, scale = _off_pattern_max(jac, problem.pattern)
-            if off > 1e-12 * scale:
+            if not off <= 1e-12 * scale:  # a nan or inf off the pattern too
                 raise AssertionError(
                     f"{problem.name}: Jacobian entry outside pattern ({off:.3e})"
                 )
@@ -289,7 +290,16 @@ def check_problem(problem, rng=None, samples=8):
 
 
 def _off_pattern_max(jac, pattern):
-    """(largest |entry| of jac outside the CSR pattern, max(largest |entry|, 1e-300))."""
-    mag = abs(sparse.csr_array(jac, dtype=float))
-    off = mag - mag.multiply(pattern)
-    return off.max(), max(mag.max(), 1e-300)
+    """(largest |entry| of jac outside the CSR pattern, nan when one is nan;
+    max(largest finite |entry|, 1e-300)).
+
+    The entries outside are picked by their coordinates, never by
+    subtracting the ones inside, where inf - inf would make an inf on the
+    pattern a nan.
+    """
+    mag = abs(sparse.csr_array(jac, dtype=float)).tocoo()
+    # every stored entry of jac and of the pattern by its flat position
+    keys = [np.ravel_multi_index(A.coords, A.shape) for A in (mag, pattern.tocoo())]
+    outside = mag.data[~np.isin(*keys)]
+    finite = mag.data[np.isfinite(mag.data)]
+    return outside.max(initial=0.0), max(finite.max(initial=0.0), 1e-300)

@@ -1,11 +1,13 @@
 """Linear step solves with an explicit residual contract.
 
 One object describes a sparse structure: its _Pattern, a boolean CSR
-array. canonical_pattern makes the form Problem stores (read-only arrays,
-no explicit False) and derives, once, what every model of the structure
-needs: the row of every entry, the LU kernel and where each entry goes in
-its storage (the symbolic half of the factorization), and a read-only zero
-CSRModel template on the pattern's own indptr and indices. The greedy
+array, and canonical_pattern is its one maker. It copies the structure into
+the form Problem stores (read-only arrays, no explicit False) and derives,
+once, what every model of the structure needs: the row of every entry, the
+LU kernel and where each entry goes in its storage (the symbolic half of
+the factorization), and a read-only zero CSRModel template on the
+pattern's own indptr and indices. So a _Pattern that carries its template
+is canonical, and canonical_pattern returns it as it is. The greedy
 column colouring of finite differences (column_colouring) and its group
 order wait for the first finite-difference build (groups), so a pattern
 that serves only exact or secant models is never coloured. A sparse model
@@ -16,9 +18,10 @@ canonical float CSRModel that carries its _pattern. A sparse matrix is
 sorted in a copy, never in place. A model that carries the pattern of its
 own arrays is returned as it is: the finite-difference and Schubert models
 of a declared pattern and the sparse registry problems' exact Jacobians all
-carry the Problem's, so its analysis runs once per pattern; any other
-sparse matrix gets a pattern of its own, from its stored entries (explicit
-zeros included). Every factorization goes
+carry the Problem's, so its analysis runs once per pattern; the structure
+of any other sparse matrix, its explicit zeros included, is copied into a
+canonical pattern of its own, which shares no array with the caller's.
+Every factorization goes
 through lu_factor, which picks the kernel by storage, and for a dense model
 by its exact zeros, and checks the model once (finite, non-zero); each
 kernel is one class that factorizes with partial pivoting and checks its
@@ -364,8 +367,10 @@ class _Pattern(sparse.csr_array):
     serves only exact or secant models is never coloured, and scatter once
     per block size.
 
-    It pickles as its three arrays and unpickles through canonical_pattern,
-    leaving what it derived behind.
+    canonical_pattern makes every _Pattern that carries these: build one
+    any other way and canonical_pattern copies it. It pickles as its three
+    arrays and unpickles through canonical_pattern, leaving what it derived
+    behind.
     """
 
     def __reduce__(self):
@@ -436,21 +441,12 @@ def canonical_pattern(pattern):
 
     That form is a boolean _Pattern (a scipy.sparse.csr_array) with sorted,
     duplicate-free indices, no explicit False, and read-only data, indices
-    and indptr, so that what is derived from it once cannot go stale. A
-    pattern already in that form is returned as it is; anything else is
-    copied.
+    and indptr, so that what is derived from it once cannot go stale. This
+    is the one maker of that form: a _Pattern it made (one carrying its
+    template) is returned as it is, and anything else, a _Pattern built by
+    hand included, is copied and derived.
     """
-    if (
-        type(pattern) is _Pattern
-        and pattern.dtype == bool
-        and not (
-            pattern.data.flags.writeable
-            or pattern.indices.flags.writeable
-            or pattern.indptr.flags.writeable
-        )
-        and pattern.has_canonical_format
-        and pattern.data.all()
-    ):
+    if type(pattern) is _Pattern and "template" in vars(pattern):  # made here
         return pattern
     P = _Pattern(pattern, dtype=bool, copy=True)
     P.eliminate_zeros()
@@ -490,23 +486,24 @@ def as_model(M):
 
     A scipy.sparse M that carries the _Pattern of its own indptr and indices
     (every model a pattern makes does, the sparse registry Jacobians
-    included) is returned as it is. Any other sparse M becomes a CSRModel
-    with sorted, summed entries, made in a copy when M is not canonical,
-    whose stored entries, explicit zeros included, get a _Pattern of their
-    own here: a user jac that returns a fresh CSR matrix pays that analysis
-    on every call. Copies of the result (copy.copy, with_data) carry the
-    pattern too.
+    included) is returned as it is. Any other sparse M has its entries
+    sorted and summed, in a copy when M is not canonical, and its stored
+    structure, explicit zeros included, copied by canonical_pattern into a
+    pattern of its own; the result is that pattern's model of M's values. A
+    user jac that returns a fresh CSR matrix pays that analysis on every
+    call. Copies of the result (copy.copy, with_data) carry the pattern too.
     """
     if not sparse.issparse(M):
         return np.asarray(M, dtype=float)
     P = getattr(M, "_pattern", None)
     if P is not None and P.fits(M):
         return M
-    A = CSRModel(M, dtype=float)
+    A = sparse.csr_array(M, dtype=float)
     if not A.has_canonical_format:  # A may share M's arrays; sort a copy
         A = A.copy()
         A.sum_duplicates()
-    return with_data(A, np.ones(A.nnz, dtype=bool), _Pattern)._derive().model(A.data)
+    structure = (np.ones(A.nnz, dtype=bool), A.indices, A.indptr)
+    return canonical_pattern(sparse.csr_array(structure, shape=A.shape)).model(A.data)
 
 
 def lu_factor(M):

@@ -67,6 +67,18 @@ def test_boundary_root_converges_with_certified_steps(kind, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("strategy", ["finite_difference", "schubert"])
+def test_simplex_root_at_a_tight_tolerance_keeps_certified_steps(strategy, seed):
+    # near the root the Newton point is within rounding of the simplex, and
+    # the exact projection's computed gap is rounding too
+    problem, x0 = boundary_problem("simplex", seed)
+    report = solve(problem, x0, SolverConfig(jacobian_strategy=strategy, tol_inf=1e-12))
+    assert report.status == "converged"
+    assert report.uncertified_steps == 0
+    assert max(step.inner_iters for step in report.steps) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_dense_tridiagonal_models_take_gttrf(monkeypatch, kind, seed):
     # jac is A + diag(x - r), dense and tridiagonal by value: every step is

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_condg import Box, EuclideanBall, condg, wolfe_gap
+from newton_condg import Box, EuclideanBall, Simplex, condg, wolfe_gap
 from newton_condg.condg import _start_tolerance
 
 from oracles import LmoOnly, random_set_and_point
@@ -217,3 +217,49 @@ def test_exact_projection_certified_in_one_call():
         assert res.inner_iters == 1
         expected = y if fset.contains(y) else fset.project(y)
         np.testing.assert_array_equal(res.z, expected)
+
+
+def test_near_feasible_simplex_point_certified_in_one_call():
+    # the computed gap of the exact projection is -7.6e-18 here, while
+    # ||z - y|| is 5.7e-10: it carries the rounding of z itself
+    rng = np.random.default_rng(0)
+    simplex = Simplex(50)
+    y = rng.dirichlet(np.ones(50)) + 1e-9 * rng.standard_normal(50)
+    res = condg(simplex, y, np.full(50, 1.0 / 50), 0.0, 300)
+    assert (res.terminated_by, res.inner_iters) == ("gap", 1)
+    np.testing.assert_array_equal(res.z, simplex.project(y))
+
+
+class _CentreBall(EuclideanBall):
+    """A ball whose project returns its centre: a wrong projection."""
+
+    def project(self, y):
+        return self.center.copy()
+
+
+class _OffSimplex(Simplex):
+    """A simplex whose project moves 1e-9 * scale of the exact projection's
+    largest entry to a zero entry: feasible, but not the projection."""
+
+    def project(self, y):
+        z = super().project(y)
+        z[np.argmax(z)] -= 1e-9 * self.scale
+        z[np.argmin(z)] += 1e-9 * self.scale
+        return z
+
+
+@pytest.mark.parametrize(
+    "fset, y",
+    [
+        # gap -1e110 far from the origin, where ||z|| is 1e120
+        (_CentreBall(np.array([1e120, 0.0, 0.0]), 1.0), np.array([1e120, 1e110, 0.0])),
+        (_OffSimplex(5, 3.0), np.array([4.0, 0.5, -2.0, 0.2, -1.0])),
+    ],
+    ids=["ball-centre", "simplex-off-by-1e-9"],
+)
+def test_wrong_projection_is_not_certified_by_one_call(fset, y):
+    z = fset.project(y)
+    assert fset.contains(z) and wolfe_gap(fset, y, z) < 0.0
+    res = condg(fset, y, z, 0.0, 300)
+    assert res.inner_iters > 1
+    assert not np.array_equal(res.z, z)

@@ -138,6 +138,33 @@ def test_check_problem_flags_pattern_violation():
         check_problem(bad)
 
 
+@pytest.mark.parametrize(
+    "where, value, flagged",
+    [
+        ((0, 3), np.nan, True),
+        ((0, 3), np.inf, True),
+        ((1, 1), np.inf, False),  # on the pattern: not outside it
+        ((0, 3), 1e-14, False),  # relative to the largest entry
+    ],
+    ids=["off-nan", "off-inf", "on-inf", "off-tiny"],
+)
+def test_check_problem_reports_non_finite_entries_outside_the_pattern(where, value, flagged):
+    p = _quadratic_problem()
+
+    def jac(x):
+        J = np.diag(2.0 * x)
+        J[where] = value * (np.abs(J).max() if np.isfinite(value) else 1.0)
+        return J
+
+    planted = Problem(name="planted", n=p.n, fun=p.fun, jac=jac, pattern=p.pattern,
+                      feasible_set=p.feasible_set, known_root=p.known_root)
+    if flagged:
+        with pytest.raises(AssertionError, match="planted: Jacobian entry outside pattern"):
+            check_problem(planted)
+    else:
+        check_problem(planted)
+
+
 def test_check_problem_accepts_a_vectorized_fun():
     n = 5
     p = Problem(

@@ -355,3 +355,23 @@ def test_status_check_sees_a_literal():
     assert _status_literals(ast.parse(source), constants=True) == [
         "'converged' (line 4)", "'no_progress' (line 4)",
     ]
+
+
+def test_code_line_count_leaves_out_blanks_comments_and_docstrings():
+    from conftest import code_lines
+
+    source = (
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """Docstring."""\n'
+        '    return """a string\n'
+        'that is not a docstring"""\n'
+    )
+    # X = 1, the two lines of def and the two of the returned string
+    assert code_lines(source) == 5

@@ -999,6 +999,32 @@ class TestModelPattern:
         assert len(derived) == 2
         np.testing.assert_allclose(x, np.linalg.solve(_plain(moved).toarray(), b), rtol=1e-12)
 
+    def test_a_foreign_matrix_gets_a_canonical_pattern_of_its_own(self):
+        M = sparse.csr_array(_arrowhead(6))
+        M.data[1] = 0.0  # an explicit zero, kept in the structure
+        A = as_model(M)
+        P = A._pattern
+        assert P.nnz == M.nnz and P[0, 1]
+        for mine, theirs in ((P.data, M.data), (P.indices, M.indices), (P.indptr, M.indptr)):
+            assert not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+        assert canonical_pattern(P) is P
+        M.indices[0] = 2  # the caller's arrays stay the caller's
+        assert P.indices[0] == 0
+        expected = _arrowhead(6)
+        expected[0, 1] = 0.0
+        np.testing.assert_array_equal(A.toarray(), expected)
+
+    def test_a_pattern_made_by_hand_is_derived(self, monkeypatch):
+        P = canonical_pattern(sparse.csr_array(_random_band(np.random.default_rng(7), 9, 1, 1)))
+        by_hand = _Pattern((P.data, P.indices, P.indptr), shape=P.shape)
+        derived = _patterns_derived(monkeypatch)
+        Q = canonical_pattern(by_hand)
+        assert len(derived) == 1 and Q.tridiagonal
+        assert canonical_pattern(Q) is Q and len(derived) == 1
+        A = Q.model(np.arange(1.0, Q.nnz + 1.0) + 10.0 * (Q.rows == Q.indices))
+        assert lu_factor(A).kernel == "gttrf"
+
     def test_models_own_their_data(self):
         P = canonical_pattern(sparse.csr_array(_arrowhead(6) != 0))
         first = P.model(np.ones(P.rows.size))

@@ -10,7 +10,9 @@ import pytest
 from scipy import sparse
 
 import newton_condg.linsolve
-from newton_condg import EuclideanBall, Simplex, solve_inexact
+from newton_condg import EuclideanBall, Simplex, condg, solve_inexact
+
+from oracles import random_set_and_point
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -116,3 +118,17 @@ def test_simplex_projection_and_lmo_of_any_finite_point(y, scale, a, zeros):
     # (a, a, 0, ...) with a >= 1/2 projects to (1/2, 1/2, 0, ...)
     pair = Simplex(2 + zeros).project([a, a] + [0.0] * zeros)
     np.testing.assert_allclose(pair, [0.5, 0.5] + [0.0] * zeros, rtol=0.0, atol=1e-12)
+
+
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), offset=st.floats(-12.0, 0.0))
+def test_exact_projection_of_a_point_near_the_set_is_certified_in_one_call(seed, offset):
+    # a box, ball or simplex and a point 10^offset * scale off a boundary
+    # point of it, where the computed gap of the exact projection is rounding
+    rng = np.random.default_rng(seed)
+    fset, _, scale = random_set_and_point(rng)
+    n = fset.sample(rng).size
+    anchor = fset.project(fset.sample(rng) + 4.0 * scale * rng.standard_normal(n))
+    direction = rng.standard_normal(n)
+    y = anchor + 10.0 ** offset * scale * direction / np.linalg.norm(direction)
+    res = condg(fset, y, fset.sample(rng), 0.0, 300)
+    assert (res.terminated_by, res.inner_iters) == ("gap", 1)
