@@ -21,7 +21,9 @@ of a declared pattern and the sparse registry problems' exact Jacobians all
 carry the Problem's, so its analysis runs once per pattern; the structure
 of any other sparse matrix, its explicit zeros included, is copied into a
 canonical pattern of its own, which shares no array with the caller's.
-Every factorization goes
+A model that is not square fails lu_factor, solve_direct and solve_inexact
+alike, with LinearSolveFailure("model matrix is not square"), before any
+kernel reads it (_square_model). Every factorization goes
 through lu_factor, which picks the kernel by storage, and for a dense model
 by its exact zeros, and checks the model once (finite, non-zero); each
 kernel is one class that factorizes with partial pivoting and checks its
@@ -112,7 +114,8 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2^-53
 
 
 class LinearSolveFailure(Exception):
-    """The linear step could not be produced (singular/non-finite model)."""
+    """The linear step could not be produced (non-square, singular or
+    non-finite model)."""
 
 
 @dataclass
@@ -506,6 +509,16 @@ def as_model(M):
     return canonical_pattern(sparse.csr_array(structure, shape=A.shape)).model(A.data)
 
 
+def _square_model(M):
+    """as_model(M); LinearSolveFailure("model matrix is not square") when it
+    is not a square matrix, the one shape check of lu_factor, solve_direct and
+    solve_inexact."""
+    A = as_model(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise LinearSolveFailure("model matrix is not square")
+    return A
+
+
 def lu_factor(M):
     """LU factorization of M with partial pivoting; its .solve(b) solves M x = b.
 
@@ -525,14 +538,14 @@ def lu_factor(M):
     float32 copy, whose solves of one right-hand side are refined against M,
     while a block of right-hand sides is solved by dgetrs. _DenseLU keeps a
     reference to M, which must not change while the factors are in use; it
-    is never written. Raises LinearSolveFailure when M has a non-finite entry, is
-    zero, or is singular to working precision (some pivot below PIVOT_RTOL *
-    maxabs(M) in getrf, gttrf or SuperLU; an exactly singular dense M
-    raises it with no warning, and "model matrix is singular" when gttrf
-    meets the exactly zero pivot); with float32 factors, the getrf check runs
-    in the .solve(b) that first takes getrf.
+    is never written. Raises LinearSolveFailure when M is not square, has a
+    non-finite entry, is zero, or is singular to working precision (some
+    pivot below PIVOT_RTOL * maxabs(M) in getrf, gttrf or SuperLU; an
+    exactly singular dense M raises it with no warning, and "model matrix is
+    singular" when gttrf meets the exactly zero pivot); with float32
+    factors, the getrf check runs in the .solve(b) that first takes getrf.
     """
-    A = as_model(M)
+    A = _square_model(M)
     if not _has_exact_lu(A):
         return _DenseLU(A, _checked_scale(A))
     if sparse.issparse(A) and not A._pattern.tridiagonal:
@@ -600,10 +613,11 @@ def solve_direct(M, b, prev_step=None):
     The outcome's factors are the factorization the step used.
     eta_used is ||M s - b|| / ||b||: refinement's last residual when
     refinement solved the step, one more matvec otherwise. Raises
-    LinearSolveFailure when M is non-finite or singular to working precision
-    (some pivot below PIVOT_RTOL * maxabs(M)), or b is non-finite.
+    LinearSolveFailure when M is not square (before prev_step is read),
+    non-finite or singular to working precision (some pivot below
+    PIVOT_RTOL * maxabs(M)), or b is non-finite.
     """
-    M = as_model(M)
+    M = _square_model(M)
     factors = None
     if prev_step is not None:
         previous, s, y = prev_step
@@ -629,15 +643,15 @@ def solve_inexact(M, b, eta):
     already made, or, for a full dense model, lu_factor's. So lu_factor runs
     at most once. The direct step meets the contract to rounding; an eta
     below its eta_used (about 1e-16 on a well-conditioned model) is not met,
-    and eta_used says so. Raises LinearSolveFailure when M is non-finite or
-    zero, whatever b is, when b is non-finite, before GMRES runs, and when
-    lu_factor fails, as solve_direct would on M. So a singular model with
-    an exact LU fails with b = 0 too, where a full dense one returns the
-    zero step.
+    and eta_used says so. Raises LinearSolveFailure when M is not square,
+    non-finite or zero, whatever b is, when b is non-finite, before GMRES
+    runs, and when lu_factor fails, as solve_direct would on M. So a
+    singular model with an exact LU fails with b = 0 too, where a full dense
+    one returns the zero step.
     """
     if not (0.0 <= eta < 1.0):
         raise ValueError("eta must lie in [0, 1)")
-    M = as_model(M)
+    M = _square_model(M)
     factors = lu_factor(M) if eta == 0.0 or _has_exact_lu(M) else None
     if factors is None:
         _checked_scale(M)

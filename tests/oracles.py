@@ -130,3 +130,28 @@ def random_set_and_point(rng):
         fset = Simplex(n, scale)
     y = fset.sample(rng) + scale * rng.uniform(0.0, 3.0) * rng.standard_normal(n)
     return fset, y, scale
+
+
+def tridiagonal_residual(X):
+    """A residual whose row i reads x[i - 1], x[i] and x[i + 1] only; X is a
+    point or a stack of points, one per row, each row the 1-D value bit for
+    bit."""
+    pad = np.zeros(X.shape[:-1] + (1,))
+    left = np.concatenate((pad, X[..., :-1]), axis=-1)
+    right = np.concatenate((X[..., 1:], pad), axis=-1)
+    return 3.0 * X - left - right + X ** 3 / 10.0
+
+
+def column_by_column_jacobian(fun, x):
+    """Forward differences one column and one 1-D call at a time, with the
+    step fd_jacobian documents: sqrt(eps) * max(|x_j|, 1), signed as x_j."""
+    n = x.size
+    f0 = fun(x)
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = np.sqrt(np.finfo(float).eps) * max(abs(x[j]), 1.0)
+        h = -h if x[j] < 0 else h
+        point = x.copy()
+        point[j] += h
+        jac[:, j] = (fun(point) - f0) / h
+    return jac

@@ -15,6 +15,9 @@ from newton_condg import (
 from newton_condg.jacobian import FD_BLOCK_ENTRIES, JacobianError
 from newton_condg.linsolve import CSRModel
 
+from oracles import column_by_column_jacobian as _column_by_column
+from oracles import tridiagonal_residual as _tridiagonal_fun
+
 
 class TestFDJacobian:
     def test_linear_map_recovered(self):
@@ -48,19 +51,18 @@ class TestFDJacobian:
         with pytest.raises(ValueError, match="^x and pattern shapes differ$"):
             fd_jacobian(lambda v: v, np.ones(3), pattern=pattern)
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("x", [np.zeros(0), np.ones((2, 2)), np.ones((1, 3)), 1.0],
+                             ids=["empty", "matrix", "row", "scalar"])
+    def test_x_must_be_a_non_empty_vector(self, x, vectorized):
+        with pytest.raises(ValueError, match="^x must be a 1-D array with at least one entry$"):
+            fd_jacobian(lambda v: v, x, vectorized=vectorized)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_raises(self):
         fun = lambda v: np.array([1.0 / (v[0] - 1.0)])
         with pytest.raises(JacobianError):
             fd_jacobian(fun, np.array([1.0]))
-
-
-def _tridiagonal_fun(X):
-    """Vectorized tridiagonal residual: rows of X are points."""
-    pad = np.zeros(X.shape[:-1] + (1,))
-    left = np.concatenate((pad, X[..., :-1]), axis=-1)
-    right = np.concatenate((X[..., 1:], pad), axis=-1)
-    return 3.0 * X - left - right + X ** 3 / 10.0
 
 
 class TestVectorizedFD:
@@ -117,20 +119,6 @@ class TestVectorizedFD:
         for vectorized in (False, True):
             with pytest.raises(JacobianError, match=r"x\[5\]"):
                 fd_jacobian(fun, x, vectorized=vectorized)
-
-
-def _column_by_column(fun, x):
-    """Forward differences one column and one 1-D call at a time."""
-    n = x.size
-    f0 = fun(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = np.sqrt(np.finfo(float).eps) * max(abs(x[j]), 1.0)
-        h = -h if x[j] < 0 else h
-        point = x.copy()
-        point[j] += h
-        jac[:, j] = (fun(point) - f0) / h
-    return jac
 
 
 class TestDenseFD:

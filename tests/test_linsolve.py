@@ -867,6 +867,47 @@ class TestSecantSolve:
         assert out.eta_used == fresh.eta_used
 
 
+def _non_square(kind, n):
+    """A well-scaled model of n rows with one column too few or too many:
+    dense, or CSR (a band or an arrowhead)."""
+    rng = np.random.default_rng(n)
+    if kind == "csr band":  # (n, n + 1): gttrf's band would not fit it
+        return sparse.csr_array(_random_band(rng, n + 1, 1, 1)[:n])
+    if kind == "csr arrowhead":  # (n, n - 1)
+        return sparse.csr_array(_arrowhead(n)[:, :-1])
+    cols = n + 1 if kind == "dense wide" else n - 1
+    return rng.standard_normal((n, cols)) + 4.0 * np.eye(n, cols)
+
+
+NON_SQUARE = [("dense tall", 3), ("dense tall", 40), ("dense tall", MIXED_MIN_N),
+              ("dense wide", 40), ("dense wide", 300), ("csr band", 20),
+              ("csr arrowhead", 20)]
+
+
+@pytest.mark.parametrize("kind, n", NON_SQUARE)
+@pytest.mark.parametrize("solve_with", ["lu_factor", "direct", "inexact", "inexact eta 0"])
+def test_non_square_model_fails_every_solve_alike(kind, n, solve_with):
+    M, b = _non_square(kind, n), np.ones(n)
+    call = {"lu_factor": lambda: lu_factor(M), "direct": lambda: solve_direct(M, b),
+            "inexact": lambda: solve_inexact(M, b, 0.5),
+            "inexact eta 0": lambda: solve_inexact(M, b, 0.0)}[solve_with]
+    with pytest.raises(LinearSolveFailure, match="^model matrix is not square$"):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["dense tall", "dense wide"])
+def test_non_square_secant_model_fails_before_its_factors_are_read(kind):
+    # float32 factors of a square model, offered for a model of another shape
+    n = MIXED_MIN_N + 10
+    rng = np.random.default_rng(34)
+    M0 = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    previous = lu_factor(M0)
+    assert previous.lu32 is not None
+    s, y = _broyden_pair(rng, M0)
+    with pytest.raises(LinearSolveFailure, match="^model matrix is not square$"):
+        solve_direct(_non_square(kind, n), np.ones(n), (previous, s, y))
+
+
 def _kernel_case(kind, monkeypatch):
     """The outcome of one step that kind names."""
     rng = np.random.default_rng(40)

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import newton_condg.jacobian
 import newton_condg.linsolve
-from newton_condg import EuclideanBall, Simplex, condg, solve_inexact
+from newton_condg import EuclideanBall, Simplex, condg, fd_jacobian, solve_inexact
+from newton_condg.jacobian import JacobianError
 
-from oracles import random_set_and_point
+from oracles import column_by_column_jacobian, random_set_and_point, tridiagonal_residual
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -72,6 +74,47 @@ def test_inexact_step_meets_its_contract_with_at_most_one_factorization(kind, n,
         assert out.eta_used <= max(eta, DIRECT_ROUNDING)
         assert rnorm <= max(eta, DIRECT_ROUNDING) * bnorm
     assert len(factored) == (1 if MODELS[kind] else out.kernel != "gmres")
+
+
+@hypothesis.given(
+    n=st.integers(1, 24),
+    groups_per_block=st.integers(1, 25),
+    vectorized=st.booleans(),
+    storage=st.sampled_from(["dense", "tridiagonal"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    data=st.data(),
+)
+def test_fd_model_is_the_column_by_column_one_and_names_a_bad_column(
+        n, groups_per_block, vectorized, storage, seed, data):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, n)
+    pattern = None
+    if storage == "tridiagonal":  # all 3n - 2 entries, as a Problem stores them
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+        pattern = newton_condg.linsolve.canonical_pattern(band)
+    bad = data.draw(st.integers(0, n - 1), label="bad")
+    stepped = x.copy()
+    stepped[bad] = 2.0  # its step is positive: only points perturbed in x[bad] exceed 2
+
+    def spoiled(X):  # finite at stepped, nan wherever x[bad] was stepped
+        return tridiagonal_residual(X) * np.where(X[..., bad:bad + 1] > 2.0, np.nan, 1.0)
+
+    reference = column_by_column_jacobian(tridiagonal_residual, x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newton_condg.jacobian, "FD_BLOCK_ENTRIES", groups_per_block * n)
+        model = fd_jacobian(tridiagonal_residual, x, pattern=pattern, vectorized=vectorized)
+        if pattern is None:
+            assert type(model) is np.ndarray and model.flags.c_contiguous
+            assert model.tobytes() == reference.tobytes()
+        else:
+            assert pattern.fits(model)
+            assert model.data.tobytes() == reference[pattern.rows, pattern.indices].tobytes()
+        # the error names the first column of the group perturbed in x[bad]: a
+        # dense model's groups are its columns, the greedy colours of a full
+        # tridiagonal pattern are j mod 3
+        named = bad if pattern is None else bad % 3
+        with pytest.raises(JacobianError, match=rf"x\[{named}\]$"):
+            fd_jacobian(spoiled, stepped, pattern=pattern, vectorized=vectorized)
 
 
 # finite floats of every size, subnormals included

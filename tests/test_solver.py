@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from newton_condg import (
     Box,
@@ -210,6 +211,24 @@ class TestSolve:
         report = solve(p, np.ones(n), cfg)
         assert report.status == "linear_solve_failure"
         assert report.steps == [] and report.residual_norms == [1.0]
+
+    @pytest.mark.parametrize("linsolve", ["direct", "inexact"])
+    @pytest.mark.parametrize("n, shape", [(10, "tall"), (linsolve.MIXED_MIN_N, "tall"),
+                                          (300, "wide"), (20, "csr wide")])
+    def test_non_square_model_is_a_linear_solve_failure(self, n, shape, linsolve):
+        # a jac of the wrong shape is an unusable model, reported, not raised
+        def jac(x):
+            if shape == "csr wide":
+                return sparse.diags_array([2.0 * x, np.ones(n)], offsets=[0, 1],
+                                          shape=(n, n + 1), format="csr")
+            return np.eye(n, n - 1 if shape == "tall" else n + 1) * 2.0 * x[:, None]
+
+        p = Problem(name="non_square", n=n, fun=lambda x: x * x - 1.0, jac=jac,
+                    feasible_set=Box(np.zeros(n), np.full(n, 2.0)))
+        cfg = SolverConfig(jacobian_strategy="exact", linsolve=linsolve)
+        report = solve(p, np.full(n, 0.5), cfg)
+        assert report.status == "linear_solve_failure"
+        assert report.steps == [] and report.residual_norms == [0.75]
 
     @pytest.mark.parametrize("offset, projected", [(5e-7, False), (2e-6, True)])
     def test_start_is_feasible_up_to_condg_start_slack(self, offset, projected):
