@@ -16,7 +16,8 @@ from newton_condg import (
     solve,
     starting_point,
 )
-from newton_condg.bench import REGISTRY, _cube
+import newton_condg.bench
+from newton_condg.bench import REGISTRY, _aligned_empty, _cube
 from newton_condg.jacobian import FD_BLOCK_ENTRIES
 
 ALL_IDS = [
@@ -67,6 +68,52 @@ def test_h_equation_independent_recomputation():
             acc += mu_i * h[j] / (mu_i + mu_j)
         expected = h[i] - 1.0 / (1.0 - c / (2 * n) * acc)
         assert fx[i] == pytest.approx(expected, rel=1e-14)
+
+
+def _h_equation_kernel(n, c=0.99):
+    mu = (np.arange(1, n + 1) - 0.5) / n
+    return (c / (2.0 * n)) * (mu[:, None] / (mu[:, None] + mu[None, :]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 400, 1000])
+def test_h_equation_kernel_starts_at_a_cache_line(n, monkeypatch):
+    # the kernel the residual reads is the array _aligned_empty made, at 0 mod
+    # 64 in every fresh problem, whatever the heap hands out around it
+    made, held = [], []
+
+    def recorded(shape):
+        made.append(_aligned_empty(shape))
+        return made[-1]
+
+    monkeypatch.setattr(newton_condg.bench, "_aligned_empty", recorded)
+    expected = _h_equation_kernel(n).tobytes()
+    for k in range(30):
+        held.append(np.empty(k + 1))  # moves the next small allocation
+        p = make_problem("pb1_h_equation", n)
+        A = made[-1]
+        assert len(made) == k + 1 and A.ctypes.data % 64 == 0
+        assert A.shape == (n, n) and A.flags.c_contiguous and A.tobytes() == expected
+        assert any(cell.cell_contents is A for cell in p.fun.__closure__)
+
+
+@pytest.mark.parametrize("n", [2, 3, 400])
+def test_h_equation_jacobian_is_the_identity_formula_bit_for_bit(n):
+    # one buffer, 0.0 - w A and then + 1 on the diagonal, gives the bits of
+    # eye(n) - w A; at h = -1e160, w is 0 and the off-diagonal zeros are +0.0
+    p = make_problem("pb1_h_equation", n)
+    A = _h_equation_kernel(n)
+    rng = np.random.default_rng(11)
+    points = [starting_point(p, gamma) for gamma in (0, 1, 2, 3)]
+    points += [p.feasible_set.sample(rng) for _ in range(5)]
+    points.append(np.full(n, -1e160))
+    for h in points:
+        with np.errstate(over="ignore"):
+            w = 1.0 / (1.0 - A @ h) ** 2
+            J = p.jac(h)
+        expected = np.eye(n) - w[:, None] * A
+        assert J.flags.c_contiguous and J.dtype == np.float64
+        assert J.tobytes() == expected.tobytes()
+    assert not w.any() and not np.signbit(J).any()
 
 
 def _discrete_boundary_reference(x):

@@ -11,7 +11,11 @@ from scipy import sparse
 
 import newton_condg.jacobian
 import newton_condg.linsolve
-from newton_condg import EuclideanBall, Simplex, condg, fd_jacobian, solve_inexact
+from newton_condg import (
+    EuclideanBall, Simplex, check_problem, condg, fd_jacobian, make_problem, solve_inexact,
+    starting_point,
+)
+from newton_condg.bench import GAMMAS, REGISTRY
 from newton_condg.jacobian import JacobianError
 
 from oracles import column_by_column_jacobian, random_set_and_point, tridiagonal_residual
@@ -175,3 +179,34 @@ def test_exact_projection_of_a_point_near_the_set_is_certified_in_one_call(seed,
     y = anchor + 10.0 ** offset * scale * direction / np.linalg.norm(direction)
     res = condg(fset, y, fset.sample(rng), 0.0, 300)
     assert (res.terminated_by, res.inner_iters) == ("gap", 1)
+
+
+@hypothesis.given(pid=st.sampled_from(sorted(REGISTRY)), n=st.integers(2, 40),
+                  gamma=st.sampled_from(GAMMAS), seed=st.integers(0, 2 ** 32 - 1))
+def test_registry_problem_rows_are_its_one_point_residuals(pid, n, gamma, seed):
+    # check_problem: a vectorized residual maps a stack of sampled points to
+    # their 1-D residuals bit for bit; the start is one more row
+    p = make_problem(pid, n)
+    x0 = starting_point(p, gamma)
+    assert p.n == n and x0.shape == (n,) and p.feasible_set.contains(x0, 1e-12)
+    rng = np.random.default_rng(seed)
+    check_problem(p, rng, samples=3)
+    if p.vectorized:
+        X = np.stack([p.feasible_set.sample(rng), x0])
+        assert p.fun(X)[1].tobytes() == p.fun(x0).tobytes()
+
+
+# what is no count: bools, floats (integral ones included) and strings
+NOT_A_COUNT = st.one_of(
+    st.booleans(), st.just(np.True_), st.floats(), st.floats().map(np.float64),
+    st.integers(0, 3).map(float), st.sampled_from(["", "x", "2", "400", "2.0"]),
+)
+
+
+@hypothesis.given(pid=st.sampled_from(sorted(REGISTRY)), n=NOT_A_COUNT, gamma=NOT_A_COUNT)
+def test_registry_rejects_a_bool_float_or_string_n_or_gamma(pid, n, gamma):
+    with pytest.raises(ValueError, match="^n must be an integer >= 2$"):
+        make_problem(pid, n)
+    p = make_problem(pid, 3)
+    with pytest.raises(ValueError, match="^gamma must be one of 0, 1, 2, 3$"):
+        starting_point(p, gamma)

@@ -523,13 +523,18 @@ def test_dense_secant_solve_holds_two_models_and_one_factorization():
     assert peak <= 2 * 8 * n * n + 4 * n * n + 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("strategy", ["exact", "finite_difference"])
-def test_dense_solve_holds_one_model_and_one_factorization(strategy):
+@pytest.mark.parametrize("pid, strategy", [
+    pytest.param("pb4_discrete_integral", "exact", id="exact"),
+    pytest.param("pb4_discrete_integral", "finite_difference", id="finite_difference"),
+    pytest.param("pb1_h_equation", "exact", id="pb1_h_equation-exact"),
+])
+def test_dense_solve_holds_one_model_and_one_factorization(pid, strategy):
     # a step's float32 factors outlive it until the next build, which starts
     # without them and without the model: one n-by-n float64 model and one
-    # float32 factorization are alive at once; 2 MiB covers the rest
+    # float32 factorization are alive at once; 2 MiB covers the rest (pb1's
+    # exact Jacobian is built in its own buffer, with no identity beside it)
     n = 1000
-    p = make_problem("pb4_discrete_integral", n)
+    p = make_problem(pid, n)
     x0 = starting_point(p, 1)
     tracemalloc.start()
     try:
